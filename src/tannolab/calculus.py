@@ -7,6 +7,10 @@ Index conventions used throughout the package:
 * Christoffel arrays are ``G[k, i, j] = Gamma^k_ij``;
 * the covariant Hessian array is ``H[i, j] = f_{,ij}`` and the third
   derivative array is ``T[i, j, k] = (f_{,ij})_{;k}``, symmetric in (i, j).
+
+Every function takes one point of shape (d,) or a batch of shape (N, d).
+Batches are evaluated in one pass and results carry a leading point axis;
+a single point gives results without it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import KahlerChart
-from .errors import SingularMetric
+from .charts import ChartJets, KahlerChart, checked_inverse, unbatch
 from .fields import MatrixField, ScalarField
 
 
@@ -24,7 +27,8 @@ from .fields import MatrixField, ScalarField
 class TensorValue:
     """Component array of a tensor at a point plus its index valence.
 
-    valence entries are 'u' (upper) or 'l' (lower), one per array axis.
+    valence entries are 'u' (upper) or 'l' (lower), one per tensor slot.
+    The components may carry one extra leading axis over a batch of points.
     """
 
     components: np.ndarray
@@ -33,19 +37,32 @@ class TensorValue:
     def __post_init__(self):
         comp = np.asarray(self.components, dtype=float)
         object.__setattr__(self, "components", comp)
-        if comp.ndim != len(self.valence):
+        if comp.ndim - len(self.valence) not in (0, 1):
             raise ValueError("valence length must equal tensor rank")
 
     @property
     def rank(self) -> int:
         return len(self.valence)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components.ravel()))
+    @property
+    def batched(self) -> bool:
+        return self.components.ndim > self.rank
+
+    def norm(self):
+        """Frobenius norm: a float, or one per point for a batch."""
+        if self.batched:
+            return frob_rows(self.components)
+        return frob(self.components)
 
 
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a).ravel()))
+
+
+def frob_rows(a) -> np.ndarray:
+    """Frobenius norm of each point's slice of a batched array."""
+    a = np.asarray(a)
+    return np.array([frob(row) for row in a.reshape(len(a), -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -54,32 +71,42 @@ def frob(a) -> float:
 
 def christoffel(chart: KahlerChart, p) -> TensorValue:
     """Levi-Civita connection coefficients Gamma^k_ij at p."""
-    p = chart.require_inside(p)
-    G = chart.christoffel_jets(p, 0)[0]
-    return TensorValue(G, ("u", "l", "l"))
+    P, single = chart.batch(p)
+    G = chart.christoffel_jets(P, 0)[0]
+    return TensorValue(unbatch(G, single), ("u", "l", "l"))
 
 
-def scalar_covariant_jets(chart: KahlerChart, f: ScalarField, p, order: int):
-    """(f, f_{,i}, f_{,ij}, f_{,ijk}) up to the requested order (1..3)."""
+def scalar_covariant_jets(chart: KahlerChart, f: ScalarField, p, order: int,
+                          geo: ChartJets | None = None):
+    """(f, f_{,i}, f_{,ij}, f_{,ijk}) up to the requested order (1..3).
+
+    ``geo`` is the chart evaluated at the same (N, d) points through metric
+    order 1 (order 2) or 2 (order 3); it is evaluated here when omitted.
+    """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    p = chart.require_inside(p)
-    fj = f.jets(p, order)
-    out = [float(fj[0]), np.array(fj[1])]
+    P, single = chart.batch(p)
+    fj = f.jets(P, order)
+    out = [fj[0], fj[1]]
     if order >= 2:
-        Gj = chart.christoffel_jets(p, 1 if order == 3 else 0)
+        gamma_order = 1 if order == 3 else 0
+        if geo is None:
+            geo = chart.at(P, gamma_order + 1)
+        Gj = geo.gamma(gamma_order)
         G0 = Gj[0]
-        H = fj[2] - np.einsum("kij,k->ij", G0, fj[1])
+        H = fj[2] - np.einsum("zkij,zk->zij", G0, fj[1])
         out.append(H)
     if order == 3:
         dG = Gj[1]
         dH = (fj[3]
-              - np.einsum("lijk,l->ijk", dG, fj[1])
-              - np.einsum("lij,lk->ijk", G0, fj[2]))
+              - np.einsum("zlijk,zl->zijk", dG, fj[1])
+              - np.einsum("zlij,zlk->zijk", G0, fj[2]))
         T = (dH
-             - np.einsum("mki,mj->ijk", G0, H)
-             - np.einsum("mkj,im->ijk", G0, H))
+             - np.einsum("zmki,zmj->zijk", G0, H)
+             - np.einsum("zmkj,zim->zijk", G0, H))
         out.append(T)
+    if single:
+        return [float(out[0][0])] + [t[0] for t in out[1:]]
     return out
 
 
@@ -89,23 +116,27 @@ def nabla_scalar(chart: KahlerChart, f: ScalarField, p, order: int) -> TensorVal
     return TensorValue(jets[order], ("l",) * order)
 
 
-def laplacian(chart: KahlerChart, f: ScalarField, p) -> float:
+def laplacian(chart: KahlerChart, f: ScalarField, p):
     """g^{ij} f_{,ij} (trace of the raised covariant Hessian)."""
-    p = chart.require_inside(p)
-    H = scalar_covariant_jets(chart, f, p, 2)[2]
-    ginv = chart.metric_inv_jets(p, 0)[0]
-    return float(np.einsum("ij,ij->", ginv, H))
+    P, single = chart.batch(p)
+    geo = chart.at(P, 1)
+    H = scalar_covariant_jets(chart, f, P, 2, geo=geo)[2]
+    out = np.einsum("zij,zij->z", geo.ginv(0)[0], H)
+    return float(out[0]) if single else out
 
 
 def nabla_cotensor2(chart: KahlerChart, a: MatrixField, p) -> TensorValue:
     """First covariant derivative a_{ij,k} of a symmetric (0,2)-tensor field."""
-    p = chart.require_inside(p)
-    aj = a.jets(p, 1)
-    G0 = chart.christoffel_jets(p, 0)[0]
-    C = (aj[1]
-         - np.einsum("lki,lj->ijk", G0, aj[0])
-         - np.einsum("lkj,il->ijk", G0, aj[0]))
-    return TensorValue(C, ("l", "l", "l"))
+    P, single = chart.batch(p)
+    C = covariant_d_cotensor2(a.jets(P, 1), chart.christoffel_jets(P, 0)[0])
+    return TensorValue(unbatch(C, single), ("l", "l", "l"))
+
+
+def covariant_d_cotensor2(aj, G0) -> np.ndarray:
+    """a_{ij,k} from batched order-1 jets of a_ij and Gamma at the same points."""
+    return (aj[1]
+            - np.einsum("zlki,zlj->zijk", G0, aj[0])
+            - np.einsum("zlkj,zil->zijk", G0, aj[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +145,11 @@ def nabla_cotensor2(chart: KahlerChart, a: MatrixField, p) -> TensorValue:
 
 def raise_lower(chart: KahlerChart, t: TensorValue, p, slot: int,
                 direction: str) -> TensorValue:
-    """Move one index with the metric: direction 'up' or 'down'."""
-    p = chart.require_inside(p)
+    """Move one index with the metric: direction 'up' or 'down'.
+
+    For a batch of points, ``t`` carries the matching leading point axis.
+    """
+    P, single = chart.batch(p)
     if not 0 <= slot < t.rank:
         raise ValueError(f"slot {slot} out of range for rank-{t.rank} tensor")
     want_from = "l" if direction == "up" else "u"
@@ -124,58 +158,67 @@ def raise_lower(chart: KahlerChart, t: TensorValue, p, slot: int,
     if t.valence[slot] != want_from:
         raise ValueError(
             f"slot {slot} has valence '{t.valence[slot]}', cannot move {direction}")
-    g0 = chart.metric_jets(p, 0)[0]
-    moved = np.moveaxis(t.components, slot, 0)
+    g0 = chart.metric_jets(P, 0)[0]
+    comp = t.components if t.batched else t.components[None]
+    moved = np.moveaxis(comp, slot + 1, 1)
     if direction == "up":
-        if abs(np.linalg.det(g0)) < 1e-12:
-            raise SingularMetric("metric numerically singular")
-        flat = moved.reshape(moved.shape[0], -1)
+        checked_inverse(g0)
+        flat = moved.reshape(moved.shape[:2] + (-1,))
         new = np.linalg.solve(g0, flat).reshape(moved.shape)
     else:
-        new = np.einsum("ia,a...->i...", g0, moved)
-    new = np.moveaxis(new, 0, slot)
+        new = np.einsum("zia,za...->zi...", g0, moved)
+    new = np.moveaxis(new, 1, slot + 1)
     valence = list(t.valence)
     valence[slot] = "u" if direction == "up" else "l"
-    return TensorValue(new, tuple(valence))
+    return TensorValue(new if t.batched else new[0], tuple(valence))
 
 
 def bar_form(chart: KahlerChart, omega, p) -> TensorValue:
     """bar(w)_i = J^a_i w_a for a covector w."""
-    p = chart.require_inside(p)
+    P, single = chart.batch(p)
     if isinstance(omega, TensorValue):
         if omega.valence != ("l",):
             raise ValueError("bar_form expects a rank-1 lower-index tensor")
         w = omega.components
     else:
         w = np.asarray(omega, dtype=float)
-    Jm = chart.jstruct_jets(p, 0)[0]
-    return TensorValue(Jm.T @ w, ("l",))
+    Jm = chart.jstruct_jets(P, 0)[0]
+    out = np.einsum("zai,za->zi", Jm, np.broadcast_to(w, P.shape))
+    return TensorValue(unbatch(out, single), ("l",))
 
 
 def kahler_form(chart: KahlerChart, p) -> TensorValue:
     """J_ij = g_ia J^a_j, the Kahlerian 2-form."""
-    p = chart.require_inside(p)
-    g0 = chart.metric_jets(p, 0)[0]
-    Jm = chart.jstruct_jets(p, 0)[0]
-    return TensorValue(g0 @ Jm, ("l", "l"))
+    P, single = chart.batch(p)
+    geo = chart.at(P, 0)
+    return TensorValue(unbatch(geo.g0 @ geo.J0, single), ("l", "l"))
 
 
-def nabla_jstruct(chart: KahlerChart, p) -> np.ndarray:
+def nabla_jstruct(chart: KahlerChart, p, geo: ChartJets | None = None) -> np.ndarray:
     """Covariant derivative (nabla_k J)^i_j, array axes [i, j, k]."""
-    p = chart.require_inside(p)
-    Jj = chart.jstruct_jets(p, 1)
-    G0 = chart.christoffel_jets(p, 0)[0]
-    return (Jj[1]
-            + np.einsum("ikl,lj->ijk", G0, Jj[0])
-            - np.einsum("lkj,il->ijk", G0, Jj[0]))
+    P, single = chart.batch(p)
+    if geo is None:
+        geo = chart.at(P, 1)
+    Jj = geo.jstruct(1)
+    G0 = geo.gamma(0)[0]
+    out = (Jj[1]
+           + np.einsum("zikl,zlj->zijk", G0, Jj[0])
+           - np.einsum("zlkj,zil->zijk", G0, Jj[0]))
+    return unbatch(out, single)
 
 
-def kahler_residuals(chart: KahlerChart, p) -> tuple[float, float, float]:
-    """(|J^2 + Id|, |J^T g J - g|, |nabla J|) in Frobenius norm."""
-    p = chart.require_inside(p)
-    g0 = chart.metric_jets(p, 0)[0]
-    Jm = chart.jstruct_jets(p, 0)[0]
-    r_sq = frob(Jm @ Jm + np.eye(chart.dim))
-    r_compat = frob(Jm.T @ g0 @ Jm - g0)
-    r_par = frob(nabla_jstruct(chart, p))
+def kahler_residuals(chart: KahlerChart, p):
+    """(|J^2 + Id|, |J^T g J - g|, |nabla J|) in Frobenius norm.
+
+    For a batch, each entry is an array with one residual per point.
+    """
+    P, single = chart.batch(p)
+    geo = chart.at(P, 1)
+    g0 = geo.g0
+    Jm = geo.J0
+    r_sq = frob_rows(Jm @ Jm + np.eye(chart.dim))
+    r_compat = frob_rows(np.swapaxes(Jm, 1, 2) @ g0 @ Jm - g0)
+    r_par = frob_rows(nabla_jstruct(chart, P, geo))
+    if single:
+        return float(r_sq[0]), float(r_compat[0]), float(r_par[0])
     return r_sq, r_compat, r_par

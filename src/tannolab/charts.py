@@ -2,9 +2,14 @@
 
 A chart owns three evaluable structures: the metric g_ij, the complex
 structure J^i_j and (derived) the Christoffel symbols, each available as
-derivative lists of any order through the jet engine.  Charts are immutable;
-per-point results are cached, so evaluation across points is safe to run
-concurrently.
+derivative lists of any order through the jet engine.  Every accessor takes
+one point of shape (d,) or a batch of shape (N, d); a batch returns arrays
+with a leading point axis, a single point returns them without it.
+
+Charts are immutable and keep no per-point state.  :meth:`KahlerChart.at`
+evaluates the metric once over a batch and hands out g, g^-1, Gamma and J
+from that one evaluation, so a consumer needing several of them pays for a
+single potential evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +19,15 @@ import numpy as np
 from . import jets as J
 from .errors import OutOfDomain, SingularMetric
 
-_DET_FLOOR = 1e-12
+#: A metric whose reciprocal condition number falls below this is singular.
+#: The test is relative, so it does not depend on the metric's overall scale.
+RCOND_FLOOR = 1e-12
+
+#: Points per evaluation in :func:`chunked`.  Unchunked, the order-3 field
+#: jets and order-1 Christoffels of a lightlike-jerk check take ~70 KB per
+#: point on CP(3), 9 GB over a 2^17-sample path; at this size the check's
+#: traced heap peaks at 84 MB over such a path.
+POINT_CHUNK = 1024
 
 
 def standard_complex_structure(dim: int) -> np.ndarray:
@@ -35,12 +48,87 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def as_points(p, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """(P, single): p as an (N, d) array, and whether p was one (d,) point.
+
+    An empty input is an empty batch of shape (0, d).
+    """
+    p = np.asarray(p, dtype=float)
+    if p.size == 0 and p.ndim <= 1:
+        return np.empty((0, dim or 0)), False
+    single = p.ndim <= 1
+    P = p.reshape(1, -1) if single else p
+    if P.ndim != 2:
+        raise ValueError(f"points must have shape (d,) or (N, d), got {p.shape}")
+    if dim is not None and P.shape[1] != dim:
+        raise ValueError(f"point has length {P.shape[1]}, chart dimension is {dim}")
+    if not np.isfinite(P).all():
+        raise ValueError("point has non-finite coordinates")
+    return P, single
+
+
+def unbatch(x, single: bool):
+    """Drop the point axis of an array (or of each array in a list)."""
+    if not single:
+        return x
+    if isinstance(x, list):
+        return [t[0] for t in x]
+    return x[0]
+
+
+def chunked(fn, *arrays) -> np.ndarray:
+    """Per-point values of fn over consecutive chunks of POINT_CHUNK points.
+
+    ``fn`` maps chunks of the arrays (sliced along their leading point axis)
+    to one value per point; the values are concatenated.  Bounds the jet
+    arrays of one evaluation when the point count is unbounded, as along a
+    geodesic path.
+    """
+    n, size = len(arrays[0]), POINT_CHUNK
+    parts = [fn(*(a[lo:lo + size] for a in arrays)) for lo in range(0, n, size)]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def checked_inverse(g0: np.ndarray, where: str = "") -> np.ndarray:
+    """Inverse of a metric, or of each metric in a batch.
+
+    Raises SingularMetric when a metric is numerically singular: its
+    reciprocal condition number 1 / (|g|_1 |g^-1|_1) is below RCOND_FLOOR.
+    The test is relative, so rescaling the metric does not change it.
+    """
+    suffix = f" {where}" if where else ""
+    try:
+        inv = np.linalg.inv(g0)
+    except np.linalg.LinAlgError:
+        raise SingularMetric(f"metric is singular{suffix}") from None
+    norm1 = np.abs(g0).sum(axis=-2).max(axis=-1)
+    inv_norm1 = np.abs(inv).sum(axis=-2).max(axis=-1)
+    rcond = 1.0 / (norm1 * inv_norm1)
+    if not np.all(rcond >= RCOND_FLOOR):
+        worst = float(np.nanmin(np.where(np.isnan(rcond), 0.0, rcond)))
+        raise SingularMetric(
+            f"reciprocal condition number {worst:.3g} of g is below "
+            f"{RCOND_FLOOR:g}{suffix}")
+    return inv
+
+
+def _repeat(a: np.ndarray, n: int) -> np.ndarray:
+    return np.repeat(a[None], n, axis=0)
+
+
+def _constant_jets(a: np.ndarray, P: np.ndarray, order: int) -> list[np.ndarray]:
+    n, d = P.shape
+    return [_repeat(a, n)] + [np.zeros((n,) + a.shape + (d,) * m)
+                              for m in range(1, order + 1)]
+
+
 class KahlerChart:
     """A single coordinate patch with evaluable g and J.
 
-    ``metric_jets_fn(p, order)`` and ``jstruct_jets_fn(p, order)`` return
-    derivative lists (see :mod:`tannolab.jets`).  Use the classmethod
-    constructors rather than calling __init__ directly.
+    ``metric_jets_fn(P, order)`` and ``jstruct_jets_fn(P, order)`` take an
+    (N, d) point array and return derivative lists with a leading point axis
+    (see :mod:`tannolab.jets`).  Use the classmethod constructors rather
+    than calling __init__ directly.
     """
 
     def __init__(self, dim, metric_jets_fn, jstruct_jets_fn, domain_radius, name):
@@ -52,7 +140,6 @@ class KahlerChart:
         self.name = name
         self._metric_jets_fn = metric_jets_fn
         self._jstruct_jets_fn = jstruct_jets_fn
-        self._cache: dict = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -62,13 +149,11 @@ class KahlerChart:
         J0 = np.asarray(J0, dtype=float)
         dim = g0.shape[0]
 
-        def metric_fn(p, order):
-            return [g0.copy()] + [np.zeros((dim, dim) + (dim,) * m)
-                                  for m in range(1, order + 1)]
+        def metric_fn(P, order):
+            return _constant_jets(g0, P, order)
 
-        def jstruct_fn(p, order):
-            return [J0.copy()] + [np.zeros((dim, dim) + (dim,) * m)
-                                  for m in range(1, order + 1)]
+        def jstruct_fn(P, order):
+            return _constant_jets(J0, P, order)
 
         return cls(dim, metric_fn, jstruct_fn, domain_radius, name)
 
@@ -81,30 +166,17 @@ class KahlerChart:
         J0 = standard_complex_structure(dim) if jstruct0 is None \
             else np.asarray(jstruct0, dtype=float)
 
-        def metric_fn(p, order):
-            pot = J.eval_scalar_expr(potential_fn, p, order + 2)
+        def metric_fn(P, order):
+            pot = J.eval_scalar_expr(potential_fn, P, order + 2)
             out = []
             for m in range(order + 1):
-                P = pot[m + 2]  # first two trailing axes read as (a, b)
-                G = 0.5 * (P + np.einsum("ca,db,cd...->ab...", J0, J0, P))
-                out.append(G)
+                H = pot[m + 2]  # axes [z, a, b, ...]: first two read as (a, b)
+                JH = np.einsum("ca,zcd...->zad...", J0, H)
+                out.append(0.5 * (H + np.einsum("db,zad...->zab...", J0, JH)))
             return out
 
-        def jstruct_fn(p, order):
-            return [J0.copy()] + [np.zeros((dim, dim) + (dim,) * m)
-                                  for m in range(1, order + 1)]
-
-        return cls(dim, metric_fn, jstruct_fn, domain_radius, name)
-
-    @classmethod
-    def from_exprs(cls, dim, metric_expr, jstruct_expr, domain_radius, name):
-        """Chart from jet-arithmetic callables returning entry grids."""
-
-        def metric_fn(p, order):
-            return J.eval_matrix_expr(metric_expr, p, order)
-
-        def jstruct_fn(p, order):
-            return J.eval_matrix_expr(jstruct_expr, p, order)
+        def jstruct_fn(P, order):
+            return _constant_jets(J0, P, order)
 
         return cls(dim, metric_fn, jstruct_fn, domain_radius, name)
 
@@ -116,8 +188,8 @@ class KahlerChart:
             raise ValueError("rescaling constant must be nonzero")
         base = self
 
-        def metric_fn(p, order):
-            return [c * t for t in base.metric_jets(p, order)]
+        def metric_fn(P, order):
+            return [c * t for t in base.metric_jets(P, order)]
 
         return KahlerChart(self.dim, metric_fn, base._jstruct_jets_fn,
                            self.domain_radius, f"{self.name} (metric x {c:g})")
@@ -126,8 +198,8 @@ class KahlerChart:
         """Deliberately broken chart (J scaled); for residual-detection tests."""
         base = self
 
-        def jstruct_fn(p, order):
-            return [s * t for t in base.jstruct_jets(p, order)]
+        def jstruct_fn(P, order):
+            return [s * t for t in base.jstruct_jets(P, order)]
 
         return KahlerChart(self.dim, base._metric_jets_fn, jstruct_fn,
                            self.domain_radius, f"{self.name} (J x {s:g})")
@@ -137,66 +209,73 @@ class KahlerChart:
 
     # -- domain ---------------------------------------------------------------
 
-    def inside(self, p) -> bool:
-        p = as_point(p, self.dim)
-        return float(np.linalg.norm(p)) <= self.domain_radius + 1e-12
+    def inside(self, p):
+        """Whether p lies in the domain ball: a bool, or one per point."""
+        P, single = as_points(p, self.dim)
+        ok = np.linalg.norm(P, axis=1) <= self.domain_radius + 1e-12
+        return bool(ok[0]) if single else ok
 
     def require_inside(self, p) -> np.ndarray:
-        p = as_point(p, self.dim)
-        if not self.inside(p):
+        """p as a validated (d,) or (N, d) array; OutOfDomain if any point
+        lies outside the domain ball."""
+        P, single = self.batch(p)
+        return unbatch(P, single)
+
+    def batch(self, p) -> tuple[np.ndarray, bool]:
+        """(P, single): p validated and inside the domain, as an (N, d)
+        batch, and whether p was one (d,) point."""
+        P, single = as_points(p, self.dim)
+        ok = self.inside(P)
+        if not np.all(ok):
+            q = P[int(np.argmin(ok))]
             raise OutOfDomain(
-                f"|p| = {np.linalg.norm(p):.4g} exceeds domain radius "
+                f"|p| = {np.linalg.norm(q):.4g} exceeds domain radius "
                 f"{self.domain_radius:g} of {self.name}")
-        return p
+        return P, single
 
-    # -- cached jet access ----------------------------------------------------
+    # -- jet access -------------------------------------------------------------
 
-    def _cached(self, kind: str, p: np.ndarray, order: int, builder):
-        key = (kind, p.tobytes(), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = builder()
-            self._cache[key] = hit
-        return hit
+    def at(self, p, order: int) -> "ChartJets":
+        """Geometry over a batch from one metric evaluation through ``order``."""
+        P, _ = as_points(p, self.dim)
+        return ChartJets(self, P, order)
 
     def metric_jets(self, p, order: int) -> list[np.ndarray]:
-        p = as_point(p, self.dim)
-        return self._cached("g", p, order,
-                            lambda: self._metric_jets_fn(p, order))
+        P, single = as_points(p, self.dim)
+        return unbatch(self._metric_jets_fn(P, order), single)
 
     def jstruct_jets(self, p, order: int) -> list[np.ndarray]:
-        p = as_point(p, self.dim)
-        return self._cached("J", p, order,
-                            lambda: self._jstruct_jets_fn(p, order))
+        P, single = as_points(p, self.dim)
+        return unbatch(self._jstruct_jets_fn(P, order), single)
 
     def metric_inv_jets(self, p, order: int) -> list[np.ndarray]:
-        p = as_point(p, self.dim)
-
-        def build():
-            g = self.metric_jets(p, order)
-            sign, logdet = np.linalg.slogdet(g[0])
-            if sign == 0 or logdet < np.log(_DET_FLOOR):
-                raise SingularMetric(
-                    f"|det g| below threshold at p={p} on {self.name}")
-            return J.tinv(g, order)
-
-        return self._cached("ginv", p, order, build)
+        """Derivative list of g^ij."""
+        P, single = as_points(p, self.dim)
+        return unbatch(self._inverse(self._metric_jets_fn(P, order), order),
+                       single)
 
     def christoffel_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of Gamma^k_ij (array axes [k, i, j, ...])."""
-        p = as_point(p, self.dim)
+        P, single = as_points(p, self.dim)
+        g = self._metric_jets_fn(P, order + 1)
+        return unbatch(self._christoffel(g, self._inverse(g, order), order),
+                       single)
 
-        def build():
-            g = self.metric_jets(p, order + 1)
-            ginv = self.metric_inv_jets(p, order)
-            dg = []
-            for m in range(order + 1):
-                A = g[m + 1]  # axes [l, i, j, extra...] with j the derivative
-                term = A + np.swapaxes(A, 1, 2) - np.moveaxis(A, (0, 1, 2), (1, 2, 0))
-                dg.append(0.5 * term)
-            return J.tconv(ginv, dg, "kl,lij->kij", order)
+    def _inverse(self, g: list, order: int) -> list[np.ndarray]:
+        """g^-1 jets through ``order`` from batched metric jets g."""
+        inv0 = checked_inverse(g[0], f"on {self.name}")
+        return J.tinv(g, order, inv0)
 
-        return self._cached("gamma", p, order, build)
+    @staticmethod
+    def _christoffel(g: list, ginv: list, order: int) -> list[np.ndarray]:
+        """Gamma jets through ``order`` from batched metric jets g (through
+        order + 1) and inverse-metric jets ginv (through order)."""
+        dg = []
+        for m in range(order + 1):
+            A = g[m + 1]  # axes [z, l, i, j, extra...] with j the derivative
+            term = A + np.swapaxes(A, 2, 3) - np.moveaxis(A, (1, 2, 3), (2, 3, 1))
+            dg.append(0.5 * term)
+        return J.tconv(ginv, dg, "kl,lij->kij", order)
 
     # -- plain values -----------------------------------------------------------
 
@@ -209,9 +288,63 @@ class KahlerChart:
     def jstruct(self, p) -> np.ndarray:
         return np.array(self.jstruct_jets(p, 0)[0])
 
-    def inner(self, p, u, v) -> float:
-        g0 = self.metric_jets(p, 0)[0]
-        return float(np.asarray(u) @ g0 @ np.asarray(v))
+    def inner(self, p, u, v):
+        """g(u, v) at p: a float, or one value per point for a batch."""
+        P, single = as_points(p, self.dim)
+        g0 = self.metric_jets(P, 0)[0]
+        u = np.broadcast_to(np.asarray(u, dtype=float), P.shape)
+        v = np.broadcast_to(np.asarray(v, dtype=float), P.shape)
+        out = np.array([float(a @ g @ b) for a, g, b in zip(u, g0, v)])
+        return float(out[0]) if single else out
 
     def __repr__(self):
         return f"KahlerChart({self.name}, dim={self.dim}, R={self.domain_radius:g})"
+
+
+class ChartJets:
+    """g, g^-1, Gamma and J of one chart over one batch of points.
+
+    The metric is evaluated once, through ``order``.  Inverse-metric jets
+    (through the order asked for) and Christoffel jets (through
+    ``order - 1``) are derived from that evaluation on first use and kept
+    for the lifetime of this object, which belongs to a single batched call.
+    """
+
+    def __init__(self, chart: KahlerChart, P: np.ndarray, order: int):
+        self.chart = chart
+        self.points = P
+        self.order = order
+        self.g = chart.metric_jets(P, order)
+        self._ginv: list | None = None
+        self._gamma: list | None = None
+        self._jstruct: list | None = None
+
+    @property
+    def g0(self) -> np.ndarray:
+        return self.g[0]
+
+    @property
+    def J0(self) -> np.ndarray:
+        return self.jstruct(0)[0]
+
+    def jstruct(self, order: int) -> list[np.ndarray]:
+        if self._jstruct is None or len(self._jstruct) <= order:
+            self._jstruct = self.chart.jstruct_jets(self.points, order)
+        return self._jstruct
+
+    def ginv(self, order: int = 0) -> list[np.ndarray]:
+        if order > self.order:
+            raise ValueError(f"g^-1 through order {order} needs the metric "
+                             f"through {order}, evaluated through {self.order}")
+        if self._ginv is None or len(self._ginv) <= order:
+            self._ginv = self.chart._inverse(self.g, order)
+        return self._ginv
+
+    def gamma(self, order: int = 0) -> list[np.ndarray]:
+        if order + 1 > self.order:
+            raise ValueError(f"Gamma through order {order} needs the metric "
+                             f"through {order + 1}, evaluated through {self.order}")
+        if self._gamma is None:
+            top = self.order - 1
+            self._gamma = self.chart._christoffel(self.g, self.ginv(top), top)
+        return self._gamma

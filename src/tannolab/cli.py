@@ -96,8 +96,9 @@ def _context_from_config(config: SuiteConfig):
 def _cmd_spectrum(args) -> int:
     config = _load_config(args)
     prob, pts = _context_from_config(config)
-    for q in pts[:args.points]:
-        spec = spectrum(assemble_L(prob, q))
+    shown = np.array(pts[:args.points])
+    for q, L in zip(shown, assemble_L(prob, shown).entries):
+        spec = spectrum(L)
         parts = [f"{v:+.8f} (x{m})" for v, m in spec.clusters]
         parts += [f"{z.real:+.6f}+-{abs(z.imag):.6f}i (x{m})"
                   for z, m in spec.complex_pairs]
@@ -110,12 +111,11 @@ def _cmd_projector(args) -> int:
     prob, pts = _context_from_config(config)
     P, f_proj = projector_from_solution(prob, pts)
     print(f"P(t) = {P!r}")
-    worst = 0.0
-    for q in pts:
-        L = assemble_L(TannoProblem(prob.chart, f_proj, 1.0), q).entries
-        worst = max(worst, float(np.linalg.norm(L @ L - L)))
+    batch = np.array(pts)
+    Ls = assemble_L(TannoProblem(prob.chart, f_proj, 1.0), batch).entries
+    worst = max(float(np.linalg.norm(L @ L - L)) for L in Ls)
     print(f"max |L^2 - L| over {len(pts)} points: {worst:.3e}")
-    mus = [-2.0 * f_proj(q) for q in pts]
+    mus = -2.0 * f_proj(batch)
     print(f"mu range over samples: [{min(mus):.6f}, {max(mus):.6f}]")
     return 0
 

@@ -1,7 +1,10 @@
 """Scalar and matrix fields evaluable with exact derivatives of any order.
 
-A field caches its derivative lists per (point, order); fields are immutable
-after construction, so caching is safe under concurrent reads.
+Fields are immutable after construction and keep no per-point state.
+:meth:`ScalarField.jets` and :meth:`MatrixField.jets` take one point of
+shape (d,) or a batch of shape (N, d) and return derivative lists with a
+leading point axis iff the input had one.  Subclasses implement
+``_jets(P, order)`` for an (N, d) batch only.
 """
 
 from __future__ import annotations
@@ -9,33 +12,30 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
+from .charts import as_points, unbatch
 
 
 class ScalarField:
     """Base class: a smooth real function on a chart domain.
 
-    Subclasses implement ``_jets(p, order)``; consumers call :meth:`jets`,
-    which validates and caches.
+    Subclasses implement ``_jets(P, order)`` on an (N, d) batch; consumers
+    call :meth:`jets`, which accepts a single point or a batch.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._cache: dict = {}
 
     def jets(self, p, order: int) -> list[np.ndarray]:
-        p = np.asarray(p, dtype=float)
-        key = (p.tobytes(), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._jets(p, order)
-            self._cache[key] = hit
-        return hit
+        P, single = as_points(p)
+        return unbatch(self._jets(P, order), single)
 
-    def _jets(self, p, order):  # pragma: no cover - abstract
+    def _jets(self, P, order):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def __call__(self, p) -> float:
-        return float(self.jets(p, 0)[0])
+    def __call__(self, p):
+        """f(p): a float, or one value per point for a batch."""
+        v = self.jets(p, 0)[0]
+        return float(v) if np.ndim(v) == 0 else np.array(v)
 
     def gradient(self, p) -> np.ndarray:
         return np.array(self.jets(p, 1)[1])
@@ -63,6 +63,11 @@ class ScalarField:
         return LinearComboField([self], [-1.0], 0.0)
 
 
+def _constant_terms(value: float, n: int, dim: int, order: int):
+    return [np.full(n, value)] + [np.zeros((n,) + (dim,) * m)
+                                  for m in range(1, order + 1)]
+
+
 class ExprField(ScalarField):
     """Field defined by a jet-arithmetic expression fn(list[Jet]) -> Jet."""
 
@@ -71,8 +76,8 @@ class ExprField(ScalarField):
         self.fn = fn
         self.name = name
 
-    def _jets(self, p, order):
-        return J.eval_scalar_expr(self.fn, p, order)
+    def _jets(self, P, order):
+        return J.eval_scalar_expr(self.fn, P, order)
 
     def __repr__(self):
         return f"ExprField({self.name}, dim={self.dim})"
@@ -83,8 +88,8 @@ class ConstField(ScalarField):
         super().__init__(dim)
         self.const = float(value)
 
-    def _jets(self, p, order):
-        return J.Jet.constant(self.const, self.dim, order).terms
+    def _jets(self, P, order):
+        return _constant_terms(self.const, len(P), self.dim, order)
 
     def __repr__(self):
         return f"ConstField({self.const})"
@@ -108,10 +113,10 @@ class LinearComboField(ScalarField):
         self.coeffs = flat_coeffs
         self.const = float(const)
 
-    def _jets(self, p, order):
-        out = J.Jet.constant(self.const, self.dim, order).terms
+    def _jets(self, P, order):
+        out = _constant_terms(self.const, len(P), self.dim, order)
         for f, c in zip(self.fields, self.coeffs):
-            out = [o + c * t for o, t in zip(out, f.jets(p, order))]
+            out = [o + c * t for o, t in zip(out, f.jets(P, order))]
         return out
 
 
@@ -120,18 +125,12 @@ class MatrixField:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._cache: dict = {}
 
     def jets(self, p, order: int) -> list[np.ndarray]:
-        p = np.asarray(p, dtype=float)
-        key = (p.tobytes(), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._jets(p, order)
-            self._cache[key] = hit
-        return hit
+        P, single = as_points(p)
+        return unbatch(self._jets(P, order), single)
 
-    def _jets(self, p, order):  # pragma: no cover - abstract
+    def _jets(self, P, order):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __call__(self, p) -> np.ndarray:
@@ -146,8 +145,8 @@ class ExprMatrixField(MatrixField):
         self.fn = fn
         self.name = name
 
-    def _jets(self, p, order):
-        return J.eval_matrix_expr(self.fn, p, order)
+    def _jets(self, P, order):
+        return J.eval_matrix_expr(self.fn, P, order)
 
 
 class ChartMetricField(MatrixField):
@@ -157,5 +156,5 @@ class ChartMetricField(MatrixField):
         super().__init__(chart.dim)
         self.chart = chart
 
-    def _jets(self, p, order):
-        return self.chart.metric_jets(p, order)
+    def _jets(self, P, order):
+        return self.chart.metric_jets(P, order)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets as J
-from .charts import KahlerChart, standard_complex_structure
+from .charts import KahlerChart, chunked, standard_complex_structure
 from .errors import NotLightlike
 from .fields import ExprField, ScalarField
 
@@ -202,7 +202,6 @@ def _run_rk4(chart, x0, v0, T, n, q0):
     x, v = x0.copy(), v0.copy()
     samples = [(0.0, x.copy(), v.copy())]
     left = False
-    drift = 0.0
     for k in range(n):
         k1x, k1v = _geodesic_rhs(chart, x, v)
         k2x, k2v = _geodesic_rhs(chart, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
@@ -214,7 +213,11 @@ def _run_rk4(chart, x0, v0, T, n, q0):
             left = True
             break
         samples.append(((k + 1) * dt, x.copy(), v.copy()))
-        drift = max(drift, abs(chart.inner(x, v, v) - q0))
+    # g(v, v) along the stored path, evaluated in chunks after stepping.
+    X = np.array([s[1] for s in samples[1:]]).reshape(-1, chart.dim)
+    V = np.array([s[2] for s in samples[1:]]).reshape(-1, chart.dim)
+    dev = chunked(lambda x, v: np.abs(chart.inner(x, v, v) - q0), X, V)
+    drift = float(np.max(dev, initial=0.0))
     return GeodesicPath(samples, "unknown", left), drift
 
 
@@ -228,17 +231,20 @@ def geodesic_residual(chart: KahlerChart, path: GeodesicPath) -> float:
     s = path.samples
     if len(s) < 4:
         return 0.0
-    worst = 0.0
     dt = s[1][0] - s[0][0]
-    for k in range(1, len(s) - 2):
-        vm1, v0_, v1, v2 = (s[k - 1][2], s[k][2], s[k + 1][2], s[k + 2][2])
-        acc = (vm1 - 27 * v0_ + 27 * v1 - v2) / (24 * dt)
-        xm = (-s[k - 1][1] + 9 * s[k][1] + 9 * s[k + 1][1] - s[k + 2][1]) / 16.0
-        vm = (-vm1 + 9 * v0_ + 9 * v1 - v2) / 16.0
-        G0 = chart.christoffel_jets(xm, 0)[0]
-        res = acc + np.einsum("kij,i,j->k", G0, vm, vm)
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    X = np.array([x for _, x, _ in s])
+    V = np.array([v for _, _, v in s])
+    vm1, v0_, v1, v2 = V[:-3], V[1:-2], V[2:-1], V[3:]
+    acc = (vm1 - 27 * v0_ + 27 * v1 - v2) / (24 * dt)
+    xm = (-X[:-3] + 9 * X[1:-2] + 9 * X[2:-1] - X[3:]) / 16.0
+    vm = (-vm1 + 9 * v0_ + 9 * v1 - v2) / 16.0
+
+    def norms(x, v, a):
+        G0 = chart.christoffel_jets(x, 0)[0]
+        res = a + np.einsum("zkij,zi,zj->zk", G0, v, v)
+        return np.array([np.linalg.norm(r) for r in res])
+
+    return float(np.max(chunked(norms, xm, vm, acc)))
 
 
 def random_lightlike_directions(chart: KahlerChart, count: int, seed: int,

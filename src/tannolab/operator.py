@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from .calculus import frob, scalar_covariant_jets
-from .charts import KahlerChart
+from .calculus import frob, frob_rows, scalar_covariant_jets
+from .charts import ChartJets, KahlerChart, unbatch
 from .errors import (DimensionMismatch, IllConditioned, NonConvergence,
                      NoRealSplit, NotProjector)
 from .fields import ConstField, LinearComboField, ScalarField
@@ -52,10 +52,10 @@ class StarField(ScalarField):
         self.F = F
         self.H = H
 
-    def _jets(self, p, order):
-        Fj = self.F.jets(p, order + 1)
-        Hj = self.H.jets(p, order + 1)
-        ginv = self.chart.metric_inv_jets(p, order)
+    def _jets(self, P, order):
+        Fj = self.F.jets(P, order + 1)
+        Hj = Fj if self.H is self.F else self.H.jets(P, order + 1)
+        ginv = self.chart.metric_inv_jets(P, order)
         prod = J.tconv(Fj, Hj, ",->", order)
         lifted = J.tconv(ginv, J.tgrad(Fj), "ab,a->b", order)
         cross = J.tconv(lifted, J.tgrad(Hj), "b,b->", order)
@@ -145,22 +145,28 @@ def poly_star(chart: KahlerChart, f: ScalarField, P: PolynomialReal) -> ScalarFi
 
 @dataclass
 class ExtendedMatrix:
-    """(2n+2) x (2n+2) value of the extended operator at a base point."""
+    """(2n+2) x (2n+2) value of the extended operator at a base point, or
+    one matrix per point (leading point axis) over a batch."""
 
     entries: np.ndarray
     base_point: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0] - 2
+        return self.entries.shape[-1] - 2
 
-    def norm(self) -> float:
+    def norm(self):
+        if self.entries.ndim == 3:
+            return frob_rows(self.entries)
         return frob(self.entries)
 
 
 @dataclass
 class OperatorParts:
-    """Everything the block calculus needs at a point: raised and lowered."""
+    """Everything the block calculus needs at a point: raised and lowered.
+
+    Over a batch every entry carries a leading point axis.
+    """
 
     mu: float
     grad: np.ndarray       # f_i
@@ -170,6 +176,10 @@ class OperatorParts:
     ahat: np.ndarray       # a^i_j
 
 
+def _solve_vec(g0, v):
+    return np.linalg.solve(g0, v[..., None])[..., 0]
+
+
 def operator_parts(prob: TannoProblem, p) -> OperatorParts:
     """Raised ingredients of the extended operator.
 
@@ -177,36 +187,56 @@ def operator_parts(prob: TannoProblem, p) -> OperatorParts:
     mixed metric contraction g^{ia} g_{aj} = delta exact; in particular the
     constant solution f = -1/2 yields the identity operator bitwise.
     """
+    P, single = prob.chart.batch(p)
+    parts = _operator_parts(prob, P)
+    if single:
+        return OperatorParts(float(parts.mu[0]), parts.grad[0],
+                             parts.grad_bar[0], parts.grad_up[0],
+                             parts.grad_bar_up[0], parts.ahat[0])
+    return parts
+
+
+def _operator_parts(prob: TannoProblem, P: np.ndarray,
+                    geo: ChartJets | None = None) -> OperatorParts:
     chart = prob.chart
-    f0, f1, H = scalar_covariant_jets(chart, prob.f, p, 2)
-    g0 = chart.metric_jets(p, 0)[0]
-    Jm = chart.jstruct_jets(p, 0)[0]
-    fb = Jm.T @ f1
-    fu = np.linalg.solve(g0, f1)
-    fbu = np.linalg.solve(g0, fb)
-    ahat = np.linalg.solve(g0, -H) - (2.0 * f0) * np.eye(chart.dim)
+    if geo is None:
+        geo = chart.at(P, 1)
+    f0, f1, H = scalar_covariant_jets(chart, prob.f, P, 2, geo=geo)
+    g0 = geo.g0
+    fb = np.einsum("zai,za->zi", geo.J0, f1)
+    fu = _solve_vec(g0, f1)
+    fbu = _solve_vec(g0, fb)
+    ahat = np.linalg.solve(g0, -H) - (2.0 * f0)[:, None, None] * np.eye(chart.dim)
     return OperatorParts(-2.0 * f0, f1, fb, fu, fbu, ahat)
+
+
+def _extended_from_parts(parts: OperatorParts) -> np.ndarray:
+    """Batched entries of the extended operator assembled from its parts."""
+    n, d = parts.grad.shape
+    L = np.zeros((n, d + 2, d + 2))
+    L[:, 0, 0] = L[:, 1, 1] = parts.mu
+    L[:, 0, 2:] = parts.grad
+    L[:, 1, 2:] = parts.grad_bar
+    L[:, 2:, 0] = parts.grad_up
+    L[:, 2:, 1] = parts.grad_bar_up
+    L[:, 2:, 2:] = parts.ahat
+    return L
 
 
 def assemble_L(prob: TannoProblem, p) -> ExtendedMatrix:
     """Extended operator of the bundle built from prob.f (c = 1 convention)."""
-    chart = prob.chart
-    p = chart.require_inside(p)
-    parts = operator_parts(prob, p)
-    d = chart.dim
-    L = np.zeros((d + 2, d + 2))
-    L[0, 0] = L[1, 1] = parts.mu
-    L[0, 2:] = parts.grad
-    L[1, 2:] = parts.grad_bar
-    L[2:, 0] = parts.grad_up
-    L[2:, 1] = parts.grad_bar_up
-    L[2:, 2:] = parts.ahat
-    return ExtendedMatrix(L, p)
+    P, single = prob.chart.batch(p)
+    L = _extended_from_parts(_operator_parts(prob, P))
+    return ExtendedMatrix(unbatch(L, single), unbatch(P, single))
 
 
 @dataclass
 class ProductBlockReport:
-    """Outcome of comparing L(f) L(F) with the block product formula."""
+    """Outcome of comparing L(f) L(F) with the block product formula.
+
+    Over a batch every entry holds one value per point (shape_residual is
+    NaN where op_eq does not hold).
+    """
 
     block_residual: float
     op_eq_linear: float       # |mu F_j + f_k A^k_j - (M f_j + a^k_j F_k)|
@@ -222,53 +252,71 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p,
     if prob.chart.dim != other.chart.dim:
         raise DimensionMismatch("problems live on charts of different dimension")
     chart = prob.chart
-    p = chart.require_inside(p)
-    lo = operator_parts(prob, p)
-    hi = operator_parts(other, p)
+    P, single = chart.batch(p)
+    geo = chart.at(P, 1)
+    lo = _operator_parts(prob, P, geo)
+    hi = _operator_parts(other, P, geo if other.chart is chart else None)
     d = chart.dim
+    n = len(P)
 
-    Lf = assemble_L(prob, p).entries
-    LF = assemble_L(other, p).entries
+    # L is assembled from the parts already at hand, not re-derived.
+    Lf = _extended_from_parts(lo)
+    LF = _extended_from_parts(hi)
     product = Lf @ LF
 
+    # Per-point products through matmul with singleton axes, which runs the
+    # same BLAS kernels (dot, gemv) as the unbatched products.
+    def dot(u, v):
+        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+    def vec_mat(u, M):
+        return np.einsum("zk,zkj->zj", u, M)
+
+    def mat_vec(M, u):
+        return (M @ u[:, :, None])[:, :, 0]
+
     # Block formula assembled independently from the two part sets.
-    blk = np.zeros((d + 2, d + 2))
-    fF = float(lo.grad @ hi.grad_up)
-    blk[0, 0] = blk[1, 1] = lo.mu * hi.mu + fF
-    blk[0, 1] = float(lo.grad @ hi.grad_bar_up)
-    blk[1, 0] = float(lo.grad_bar @ hi.grad_up)
-    blk[0, 2:] = lo.mu * hi.grad + np.einsum("k,kj->j", lo.grad, hi.ahat)
-    blk[1, 2:] = lo.mu * hi.grad_bar + np.einsum("k,kj->j", lo.grad_bar, hi.ahat)
-    blk[2:, 0] = hi.mu * lo.grad_up + lo.ahat @ hi.grad_up
-    blk[2:, 1] = hi.mu * lo.grad_bar_up + lo.ahat @ hi.grad_bar_up
-    blk[2:, 2:] = (lo.ahat @ hi.ahat + np.outer(lo.grad_up, hi.grad)
-                   + np.outer(lo.grad_bar_up, hi.grad_bar))
-    block_residual = frob(product - blk)
+    blk = np.zeros((n, d + 2, d + 2))
+    fF = dot(lo.grad, hi.grad_up)
+    blk[:, 0, 0] = blk[:, 1, 1] = lo.mu * hi.mu + fF
+    blk[:, 0, 1] = dot(lo.grad, hi.grad_bar_up)
+    blk[:, 1, 0] = dot(lo.grad_bar, hi.grad_up)
+    blk[:, 0, 2:] = lo.mu[:, None] * hi.grad + vec_mat(lo.grad, hi.ahat)
+    blk[:, 1, 2:] = lo.mu[:, None] * hi.grad_bar + vec_mat(lo.grad_bar, hi.ahat)
+    blk[:, 2:, 0] = hi.mu[:, None] * lo.grad_up + mat_vec(lo.ahat, hi.grad_up)
+    blk[:, 2:, 1] = hi.mu[:, None] * lo.grad_bar_up + mat_vec(lo.ahat, hi.grad_bar_up)
+    blk[:, 2:, 2:] = (lo.ahat @ hi.ahat
+                      + np.einsum("zi,zj->zij", lo.grad_up, hi.grad)
+                      + np.einsum("zi,zj->zij", lo.grad_bar_up, hi.grad_bar))
+    block_residual = frob_rows(product - blk)
 
-    cond1 = (lo.mu * hi.grad + np.einsum("k,kj->j", lo.grad, hi.ahat)
-             - hi.mu * lo.grad - np.einsum("kj,k->j", lo.ahat, hi.grad))
-    op_eq_linear = float(np.linalg.norm(cond1))
-    op_eq_orth = abs(float(lo.grad_up @ hi.grad_bar))
-    holds = op_eq_linear < tol and op_eq_orth < tol
+    cond1 = (lo.mu[:, None] * hi.grad + vec_mat(lo.grad, hi.ahat)
+             - hi.mu[:, None] * lo.grad - vec_mat(hi.grad, lo.ahat))
+    op_eq_linear = frob_rows(cond1)
+    op_eq_orth = np.abs(dot(lo.grad_up, hi.grad_bar))
+    holds = (op_eq_linear < tol) & (op_eq_orth < tol)
 
-    shape_residual = None
-    if holds:
-        g0 = chart.metric_jets(p, 0)[0]
-        Jm = chart.jstruct_jets(p, 0)[0]
-        mu_t = lo.mu * hi.mu + fF
-        f_t = lo.mu * hi.grad + np.einsum("k,kj->j", lo.grad, hi.ahat)
-        fb_t = Jm.T @ f_t
-        shape = np.zeros((d + 2, d + 2))
-        shape[0, 0] = shape[1, 1] = mu_t
-        shape[0, 2:] = f_t
-        shape[1, 2:] = fb_t
-        shape[2:, 0] = np.linalg.solve(g0, f_t)
-        shape[2:, 1] = np.linalg.solve(g0, fb_t)
-        shape[2:, 2:] = product[2:, 2:]
-        a_low = g0 @ product[2:, 2:]
-        shape_residual = frob(product - shape) + frob(a_low - a_low.T)
-    return ProductBlockReport(block_residual, op_eq_linear, op_eq_orth,
-                              holds, shape_residual, tol)
+    g0 = geo.g0
+    mu_t = lo.mu * hi.mu + fF
+    f_t = lo.mu[:, None] * hi.grad + vec_mat(lo.grad, hi.ahat)
+    fb_t = np.einsum("zai,za->zi", geo.J0, f_t)
+    shape = np.zeros((n, d + 2, d + 2))
+    shape[:, 0, 0] = shape[:, 1, 1] = mu_t
+    shape[:, 0, 2:] = f_t
+    shape[:, 1, 2:] = fb_t
+    shape[:, 2:, 0] = _solve_vec(g0, f_t)
+    shape[:, 2:, 1] = _solve_vec(g0, fb_t)
+    shape[:, 2:, 2:] = product[:, 2:, 2:]
+    a_low = g0 @ product[:, 2:, 2:]
+    shape_residual = np.where(
+        holds, frob_rows(product - shape) + frob_rows(a_low - np.swapaxes(a_low, 1, 2)),
+        np.nan)
+    if single:
+        return ProductBlockReport(
+            float(block_residual[0]), float(op_eq_linear[0]), float(op_eq_orth[0]),
+            bool(holds[0]), float(shape_residual[0]) if holds[0] else None, tol)
+    return ProductBlockReport(block_residual, op_eq_linear, op_eq_orth, holds,
+                              shape_residual, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +414,8 @@ def projector_from_solution(prob: TannoProblem, sample_points,
     Returns (P, P*(f)); the resulting operator is verified to be a
     non-trivial projector at every sample point.
     """
-    pts = list(sample_points)
-    if not pts:
+    pts, _ = prob.chart.batch(sample_points)
+    if not len(pts):
         raise ValueError("need at least one sample point")
     L0 = assemble_L(prob, pts[0])
     spec = spectrum(L0)
@@ -384,12 +432,13 @@ def projector_from_solution(prob: TannoProblem, sample_points,
     f_proj = poly_star(prob.chart, prob.f, P)
     check = TannoProblem(prob.chart, f_proj, 1.0)
     d = prob.chart.dim
-    for q in pts:
-        Lq = assemble_L(check, q).entries
-        if frob(Lq @ Lq - Lq) >= tol:
-            raise NotProjector(
-                f"idempotency residual {frob(Lq @ Lq - Lq):.3g} at {q}")
-    L1 = assemble_L(check, pts[0]).entries
+    Ls = assemble_L(check, pts).entries
+    residuals = frob_rows(Ls @ Ls - Ls)
+    bad = np.flatnonzero(~(residuals < tol))
+    if bad.size:
+        k = int(bad[0])
+        raise NotProjector(f"idempotency residual {residuals[k]:.3g} at {pts[k]}")
+    L1 = Ls[0]
     if frob(L1) < tol or frob(L1 - np.eye(d + 2)) < tol:
         raise NoRealSplit("projector is trivial (0 or identity)")
     return P, f_proj
@@ -417,23 +466,31 @@ class EigenstructureReport:
 
 
 def eigenstructure_at(prob: TannoProblem, p, tol: float = 1e-6,
-                      projector_tol: float = 1e-7) -> EigenstructureReport:
-    """Classify the a^i_j eigenstructure at p for a projector solution."""
+                      projector_tol: float = 1e-7):
+    """Classify the a^i_j eigenstructure at p for a projector solution.
+
+    Returns one report for a single point, a list of reports for a batch.
+    """
     chart = prob.chart
-    p = chart.require_inside(p)
-    L = assemble_L(prob, p).entries
-    if frob(L @ L - L) >= projector_tol * max(1.0, frob(L)):
+    P, single = chart.batch(p)
+    parts = _operator_parts(prob, P)
+    Ls = _extended_from_parts(parts)
+    idem = frob_rows(Ls @ Ls - Ls)
+    scale = np.maximum(1.0, frob_rows(Ls))
+    if np.any(~(idem < projector_tol * scale)):
         raise NotProjector("extended operator is not idempotent at p")
-    parts = operator_parts(prob, p)
-    mu = float(parts.mu)
-    clusters = spectrum(parts.ahat, cluster_tol=tol).clusters
-    m1 = sum(m for v, m in spectrum(L, cluster_tol=tol).clusters
-             if abs(v - 1.0) <= 10 * tol)
-    k = (m1 - 2) // 2
-    if abs(mu - 1.0) <= 10 * tol:
-        cls = "mu_max"
-    elif abs(mu) <= 10 * tol:
-        cls = "mu_min"
-    else:
-        cls = "interior"
-    return EigenstructureReport(mu, clusters, cls, k)
+    reports = []
+    for L, mu, ahat in zip(Ls, parts.mu, parts.ahat):
+        mu = float(mu)
+        clusters = spectrum(ahat, cluster_tol=tol).clusters
+        m1 = sum(m for v, m in spectrum(L, cluster_tol=tol).clusters
+                 if abs(v - 1.0) <= 10 * tol)
+        k = (m1 - 2) // 2
+        if abs(mu - 1.0) <= 10 * tol:
+            cls = "mu_max"
+        elif abs(mu) <= 10 * tol:
+            cls = "mu_min"
+        else:
+            cls = "interior"
+        reports.append(EigenstructureReport(mu, clusters, cls, k))
+    return reports[0] if single else reports

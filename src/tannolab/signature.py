@@ -13,22 +13,35 @@ import numpy as np
 from scipy import optimize
 
 from .calculus import frob, scalar_covariant_jets
-from .charts import KahlerChart
-from .errors import DegenerateBasis, NoExtremalPoint, SingularMetric
+from .charts import KahlerChart, checked_inverse
+from .errors import DegenerateBasis, NoExtremalPoint
 from .operator import operator_parts
 from .tanno import TannoProblem
 
 GRAD_THRESHOLD = 1e-6
 
+#: Value spread and gradient norm below which a solution counts as constant.
+CONSTANT_TOL = 1e-10
 
-def metric_signature(chart: KahlerChart, p) -> tuple[int, int]:
-    """(n_pos, n_neg) inertia of g at p via symmetric eigendecomposition."""
-    p = chart.require_inside(p)
-    g0 = chart.metric_jets(p, 0)[0]
-    if abs(np.linalg.det(g0)) < 1e-12:
-        raise SingularMetric(f"metric singular at {p}")
-    ev = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
-    return int(np.sum(ev > 0)), int(np.sum(ev < 0))
+
+def is_constant(spread: float, grad_norms) -> bool:
+    """A solution is constant on the samples when its values do not spread
+    and its gradient vanishes at every sample."""
+    return spread < CONSTANT_TOL and max(grad_norms) < CONSTANT_TOL
+
+
+def metric_signature(chart: KahlerChart, p):
+    """(n_pos, n_neg) inertia of g at p via symmetric eigendecomposition.
+
+    Returns one pair for a single point, a list of pairs for a batch.
+    """
+    P, single = chart.batch(p)
+    g0 = chart.metric_jets(P, 0)[0]
+    checked_inverse(g0, f"on {chart.name}")
+    ev = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
+    pairs = [(int(n_pos), int(n_neg))
+             for n_pos, n_neg in zip(np.sum(ev > 0, axis=1), np.sum(ev < 0, axis=1))]
+    return pairs[0] if single else pairs
 
 
 def restrict_form(form, basis) -> np.ndarray:
@@ -122,17 +135,18 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
     (a non-constant solution) is not met, and the report says so.
     """
     chart = prob.chart
-    pts = [chart.require_inside(q) for q in samples]
-    if not pts:
+    P, _ = chart.batch(samples)
+    if not len(P):
         raise ValueError("need at least one sample point")
-    inertias = [metric_signature(chart, q) for q in pts]
+    pts = list(P)
+    inertias = metric_signature(chart, P)
     per_point = list(zip(pts, inertias))
     n_pos, n_neg, verdict = _verdict_from_inertias(inertias, chart.dim)
 
-    values = np.array([prob.f(q) for q in pts])
-    grads = [np.linalg.norm(prob.f.gradient(q)) for q in pts]
+    values = prob.f(P)
+    grads = [float(np.linalg.norm(g)) for g in prob.f.gradient(P)]
     spread = float(values.max() - values.min())
-    if spread < 1e-10 and max(grads) < 1e-10:
+    if is_constant(spread, grads):
         return SignatureReport(
             n_pos, n_neg, per_point, verdict,
             note="constant solution, positivity-theorem hypothesis not met")
@@ -163,13 +177,16 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
     findings = []
     witnessed = set()
     mu_lo, mu_hi = float(mu_vals.min()), float(mu_vals.max())
-    for x_star, gnorm in candidates:
-        parts = operator_parts(prob, x_star)
-        mu_star = float(parts.mu)
+    X = np.array([x for x, _ in candidates])
+    geo = chart.at(X, 1)
+    parts = operator_parts(prob, X)
+    _, _, mu_hess_all = scalar_covariant_jets(chart, mu_field, X, 2, geo=geo)
+    for k, (x_star, gnorm) in enumerate(candidates):
+        mu_star = float(parts.mu[k])
         kind = "mu_max" if mu_star >= 0.5 * (mu_lo + mu_hi) else "mu_min"
-        _, _, mu_hess = scalar_covariant_jets(chart, mu_field, x_star, 2)
-        g0 = chart.metric_jets(x_star, 0)[0]
-        ahat = parts.ahat
+        mu_hess = mu_hess_all[k]
+        g0 = geo.g0[k]
+        ahat = parts.ahat[k]
         hess_eigs = list(np.linalg.eigvalsh(0.5 * (mu_hess + mu_hess.T)))
         finding = ExtremalFinding(x_star, mu_star, kind, gnorm, hess_eigs)
         if kind == "mu_max":

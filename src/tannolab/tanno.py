@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets as J
-from .calculus import frob, nabla_cotensor2, scalar_covariant_jets
-from .charts import KahlerChart
+from .calculus import (covariant_d_cotensor2, frob_rows,
+                       scalar_covariant_jets)
+from .charts import ChartJets, KahlerChart, chunked, unbatch
 from .errors import NotLightlike, StepTooLarge
 from .fields import MatrixField, ScalarField
 from .manifolds import GeodesicPath
@@ -50,7 +51,11 @@ class TannoProblem:
 
 @dataclass
 class SolutionBundle:
-    """Value of the unknowns (a_ij, f_i, mu) at one point."""
+    """Value of the unknowns (a_ij, f_i, mu) at one point.
+
+    :func:`bundle_from_f` over a batch returns one with a leading point axis
+    on every entry; :meth:`copy` and :meth:`norm` are for single points.
+    """
 
     a: np.ndarray
     grad: np.ndarray
@@ -64,18 +69,39 @@ class SolutionBundle:
                              + self.mu ** 2))
 
 
-def f_from_mu(mu: float) -> float:
+def f_from_mu(mu):
     """Inverse of mu = -2f."""
     return -0.5 * mu
 
 
-def bundle_from_f(prob: TannoProblem, p) -> SolutionBundle:
-    """(a, f_i, mu) built from the field; meant for c = 1 problems."""
+def bundle_from_f(prob: TannoProblem, p, geo: ChartJets | None = None
+                  ) -> SolutionBundle:
+    """(a, f_i, mu) built from the field; meant for c = 1 problems.
+
+    For a batch of points each entry carries a leading point axis.
+    """
     chart = prob.chart
-    f0, f1, H = scalar_covariant_jets(chart, prob.f, p, 2)
-    g0 = chart.metric_jets(p, 0)[0]
-    a = -H - (2.0 * f0) * g0
-    return SolutionBundle(a, f1, -2.0 * f0)
+    P, single = chart.batch(p)
+    if geo is None:
+        geo = chart.at(P, 1)
+    f0, f1, H = scalar_covariant_jets(chart, prob.f, P, 2, geo=geo)
+    a = -H - (2.0 * f0)[:, None, None] * geo.g0
+    mu = -2.0 * f0
+    if single:
+        return SolutionBundle(a[0], f1[0], float(mu[0]))
+    return SolutionBundle(a, f1, mu)
+
+
+def _a_jets(prob: TannoProblem, geo: ChartJets, fj, order: int):
+    """Batched jets of a_ij = -f_{,ij} - 2 f g_ij through ``order``, from
+    f jets through order + 2 and the chart through metric order + 1."""
+    gj = geo.g[:order + 1]
+    Gj = geo.gamma(order)[:order + 1]
+    grad = J.tgrad(fj)                       # lead (d,)
+    hess_part = [fj[m + 2] for m in range(order + 1)]  # lead (d,d)
+    corr = J.tconv(Gj, grad, "kij,k->ij", order)
+    fg = J.tconv(fj, gj, ",ab->ab", order)
+    return [-(hp - c) - 2.0 * f for hp, c, f in zip(hess_part, corr, fg)]
 
 
 class BundleAField(MatrixField):
@@ -89,132 +115,131 @@ class BundleAField(MatrixField):
         super().__init__(prob.chart.dim)
         self.prob = prob
 
-    def _jets(self, p, order):
-        chart = self.prob.chart
-        fj = self.prob.f.jets(p, order + 2)
-        gj = chart.metric_jets(p, order)
-        Gj = chart.christoffel_jets(p, order)
-        grad = J.tgrad(fj)                       # lead (d,)
-        hess_part = [fj[m + 2] for m in range(order + 1)]  # lead (d,d)
-        corr = J.tconv(Gj, grad, "kij,k->ij", order)
-        fg = J.tconv(fj, gj, ",ab->ab", order)
-        return [-(hp - c) - 2.0 * f for hp, c, f in zip(hess_part, corr, fg)]
+    def _jets(self, P, order):
+        geo = self.prob.chart.at(P, order + 1)
+        return _a_jets(self.prob, geo, self.prob.f.jets(P, order + 2), order)
 
 
 # ---------------------------------------------------------------------------
 # Residual operators
 # ---------------------------------------------------------------------------
 
-def _bar(chart: KahlerChart, p, w: np.ndarray) -> np.ndarray:
-    return chart.jstruct_jets(p, 0)[0].T @ w
+def _jstruct_terms(f1, g0, Jm):
+    """(fbar_i, J_ij) per point: fbar = J^T f_i and the Kahler form g J."""
+    return np.einsum("zai,za->zi", Jm, f1), g0 @ Jm
 
 
 def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     """Left side of the c-equation as a rank-3 array, [i, j, k]."""
     chart = prob.chart
-    p = chart.require_inside(p)
-    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, p, 3)
-    g0 = chart.metric_jets(p, 0)[0]
-    Jm = chart.jstruct_jets(p, 0)[0]
-    fb = Jm.T @ f1
-    Jf = g0 @ Jm
+    P, single = chart.batch(p)
+    geo = chart.at(P, 2)
+    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, P, 3, geo=geo)
+    g0 = geo.g0
+    fb, Jf = _jstruct_terms(f1, g0, geo.J0)
     c = prob.c
     res = (T3
-           + c * (2.0 * np.einsum("k,ij->ijk", f1, g0)
-                  + np.einsum("i,jk->ijk", f1, g0)
-                  + np.einsum("j,ik->ijk", f1, g0)
-                  - np.einsum("i,jk->ijk", fb, Jf)
-                  - np.einsum("j,ik->ijk", fb, Jf)))
-    return res
+           + c * (2.0 * np.einsum("zk,zij->zijk", f1, g0)
+                  + np.einsum("zi,zjk->zijk", f1, g0)
+                  + np.einsum("zj,zik->zijk", f1, g0)
+                  - np.einsum("zi,zjk->zijk", fb, Jf)
+                  - np.einsum("zj,zik->zijk", fb, Jf)))
+    return unbatch(res, single)
 
 
 def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     """Same operator without the complex-structure terms."""
     chart = prob.chart
-    p = chart.require_inside(p)
-    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, p, 3)
-    g0 = chart.metric_jets(p, 0)[0]
+    P, single = chart.batch(p)
+    geo = chart.at(P, 2)
+    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, P, 3, geo=geo)
+    g0 = geo.g0
     c = prob.c
-    return (T3
-            + c * (2.0 * np.einsum("k,ij->ijk", f1, g0)
-                   + np.einsum("i,jk->ijk", f1, g0)
-                   + np.einsum("j,ik->ijk", f1, g0)))
+    res = (T3
+           + c * (2.0 * np.einsum("zk,zij->zijk", f1, g0)
+                  + np.einsum("zi,zjk->zijk", f1, g0)
+                  + np.einsum("zj,zik->zijk", f1, g0)))
+    return unbatch(res, single)
 
 
-def laplace_identity_residual(prob: TannoProblem, p) -> float:
+def laplace_identity_residual(prob: TannoProblem, p):
     """|(Delta f)_{,k} + 4c(n+1) f_{,k}|; the contracted equation."""
     chart = prob.chart
-    p = chart.require_inside(p)
-    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, p, 3)
-    ginv = chart.metric_inv_jets(p, 0)[0]
-    dlap = np.einsum("ij,ijk->k", ginv, T3)
+    P, single = chart.batch(p)
+    geo = chart.at(P, 2)
+    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, P, 3, geo=geo)
+    dlap = np.einsum("zij,zijk->zk", geo.ginv(0)[0], T3)
     n = chart.n
-    return float(np.linalg.norm(dlap + 4.0 * prob.c * (n + 1) * f1))
+    res = frob_rows(dlap + 4.0 * prob.c * (n + 1) * f1)
+    return float(res[0]) if single else res
 
 
-def system_residual(prob: TannoProblem, p) -> tuple[float, float, float]:
+def system_residual(prob: TannoProblem, p):
     """Residuals of the three first-order equations (c = 1 convention).
 
-    Returns (|a_{ij,k} - rhs|, |f_{i,j} - (mu g - a)|, |mu_{,i} + 2 f_i|).
+    Returns (|a_{ij,k} - rhs|, |f_{i,j} - (mu g - a)|, |mu_{,i} + 2 f_i|),
+    three floats, or three per-point arrays for a batch.
     """
     chart = prob.chart
-    p = chart.require_inside(p)
-    f0, f1, H = scalar_covariant_jets(chart, prob.f, p, 2)
-    g0 = chart.metric_jets(p, 0)[0]
-    Jm = chart.jstruct_jets(p, 0)[0]
-    fb = Jm.T @ f1
-    Jf = g0 @ Jm
+    P, single = chart.batch(p)
+    geo = chart.at(P, 2)
+    fj = prob.f.jets(P, 3)
+    f0, f1, H = scalar_covariant_jets(chart, prob.f, P, 2, geo=geo)
+    g0 = geo.g0
+    fb, Jf = _jstruct_terms(f1, g0, geo.J0)
 
-    a_field = BundleAField(prob)
-    adk = nabla_cotensor2(chart, a_field, p).components
-    rhs1 = (np.einsum("i,jk->ijk", f1, g0) + np.einsum("j,ik->ijk", f1, g0)
-            - np.einsum("i,jk->ijk", fb, Jf) - np.einsum("j,ik->ijk", fb, Jf))
-    r1 = frob(adk - rhs1)
+    adk = covariant_d_cotensor2(_a_jets(prob, geo, fj, 1), geo.gamma(0)[0])
+    rhs1 = (np.einsum("zi,zjk->zijk", f1, g0) + np.einsum("zj,zik->zijk", f1, g0)
+            - np.einsum("zi,zjk->zijk", fb, Jf) - np.einsum("zj,zik->zijk", fb, Jf))
+    r1 = frob_rows(adk - rhs1)
 
-    a0 = -H - (2.0 * f0) * g0
+    a0 = -H - (2.0 * f0)[:, None, None] * g0
     mu = -2.0 * f0
-    r2 = frob(H - (mu * g0 - a0))
+    r2 = frob_rows(H - (mu[:, None, None] * g0 - a0))
 
     mu_grad = -2.0 * f1
-    r3 = float(np.linalg.norm(mu_grad + 2.0 * f1))
+    r3 = frob_rows(mu_grad + 2.0 * f1)
+    if single:
+        return float(r1[0]), float(r2[0]), float(r3[0])
     return r1, r2, r3
 
 
-def trace_identity_residual(prob: TannoProblem, p) -> float:
+def trace_identity_residual(prob: TannoProblem, p):
     """|f_i - 1/4 (a^al_al)_{,i}| (the contracted first equation)."""
     chart = prob.chart
-    p = chart.require_inside(p)
-    ginv = chart.metric_inv_jets(p, 1)
-    a_jets = BundleAField(prob).jets(p, 1)
-    tr = J.tconv(ginv, a_jets, "ab,ab->", 1)
-    f1 = prob.f.jets(p, 1)[1]
-    return float(np.linalg.norm(f1 - 0.25 * tr[1]))
+    P, single = chart.batch(p)
+    geo = chart.at(P, 2)
+    fj = prob.f.jets(P, 3)
+    ginv = geo.ginv(1)
+    tr = J.tconv(ginv, _a_jets(prob, geo, fj, 1), "ab,ab->", 1)
+    res = frob_rows(fj[1] - 0.25 * tr[1])
+    return float(res[0]) if single else res
 
 
-def mu_hessian_residual(prob: TannoProblem, p) -> float:
+def mu_hessian_residual(prob: TannoProblem, p):
     """|mu_{,ij} - 2 a_ij + 2 mu g_ij| with mu = -2f.
 
     An algebraic identity of the bundle construction; kept as a cross-path
     consistency check between the field-Hessian route and bundle assembly.
     """
     chart = prob.chart
-    p = chart.require_inside(p)
+    P, single = chart.batch(p)
+    geo = chart.at(P, 1)
     mu_field = -2.0 * prob.f
-    _, _, mu_hess = scalar_covariant_jets(chart, mu_field, p, 2)
-    b = bundle_from_f(prob, p)
-    g0 = chart.metric_jets(p, 0)[0]
-    return frob(mu_hess - 2.0 * b.a + 2.0 * b.mu * g0)
+    _, _, mu_hess = scalar_covariant_jets(chart, mu_field, P, 2, geo=geo)
+    b = bundle_from_f(prob, P, geo)
+    res = frob_rows(mu_hess - 2.0 * b.a + 2.0 * b.mu[:, None, None] * geo.g0)
+    return float(res[0]) if single else res
 
 
 # ---------------------------------------------------------------------------
 # Transport along curves (the Frobenius property made computational)
 # ---------------------------------------------------------------------------
 
-def _transport_rhs(chart: KahlerChart, x, xdot, a, f, mu):
-    """Coordinate time-derivatives of (a, f, mu) along velocity xdot."""
-    g0 = chart.metric_jets(x, 0)[0]
-    Jm = chart.jstruct_jets(x, 0)[0]
-    G0 = chart.christoffel_jets(x, 0)[0]
+def _transport_rhs(geometry, xdot, a, f, mu):
+    """Coordinate time-derivatives of (a, f, mu) along velocity xdot, with
+    ``geometry`` the chart's (g, J, Gamma) at the current point."""
+    g0, Jm, G0 = geometry
     fb = Jm.T @ f
     Jf = g0 @ Jm
     # partial_k a_ij = rhs1_ijk + Gamma^l_ki a_lj + Gamma^l_kj a_il
@@ -252,19 +277,25 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle,
         nsub = max(1, int(np.ceil(seglen / max_step)))
         dt = 1.0 / nsub
         xdot = seg  # parametrize segment on [0, 1]
+        # The segment is known in advance, so the chart is evaluated at
+        # every RK4 stage point of it in one batch: step k uses the points
+        # at k*dt, k*dt + dt/2 (stages 2 and 3) and k*dt + dt.
+        taus = [(k * dt, k * dt + dt / 2, k * dt + dt) for k in range(nsub)]
+        X = q0 + np.array(taus).reshape(-1, 1) * seg
+        geo = chart.at(X, 1)
+        stages = list(zip(geo.g0, geo.J0, geo.gamma(0)[0]))
+
+        def rhs(i, a_, f_, mu_):
+            return _transport_rhs(stages[i], xdot, a_, f_, mu_)
+
         for k in range(nsub):
-            t = k * dt
-
-            def rhs(tau, a_, f_, mu_):
-                x = q0 + tau * seg
-                return _transport_rhs(chart, x, xdot, a_, f_, mu_)
-
+            t, mid, end = 3 * k, 3 * k + 1, 3 * k + 2
             k1 = rhs(t, a, f, mu)
-            k2 = rhs(t + dt / 2, a + dt / 2 * k1[0], f + dt / 2 * k1[1],
+            k2 = rhs(mid, a + dt / 2 * k1[0], f + dt / 2 * k1[1],
                      mu + dt / 2 * k1[2])
-            k3 = rhs(t + dt / 2, a + dt / 2 * k2[0], f + dt / 2 * k2[1],
+            k3 = rhs(mid, a + dt / 2 * k2[0], f + dt / 2 * k2[1],
                      mu + dt / 2 * k2[2])
-            k4 = rhs(t + dt, a + dt * k3[0], f + dt * k3[1], mu + dt * k3[2])
+            k4 = rhs(end, a + dt * k3[0], f + dt * k3[1], mu + dt * k3[2])
             a = a + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             f = f + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             mu = mu + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
@@ -276,20 +307,22 @@ def lightlike_third_derivative(chart: KahlerChart, f: ScalarField,
     """max |d^3/dt^3 f(gamma(t))| over the stored samples.
 
     Computed from chain-rule jets: the curve's own Taylor coefficients come
-    from the geodesic equation, the field's from its order-3 jets.
+    from the geodesic equation, the field's from its order-3 jets, over
+    chunks of :data:`~tannolab.charts.POINT_CHUNK` samples.
     """
     if geo.causal_type != "lightlike":
         raise NotLightlike(f"geodesic is {geo.causal_type}, not lightlike")
-    worst = 0.0
-    for _, x, v in geo.samples:
-        fj = f.jets(x, 3)
-        Gj = chart.christoffel_jets(x, 1)
-        G0, dG = Gj[0], Gj[1]
-        acc = -np.einsum("kij,i,j->k", G0, v, v)
-        jerk = (-np.einsum("kijl,i,j,l->k", dG, v, v, v)
-                - 2.0 * np.einsum("kij,i,j->k", G0, acc, v))
-        d3 = (np.einsum("abc,a,b,c->", fj[3], v, v, v)
-              + 3.0 * np.einsum("ab,a,b->", fj[2], acc, v)
-              + float(fj[1] @ jerk))
-        worst = max(worst, abs(d3))
-    return worst
+    X = np.array([x for _, x, _ in geo.samples])
+    V = np.array([v for _, _, v in geo.samples])
+
+    def d3(X, V):
+        fj = f.jets(X, 3)
+        G0, dG = chart.christoffel_jets(X, 1)
+        acc = -np.einsum("zkij,zi,zj->zk", G0, V, V)
+        jerk = (-np.einsum("zkijl,zi,zj,zl->zk", dG, V, V, V)
+                - 2.0 * np.einsum("zkij,zi,zj->zk", G0, acc, V))
+        return (np.einsum("zabc,za,zb,zc->z", fj[3], V, V, V)
+                + 3.0 * np.einsum("zab,za,zb->z", fj[2], acc, V)
+                + (fj[1][:, None, :] @ jerk[:, :, None])[:, 0, 0])
+
+    return float(np.max(np.abs(chunked(d3, X, V))))

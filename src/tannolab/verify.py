@@ -12,15 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import __version__
-from .calculus import frob, kahler_residuals, nabla_scalar, christoffel
+from .calculus import (christoffel, frob, frob_rows, kahler_residuals,
+                       nabla_scalar)
 from .charts import KahlerChart
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
@@ -29,17 +28,16 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_lightlike_directions, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
-from .operator import (assemble_L, minimal_polynomial, poly_star,
-                       product_block_check, projector_from_solution, spectrum)
-from .signature import positivity_scan
-from .tanno import (TannoProblem, bundle_from_f, f_from_mu,
+from .operator import (PolynomialReal, assemble_L, eigenstructure_at,
+                       minimal_polynomial, poly_star, product_block_check,
+                       projector_from_solution, spectrum, star_power)
+from .signature import is_constant, positivity_scan
+from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
                     gallot_tanno_residual, laplace_identity_residual,
                     lightlike_third_derivative, mu_hessian_residual,
                     system_residual, tanno_residual, trace_identity_residual,
                     transport_bundle)
 from . import fd
-
-THREAD_ENV = "TANNO_LAB_THREADS"
 
 
 class SkipCheck(Exception):
@@ -144,16 +142,6 @@ def build_solution(spec: str, chart: KahlerChart) -> ScalarField:
 # Check context
 # ---------------------------------------------------------------------------
 
-def _max_workers() -> int:
-    env = os.environ.get(THREAD_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREAD_ENV} must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
 @dataclass
 class CheckContext:
     chart: KahlerChart
@@ -164,21 +152,21 @@ class CheckContext:
     config: SuiteConfig
 
     @property
+    def P(self) -> np.ndarray:
+        """The sample points as one (N, d) batch."""
+        return np.array(self.points)
+
+    @property
     def problem(self) -> TannoProblem:
         return TannoProblem(self.chart, self.f, self.c)
 
     @property
     def unit_problem(self) -> TannoProblem:
         """The c = 1 normalization (metric rescaled by c)."""
+        if self.c == 0:
+            raise SkipCheck("c = 0: the metric cannot be rescaled to the "
+                            "c = 1 normalization")
         return self.problem.rescaled()
-
-    def map_points(self, fn, points=None):
-        pts = self.points if points is None else points
-        workers = _max_workers()
-        if workers == 1 or len(pts) < 4:
-            return [fn(q) for q in pts]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, pts))
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
         g0 = self.chart.metric_jets(np.zeros(self.chart.dim), 0)[0]
@@ -196,28 +184,27 @@ class CheckOutcome:
     note: str = ""
 
 
+def _worst(residuals) -> CheckOutcome:
+    """Outcome from per-point residuals: their maximum over the batch."""
+    res = np.asarray(residuals, dtype=float)
+    return CheckOutcome(float(np.max(res)), len(res))
+
+
 # ---------------------------------------------------------------------------
 # The checks
 # ---------------------------------------------------------------------------
 
 def check_kahler_residuals(ctx: CheckContext) -> CheckOutcome:
-    res = ctx.map_points(lambda q: max(kahler_residuals(ctx.chart, q)))
-    return CheckOutcome(max(res), len(res))
+    return _worst(np.max(kahler_residuals(ctx.chart, ctx.P), axis=0))
 
 def check_tanno_residual(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.problem
-    res = ctx.map_points(lambda q: frob(tanno_residual(prob, q)))
-    return CheckOutcome(max(res), len(res))
+    return _worst(frob_rows(tanno_residual(ctx.problem, ctx.P)))
 
 def check_gallot_tanno(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.problem
-    res = ctx.map_points(lambda q: frob(gallot_tanno_residual(prob, q)))
-    return CheckOutcome(max(res), len(res))
+    return _worst(frob_rows(gallot_tanno_residual(ctx.problem, ctx.P)))
 
 def check_laplace_identity(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.problem
-    res = ctx.map_points(lambda q: laplace_identity_residual(prob, q))
-    return CheckOutcome(max(res), len(res))
+    return _worst(laplace_identity_residual(ctx.problem, ctx.P))
 
 def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
     blocks = ctx.is_flat_mixed()
@@ -232,22 +219,15 @@ def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(dirs))
 
 def check_system_residual(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    res = ctx.map_points(lambda q: max(system_residual(prob, q)))
-    return CheckOutcome(max(res), len(res))
+    return _worst(np.max(system_residual(ctx.unit_problem, ctx.P), axis=0))
 
 def check_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    res = ctx.map_points(lambda q: trace_identity_residual(prob, q))
-    return CheckOutcome(max(res), len(res))
+    return _worst(trace_identity_residual(ctx.unit_problem, ctx.P))
 
 def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    def one(q):
-        b = bundle_from_f(prob, q)
-        return abs(f_from_mu(b.mu) - prob.f(q))
-    res = ctx.map_points(one)
-    return CheckOutcome(max(res), len(res))
+    b = bundle_from_f(prob, ctx.P)
+    return _worst(np.abs(f_from_mu(b.mu) - prob.f(ctx.P)))
 
 def densify_polyline(waypoints, max_seg: float):
     """Insert intermediate points so no segment exceeds max_seg."""
@@ -267,8 +247,15 @@ def _random_polyline(chart, rng, n_way=4):
                        size=chart.dim) for _ in range(n_way)]
     return densify_polyline(pts, 0.2 * chart.domain_radius)
 
+def _bundle_at(b: SolutionBundle, k: int) -> SolutionBundle:
+    return SolutionBundle(b.a[k], b.grad[k], float(b.mu[k]))
+
+def _bundle_distance(x: SolutionBundle, y: SolutionBundle) -> float:
+    return float(np.sqrt(frob(x.a - y.a) ** 2
+                         + np.linalg.norm(x.grad - y.grad) ** 2
+                         + (x.mu - y.mu) ** 2))
+
 def check_transport_zero(ctx: CheckContext) -> CheckOutcome:
-    from .tanno import SolutionBundle
     chart = ctx.unit_problem.chart
     rng = np.random.default_rng(ctx.seed)
     worst = 0.0
@@ -283,21 +270,17 @@ def check_transport_zero(ctx: CheckContext) -> CheckOutcome:
 def check_transport_match(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
-    rng = np.random.default_rng(ctx.seed)
     worst = 0.0
     trials = min(6, len(ctx.points) - 1) if len(ctx.points) > 1 else 0
     if trials == 0:
         raise SkipCheck("needs at least two sample points")
+    direct = bundle_from_f(prob, ctx.P[:trials + 1])
     for k in range(trials):
         p, q = ctx.points[k], ctx.points[k + 1]
-        init = bundle_from_f(prob, p)
         path = densify_polyline([p, q], 0.2 * chart.domain_radius)
-        out = transport_bundle(chart, path, init)
-        ref = bundle_from_f(prob, q)
-        diff = np.sqrt(frob(out.a - ref.a) ** 2
-                       + np.linalg.norm(out.grad - ref.grad) ** 2
-                       + (out.mu - ref.mu) ** 2)
-        worst = max(worst, diff / max(1.0, ref.norm()))
+        out = transport_bundle(chart, path, _bundle_at(direct, k))
+        ref = _bundle_at(direct, k + 1)
+        worst = max(worst, _bundle_distance(out, ref) / max(1.0, ref.norm()))
     return CheckOutcome(worst, trials)
 
 def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
@@ -313,65 +296,56 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
         loop.append(q)
     init = bundle_from_f(prob, loop[0])
     out = transport_bundle(chart, loop, init)
-    defect = np.sqrt(frob(out.a - init.a) ** 2
-                     + np.linalg.norm(out.grad - init.grad) ** 2
-                     + (out.mu - init.mu) ** 2)
+    defect = _bundle_distance(out, init)
     return CheckOutcome(defect / max(1.0, init.norm()), len(loop))
 
 def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     prob = TannoProblem(chart, ConstField(chart.dim, -0.5), 1.0)
     d = chart.dim
-    res = ctx.map_points(
-        lambda q: frob(assemble_L(prob, q).entries - np.eye(d + 2)))
-    return CheckOutcome(max(res), len(res))
+    return _worst(frob_rows(assemble_L(prob, ctx.P).entries - np.eye(d + 2)))
 
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
+    pts = ctx.P[:5]
     worst = 0.0
     for k in range(5):
         fa = random_polynomial_field(chart.dim, ctx.seed + 2 * k)
         fb = random_polynomial_field(chart.dim, ctx.seed + 2 * k + 1)
         pa = TannoProblem(chart, fa, 1.0)
         pb = TannoProblem(chart, fb, 1.0)
-        for q in ctx.points[:5]:
-            rep = product_block_check(pa, pb, q)
-            worst = max(worst, rep.block_residual)
-    return CheckOutcome(worst, 5 * min(5, len(ctx.points)))
+        rep = product_block_check(pa, pb, pts)
+        worst = max(worst, float(np.max(rep.block_residual)))
+    return CheckOutcome(worst, 5 * len(pts))
 
 def check_star_power(ctx: CheckContext) -> CheckOutcome:
-    from .operator import star_power
     prob = ctx.unit_problem
     chart = prob.chart
-    pts = ctx.points[:20]
+    pts = ctx.P[:20]
+    L1 = assemble_L(prob, pts).entries
     worst = 0.0
     for k in (2, 3, 4):
-        fk = star_power(chart, prob.f, k)
-        probk = TannoProblem(chart, fk, 1.0)
-        for q in pts:
-            Lk = assemble_L(probk, q).entries
-            L1 = assemble_L(prob, q).entries
-            worst = max(worst, frob(Lk - np.linalg.matrix_power(L1, k)))
+        probk = TannoProblem(chart, star_power(chart, prob.f, k), 1.0)
+        Lk = assemble_L(probk, pts).entries
+        worst = max(worst, float(np.max(
+            frob_rows(Lk - np.linalg.matrix_power(L1, k)))))
     return CheckOutcome(worst, len(pts))
 
 def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
-    from .operator import PolynomialReal
     prob = ctx.unit_problem
     chart = prob.chart
-    P_proj, _ = projector_from_solution(prob, ctx.points[:5])
+    P_proj, _ = projector_from_solution(prob, ctx.P[:5])
     polys = [P_proj, PolynomialReal((0.0, 0.0, 1.0)), PolynomialReal((1.0,))]
+    pts = ctx.P[:8]
     worst = 0.0
     for P in polys:
-        fP = poly_star(chart, prob.f, P)
-        probP = TannoProblem(chart, fP, 1.0)
-        for q in ctx.points[:8]:
-            worst = max(worst, max(system_residual(probP, q)))
-    return CheckOutcome(worst, min(8, len(ctx.points)))
+        probP = TannoProblem(chart, poly_star(chart, prob.f, P), 1.0)
+        worst = max(worst, float(np.max(system_residual(probP, pts))))
+    return CheckOutcome(worst, len(pts))
 
 def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    specs = ctx.map_points(
-        lambda q: spectrum(assemble_L(prob, q)).clusters)
+    Ls = assemble_L(ctx.unit_problem, ctx.P).entries
+    specs = [spectrum(L).clusters for L in Ls]
     base = specs[0]
     worst = 0.0
     for s in specs[1:]:
@@ -382,10 +356,9 @@ def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(specs))
 
 def check_minimal_polynomial(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    pts = ctx.points[:20]
-    polys = ctx.map_points(
-        lambda q: minimal_polynomial(assemble_L(prob, q)).coeffs, pts)
+    pts = ctx.P[:20]
+    polys = [minimal_polynomial(L).coeffs
+             for L in assemble_L(ctx.unit_problem, pts).entries]
     base = np.array(polys[0])
     worst = 0.0
     for cs in polys[1:]:
@@ -396,37 +369,31 @@ def check_minimal_polynomial(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(pts))
 
 def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    counts = ctx.map_points(
-        lambda q: len(spectrum(assemble_L(prob, q)).clusters))
+    counts = [len(spectrum(L).clusters)
+              for L in assemble_L(ctx.unit_problem, ctx.P).entries]
     bad = sum(1 for c in counts if c < 2)
     return CheckOutcome(float(bad), len(counts),
                         note="points with fewer than two real clusters")
 
 def check_projector(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    P, f_proj = projector_from_solution(prob, ctx.points)
+    P, f_proj = projector_from_solution(prob, ctx.P)
     probP = TannoProblem(prob.chart, f_proj, 1.0)
-    worst = 0.0
-    mu_violation = 0.0
-    for q in ctx.points:
-        L = assemble_L(probP, q).entries
-        worst = max(worst, frob(L @ L - L))
-        mu = -2.0 * f_proj(q)
-        mu_violation = max(mu_violation, max(0.0, -mu), max(0.0, mu - 1.0))
+    Ls = assemble_L(probP, ctx.P).entries
+    worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
+    mu = -2.0 * f_proj(ctx.P)
+    mu_violation = float(np.max(np.maximum(0.0, np.maximum(-mu, mu - 1.0))))
     return CheckOutcome(max(worst, mu_violation), len(ctx.points),
                         note=f"P = {P!r}")
 
 def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
-    from .operator import eigenstructure_at
     prob = ctx.unit_problem
-    _, f_proj = projector_from_solution(prob, ctx.points)
+    _, f_proj = projector_from_solution(prob, ctx.P)
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     n = prob.chart.n
     worst = 0.0
     seen = set()
-    for q in ctx.points:
-        rep = eigenstructure_at(probP, q)
+    for rep in eigenstructure_at(probP, ctx.P):
         seen.add(rep.classification)
         expected = rep.expected_clusters(n)
         exp_sorted = sorted([v for v, m in expected.items() for _ in range(m)])
@@ -440,22 +407,20 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
                         note="cases seen: " + ", ".join(sorted(seen)))
 
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    res = ctx.map_points(lambda q: mu_hessian_residual(prob, q))
-    return CheckOutcome(max(res), len(res))
+    return _worst(mu_hessian_residual(ctx.unit_problem, ctx.P))
 
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    values = [prob.f(q) for q in ctx.points]
-    constant = max(values) - min(values) < 1e-10
-    if constant:
-        report = positivity_scan(prob, ctx.points)
+    values = prob.f(ctx.P)
+    grads = [float(np.linalg.norm(g)) for g in prob.f.gradient(ctx.P)]
+    if is_constant(float(values.max() - values.min()), grads):
+        report = positivity_scan(prob, ctx.P)
         ok = "hypothesis not met" in report.note
         return CheckOutcome(0.0 if ok else 1.0, len(ctx.points),
                             note=f"verdict={report.verdict}; {report.note}")
-    _, f_proj = projector_from_solution(prob, ctx.points)
+    _, f_proj = projector_from_solution(prob, ctx.P)
     probP = TannoProblem(prob.chart, f_proj, 1.0)
-    report = positivity_scan(probP, ctx.points)
+    report = positivity_scan(probP, ctx.P)
     ok = report.verdict == "positive"
     for fnd in report.extremal_findings:
         if fnd.g_restricted_inertia is not None:
@@ -469,20 +434,22 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
 
 def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:
     chart, f = ctx.chart, ctx.f
-    pts = ctx.points[:3]
+    pts = ctx.P[:3]
+    # Exact derivatives for all points in one batch; the finite-difference
+    # oracle stays per point.
+    exact1 = nabla_scalar(chart, f, pts, 1).components
+    fj = f.jets(pts, 3)
+    exactG = christoffel(chart, pts).components
     worst = 0.0
-    for q in pts:
-        exact1 = nabla_scalar(chart, f, q, 1).components
+    for k, q in enumerate(pts):
         approx1 = fd.fd_gradient(lambda x: f(x), q)
-        worst = max(worst, _rel_err(exact1, approx1))
-        fj = f.jets(q, 3)
+        worst = max(worst, _rel_err(exact1[k], approx1))
         approx2 = fd.fd_hessian(lambda x: f(x), q)
-        worst = max(worst, _rel_err(fj[2], approx2))
+        worst = max(worst, _rel_err(fj[2][k], approx2))
         approx3 = fd.fd_third(lambda x: f(x), q)
-        worst = max(worst, _rel_err(fj[3], approx3))
-        exactG = christoffel(chart, q).components
+        worst = max(worst, _rel_err(fj[3][k], approx3))
         approxG = fd.christoffel_fd(chart, q)
-        worst = max(worst, _rel_err(exactG, approxG))
+        worst = max(worst, _rel_err(exactG[k], approxG))
     return CheckOutcome(worst, len(pts))
 
 def _rel_err(exact, approx) -> float:

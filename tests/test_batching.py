@@ -1,0 +1,107 @@
+"""Batched evaluation equals stacked single-point evaluation, bit for bit.
+
+Every layer takes points of shape (d,) or (N, d) through one code path, so
+evaluating a batch must reproduce, exactly, what evaluating its points one
+at a time gives.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tannolab import charts
+from tannolab.manifolds import (_run_rk4, cpn_height_function,
+                                flat_kahler_chart, fubini_study_chart,
+                                geodesic_residual, integrate_geodesic,
+                                random_polynomial_field,
+                                random_quadratic_field)
+from tannolab.operator import assemble_L
+from tannolab.tanno import (TannoProblem, lightlike_third_derivative,
+                            tanno_residual)
+
+# (chart, solution field) per case; charts and fields hold no per-point
+# state, so sharing them across examples cannot leak results between them.
+CASES = {
+    "cp1": (fubini_study_chart(1), cpn_height_function(1, 0)),
+    "cp2": (fubini_study_chart(2), cpn_height_function(2, 1)),
+    "cp3": (fubini_study_chart(3), cpn_height_function(3, 0)),
+    "flat11": (flat_kahler_chart(1, 1), random_polynomial_field(4, seed=5)),
+}
+
+# Coordinates within 0.5 keep every point inside each chart's domain;
+# exact zeros exercise the terms that vanish at the origin.
+COORD = st.one_of(st.just(0.0),
+                  st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def batches(draw):
+    name = draw(st.sampled_from(sorted(CASES)))
+    chart, field = CASES[name]
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(COORD, min_size=chart.dim, max_size=chart.dim),
+                         min_size=n, max_size=n))
+    return chart, field, np.array(rows, dtype=float)
+
+
+def _assert_stacked(batched, singles):
+    """A batched derivative list equals its per-point lists stacked."""
+    assert len(batched) == len(singles[0])
+    for m, term in enumerate(batched):
+        stacked = np.stack([np.asarray(s[m]) for s in singles])
+        assert term.shape == stacked.shape
+        assert np.array_equal(term, stacked), f"term {m} differs"
+
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@PROPERTY
+@given(batches())
+def test_metric_and_christoffel_jets(case):
+    chart, _, P = case
+    for order in (0, 1, 2):
+        _assert_stacked(chart.metric_jets(P, order),
+                        [chart.metric_jets(p, order) for p in P])
+        _assert_stacked(chart.christoffel_jets(P, order),
+                        [chart.christoffel_jets(p, order) for p in P])
+
+
+@PROPERTY
+@given(batches())
+def test_field_jets(case):
+    _, field, P = case
+    for order in (0, 1, 2, 3):
+        _assert_stacked(field.jets(P, order), [field.jets(p, order) for p in P])
+
+
+@PROPERTY
+@given(batches())
+def test_tanno_residual_and_extended_operator(case):
+    chart, field, P = case
+    prob = TannoProblem(chart, field, 0.25)
+    _assert_stacked([tanno_residual(prob, P)],
+                    [[tanno_residual(prob, p)] for p in P])
+    unit = prob.rescaled()
+    _assert_stacked([assemble_L(unit, P).entries],
+                    [[assemble_L(unit, p).entries] for p in P])
+
+
+def test_path_checks_independent_of_chunk_size(monkeypatch):
+    """Whole-path evaluations give the same bits in chunks as in one batch."""
+    fs1 = CASES["cp1"][0]
+    flat = flat_kahler_chart(1, 1)
+    quad = random_quadratic_field(4, seed=20)
+    x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+    def evaluate():
+        path = integrate_geodesic(fs1, x0, v0, 1.0, steps=64)
+        null = integrate_geodesic(flat, np.zeros(4),
+                                  np.array([1.0, 0, 1.0, 0]), 3.0, steps=16)
+        drift = _run_rk4(fs1, x0, v0, 1.0, 64, fs1.inner(x0, v0, v0))[1]
+        return (drift, geodesic_residual(fs1, path),
+                lightlike_third_derivative(flat, quad, null))
+
+    whole = evaluate()
+    monkeypatch.setattr(charts, "POINT_CHUNK", 5)
+    assert evaluate() == whole

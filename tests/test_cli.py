@@ -107,12 +107,27 @@ class TestRunSuite:
         cb = emit_report(run_suite(fast_config()), "csv", zero_timing=True)
         assert ca == cb
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("TANNO_LAB_THREADS", "1")
-        a = emit_report(run_suite(fast_config()), "json", zero_timing=True)
-        monkeypatch.setenv("TANNO_LAB_THREADS", "3")
-        b = emit_report(run_suite(fast_config()), "json", zero_timing=True)
-        assert a == b
+    def test_zero_c_skips_unit_normalized_checks(self):
+        # c = 0 cannot be folded into the metric; checks that need the
+        # c = 1 normalization are skipped with the reason, not errors.
+        cfg = fast_config(c=0.0, checks=["eq1.residual", "sys.residual",
+                                         "lem5.projector", "thm3.positivity"])
+        recs = {r.name: r for r in run_suite(cfg).checks}
+        assert recs["eq1.residual"].status == "ok"
+        for name in ("sys.residual", "lem5.projector", "thm3.positivity"):
+            assert recs[name].status == "skipped"
+            assert "c = 0" in recs[name].note
+            assert recs[name].passed
+
+    def test_positivity_with_one_sample(self):
+        # One sample has zero value spread; the non-zero gradient still
+        # marks the height function as non-constant.
+        report = run_suite(fast_config(samples=1, checks=["thm3.positivity"]))
+        rec = report.checks[0]
+        assert rec.status == "ok"
+        assert rec.passed, rec.note
+        assert "verdict=positive" in rec.note
+        assert "inertia=(2,0)" in rec.note
 
 
 class TestEmission:
@@ -207,6 +222,11 @@ class TestCli:
         assert rc == 0
         assert out.count("\n") == 2
         assert "(x2)" in out
+
+    def test_spectrum_verb_no_points(self, capsys):
+        rc = main(["spectrum", "--set", "samples=4", "--points", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
 
     def test_projector_verb(self, capsys):
         rc = main(["projector", "--set", "samples=5"])

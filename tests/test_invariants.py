@@ -100,6 +100,24 @@ def test_singular_metric_detected():
         chart.metric_inv_jets(np.zeros(2), 0)
 
 
+def test_singular_metric_test_is_scale_invariant():
+    # A tiny but perfectly conditioned metric is not singular.
+    chart = KahlerChart.from_constant(1e-7 * np.eye(2),
+                                      standard_complex_structure(2),
+                                      name="small scale")
+    assert np.array_equal(chart.metric_inv_jets(np.zeros(2), 0)[0],
+                          1e7 * np.eye(2))
+
+
+def test_christoffel_finite_far_out_on_large_cp2_patch():
+    # |det g| is ~1e-17 at |p| = 45, but g stays well conditioned.
+    chart = fubini_study_chart(2, domain_radius=50.0)
+    p = np.array([45.0, 0.0, 0.0, 0.0])
+    G = chart.christoffel_jets(p, 0)[0]
+    assert np.all(np.isfinite(G))
+    assert abs(np.linalg.det(chart.metric(p))) < 1e-12
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         as_point([1.0, 2.0, 3.0], dim=2)

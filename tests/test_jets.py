@@ -96,10 +96,10 @@ def test_matrix_inverse_jets(sample_point):
         return [[2 + x[0] * x[0], x[0] * x[1]],
                 [x[0] * x[1], 1 + J.sin(x[1])]]
 
-    G = J.eval_matrix_expr(mat, sample_point, 3)
+    G = J.eval_matrix_expr(mat, sample_point[None], 3)
     H = J.tinv(G, 3)
     GH = J.tconv(G, H, "ab,bc->ac", 3)
-    assert np.allclose(GH[0], np.eye(2), atol=1e-14)
+    assert np.allclose(GH[0], np.eye(2)[None], atol=1e-14)
     for m in (1, 2, 3):
         assert np.max(np.abs(GH[m])) < 1e-13
 

@@ -307,6 +307,14 @@ class TestProjector:
         with pytest.raises(NoRealSplit):
             projector_from_solution(prob, cp1_points)
 
+    def test_sample_shape_validated(self, fs2_unit, height2):
+        prob = TannoProblem(fs2_unit, height2, 1.0)
+        # (4, 2) on a dim-4 chart is four 2-vectors, not two points.
+        with pytest.raises(ValueError, match="dimension"):
+            projector_from_solution(prob, np.full((4, 2), 0.1))
+        with pytest.raises(ValueError, match="at least one"):
+            projector_from_solution(prob, [])
+
     def test_cp2_projector_rank_is_even_in_range(self, fs2_unit, height2):
         prob = TannoProblem(fs2_unit, height2, 1.0)
         pts = points_on(fs2_unit, 5, seed=46)

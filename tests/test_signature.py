@@ -110,6 +110,13 @@ class TestPositivityScan:
         assert "hypothesis not met" in report.note
         assert not report.extremal_findings
 
+    def test_sample_shape_validated(self, flat11):
+        prob = TannoProblem(flat11, ConstField(4, -0.5), 1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            positivity_scan(prob, np.full((4, 2), 0.1))
+        with pytest.raises(ValueError, match="at least one"):
+            positivity_scan(prob, [])
+
     def test_no_extremum_in_domain(self):
         # A translated round-sphere patch: the only critical point of the
         # height sits at (-2.5, 0), outside the 0.9 domain ball, so the
