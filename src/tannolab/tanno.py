@@ -304,7 +304,7 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle,
 
 def lightlike_third_derivative(chart: KahlerChart, f: ScalarField,
                                geo: GeodesicPath) -> float:
-    """max |d^3/dt^3 f(gamma(t))| over the stored samples.
+    """max |d^3/dt^3 f(gamma(t))| over the sample grid.
 
     Computed from chain-rule jets: the curve's own Taylor coefficients come
     from the geodesic equation, the field's from its order-3 jets, over
@@ -312,8 +312,7 @@ def lightlike_third_derivative(chart: KahlerChart, f: ScalarField,
     """
     if geo.causal_type != "lightlike":
         raise NotLightlike(f"geodesic is {geo.causal_type}, not lightlike")
-    X = np.array([x for _, x, _ in geo.samples])
-    V = np.array([v for _, _, v in geo.samples])
+    _, X, V = geo.grid()
 
     def d3(X, V):
         fj = f.jets(X, 3)

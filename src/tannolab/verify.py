@@ -14,6 +14,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -167,6 +168,15 @@ class CheckContext:
             raise SkipCheck("c = 0: the metric cannot be rescaled to the "
                             "c = 1 normalization")
         return self.problem.rescaled()
+
+    @cached_property
+    def projector(self) -> tuple[PolynomialReal, ScalarField]:
+        """(P, P*(f)) of the unit problem over the sample points.
+
+        Built once per suite; a raised error is not cached, so every check
+        that needs the projector records it.
+        """
+        return projector_from_solution(self.unit_problem, self.P)
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
         g0 = self.chart.metric_jets(np.zeros(self.chart.dim), 0)[0]
@@ -377,7 +387,7 @@ def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
 
 def check_projector(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    P, f_proj = projector_from_solution(prob, ctx.P)
+    P, f_proj = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     Ls = assemble_L(probP, ctx.P).entries
     worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
@@ -388,7 +398,7 @@ def check_projector(ctx: CheckContext) -> CheckOutcome:
 
 def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    _, f_proj = projector_from_solution(prob, ctx.P)
+    _, f_proj = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     n = prob.chart.n
     worst = 0.0
@@ -418,7 +428,7 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
         ok = "hypothesis not met" in report.note
         return CheckOutcome(0.0 if ok else 1.0, len(ctx.points),
                             note=f"verdict={report.verdict}; {report.note}")
-    _, f_proj = projector_from_solution(prob, ctx.P)
+    _, f_proj = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     report = positivity_scan(probP, ctx.P)
     ok = report.verdict == "positive"

@@ -158,6 +158,24 @@ class TestGeodesics:
         assert path.left_domain
         assert np.linalg.norm(path.samples[-1][1]) <= fs1.domain_radius
 
+    def test_non_convergence_reported(self, fs1):
+        # A conservation bound the solver cannot meet is reported on the
+        # path, not retried away or hidden.
+        path = integrate_geodesic(fs1, [0.3, 0.1], [0.2, 1.0], 1.0,
+                                  conservation_tol=1e-30)
+        assert path.converged is False
+        assert path.drift > 1e-30 * (1 + abs(path.energy))
+
+    def test_default_path_converged(self, fs2):
+        x0 = np.array([0.3, -0.1, 0.2, 0.0])
+        v0 = np.array([0.5, 0.2, -0.3, 0.1])
+        v0 /= np.sqrt(fs2.inner(x0, v0, v0))
+        path = integrate_geodesic(fs2, x0, v0, 1.0)
+        assert path.converged is True
+        assert path.rhs_calls > 0
+        assert not path.left_domain
+        assert path.samples[-1][0] == 1.0
+
     def test_min_steps_validated(self, flat11):
         with pytest.raises(ValueError):
             integrate_geodesic(flat11, np.zeros(4), np.ones(4), 1.0, steps=8)
