@@ -414,6 +414,14 @@ def projector_from_solution(prob: TannoProblem, sample_points,
     Returns (P, P*(f)); the resulting operator is verified to be a
     non-trivial projector at every sample point.
     """
+    P, f_proj, _ = _projector_with_operator(prob, sample_points, tol)
+    return P, f_proj
+
+
+def _projector_with_operator(prob: TannoProblem, sample_points,
+                             tol: float = 1e-7):
+    """(P, P*(f), L) of :func:`projector_from_solution`, where L holds the
+    (N, d+2, d+2) entries of L(P*(f)) it verified at the sample points."""
     pts, _ = prob.chart.batch(sample_points)
     if not len(pts):
         raise ValueError("need at least one sample point")
@@ -441,7 +449,7 @@ def projector_from_solution(prob: TannoProblem, sample_points,
     L1 = Ls[0]
     if frob(L1) < tol or frob(L1 - np.eye(d + 2)) < tol:
         raise NoRealSplit("projector is trivial (0 or identity)")
-    return P, f_proj
+    return P, f_proj, Ls
 
 
 @dataclass

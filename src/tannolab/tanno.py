@@ -236,36 +236,55 @@ def mu_hessian_residual(prob: TannoProblem, p):
 # Transport along curves (the Frobenius property made computational)
 # ---------------------------------------------------------------------------
 
-def _transport_rhs(geometry, xdot, a, f, mu):
-    """Coordinate time-derivatives of (a, f, mu) along velocity xdot, with
-    ``geometry`` the chart's (g, J, Gamma) at the current point."""
-    g0, Jm, G0 = geometry
-    fb = Jm.T @ f
-    Jf = g0 @ Jm
-    # partial_k a_ij = rhs1_ijk + Gamma^l_ki a_lj + Gamma^l_kj a_il
-    rhs1 = (np.einsum("i,jk->ijk", f, g0) + np.einsum("j,ik->ijk", f, g0)
-            - np.einsum("i,jk->ijk", fb, Jf) - np.einsum("j,ik->ijk", fb, Jf))
-    da = (np.einsum("ijk,k->ij", rhs1, xdot)
-          + np.einsum("lki,k,lj->ij", G0, xdot, a)
-          + np.einsum("lkj,k,il->ij", G0, xdot, a))
-    # partial_j f_i = (mu g_ij - a_ij) + Gamma^l_ij f_l
-    df = (mu * g0 - a) @ xdot + np.einsum("lij,j,l->i", G0, xdot, f)
-    dmu = -2.0 * float(f @ xdot)
-    return da, df, dmu
+def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
+    """Matrices A with dy/dt = A y for the first-order system along ``xdot``.
+
+    ``g0`` and ``Jm`` (Z, d, d) and ``G0`` (Z, d, d, d), with Gamma^l_ij at
+    [l, i, j], are the chart at Z points; ``xdot`` has shape (d,).  The
+    state is y = (a.ravel(), f, mu), so A has shape (Z, m, m) with
+    m = d^2 + d + 1.
+    """
+    Z, d = g0.shape[:2]
+    n2 = d * d
+    m = n2 + d + 1
+    I = np.eye(d)
+    gx = g0 @ xdot                               # g_ik xdot^k
+    Jx = (g0 @ Jm) @ xdot                        # (g J)_ik xdot^k
+    Gk = np.einsum("zlki,k->zli", G0, xdot)      # Gamma^l_ki xdot^k
+    Gj = G0 @ xdot                               # Gamma^l_ij xdot^j
+    A = np.zeros((Z, m, m))
+    # partial_k a_ij = f_i g_jk + f_j g_ik - fbar_i (gJ)_jk - fbar_j (gJ)_ik
+    #                  + Gamma^l_ki a_lj + Gamma^l_kj a_il,  fbar_i = J_ai f_a
+    A[:, :n2, :n2] = (np.einsum("zpi,qj->zijpq", Gk, I)
+                      + np.einsum("ip,zqj->zijpq", I, Gk)).reshape(Z, n2, n2)
+    A[:, :n2, n2:-1] = (np.einsum("ia,zj->zija", I, gx)
+                        + np.einsum("ja,zi->zija", I, gx)
+                        - np.einsum("zai,zj->zija", Jm, Jx)
+                        - np.einsum("zaj,zi->zija", Jm, Jx)).reshape(Z, n2, d)
+    # partial_j f_i = mu g_ij - a_ij + Gamma^l_ij f_l
+    A[:, n2:-1, :n2] = -np.einsum("ip,q->ipq", I, xdot).reshape(d, n2)
+    A[:, n2:-1, n2:-1] = Gj.transpose(0, 2, 1)
+    A[:, n2:-1, -1] = gx
+    # mu_{,i} = -2 f_i
+    A[:, -1, n2:-1] = -2.0 * xdot
+    return A
 
 
 def transport_bundle(chart: KahlerChart, path, init: SolutionBundle,
                      max_step: float = 0.02) -> SolutionBundle:
     """Integrate the first-order system along a polyline of chart points.
 
-    The polyline is densified so each RK4 step is at most ``max_step``;
-    segments longer than a quarter of the domain radius are rejected.
+    The system is linear, dy/dt = A(x, xdot) y, in the state
+    y = (a.ravel(), f, mu) of length d^2 + d + 1.  The polyline is
+    densified so each classical RK4 step is at most ``max_step``; segments
+    longer than a quarter of the domain radius are rejected.
     """
     pts = [np.asarray(q, dtype=float) for q in path]
     if len(pts) < 2:
         return init.copy()
     bound = 0.25 * chart.domain_radius
-    a, f, mu = init.a.copy(), init.grad.copy(), float(init.mu)
+    d = chart.dim
+    y = np.concatenate([np.ravel(init.a), init.grad, [init.mu]])
     for q0, q1 in zip(pts[:-1], pts[1:]):
         seg = q1 - q0
         seglen = float(np.linalg.norm(seg))
@@ -276,30 +295,20 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle,
             continue
         nsub = max(1, int(np.ceil(seglen / max_step)))
         dt = 1.0 / nsub
-        xdot = seg  # parametrize segment on [0, 1]
-        # The segment is known in advance, so the chart is evaluated at
-        # every RK4 stage point of it in one batch: step k uses the points
-        # at k*dt, k*dt + dt/2 (stages 2 and 3) and k*dt + dt.
+        # The segment, parametrized on [0, 1], is known in advance, so the
+        # chart and A are evaluated at every RK4 stage point of it in one
+        # batch: step k uses the points at k*dt, k*dt + dt/2 (stages 2 and
+        # 3) and k*dt + dt.
         taus = [(k * dt, k * dt + dt / 2, k * dt + dt) for k in range(nsub)]
-        X = q0 + np.array(taus).reshape(-1, 1) * seg
-        geo = chart.at(X, 1)
-        stages = list(zip(geo.g0, geo.J0, geo.gamma(0)[0]))
-
-        def rhs(i, a_, f_, mu_):
-            return _transport_rhs(stages[i], xdot, a_, f_, mu_)
-
+        geo = chart.at(q0 + np.array(taus).reshape(-1, 1) * seg, 1)
+        A = _transport_matrices(geo.g0, geo.J0, geo.gamma(0)[0], seg)
         for k in range(nsub):
-            t, mid, end = 3 * k, 3 * k + 1, 3 * k + 2
-            k1 = rhs(t, a, f, mu)
-            k2 = rhs(mid, a + dt / 2 * k1[0], f + dt / 2 * k1[1],
-                     mu + dt / 2 * k1[2])
-            k3 = rhs(mid, a + dt / 2 * k2[0], f + dt / 2 * k2[1],
-                     mu + dt / 2 * k2[2])
-            k4 = rhs(end, a + dt * k3[0], f + dt * k3[1], mu + dt * k3[2])
-            a = a + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            f = f + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            mu = mu + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return SolutionBundle(a, f, mu)
+            k1 = A[3 * k] @ y
+            k2 = A[3 * k + 1] @ (y + dt / 2 * k1)
+            k3 = A[3 * k + 1] @ (y + dt / 2 * k2)
+            k4 = A[3 * k + 2] @ (y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
 
 
 def lightlike_third_derivative(chart: KahlerChart, f: ScalarField,

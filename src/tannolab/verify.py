@@ -29,9 +29,10 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_lightlike_directions, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
-from .operator import (PolynomialReal, assemble_L, eigenstructure_at,
-                       minimal_polynomial, poly_star, product_block_check,
-                       projector_from_solution, spectrum, star_power)
+from .operator import (PolynomialReal, _projector_with_operator, assemble_L,
+                       eigenstructure_at, minimal_polynomial, poly_star,
+                       product_block_check, projector_from_solution, spectrum,
+                       star_power)
 from .signature import is_constant, positivity_scan
 from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
                     gallot_tanno_residual, laplace_identity_residual,
@@ -170,13 +171,14 @@ class CheckContext:
         return self.problem.rescaled()
 
     @cached_property
-    def projector(self) -> tuple[PolynomialReal, ScalarField]:
-        """(P, P*(f)) of the unit problem over the sample points.
+    def projector(self) -> tuple[PolynomialReal, ScalarField, np.ndarray]:
+        """(P, P*(f), L) of the unit problem over the sample points, with L
+        the (N, d+2, d+2) entries of L(P*(f)) at them.
 
         Built once per suite; a raised error is not cached, so every check
         that needs the projector records it.
         """
-        return projector_from_solution(self.unit_problem, self.P)
+        return _projector_with_operator(self.unit_problem, self.P)
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
         g0 = self.chart.metric_jets(np.zeros(self.chart.dim), 0)[0]
@@ -386,10 +388,7 @@ def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
                         note="points with fewer than two real clusters")
 
 def check_projector(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    P, f_proj = ctx.projector
-    probP = TannoProblem(prob.chart, f_proj, 1.0)
-    Ls = assemble_L(probP, ctx.P).entries
+    P, f_proj, Ls = ctx.projector
     worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
     mu = -2.0 * f_proj(ctx.P)
     mu_violation = float(np.max(np.maximum(0.0, np.maximum(-mu, mu - 1.0))))
@@ -398,7 +397,7 @@ def check_projector(ctx: CheckContext) -> CheckOutcome:
 
 def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    _, f_proj = ctx.projector
+    _, f_proj, _ = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     n = prob.chart.n
     worst = 0.0
@@ -428,7 +427,7 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
         ok = "hypothesis not met" in report.note
         return CheckOutcome(0.0 if ok else 1.0, len(ctx.points),
                             note=f"verdict={report.verdict}; {report.note}")
-    _, f_proj = ctx.projector
+    _, f_proj, _ = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     report = positivity_scan(probP, ctx.P)
     ok = report.verdict == "positive"
@@ -556,7 +555,7 @@ DEFAULT_CHECKS = [name for name in REGISTRY if name != "eq2.residual"]
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     name: str
     max_residual: float

@@ -1,15 +1,20 @@
 """Suite configuration, report emission, determinism and CLI exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from tannolab import verify
 from tannolab.cli import main
 from tannolab.errors import ConfigError
-from tannolab.verify import (REGISTRY, SuiteConfig, build_chart,
-                             build_solution, emit_report, load_report,
-                             run_suite)
+from tannolab.manifolds import sample_points
+from tannolab.operator import assemble_L, projector_from_solution
+from tannolab.tanno import TannoProblem
+from tannolab.verify import (REGISTRY, CheckContext, CheckRecord, SuiteConfig,
+                             build_chart, build_solution, emit_report,
+                             load_report, run_suite)
 
 FAST_CHECKS = ["kahler.residuals", "eq1.residual", "sys.inverse_roundtrip",
                "op.identity_at_constant"]
@@ -129,8 +134,31 @@ class TestRunSuite:
         assert "verdict=positive" in rec.note
         assert "inertia=(2,0)" in rec.note
 
+    def test_projector_check_reuses_operator_entries(self, monkeypatch):
+        cfg = fast_config()
+        chart = build_chart(cfg.chart)
+        points = sample_points(chart, cfg.samples, cfg.seed,
+                               0.75 * chart.domain_radius)
+        ctx = CheckContext(chart, build_solution(cfg.solution, chart), cfg.c,
+                           points, cfg.seed, cfg)
+        P, f_proj, Ls = ctx.projector
+        probP = TannoProblem(ctx.unit_problem.chart, f_proj, 1.0)
+        assert np.array_equal(Ls, assemble_L(probP, ctx.P).entries)
+        assert projector_from_solution(ctx.unit_problem, ctx.P)[0] == P
+
+        def fail(*args):
+            raise AssertionError("L re-assembled")
+        monkeypatch.setattr(verify, "assemble_L", fail)
+        assert REGISTRY["lem5.projector"].func(ctx).max_residual < 1e-7
+
 
 class TestEmission:
+    def test_check_record_slotted(self):
+        rec = run_suite(fast_config()).checks[0]
+        assert not hasattr(rec, "__dict__")
+        assert CheckRecord(**dataclasses.asdict(rec)) == rec
+        assert dataclasses.replace(rec, seconds=0.0).seconds == 0.0
+
     def test_json_roundtrip(self, tmp_path):
         report = run_suite(fast_config())
         path = tmp_path / "report.json"

@@ -7,17 +7,75 @@ from conftest import points_on
 from tannolab.calculus import frob
 from tannolab.errors import NotLightlike, StepTooLarge
 from tannolab.fields import ConstField, ExprField
-from tannolab.manifolds import (integrate_geodesic,
+from tannolab.manifolds import (flat_kahler_chart, fubini_study_chart,
+                                integrate_geodesic,
                                 random_lightlike_directions,
                                 random_quadratic_field,
                                 sphere_second_eigenfunction)
-from tannolab.tanno import (SolutionBundle, TannoProblem, bundle_from_f,
-                            f_from_mu, gallot_tanno_residual,
+from tannolab.tanno import (SolutionBundle, TannoProblem, _transport_matrices,
+                            bundle_from_f, f_from_mu, gallot_tanno_residual,
                             laplace_identity_residual,
                             lightlike_third_derivative, mu_hessian_residual,
                             system_residual, tanno_residual,
                             trace_identity_residual, transport_bundle)
 from tannolab.verify import densify_polyline
+
+
+def _einsum_rhs(geometry, xdot, a, f, mu):
+    """Reference right-hand side of the first-order system, one point:
+    coordinate time-derivatives of (a, f, mu) along velocity xdot, with
+    ``geometry`` the chart's (g, J, Gamma) at the current point."""
+    g0, Jm, G0 = geometry
+    fb = Jm.T @ f
+    Jf = g0 @ Jm
+    # partial_k a_ij = rhs1_ijk + Gamma^l_ki a_lj + Gamma^l_kj a_il
+    rhs1 = (np.einsum("i,jk->ijk", f, g0) + np.einsum("j,ik->ijk", f, g0)
+            - np.einsum("i,jk->ijk", fb, Jf) - np.einsum("j,ik->ijk", fb, Jf))
+    da = (np.einsum("ijk,k->ij", rhs1, xdot)
+          + np.einsum("lki,k,lj->ij", G0, xdot, a)
+          + np.einsum("lkj,k,il->ij", G0, xdot, a))
+    # partial_j f_i = (mu g_ij - a_ij) + Gamma^l_ij f_l
+    df = (mu * g0 - a) @ xdot + np.einsum("lij,j,l->i", G0, xdot, f)
+    dmu = -2.0 * float(f @ xdot)
+    return da, df, dmu
+
+
+def _reference_transport(chart, path, init, max_step=0.02):
+    """Classical RK4 on (a, f, mu) with the einsum right-hand side and the
+    chart evaluated step by step; the oracle for transport_bundle."""
+    pts = [np.asarray(q, dtype=float) for q in path]
+    a, f, mu = init.a.copy(), init.grad.copy(), float(init.mu)
+    for q0, q1 in zip(pts[:-1], pts[1:]):
+        seg = q1 - q0
+        seglen = float(np.linalg.norm(seg))
+        if seglen == 0.0:
+            continue
+        nsub = max(1, int(np.ceil(seglen / max_step)))
+        dt = 1.0 / nsub
+        for k in range(nsub):
+            taus = np.array([k * dt, k * dt + dt / 2, k * dt + dt])
+            geo = chart.at(q0 + taus[:, None] * seg, 1)
+            t, mid, end = zip(geo.g0, geo.J0, geo.gamma(0)[0])
+            k1 = _einsum_rhs(t, seg, a, f, mu)
+            k2 = _einsum_rhs(mid, seg, a + dt / 2 * k1[0], f + dt / 2 * k1[1],
+                             mu + dt / 2 * k1[2])
+            k3 = _einsum_rhs(mid, seg, a + dt / 2 * k2[0], f + dt / 2 * k2[1],
+                             mu + dt / 2 * k2[2])
+            k4 = _einsum_rhs(end, seg, a + dt * k3[0], f + dt * k3[1],
+                             mu + dt * k3[2])
+            a = a + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            f = f + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            mu = mu + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    return SolutionBundle(a, f, mu)
+
+
+def _state(b: SolutionBundle) -> np.ndarray:
+    return np.concatenate([b.a.ravel(), b.grad, [b.mu]])
+
+
+def _random_bundle(rng, d):
+    A = rng.normal(size=(d, d))
+    return SolutionBundle(0.5 * (A + A.T), rng.normal(size=d), rng.normal())
 
 
 class TestTannoResidual:
@@ -200,13 +258,7 @@ class TestTransport:
         rng = np.random.default_rng(18)
         d = fs1_unit.dim
         path = densify_polyline([np.zeros(d), np.array([0.8, -0.5])], 0.3)
-
-        def rand_bundle():
-            A = rng.normal(size=(d, d))
-            return SolutionBundle(0.5 * (A + A.T), rng.normal(size=d),
-                                  rng.normal())
-
-        u, v = rand_bundle(), rand_bundle()
+        u, v = _random_bundle(rng, d), _random_bundle(rng, d)
         al, be = 0.7, -1.3
         combo = SolutionBundle(al * u.a + be * v.a, al * u.grad + be * v.grad,
                                al * u.mu + be * v.mu)
@@ -246,6 +298,42 @@ class TestTransport:
         with pytest.raises(StepTooLarge):
             transport_bundle(fs1_unit, [np.zeros(d), np.array([1.4, 0.0])],
                              zero)
+
+    @pytest.mark.parametrize("chart", [
+        fubini_study_chart(1), fubini_study_chart(2), fubini_study_chart(3),
+        flat_kahler_chart(1, 1)], ids=["cp1", "cp2", "cp3", "flat11"])
+    def test_matches_einsum_reference(self, chart):
+        rng = np.random.default_rng(25)
+        d = chart.dim
+        way = [rng.uniform(-0.5, 0.5, size=d) for _ in range(3)]
+        # A repeated point gives zero-length segments, which are skipped.
+        path = densify_polyline([way[0], way[1], way[1], way[2]], 0.3)
+        path.insert(2, path[1])
+        init = _random_bundle(rng, d)
+        out = _state(transport_bundle(chart, path, init))
+        ref = _state(_reference_transport(chart, path, init))
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+        single = transport_bundle(chart, path[:1], init)
+        assert np.array_equal(_state(single), _state(init))
+        assert single.a is not init.a and single.grad is not init.grad
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_matrices_match_einsum_rhs(self, d):
+        rng = np.random.default_rng(26 + d)
+        Z = 5
+        g0 = rng.normal(size=(Z, d, d))
+        Jm = rng.normal(size=(Z, d, d))
+        G0 = rng.normal(size=(Z, d, d, d))
+        xdot = rng.normal(size=d)
+        A = _transport_matrices(g0, Jm, G0, xdot)
+        assert A.shape == (Z, d * d + d + 1, d * d + d + 1)
+        for z in range(Z):
+            b = _random_bundle(rng, d)
+            da, df, dmu = _einsum_rhs((g0[z], Jm[z], G0[z]), xdot,
+                                      b.a, b.grad, b.mu)
+            ref = np.concatenate([da.ravel(), df, [dmu]])
+            assert np.max(np.abs(A[z] @ _state(b) - ref)) <= \
+                1e-14 * np.max(np.abs(ref))
 
 
 class TestLightlikeThirdDerivative:
