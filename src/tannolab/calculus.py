@@ -8,9 +8,11 @@ Index conventions used throughout the package:
 * the covariant Hessian array is ``H[i, j] = f_{,ij}`` and the third
   derivative array is ``T[i, j, k] = (f_{,ij})_{;k}``, symmetric in (i, j).
 
-Every function takes one point of shape (d,) or a batch of shape (N, d).
-Batches are evaluated in one pass and results carry a leading point axis;
-a single point gives results without it.
+Every function that takes a chart takes one point of shape (d,) or a batch
+of shape (N, d).  Batches are evaluated in one pass and results carry a
+leading point axis; a single point gives results without it.
+:func:`scalar_covariant_jets` evaluates nothing: it works on jets its
+caller already evaluated over a batch.
 """
 
 from __future__ import annotations
@@ -76,28 +78,20 @@ def christoffel(chart: KahlerChart, p) -> TensorValue:
     return TensorValue(unbatch(G, single), ("u", "l", "l"))
 
 
-def scalar_covariant_jets(chart: KahlerChart, f: ScalarField, p, order: int,
-                          geo: ChartJets | None = None):
-    """(f, f_{,i}, f_{,ij}, f_{,ijk}) up to the requested order (1..3).
+def scalar_covariant_jets(fj, gamma, order: int):
+    """(f, f_{,i}, f_{,ij}, f_{,ijk}) through ``order`` (1..3) over a batch.
 
-    ``geo`` is the chart evaluated at the same (N, d) points through metric
-    order 1 (order 2) or 2 (order 3); it is evaluated here when omitted.
+    ``fj`` are the field's batched jets through at least ``order`` and
+    ``gamma`` the Christoffel jets at the same points through ``order - 2``
+    (unused for order 1).
     """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    P, single = chart.batch(p)
-    fj = f.jets(P, order)
     out = [fj[0], fj[1]]
     if order >= 2:
-        gamma_order = 1 if order == 3 else 0
-        if geo is None:
-            geo = chart.at(P, gamma_order + 1)
-        Gj = geo.gamma(gamma_order)
-        G0 = Gj[0]
+        G0 = gamma[0]
         H = fj[2] - np.einsum("zkij,zk->zij", G0, fj[1])
         out.append(H)
     if order == 3:
-        dG = Gj[1]
+        dG = gamma[1]
         dH = (fj[3]
               - np.einsum("zlijk,zl->zijk", dG, fj[1])
               - np.einsum("zlij,zlk->zijk", G0, fj[2]))
@@ -105,22 +99,24 @@ def scalar_covariant_jets(chart: KahlerChart, f: ScalarField, p, order: int,
              - np.einsum("zmki,zmj->zijk", G0, H)
              - np.einsum("zmkj,zim->zijk", G0, H))
         out.append(T)
-    if single:
-        return [float(out[0][0])] + [t[0] for t in out[1:]]
     return out
 
 
 def nabla_scalar(chart: KahlerChart, f: ScalarField, p, order: int) -> TensorValue:
     """Covariant derivative of a scalar: f_{,i}, f_{,ij} or f_{,ijk}."""
-    jets = scalar_covariant_jets(chart, f, p, order)
-    return TensorValue(jets[order], ("l",) * order)
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+    P, single = chart.batch(p)
+    gamma = chart.at(P, order - 1).gamma(order - 2) if order >= 2 else None
+    jets = scalar_covariant_jets(f.jets(P, order), gamma, order)
+    return TensorValue(unbatch(jets[order], single), ("l",) * order)
 
 
 def laplacian(chart: KahlerChart, f: ScalarField, p):
     """g^{ij} f_{,ij} (trace of the raised covariant Hessian)."""
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
-    H = scalar_covariant_jets(chart, f, P, 2, geo=geo)[2]
+    H = scalar_covariant_jets(f.jets(P, 2), geo.gamma(0), 2)[2]
     out = np.einsum("zij,zij->z", geo.ginv(0)[0], H)
     return float(out[0]) if single else out
 
@@ -194,17 +190,14 @@ def kahler_form(chart: KahlerChart, p) -> TensorValue:
     return TensorValue(unbatch(geo.g0 @ geo.J0, single), ("l", "l"))
 
 
-def nabla_jstruct(chart: KahlerChart, p, geo: ChartJets | None = None) -> np.ndarray:
-    """Covariant derivative (nabla_k J)^i_j, array axes [i, j, k]."""
-    P, single = chart.batch(p)
-    if geo is None:
-        geo = chart.at(P, 1)
+def _nabla_jstruct(geo: ChartJets) -> np.ndarray:
+    """Covariant derivative (nabla_k J)^i_j over a batch, axes [z, i, j, k];
+    ``geo`` holds the metric through order 1."""
     Jj = geo.jstruct(1)
     G0 = geo.gamma(0)[0]
-    out = (Jj[1]
-           + np.einsum("zikl,zlj->zijk", G0, Jj[0])
-           - np.einsum("zlkj,zil->zijk", G0, Jj[0]))
-    return unbatch(out, single)
+    return (Jj[1]
+            + np.einsum("zikl,zlj->zijk", G0, Jj[0])
+            - np.einsum("zlkj,zil->zijk", G0, Jj[0]))
 
 
 def kahler_residuals(chart: KahlerChart, p):
@@ -218,7 +211,7 @@ def kahler_residuals(chart: KahlerChart, p):
     Jm = geo.J0
     r_sq = frob_rows(Jm @ Jm + np.eye(chart.dim))
     r_compat = frob_rows(np.swapaxes(Jm, 1, 2) @ g0 @ Jm - g0)
-    r_par = frob_rows(nabla_jstruct(chart, P, geo))
+    r_par = frob_rows(_nabla_jstruct(geo))
     if single:
         return float(r_sq[0]), float(r_compat[0]), float(r_par[0])
     return r_sq, r_compat, r_par

@@ -39,15 +39,6 @@ def standard_complex_structure(dim: int) -> np.ndarray:
     return Jm
 
 
-def as_point(p, dim: int | None = None) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if dim is not None and p.size != dim:
-        raise ValueError(f"point has length {p.size}, chart dimension is {dim}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite coordinates")
-    return p
-
-
 def as_points(p, dim: int | None = None) -> tuple[np.ndarray, bool]:
     """(P, single): p as an (N, d) array, and whether p was one (d,) point.
 
@@ -158,13 +149,11 @@ class KahlerChart:
         return cls(dim, metric_fn, jstruct_fn, domain_radius, name)
 
     @classmethod
-    def from_potential(cls, dim, potential_fn, domain_radius, name,
-                       jstruct0=None):
-        """Kahler chart with constant J and metric g = 1/2 (H + J^T H J),
+    def from_potential(cls, dim, potential_fn, domain_radius, name):
+        """Kahler chart with the standard J and metric g = 1/2 (H + J^T H J),
         H the coordinate Hessian of the potential.  Such a metric is
         automatically symmetric, J-compatible and parallel-J."""
-        J0 = standard_complex_structure(dim) if jstruct0 is None \
-            else np.asarray(jstruct0, dtype=float)
+        J0 = standard_complex_structure(dim)
 
         def metric_fn(P, order):
             pot = J.eval_scalar_expr(potential_fn, P, order + 2)
@@ -215,12 +204,6 @@ class KahlerChart:
         ok = np.linalg.norm(P, axis=1) <= self.domain_radius + 1e-12
         return bool(ok[0]) if single else ok
 
-    def require_inside(self, p) -> np.ndarray:
-        """p as a validated (d,) or (N, d) array; OutOfDomain if any point
-        lies outside the domain ball."""
-        P, single = self.batch(p)
-        return unbatch(P, single)
-
     def batch(self, p) -> tuple[np.ndarray, bool]:
         """(P, single): p validated and inside the domain, as an (N, d)
         batch, and whether p was one (d,) point."""
@@ -251,39 +234,17 @@ class KahlerChart:
     def metric_inv_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of g^ij."""
         P, single = as_points(p, self.dim)
-        return unbatch(self._inverse(self._metric_jets_fn(P, order), order),
-                       single)
+        return unbatch(ChartJets(self, P, order).ginv(order), single)
 
     def christoffel_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of Gamma^k_ij (array axes [k, i, j, ...])."""
         P, single = as_points(p, self.dim)
-        g = self._metric_jets_fn(P, order + 1)
-        return unbatch(self._christoffel(g, self._inverse(g, order), order),
-                       single)
-
-    def _inverse(self, g: list, order: int) -> list[np.ndarray]:
-        """g^-1 jets through ``order`` from batched metric jets g."""
-        inv0 = checked_inverse(g[0], f"on {self.name}")
-        return J.tinv(g, order, inv0)
-
-    @staticmethod
-    def _christoffel(g: list, ginv: list, order: int) -> list[np.ndarray]:
-        """Gamma jets through ``order`` from batched metric jets g (through
-        order + 1) and inverse-metric jets ginv (through order)."""
-        dg = []
-        for m in range(order + 1):
-            A = g[m + 1]  # axes [z, l, i, j, extra...] with j the derivative
-            term = A + np.swapaxes(A, 2, 3) - np.moveaxis(A, (1, 2, 3), (2, 3, 1))
-            dg.append(0.5 * term)
-        return J.tconv(ginv, dg, "kl,lij->kij", order)
+        return unbatch(ChartJets(self, P, order + 1).gamma(order), single)
 
     # -- plain values -----------------------------------------------------------
 
     def metric(self, p) -> np.ndarray:
         return np.array(self.metric_jets(p, 0)[0])
-
-    def metric_inv(self, p) -> np.ndarray:
-        return np.array(self.metric_inv_jets(p, 0)[0])
 
     def jstruct(self, p) -> np.ndarray:
         return np.array(self.jstruct_jets(p, 0)[0])
@@ -308,6 +269,7 @@ class ChartJets:
     (through the order asked for) and Christoffel jets (through
     ``order - 1``) are derived from that evaluation on first use and kept
     for the lifetime of this object, which belongs to a single batched call.
+    This is the only place the chart's g^-1 and Gamma are derived.
     """
 
     def __init__(self, chart: KahlerChart, P: np.ndarray, order: int):
@@ -337,7 +299,8 @@ class ChartJets:
             raise ValueError(f"g^-1 through order {order} needs the metric "
                              f"through {order}, evaluated through {self.order}")
         if self._ginv is None or len(self._ginv) <= order:
-            self._ginv = self.chart._inverse(self.g, order)
+            inv0 = checked_inverse(self.g[0], f"on {self.chart.name}")
+            self._ginv = J.tinv(self.g, order, inv0)
         return self._ginv
 
     def gamma(self, order: int = 0) -> list[np.ndarray]:
@@ -346,5 +309,10 @@ class ChartJets:
                              f"through {order + 1}, evaluated through {self.order}")
         if self._gamma is None:
             top = self.order - 1
-            self._gamma = self.chart._christoffel(self.g, self.ginv(top), top)
+            dg = []
+            for m in range(top + 1):
+                A = self.g[m + 1]  # axes [z, l, i, j, extra...], j the derivative
+                dg.append(0.5 * (A + np.swapaxes(A, 2, 3)
+                                 - np.moveaxis(A, (1, 2, 3), (2, 3, 1))))
+            self._gamma = J.tconv(self.ginv(top), dg, "kl,lij->kij", top)
         return self._gamma

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .charts import as_points, unbatch
+from .charts import _constant_jets, as_points, unbatch
 
 
 class ScalarField:
@@ -63,11 +63,6 @@ class ScalarField:
         return LinearComboField([self], [-1.0], 0.0)
 
 
-def _constant_terms(value: float, n: int, dim: int, order: int):
-    return [np.full(n, value)] + [np.zeros((n,) + (dim,) * m)
-                                  for m in range(1, order + 1)]
-
-
 class ExprField(ScalarField):
     """Field defined by a jet-arithmetic expression fn(list[Jet]) -> Jet."""
 
@@ -89,7 +84,7 @@ class ConstField(ScalarField):
         self.const = float(value)
 
     def _jets(self, P, order):
-        return _constant_terms(self.const, len(P), self.dim, order)
+        return _constant_jets(np.array(self.const), P, order)
 
     def __repr__(self):
         return f"ConstField({self.const})"
@@ -114,7 +109,7 @@ class LinearComboField(ScalarField):
         self.const = float(const)
 
     def _jets(self, P, order):
-        out = _constant_terms(self.const, len(P), self.dim, order)
+        out = _constant_jets(np.array(self.const), P, order)
         for f, c in zip(self.fields, self.coeffs):
             out = [o + c * t for o, t in zip(out, f.jets(P, order))]
         return out

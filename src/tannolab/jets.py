@@ -118,10 +118,6 @@ def tscale(A, c: float):
     return [c * t for t in A]
 
 
-def tadd(A, B):
-    return [a + b for a, b in zip(A, B)]
-
-
 def tgrad(A):
     """Derivative list of the coordinate gradient: lead shape grows by (d,).
 

@@ -16,6 +16,9 @@ from .fields import ExprField, ScalarField
 #: |g(v,v)| below this tags a geodesic as lightlike.
 LIGHTLIKE_TOL = 1e-8
 
+#: Coefficient scale of :func:`random_polynomial_field`.
+POLY_SCALE = 0.5
+
 #: Relative and absolute tolerance of the DOP853 geodesic integration.  At
 #: 1e-11 the equator test's geodesic_residual is 5.5e-9, a 2x margin to 1e-8.
 GEODESIC_TOL = 1e-12
@@ -100,15 +103,14 @@ def sphere_second_eigenfunction() -> ScalarField:
     return ExprField(2, fn, name="S^2 second eigenfunction")
 
 
-def random_polynomial_field(dim: int, seed: int, degree: int = 3,
-                            scale: float = 0.5) -> ScalarField:
+def random_polynomial_field(dim: int, seed: int, degree: int = 3) -> ScalarField:
     """Seeded random polynomial; generic smooth test input."""
     rng = np.random.default_rng(seed)
-    lin = rng.normal(size=dim) * scale
-    quad = rng.normal(size=(dim, dim)) * scale
+    lin = rng.normal(size=dim) * POLY_SCALE
+    quad = rng.normal(size=(dim, dim)) * POLY_SCALE
     quad = 0.5 * (quad + quad.T)
-    cub = rng.normal(size=(dim, dim, dim)) * (scale if degree >= 3 else 0.0)
-    c0 = rng.normal() * scale
+    cub = rng.normal(size=(dim, dim, dim)) * (POLY_SCALE if degree >= 3 else 0.0)
+    c0 = rng.normal() * POLY_SCALE
 
     def fn(x):
         out = J.Jet.constant(c0, dim, x[0].order)
@@ -124,9 +126,9 @@ def random_polynomial_field(dim: int, seed: int, degree: int = 3,
     return ExprField(dim, fn, name=f"poly(seed={seed}, deg={degree})")
 
 
-def random_quadratic_field(dim: int, seed: int, scale: float = 0.5) -> ScalarField:
+def random_quadratic_field(dim: int, seed: int) -> ScalarField:
     """Seeded random quadratic: a flat-chart solution of f_{,ijk} = 0."""
-    return random_polynomial_field(dim, seed, degree=2, scale=scale)
+    return random_polynomial_field(dim, seed, degree=2)
 
 
 def sample_points(chart: KahlerChart, count: int, seed: int,
@@ -210,7 +212,8 @@ def integrate_geodesic(chart: KahlerChart, x0, v0, T: float,
 
     if steps < 16:
         raise ValueError("steps must be >= 16")
-    x0 = chart.require_inside(x0)
+    P, _ = chart.batch(x0)          # validated and inside the domain
+    x0 = P[0]
     v0 = np.asarray(v0, dtype=float)
     q0 = chart.inner(x0, v0, v0)
     if abs(q0) < LIGHTLIKE_TOL:

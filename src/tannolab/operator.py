@@ -32,6 +32,16 @@ from .errors import (DimensionMismatch, IllConditioned, NonConvergence,
 from .fields import ConstField, LinearComboField, ScalarField
 from .tanno import TannoProblem
 
+#: Idempotency bound of a projector's extended operator, per point.
+PROJECTOR_TOL = 1e-7
+
+#: Bound on the closure conditions of :func:`product_block_check`.
+BLOCK_TOL = 1e-8
+
+#: Eigenvalue tolerance of the projector analysis: clusters and eigenspaces
+#: of a^i_j, and how close mu must be to 1 or 0 to count as extremal.
+EIGEN_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Star product calculus
@@ -149,7 +159,6 @@ class ExtendedMatrix:
     one matrix per point (leading point axis) over a batch."""
 
     entries: np.ndarray
-    base_point: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -188,7 +197,7 @@ def operator_parts(prob: TannoProblem, p) -> OperatorParts:
     constant solution f = -1/2 yields the identity operator bitwise.
     """
     P, single = prob.chart.batch(p)
-    parts = _operator_parts(prob, P)
+    parts = _operator_parts(prob.f.jets(P, 2), prob.chart.at(P, 1))
     if single:
         return OperatorParts(float(parts.mu[0]), parts.grad[0],
                              parts.grad_bar[0], parts.grad_up[0],
@@ -196,17 +205,16 @@ def operator_parts(prob: TannoProblem, p) -> OperatorParts:
     return parts
 
 
-def _operator_parts(prob: TannoProblem, P: np.ndarray,
-                    geo: ChartJets | None = None) -> OperatorParts:
-    chart = prob.chart
-    if geo is None:
-        geo = chart.at(P, 1)
-    f0, f1, H = scalar_covariant_jets(chart, prob.f, P, 2, geo=geo)
+def _operator_parts(fj, geo: ChartJets) -> OperatorParts:
+    """Batched parts from f jets through order 2 and the chart through
+    metric order 1 at the same points."""
+    f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
     g0 = geo.g0
     fb = np.einsum("zai,za->zi", geo.J0, f1)
     fu = _solve_vec(g0, f1)
     fbu = _solve_vec(g0, fb)
-    ahat = np.linalg.solve(g0, -H) - (2.0 * f0)[:, None, None] * np.eye(chart.dim)
+    ahat = (np.linalg.solve(g0, -H)
+            - (2.0 * f0)[:, None, None] * np.eye(g0.shape[-1]))
     return OperatorParts(-2.0 * f0, f1, fb, fu, fbu, ahat)
 
 
@@ -226,8 +234,8 @@ def _extended_from_parts(parts: OperatorParts) -> np.ndarray:
 def assemble_L(prob: TannoProblem, p) -> ExtendedMatrix:
     """Extended operator of the bundle built from prob.f (c = 1 convention)."""
     P, single = prob.chart.batch(p)
-    L = _extended_from_parts(_operator_parts(prob, P))
-    return ExtendedMatrix(unbatch(L, single), unbatch(P, single))
+    parts = _operator_parts(prob.f.jets(P, 2), prob.chart.at(P, 1))
+    return ExtendedMatrix(unbatch(_extended_from_parts(parts), single))
 
 
 @dataclass
@@ -243,19 +251,22 @@ class ProductBlockReport:
     op_eq_orthogonality: float  # |f^k Fbar_k|
     op_eq_holds: bool
     shape_residual: float | None   # vs the standard operator shape, if op_eq holds
-    tol: float
 
 
-def product_block_check(prob: TannoProblem, other: TannoProblem, p,
-                        tol: float = 1e-8) -> ProductBlockReport:
-    """Check the algebraic product formula and the closure conditions at p."""
+def product_block_check(prob: TannoProblem, other: TannoProblem, p
+                        ) -> ProductBlockReport:
+    """Check the algebraic product formula and the closure conditions at p.
+
+    The closure conditions hold where both are below :data:`BLOCK_TOL`.
+    """
     if prob.chart.dim != other.chart.dim:
         raise DimensionMismatch("problems live on charts of different dimension")
     chart = prob.chart
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
-    lo = _operator_parts(prob, P, geo)
-    hi = _operator_parts(other, P, geo if other.chart is chart else None)
+    lo = _operator_parts(prob.f.jets(P, 2), geo)
+    hi = _operator_parts(other.f.jets(P, 2),
+                         geo if other.chart is chart else other.chart.at(P, 1))
     d = chart.dim
     n = len(P)
 
@@ -294,7 +305,7 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p,
              - hi.mu[:, None] * lo.grad - vec_mat(hi.grad, lo.ahat))
     op_eq_linear = frob_rows(cond1)
     op_eq_orth = np.abs(dot(lo.grad_up, hi.grad_bar))
-    holds = (op_eq_linear < tol) & (op_eq_orth < tol)
+    holds = (op_eq_linear < BLOCK_TOL) & (op_eq_orth < BLOCK_TOL)
 
     g0 = geo.g0
     mu_t = lo.mu * hi.mu + fF
@@ -314,9 +325,9 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p,
     if single:
         return ProductBlockReport(
             float(block_residual[0]), float(op_eq_linear[0]), float(op_eq_orth[0]),
-            bool(holds[0]), float(shape_residual[0]) if holds[0] else None, tol)
+            bool(holds[0]), float(shape_residual[0]) if holds[0] else None)
     return ProductBlockReport(block_residual, op_eq_linear, op_eq_orth, holds,
-                              shape_residual, tol)
+                              shape_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +418,18 @@ def minimal_polynomial(m: ExtendedMatrix | np.ndarray,
     return P
 
 
-def projector_from_solution(prob: TannoProblem, sample_points,
-                            tol: float = 1e-7) -> tuple[PolynomialReal, ScalarField]:
+def projector_from_solution(prob: TannoProblem, sample_points
+                            ) -> tuple[PolynomialReal, ScalarField]:
     """Lagrange polynomial sending the top real cluster to 1, rest to 0.
 
     Returns (P, P*(f)); the resulting operator is verified to be a
-    non-trivial projector at every sample point.
+    non-trivial projector at every sample point, to :data:`PROJECTOR_TOL`.
     """
-    P, f_proj, _ = _projector_with_operator(prob, sample_points, tol)
+    P, f_proj, _ = _projector_with_operator(prob, sample_points)
     return P, f_proj
 
 
-def _projector_with_operator(prob: TannoProblem, sample_points,
-                             tol: float = 1e-7):
+def _projector_with_operator(prob: TannoProblem, sample_points):
     """(P, P*(f), L) of :func:`projector_from_solution`, where L holds the
     (N, d+2, d+2) entries of L(P*(f)) it verified at the sample points."""
     pts, _ = prob.chart.batch(sample_points)
@@ -442,12 +452,12 @@ def _projector_with_operator(prob: TannoProblem, sample_points,
     d = prob.chart.dim
     Ls = assemble_L(check, pts).entries
     residuals = frob_rows(Ls @ Ls - Ls)
-    bad = np.flatnonzero(~(residuals < tol))
+    bad = np.flatnonzero(~(residuals < PROJECTOR_TOL))
     if bad.size:
         k = int(bad[0])
         raise NotProjector(f"idempotency residual {residuals[k]:.3g} at {pts[k]}")
     L1 = Ls[0]
-    if frob(L1) < tol or frob(L1 - np.eye(d + 2)) < tol:
+    if frob(L1) < PROJECTOR_TOL or frob(L1 - np.eye(d + 2)) < PROJECTOR_TOL:
         raise NoRealSplit("projector is trivial (0 or identity)")
     return P, f_proj, Ls
 
@@ -473,30 +483,28 @@ class EigenstructureReport:
         return {v: m for v, m in table.items() if m > 0}
 
 
-def eigenstructure_at(prob: TannoProblem, p, tol: float = 1e-6,
-                      projector_tol: float = 1e-7):
+def eigenstructure_at(prob: TannoProblem, p):
     """Classify the a^i_j eigenstructure at p for a projector solution.
 
     Returns one report for a single point, a list of reports for a batch.
     """
-    chart = prob.chart
-    P, single = chart.batch(p)
-    parts = _operator_parts(prob, P)
+    P, single = prob.chart.batch(p)
+    parts = _operator_parts(prob.f.jets(P, 2), prob.chart.at(P, 1))
     Ls = _extended_from_parts(parts)
     idem = frob_rows(Ls @ Ls - Ls)
     scale = np.maximum(1.0, frob_rows(Ls))
-    if np.any(~(idem < projector_tol * scale)):
+    if np.any(~(idem < PROJECTOR_TOL * scale)):
         raise NotProjector("extended operator is not idempotent at p")
     reports = []
     for L, mu, ahat in zip(Ls, parts.mu, parts.ahat):
         mu = float(mu)
-        clusters = spectrum(ahat, cluster_tol=tol).clusters
-        m1 = sum(m for v, m in spectrum(L, cluster_tol=tol).clusters
-                 if abs(v - 1.0) <= 10 * tol)
+        clusters = spectrum(ahat, cluster_tol=EIGEN_TOL).clusters
+        m1 = sum(m for v, m in spectrum(L, cluster_tol=EIGEN_TOL).clusters
+                 if abs(v - 1.0) <= 10 * EIGEN_TOL)
         k = (m1 - 2) // 2
-        if abs(mu - 1.0) <= 10 * tol:
+        if abs(mu - 1.0) <= 10 * EIGEN_TOL:
             cls = "mu_max"
-        elif abs(mu) <= 10 * tol:
+        elif abs(mu) <= 10 * EIGEN_TOL:
             cls = "mu_min"
         else:
             cls = "interior"

@@ -15,9 +15,10 @@ from scipy import optimize
 from .calculus import frob, scalar_covariant_jets
 from .charts import KahlerChart, checked_inverse
 from .errors import DegenerateBasis, NoExtremalPoint
-from .operator import operator_parts
+from .operator import EIGEN_TOL, _operator_parts
 from .tanno import TannoProblem
 
+#: |grad mu| below which a refined point counts as a critical point of mu.
 GRAD_THRESHOLD = 1e-6
 
 #: Value spread and gradient norm below which a solution counts as constant.
@@ -126,8 +127,7 @@ def _refine_extremum(chart: KahlerChart, mu_field, x0) -> np.ndarray:
     return res.x
 
 
-def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
-                    grad_threshold: float = GRAD_THRESHOLD) -> SignatureReport:
+def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     """Inertia scan plus eigenspace restrictions at located mu-extrema.
 
     ``prob.f`` should be a projector solution (c = 1).  Constant solutions
@@ -143,8 +143,8 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
     per_point = list(zip(pts, inertias))
     n_pos, n_neg, verdict = _verdict_from_inertias(inertias, chart.dim)
 
-    values = prob.f(P)
-    grads = [float(np.linalg.norm(g)) for g in prob.f.gradient(P)]
+    values, gradients = prob.f.jets(P, 1)
+    grads = [float(np.linalg.norm(g)) for g in gradients]
     spread = float(values.max() - values.min())
     if is_constant(spread, grads):
         return SignatureReport(
@@ -166,12 +166,12 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
     for x0 in starts:
         x_star = _refine_extremum(chart, mu_field, x0)
         gnorm = float(np.linalg.norm(mu_field.gradient(x_star)))
-        if gnorm < grad_threshold and chart.inside(x_star):
+        if gnorm < GRAD_THRESHOLD and chart.inside(x_star):
             if not any(np.linalg.norm(x_star - c) < 1e-6 for c, _ in candidates):
                 candidates.append((x_star, gnorm))
     if not candidates:
         raise NoExtremalPoint(
-            f"no point with |grad mu| < {grad_threshold:g} found "
+            f"no point with |grad mu| < {GRAD_THRESHOLD:g} found "
             "(chart may not contain the extremum)")
 
     findings = []
@@ -179,8 +179,11 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
     mu_lo, mu_hi = float(mu_vals.min()), float(mu_vals.max())
     X = np.array([x for x, _ in candidates])
     geo = chart.at(X, 1)
-    parts = operator_parts(prob, X)
-    _, _, mu_hess_all = scalar_covariant_jets(chart, mu_field, X, 2, geo=geo)
+    fj = prob.f.jets(X, 2)
+    parts = _operator_parts(fj, geo)
+    # mu = -2f: scaling f's jets by a power of two is exact.
+    mu_jets = [-2.0 * t for t in fj]
+    mu_hess_all = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
     for k, (x_star, gnorm) in enumerate(candidates):
         mu_star = float(parts.mu[k])
         kind = "mu_max" if mu_star >= 0.5 * (mu_lo + mu_hi) else "mu_min"
@@ -190,7 +193,7 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
         hess_eigs = list(np.linalg.eigvalsh(0.5 * (mu_hess + mu_hess.T)))
         finding = ExtremalFinding(x_star, mu_star, kind, gnorm, hess_eigs)
         if kind == "mu_max":
-            basis = _eigenspace(ahat, 0.0, tol)
+            basis = _eigenspace(ahat, 0.0, EIGEN_TOL)
             if basis:
                 g_rest = restrict_form(g0, basis)
                 h_rest = restrict_form(mu_hess, basis)
@@ -198,7 +201,7 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
                 finding.identity_residual = frob(h_rest + 2.0 * g_rest)
             witnessed.add("mu_max")
         else:
-            basis = _eigenspace(ahat, 1.0, tol)
+            basis = _eigenspace(ahat, 1.0, EIGEN_TOL)
             if basis:
                 g_rest = restrict_form(g0, basis)
                 h_rest = restrict_form(mu_hess, basis)
@@ -210,9 +213,9 @@ def positivity_scan(prob: TannoProblem, samples, tol: float = 1e-6,
     # Which of the three eigenstructure cases did the samples visit?
     for q, mv in zip(pts, mu_vals):
         mu_q = float(mv)
-        if abs(mu_q - 1.0) <= 10 * tol:
+        if abs(mu_q - 1.0) <= 10 * EIGEN_TOL:
             witnessed.add("mu_max")
-        elif abs(mu_q) <= 10 * tol:
+        elif abs(mu_q) <= 10 * EIGEN_TOL:
             witnessed.add("mu_min")
         else:
             witnessed.add("interior")

@@ -29,6 +29,10 @@ from .errors import NotLightlike, StepTooLarge
 from .fields import MatrixField, ScalarField
 from .manifolds import GeodesicPath
 
+#: Longest classical RK4 step of :func:`transport_bundle`, in chart
+#: coordinates.
+MAX_STEP = 0.02
+
 
 @dataclass(frozen=True)
 class TannoProblem:
@@ -74,25 +78,26 @@ def f_from_mu(mu):
     return -0.5 * mu
 
 
-def bundle_from_f(prob: TannoProblem, p, geo: ChartJets | None = None
-                  ) -> SolutionBundle:
+def bundle_from_f(prob: TannoProblem, p) -> SolutionBundle:
     """(a, f_i, mu) built from the field; meant for c = 1 problems.
 
     For a batch of points each entry carries a leading point axis.
     """
-    chart = prob.chart
-    P, single = chart.batch(p)
-    if geo is None:
-        geo = chart.at(P, 1)
-    f0, f1, H = scalar_covariant_jets(chart, prob.f, P, 2, geo=geo)
-    a = -H - (2.0 * f0)[:, None, None] * geo.g0
-    mu = -2.0 * f0
+    P, single = prob.chart.batch(p)
+    b = _bundle(prob.f.jets(P, 2), prob.chart.at(P, 1))
     if single:
-        return SolutionBundle(a[0], f1[0], float(mu[0]))
-    return SolutionBundle(a, f1, mu)
+        return SolutionBundle(b.a[0], b.grad[0], float(b.mu[0]))
+    return b
 
 
-def _a_jets(prob: TannoProblem, geo: ChartJets, fj, order: int):
+def _bundle(fj, geo: ChartJets) -> SolutionBundle:
+    """Batched bundle from f jets through order 2 and the chart through
+    metric order 1 at the same points."""
+    f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
+    return SolutionBundle(-H - (2.0 * f0)[:, None, None] * geo.g0, f1, -2.0 * f0)
+
+
+def _a_jets(geo: ChartJets, fj, order: int):
     """Batched jets of a_ij = -f_{,ij} - 2 f g_ij through ``order``, from
     f jets through order + 2 and the chart through metric order + 1."""
     gj = geo.g[:order + 1]
@@ -117,7 +122,7 @@ class BundleAField(MatrixField):
 
     def _jets(self, P, order):
         geo = self.prob.chart.at(P, order + 1)
-        return _a_jets(self.prob, geo, self.prob.f.jets(P, order + 2), order)
+        return _a_jets(geo, self.prob.f.jets(P, order + 2), order)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +134,18 @@ def _jstruct_terms(f1, g0, Jm):
     return np.einsum("zai,za->zi", Jm, f1), g0 @ Jm
 
 
+def _third_jets(prob: TannoProblem, P: np.ndarray):
+    """(geo, f_{,i}, f_{,ijk}) over a batch: the chart through metric
+    order 2 and the field through order 3, each evaluated once."""
+    geo = prob.chart.at(P, 2)
+    _, f1, _, T3 = scalar_covariant_jets(prob.f.jets(P, 3), geo.gamma(1), 3)
+    return geo, f1, T3
+
+
 def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     """Left side of the c-equation as a rank-3 array, [i, j, k]."""
-    chart = prob.chart
-    P, single = chart.batch(p)
-    geo = chart.at(P, 2)
-    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, P, 3, geo=geo)
+    P, single = prob.chart.batch(p)
+    geo, f1, T3 = _third_jets(prob, P)
     g0 = geo.g0
     fb, Jf = _jstruct_terms(f1, g0, geo.J0)
     c = prob.c
@@ -149,10 +160,8 @@ def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
 
 def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     """Same operator without the complex-structure terms."""
-    chart = prob.chart
-    P, single = chart.batch(p)
-    geo = chart.at(P, 2)
-    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, P, 3, geo=geo)
+    P, single = prob.chart.batch(p)
+    geo, f1, T3 = _third_jets(prob, P)
     g0 = geo.g0
     c = prob.c
     res = (T3
@@ -164,12 +173,10 @@ def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
 
 def laplace_identity_residual(prob: TannoProblem, p):
     """|(Delta f)_{,k} + 4c(n+1) f_{,k}|; the contracted equation."""
-    chart = prob.chart
-    P, single = chart.batch(p)
-    geo = chart.at(P, 2)
-    _, f1, _, T3 = scalar_covariant_jets(chart, prob.f, P, 3, geo=geo)
+    P, single = prob.chart.batch(p)
+    geo, f1, T3 = _third_jets(prob, P)
     dlap = np.einsum("zij,zijk->zk", geo.ginv(0)[0], T3)
-    n = chart.n
+    n = prob.chart.n
     res = frob_rows(dlap + 4.0 * prob.c * (n + 1) * f1)
     return float(res[0]) if single else res
 
@@ -180,15 +187,14 @@ def system_residual(prob: TannoProblem, p):
     Returns (|a_{ij,k} - rhs|, |f_{i,j} - (mu g - a)|, |mu_{,i} + 2 f_i|),
     three floats, or three per-point arrays for a batch.
     """
-    chart = prob.chart
-    P, single = chart.batch(p)
-    geo = chart.at(P, 2)
+    P, single = prob.chart.batch(p)
+    geo = prob.chart.at(P, 2)
     fj = prob.f.jets(P, 3)
-    f0, f1, H = scalar_covariant_jets(chart, prob.f, P, 2, geo=geo)
+    f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
     g0 = geo.g0
     fb, Jf = _jstruct_terms(f1, g0, geo.J0)
 
-    adk = covariant_d_cotensor2(_a_jets(prob, geo, fj, 1), geo.gamma(0)[0])
+    adk = covariant_d_cotensor2(_a_jets(geo, fj, 1), geo.gamma(0)[0])
     rhs1 = (np.einsum("zi,zjk->zijk", f1, g0) + np.einsum("zj,zik->zijk", f1, g0)
             - np.einsum("zi,zjk->zijk", fb, Jf) - np.einsum("zj,zik->zijk", fb, Jf))
     r1 = frob_rows(adk - rhs1)
@@ -206,12 +212,10 @@ def system_residual(prob: TannoProblem, p):
 
 def trace_identity_residual(prob: TannoProblem, p):
     """|f_i - 1/4 (a^al_al)_{,i}| (the contracted first equation)."""
-    chart = prob.chart
-    P, single = chart.batch(p)
-    geo = chart.at(P, 2)
+    P, single = prob.chart.batch(p)
+    geo = prob.chart.at(P, 2)
     fj = prob.f.jets(P, 3)
-    ginv = geo.ginv(1)
-    tr = J.tconv(ginv, _a_jets(prob, geo, fj, 1), "ab,ab->", 1)
+    tr = J.tconv(geo.ginv(1), _a_jets(geo, fj, 1), "ab,ab->", 1)
     res = frob_rows(fj[1] - 0.25 * tr[1])
     return float(res[0]) if single else res
 
@@ -222,12 +226,13 @@ def mu_hessian_residual(prob: TannoProblem, p):
     An algebraic identity of the bundle construction; kept as a cross-path
     consistency check between the field-Hessian route and bundle assembly.
     """
-    chart = prob.chart
-    P, single = chart.batch(p)
-    geo = chart.at(P, 1)
-    mu_field = -2.0 * prob.f
-    _, _, mu_hess = scalar_covariant_jets(chart, mu_field, P, 2, geo=geo)
-    b = bundle_from_f(prob, P, geo)
+    P, single = prob.chart.batch(p)
+    geo = prob.chart.at(P, 1)
+    fj = prob.f.jets(P, 2)
+    # mu = -2f: scaling f's jets by a power of two is exact.
+    mu_jets = [-2.0 * t for t in fj]
+    mu_hess = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
+    b = _bundle(fj, geo)
     res = frob_rows(mu_hess - 2.0 * b.a + 2.0 * b.mu[:, None, None] * geo.g0)
     return float(res[0]) if single else res
 
@@ -270,14 +275,14 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     return A
 
 
-def transport_bundle(chart: KahlerChart, path, init: SolutionBundle,
-                     max_step: float = 0.02) -> SolutionBundle:
+def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
+                     ) -> SolutionBundle:
     """Integrate the first-order system along a polyline of chart points.
 
     The system is linear, dy/dt = A(x, xdot) y, in the state
     y = (a.ravel(), f, mu) of length d^2 + d + 1.  The polyline is
-    densified so each classical RK4 step is at most ``max_step``; segments
-    longer than a quarter of the domain radius are rejected.
+    densified so each classical RK4 step is at most :data:`MAX_STEP`;
+    segments longer than a quarter of the domain radius are rejected.
     """
     pts = [np.asarray(q, dtype=float) for q in path]
     if len(pts) < 2:
@@ -293,20 +298,21 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle,
                 f"segment length {seglen:.3g} exceeds bound {bound:.3g}")
         if seglen == 0.0:
             continue
-        nsub = max(1, int(np.ceil(seglen / max_step)))
+        nsub = max(1, int(np.ceil(seglen / MAX_STEP)))
         dt = 1.0 / nsub
         # The segment, parametrized on [0, 1], is known in advance, so the
         # chart and A are evaluated at every RK4 stage point of it in one
-        # batch: step k uses the points at k*dt, k*dt + dt/2 (stages 2 and
-        # 3) and k*dt + dt.
-        taus = [(k * dt, k * dt + dt / 2, k * dt + dt) for k in range(nsub)]
-        geo = chart.at(q0 + np.array(taus).reshape(-1, 1) * seg, 1)
+        # batch, on the grid of half steps: step k uses entries 2k (its
+        # start), 2k + 1 (stages 2 and 3) and 2k + 2 (its end, which is the
+        # next step's start).
+        taus = np.linspace(0.0, 1.0, 2 * nsub + 1)
+        geo = chart.at(q0 + taus[:, None] * seg, 1)
         A = _transport_matrices(geo.g0, geo.J0, geo.gamma(0)[0], seg)
         for k in range(nsub):
-            k1 = A[3 * k] @ y
-            k2 = A[3 * k + 1] @ (y + dt / 2 * k1)
-            k3 = A[3 * k + 1] @ (y + dt / 2 * k2)
-            k4 = A[3 * k + 2] @ (y + dt * k3)
+            k1 = A[2 * k] @ y
+            k2 = A[2 * k + 1] @ (y + dt / 2 * k1)
+            k3 = A[2 * k + 1] @ (y + dt / 2 * k2)
+            k4 = A[2 * k + 2] @ (y + dt * k3)
             y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
 

@@ -61,6 +61,18 @@ class SuiteConfig:
     checks: list[str] = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigError("config field 'samples' must be >= 1")
+        for name in self.checks:
+            if name not in REGISTRY:
+                raise ConfigError(f"checks names unknown check {name!r}")
+        for name, tol in self.tolerances.items():
+            if name not in REGISTRY:
+                raise ConfigError(f"tolerances names unknown check {name!r}")
+            if not float(tol) > 0:     # also rejects NaN
+                raise ConfigError(f"tolerances.{name} must be positive")
+
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
         known = {"chart", "solution", "c", "seed", "samples", "radius",
@@ -70,7 +82,7 @@ class SuiteConfig:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         if "chart" not in data:
             raise ConfigError("config field 'chart' is required")
-        cfg = cls(
+        return cls(
             chart=dict(data["chart"]),
             solution=str(data.get("solution", "constant:-0.5")),
             c=float(data.get("c", 1.0)),
@@ -81,12 +93,6 @@ class SuiteConfig:
             checks=list(data.get("checks", [])),
             tolerances=dict(data.get("tolerances", {})),
         )
-        if cfg.samples < 1:
-            raise ConfigError("config field 'samples' must be >= 1")
-        for name, tol in cfg.tolerances.items():
-            if float(tol) <= 0:
-                raise ConfigError(f"tolerances.{name} must be positive")
-        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -420,8 +426,8 @@ def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
 
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    values = prob.f(ctx.P)
-    grads = [float(np.linalg.norm(g)) for g in prob.f.gradient(ctx.P)]
+    values, gradients = prob.f.jets(ctx.P, 1)
+    grads = [float(np.linalg.norm(g)) for g in gradients]
     if is_constant(float(values.max() - values.min()), grads):
         report = positivity_scan(prob, ctx.P)
         ok = "hypothesis not met" in report.note
@@ -605,8 +611,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     names = config.checks or DEFAULT_CHECKS
     records = []
     for name in names:
-        if name not in REGISTRY:
-            raise ConfigError(f"checks names unknown check {name!r}")
         spec = REGISTRY[name]
         tol = float(config.tolerances.get(name, spec.tolerance))
         t0 = time.perf_counter()

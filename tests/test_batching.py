@@ -2,7 +2,10 @@
 
 Every layer takes points of shape (d,) or (N, d) through one code path, so
 evaluating a batch must reproduce, exactly, what evaluating its points one
-at a time gives.
+at a time gives.  Likewise a function evaluates a field or chart once per
+batch at the highest order it needs and hands the lower terms to
+lower-order consumers, so jets through order k must be exactly the first
+k + 1 terms of jets through order k + 1.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 integrate_geodesic,
                                 random_polynomial_field,
                                 random_quadratic_field)
-from tannolab.operator import assemble_L
+from tannolab.operator import assemble_L, star_power
 from tannolab.tanno import (TannoProblem, lightlike_third_derivative,
                             tanno_residual)
 
@@ -85,6 +88,23 @@ def test_tanno_residual_and_extended_operator(case):
     unit = prob.rescaled()
     _assert_stacked([assemble_L(unit, P).entries],
                     [[assemble_L(unit, p).entries] for p in P])
+
+
+@PROPERTY
+@given(batches(), st.integers(0, 2))
+def test_lower_order_jets_are_a_prefix(case, k):
+    chart, field, P = case
+    fields = [field, random_polynomial_field(chart.dim, seed=9),
+              star_power(chart, field, 2)]
+    evaluations = [lambda order, f=f: f.jets(P, order) for f in fields] + [
+        lambda order: chart.metric_jets(P, order),
+        lambda order: chart.metric_inv_jets(P, order),
+        lambda order: chart.christoffel_jets(P, order)]
+    for evaluate in evaluations:
+        lower, higher = evaluate(k), evaluate(k + 1)
+        assert len(lower) == k + 1 and len(higher) == k + 2
+        for m, (a, b) in enumerate(zip(lower, higher)):
+            assert np.array_equal(a, b), f"term {m} differs"
 
 
 def test_path_checks_independent_of_chunk_size(monkeypatch):

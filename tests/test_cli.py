@@ -64,9 +64,22 @@ class TestConfig:
                                    "tolerances": {"eq1.residual": -1.0}})
 
     def test_unknown_check_name(self):
-        cfg = fast_config(checks=["definitely.not.a.check"])
         with pytest.raises(ConfigError, match="unknown check"):
-            run_suite(cfg)
+            run_suite(fast_config(checks=["definitely.not.a.check"]))
+
+    def test_unknown_check_rejected_with_config(self):
+        # Rejected when the config is read, not after earlier checks ran.
+        with pytest.raises(ConfigError, match="checks"):
+            fast_config(checks=["kahler.residuals", "definitely.not.a.check"])
+
+    def test_misspelled_tolerance_key_rejected(self):
+        # A typo must not silently run the check at its default tolerance.
+        with pytest.raises(ConfigError, match="tolerances"):
+            fast_config(tolerances={"eq1.residul": 1e-30})
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ConfigError, match="tolerances.eq1.residual"):
+            fast_config(tolerances={"eq1.residual": float("nan")})
 
     def test_constant_solution_parsing(self, flat11):
         f = build_solution("constant:-0.5", flat11)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import points_on
 from tannolab.calculus import frob, kahler_residuals
-from tannolab.charts import KahlerChart, as_point, standard_complex_structure
+from tannolab.charts import KahlerChart, as_points, standard_complex_structure
 from tannolab.errors import SingularMetric
 from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart, random_polynomial_field,
@@ -120,9 +120,9 @@ def test_christoffel_finite_far_out_on_large_cp2_patch():
 
 def test_point_validation():
     with pytest.raises(ValueError):
-        as_point([1.0, 2.0, 3.0], dim=2)
+        as_points([1.0, 2.0, 3.0], dim=2)
     with pytest.raises(ValueError):
-        as_point([np.nan, 0.0], dim=2)
+        as_points([np.nan, 0.0], dim=2)
 
 
 def test_chart_requires_even_dimension():
