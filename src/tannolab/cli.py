@@ -38,7 +38,9 @@ def _apply_override(data: dict, assignment: str):
     except json.JSONDecodeError:
         value = raw
     node = data
-    parts = key.split(".")
+    # Check names contain dots: under "tolerances" the rest is one name.
+    head, _, rest = key.partition(".")
+    parts = [head, rest] if head == "tolerances" and rest else key.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -103,27 +104,53 @@ def sphere_second_eigenfunction() -> ScalarField:
     return ExprField(2, fn, name="S^2 second eigenfunction")
 
 
+class CubicField(ScalarField):
+    """c0 + lin_i x^i + quad_ij x^i x^j + cub_ijk x^i x^j x^k.
+
+    quad and cub are symmetrized once, to Q and C.  Then the jets are in
+    closed form: gradient lin + 2Qx + 3C(x, x), Hessian 2Q + 6C(x), third
+    derivative 6C, zero above.  Each contraction is a broadcast product
+    summed over the last coordinate axis, so a point gives the same bits
+    alone as in any batch.
+    """
+
+    def __init__(self, c0: float, lin, quad, cub, name: str = "cubic"):
+        super().__init__(len(lin))
+        quad = np.asarray(quad, dtype=float)
+        cub = np.asarray(cub, dtype=float)
+        self.c0 = float(c0)
+        self.lin = np.asarray(lin, dtype=float)
+        self.quad = 0.5 * (quad + quad.T)
+        self.cub = sum(cub.transpose(perm)
+                       for perm in itertools.permutations(range(3))) / 6.0
+        self.name = name
+
+    def _jets(self, P, order):
+        n, d = P.shape
+        Cx = (self.cub * P[:, None, None, :]).sum(-1)
+        Cxx = (Cx * P[:, None, :]).sum(-1)
+        Qx = (self.quad * P[:, None, :]).sum(-1)
+        value = (self.c0 + (self.lin * P).sum(-1) + (Qx * P).sum(-1)
+                 + (Cxx * P).sum(-1))
+        terms = [value, self.lin + 2.0 * Qx + 3.0 * Cxx,
+                 2.0 * self.quad + 6.0 * Cx,
+                 np.repeat(6.0 * self.cub[None], n, axis=0)]
+        return terms[:order + 1] + [np.zeros((n,) + (d,) * m)
+                                    for m in range(4, order + 1)]
+
+    def __repr__(self):
+        return f"CubicField({self.name}, dim={self.dim})"
+
+
 def random_polynomial_field(dim: int, seed: int, degree: int = 3) -> ScalarField:
-    """Seeded random polynomial; generic smooth test input."""
+    """Seeded random polynomial of degree 3 (or 2); generic smooth test input."""
     rng = np.random.default_rng(seed)
     lin = rng.normal(size=dim) * POLY_SCALE
     quad = rng.normal(size=(dim, dim)) * POLY_SCALE
-    quad = 0.5 * (quad + quad.T)
     cub = rng.normal(size=(dim, dim, dim)) * (POLY_SCALE if degree >= 3 else 0.0)
     c0 = rng.normal() * POLY_SCALE
-
-    def fn(x):
-        out = J.Jet.constant(c0, dim, x[0].order)
-        for i in range(dim):
-            out = out + lin[i] * x[i]
-            for j in range(dim):
-                out = out + quad[i, j] * x[i] * x[j]
-                if degree >= 3:
-                    for k in range(dim):
-                        out = out + cub[i, j, k] * (x[i] * x[j] * x[k])
-        return out
-
-    return ExprField(dim, fn, name=f"poly(seed={seed}, deg={degree})")
+    return CubicField(c0, lin, quad, cub,
+                      name=f"poly(seed={seed}, deg={degree})")
 
 
 def random_quadratic_field(dim: int, seed: int) -> ScalarField:
@@ -207,7 +234,9 @@ def integrate_geodesic(chart: KahlerChart, x0, v0, T: float,
     is retried.  If the path leaves the chart domain it ends there and is
     flagged.
     """
-    # Imported here: scipy.integrate adds ~0.09 s to `import tannolab`.
+    # Imported on first use.  scipy.integrate imports scipy.optimize: it
+    # takes ~0.04 s once scipy.optimize is loaded, ~0.5 s and ~50 MB of RSS
+    # otherwise.
     from scipy.integrate import solve_ivp
 
     if steps < 16:

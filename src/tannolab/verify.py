@@ -50,6 +50,15 @@ class SkipCheck(Exception):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _number(name: str, value, kind):
+    """kind(value), or ConfigError naming the config field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {name!r} must be a number, "
+                          f"got {value!r}") from None
+
+
 @dataclass
 class SuiteConfig:
     chart: dict
@@ -70,7 +79,8 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if name not in REGISTRY:
                 raise ConfigError(f"tolerances names unknown check {name!r}")
-            if not float(tol) > 0:     # also rejects NaN
+            tol = _number(f"tolerances.{name}", tol, float)
+            if not tol > 0:     # also rejects NaN
                 raise ConfigError(f"tolerances.{name} must be positive")
 
     @classmethod
@@ -85,11 +95,11 @@ class SuiteConfig:
         return cls(
             chart=dict(data["chart"]),
             solution=str(data.get("solution", "constant:-0.5")),
-            c=float(data.get("c", 1.0)),
-            seed=int(data.get("seed", 7)),
-            samples=int(data.get("samples", 25)),
+            c=_number("c", data.get("c", 1.0), float),
+            seed=_number("seed", data.get("seed", 7), int),
+            samples=_number("samples", data.get("samples", 25), int),
             radius=(None if data.get("radius") is None
-                    else float(data["radius"])),
+                    else _number("radius", data["radius"], float)),
             checks=list(data.get("checks", [])),
             tolerances=dict(data.get("tolerances", {})),
         )
@@ -450,21 +460,17 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
 def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:
     chart, f = ctx.chart, ctx.f
     pts = ctx.P[:3]
-    # Exact derivatives for all points in one batch; the finite-difference
-    # oracle stays per point.
+    # Exact derivatives for all points in one batch; each oracle call
+    # evaluates its whole stencil around one point in one batch.
     exact1 = nabla_scalar(chart, f, pts, 1).components
     fj = f.jets(pts, 3)
     exactG = christoffel(chart, pts).components
     worst = 0.0
     for k, q in enumerate(pts):
-        approx1 = fd.fd_gradient(lambda x: f(x), q)
-        worst = max(worst, _rel_err(exact1[k], approx1))
-        approx2 = fd.fd_hessian(lambda x: f(x), q)
-        worst = max(worst, _rel_err(fj[2][k], approx2))
-        approx3 = fd.fd_third(lambda x: f(x), q)
-        worst = max(worst, _rel_err(fj[3][k], approx3))
-        approxG = fd.christoffel_fd(chart, q)
-        worst = max(worst, _rel_err(exactG[k], approxG))
+        worst = max(worst, _rel_err(exact1[k], fd.fd_gradient(f, q)))
+        worst = max(worst, _rel_err(fj[2][k], fd.fd_hessian(f, q)))
+        worst = max(worst, _rel_err(fj[3][k], fd.fd_third(f, q)))
+        worst = max(worst, _rel_err(exactG[k], fd.christoffel_fd(chart, q)))
     return CheckOutcome(worst, len(pts))
 
 def _rel_err(exact, approx) -> float:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ class TestConfig:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tolerances.eq1.residual"):
             fast_config(tolerances={"eq1.residual": float("nan")})
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("samples", "many", "samples"),
+        ("c", "abc", "c"),
+        ("seed", "seven", "seed"),
+        ("radius", "wide", "radius"),
+        ("tolerances", {"eq1.residual": "x"}, "tolerances.eq1.residual"),
+    ])
+    def test_non_numeric_value_rejected(self, field, value, name):
+        with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
+            fast_config(**{field: value})
 
     def test_constant_solution_parsing(self, flat11):
         f = build_solution("constant:-0.5", flat11)
@@ -227,6 +239,16 @@ class TestCli:
         rc = main(["verify", "--set", 'chart={"name":"nope"}'])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_numeric_override_exits_two(self, capsys):
+        assert main(["verify", "--set", "samples=many"]) == 2
+        assert "'samples' must be a number" in capsys.readouterr().err
+
+    def test_set_tolerance_of_dotted_check(self, capsys):
+        rc = main(["verify", "--set", "tolerances.eq1.residual=1e-30"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL  eq1.residual ") for line in lines)
 
     def test_list_checks(self, capsys):
         assert main(["verify", "--list-checks"]) == 0

@@ -14,9 +14,9 @@ def _field(x):
 
 
 def _field_value(q):
-    u = 1 + q[0] * q[0] + q[1] * q[2] + 0.3 * q[2]
-    return (2 * np.log(u) + np.sin(q[0] * q[1]) / u
-            + np.sqrt(u) * np.exp(0.1 * q[2]) - q[1] ** 3 + u ** 0.7)
+    u = 1 + q[..., 0] * q[..., 0] + q[..., 1] * q[..., 2] + 0.3 * q[..., 2]
+    return (2 * np.log(u) + np.sin(q[..., 0] * q[..., 1]) / u
+            + np.sqrt(u) * np.exp(0.1 * q[..., 2]) - q[..., 1] ** 3 + u ** 0.7)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def test_reciprocal_and_division(sample_point):
         return 1.0 / (2 + x[0] * x[0])
 
     def val(q):
-        return 1.0 / (2 + q[0] * q[0])
+        return 1.0 / (2 + q[..., 0] * q[..., 0])
 
     T = J.eval_scalar_expr(fn, sample_point, 3)
     assert T[0] == pytest.approx(val(sample_point), rel=1e-15)
@@ -113,7 +113,7 @@ def test_tconv_respects_leibniz_on_scalars():
     prod = f * g
 
     def val(q):
-        return np.exp(q[0] * q[1]) * (1 + q[0] ** 2)
+        return np.exp(q[..., 0] * q[..., 1]) * (1 + q[..., 0] ** 2)
 
     assert np.max(np.abs(prod.terms[3] - fd_third(val, p))) < 1e-7
 

@@ -1,17 +1,25 @@
 """Model charts, eigenfunctions, sampling and the geodesic integrator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import points_on
+import tannolab
 from tannolab import fd
+from tannolab import jets as J
 from tannolab.calculus import kahler_residuals, laplacian
 from tannolab.errors import NotLightlike
 from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart, geodesic_residual,
                                 integrate_geodesic,
-                                random_lightlike_directions, sample_points,
+                                random_lightlike_directions,
+                                random_polynomial_field, sample_points,
                                 sphere_second_eigenfunction)
+from tannolab.fields import ExprField
 
 
 class TestFubiniStudy:
@@ -89,6 +97,52 @@ class TestHeightFunctions:
         f = sphere_second_eigenfunction()
         for p in points_on(fs1, 4, seed=4):
             assert laplacian(fs1, f, p) == pytest.approx(-6.0 * f(p), abs=1e-8)
+
+
+def _jet_arithmetic_polynomial(dim, seed, degree=3):
+    """The same seeded polynomial summed term by term in jet arithmetic."""
+    rng = np.random.default_rng(seed)
+    scale = 0.5
+    lin = rng.normal(size=dim) * scale
+    quad = rng.normal(size=(dim, dim)) * scale
+    quad = 0.5 * (quad + quad.T)
+    cub = rng.normal(size=(dim, dim, dim)) * (scale if degree >= 3 else 0.0)
+    c0 = rng.normal() * scale
+
+    def fn(x):
+        out = J.Jet.constant(c0, dim, x[0].order)
+        for i in range(dim):
+            out = out + lin[i] * x[i]
+            for j in range(dim):
+                out = out + quad[i, j] * x[i] * x[j]
+                if degree >= 3:
+                    for k in range(dim):
+                        out = out + cub[i, j, k] * (x[i] * x[j] * x[k])
+        return out
+
+    return ExprField(dim, fn)
+
+
+class TestPolynomialField:
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_closed_form_matches_jet_arithmetic(self, dim, degree):
+        new = random_polynomial_field(dim, seed=dim + degree, degree=degree)
+        old = _jet_arithmetic_polynomial(dim, seed=dim + degree, degree=degree)
+        P = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(5, dim))
+        new_jets, old_jets = new.jets(P, 4), old.jets(P, 4)
+        for m, (a, b) in enumerate(zip(new_jets, old_jets)):
+            if m >= 4 or (m == 3 and degree == 2):
+                assert not a.any(), f"order {m} is not exactly zero"
+            else:
+                assert np.abs(b).max() > 0
+                rel = np.abs(a - b).max() / np.abs(b).max()
+                assert rel <= 1e-13, f"order {m}: {rel:.2e}"
+
+    def test_higher_orders_are_zero(self):
+        jets = random_polynomial_field(4, seed=1).jets(np.full(4, 0.3), 6)
+        assert [t.shape for t in jets] == [(4,) * m for m in range(7)]
+        assert all(not t.any() for t in jets[4:])
 
 
 class TestSamplePoints:
@@ -179,6 +233,19 @@ class TestGeodesics:
     def test_min_steps_validated(self, flat11):
         with pytest.raises(ValueError):
             integrate_geodesic(flat11, np.zeros(4), np.ones(4), 1.0, steps=8)
+
+
+def test_import_does_not_load_the_ode_solver():
+    # integrate_geodesic imports solve_ivp on first use; scipy.integrate
+    # also imports scipy.optimize, ~0.5 s and ~50 MB when that is not loaded.
+    src = os.path.dirname(os.path.dirname(tannolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import tannolab, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestLightlikeDirections:
