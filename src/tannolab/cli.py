@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, TannoLabError
-from .operator import assemble_L, projector_from_solution, spectrum
+from .operator import _projector_with_operator, assemble_L, spectrum
 from .tanno import TannoProblem
 from .manifolds import sample_points
 from .verify import (REGISTRY, SuiteConfig, build_chart, build_solution,
@@ -111,13 +111,11 @@ def _cmd_spectrum(args) -> int:
 def _cmd_projector(args) -> int:
     config = _load_config(args)
     prob, pts = _context_from_config(config)
-    P, f_proj = projector_from_solution(prob, pts)
+    P, _, Ls = _projector_with_operator(prob, pts)
     print(f"P(t) = {P!r}")
-    batch = np.array(pts)
-    Ls = assemble_L(TannoProblem(prob.chart, f_proj, 1.0), batch).entries
     worst = max(float(np.linalg.norm(L @ L - L)) for L in Ls)
     print(f"max |L^2 - L| over {len(pts)} points: {worst:.3e}")
-    mus = -2.0 * f_proj(batch)
+    mus = Ls[:, 0, 0]
     print(f"mu range over samples: [{min(mus):.6f}, {max(mus):.6f}]")
     return 0
 

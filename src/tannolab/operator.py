@@ -170,72 +170,61 @@ class ExtendedMatrix:
         return frob(self.entries)
 
 
-@dataclass
-class OperatorParts:
-    """Everything the block calculus needs at a point: raised and lowered.
-
-    Over a batch every entry carries a leading point axis.
-    """
-
-    mu: float
-    grad: np.ndarray       # f_i
-    grad_bar: np.ndarray   # fbar_i = J^a_i f_a
-    grad_up: np.ndarray    # f^i
-    grad_bar_up: np.ndarray
-    ahat: np.ndarray       # a^i_j
-
-
 def _solve_vec(g0, v):
     return np.linalg.solve(g0, v[..., None])[..., 0]
 
 
-def operator_parts(prob: TannoProblem, p) -> OperatorParts:
-    """Raised ingredients of the extended operator.
+def _standard_shape(mu, f, g0, J0, ahat) -> np.ndarray:
+    """Batched extended operators of standard shape: the one writer of the
+    block layout.
+
+    mu fills the corner diagonal, f and fbar = J f the top rows, their raised
+    forms f^i and fbar^i the left columns, and a^i_j the lower right block.
+    """
+    n, d = f.shape
+    fb = np.einsum("zai,za->zi", J0, f)
+    L = np.zeros((n, d + 2, d + 2))
+    L[:, 0, 0] = L[:, 1, 1] = mu
+    L[:, 0, 2:] = f
+    L[:, 1, 2:] = fb
+    L[:, 2:, 0] = _solve_vec(g0, f)
+    L[:, 2:, 1] = _solve_vec(g0, fb)
+    L[:, 2:, 2:] = ahat
+    return L
+
+
+def _blocks(L: np.ndarray):
+    """(mu, f, fbar, f^, fbar^, a^i_j) of batched extended operators: the one
+    reader of the block layout.
+
+    Each block is a contiguous copy, so products of blocks run the same
+    kernels, bit for bit, as products of separately built arrays.
+    """
+    return tuple(np.ascontiguousarray(b) for b in (
+        L[:, 0, 0], L[:, 0, 2:], L[:, 1, 2:], L[:, 2:, 0], L[:, 2:, 1],
+        L[:, 2:, 2:]))
+
+
+def _operator(fj, geo: ChartJets) -> np.ndarray:
+    """Batched extended operator from f jets through order 2 and the chart
+    through metric order 1 at the same points.
 
     a^i_j is formed as g^{ia}(-f_{,aj}) - 2f delta^i_j, which keeps the
     mixed metric contraction g^{ia} g_{aj} = delta exact; in particular the
     constant solution f = -1/2 yields the identity operator bitwise.
     """
-    P, single = prob.chart.batch(p)
-    parts = _operator_parts(prob.f.jets(P, 2), prob.chart.at(P, 1))
-    if single:
-        return OperatorParts(float(parts.mu[0]), parts.grad[0],
-                             parts.grad_bar[0], parts.grad_up[0],
-                             parts.grad_bar_up[0], parts.ahat[0])
-    return parts
-
-
-def _operator_parts(fj, geo: ChartJets) -> OperatorParts:
-    """Batched parts from f jets through order 2 and the chart through
-    metric order 1 at the same points."""
     f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
     g0 = geo.g0
-    fb = np.einsum("zai,za->zi", geo.J0, f1)
-    fu = _solve_vec(g0, f1)
-    fbu = _solve_vec(g0, fb)
     ahat = (np.linalg.solve(g0, -H)
             - (2.0 * f0)[:, None, None] * np.eye(g0.shape[-1]))
-    return OperatorParts(-2.0 * f0, f1, fb, fu, fbu, ahat)
-
-
-def _extended_from_parts(parts: OperatorParts) -> np.ndarray:
-    """Batched entries of the extended operator assembled from its parts."""
-    n, d = parts.grad.shape
-    L = np.zeros((n, d + 2, d + 2))
-    L[:, 0, 0] = L[:, 1, 1] = parts.mu
-    L[:, 0, 2:] = parts.grad
-    L[:, 1, 2:] = parts.grad_bar
-    L[:, 2:, 0] = parts.grad_up
-    L[:, 2:, 1] = parts.grad_bar_up
-    L[:, 2:, 2:] = parts.ahat
-    return L
+    return _standard_shape(-2.0 * f0, f1, g0, geo.J0, ahat)
 
 
 def assemble_L(prob: TannoProblem, p) -> ExtendedMatrix:
     """Extended operator of the bundle built from prob.f (c = 1 convention)."""
     P, single = prob.chart.batch(p)
-    parts = _operator_parts(prob.f.jets(P, 2), prob.chart.at(P, 1))
-    return ExtendedMatrix(unbatch(_extended_from_parts(parts), single))
+    L = _operator(prob.f.jets(P, 2), prob.chart.at(P, 1))
+    return ExtendedMatrix(unbatch(L, single))
 
 
 @dataclass
@@ -264,60 +253,47 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
     chart = prob.chart
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
-    lo = _operator_parts(prob.f.jets(P, 2), geo)
-    hi = _operator_parts(other.f.jets(P, 2),
-                         geo if other.chart is chart else other.chart.at(P, 1))
+    Lf = _operator(prob.f.jets(P, 2), geo)
+    LF = _operator(other.f.jets(P, 2),
+                   geo if other.chart is chart else other.chart.at(P, 1))
+    product = Lf @ LF
+    mu, f, fb, fu, fbu, a = _blocks(Lf)
+    M, F, Fb, Fu, Fbu, A = _blocks(LF)
     d = chart.dim
     n = len(P)
-
-    # L is assembled from the parts already at hand, not re-derived.
-    Lf = _extended_from_parts(lo)
-    LF = _extended_from_parts(hi)
-    product = Lf @ LF
 
     # Per-point products through matmul with singleton axes, which runs the
     # same BLAS kernels (dot, gemv) as the unbatched products.
     def dot(u, v):
         return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    def vec_mat(u, M):
-        return np.einsum("zk,zkj->zj", u, M)
+    def vec_mat(u, X):
+        return np.einsum("zk,zkj->zj", u, X)
 
-    def mat_vec(M, u):
-        return (M @ u[:, :, None])[:, :, 0]
+    def mat_vec(X, u):
+        return (X @ u[:, :, None])[:, :, 0]
 
-    # Block formula assembled independently from the two part sets.
+    # Block formula assembled independently from the two block sets.
+    mu_t = mu * M + dot(f, Fu)
+    f_t = mu[:, None] * F + vec_mat(f, A)
     blk = np.zeros((n, d + 2, d + 2))
-    fF = dot(lo.grad, hi.grad_up)
-    blk[:, 0, 0] = blk[:, 1, 1] = lo.mu * hi.mu + fF
-    blk[:, 0, 1] = dot(lo.grad, hi.grad_bar_up)
-    blk[:, 1, 0] = dot(lo.grad_bar, hi.grad_up)
-    blk[:, 0, 2:] = lo.mu[:, None] * hi.grad + vec_mat(lo.grad, hi.ahat)
-    blk[:, 1, 2:] = lo.mu[:, None] * hi.grad_bar + vec_mat(lo.grad_bar, hi.ahat)
-    blk[:, 2:, 0] = hi.mu[:, None] * lo.grad_up + mat_vec(lo.ahat, hi.grad_up)
-    blk[:, 2:, 1] = hi.mu[:, None] * lo.grad_bar_up + mat_vec(lo.ahat, hi.grad_bar_up)
-    blk[:, 2:, 2:] = (lo.ahat @ hi.ahat
-                      + np.einsum("zi,zj->zij", lo.grad_up, hi.grad)
-                      + np.einsum("zi,zj->zij", lo.grad_bar_up, hi.grad_bar))
+    blk[:, 0, 0] = blk[:, 1, 1] = mu_t
+    blk[:, 0, 1] = dot(f, Fbu)
+    blk[:, 1, 0] = dot(fb, Fu)
+    blk[:, 0, 2:] = f_t
+    blk[:, 1, 2:] = mu[:, None] * Fb + vec_mat(fb, A)
+    blk[:, 2:, 0] = M[:, None] * fu + mat_vec(a, Fu)
+    blk[:, 2:, 1] = M[:, None] * fbu + mat_vec(a, Fbu)
+    blk[:, 2:, 2:] = (a @ A + np.einsum("zi,zj->zij", fu, F)
+                      + np.einsum("zi,zj->zij", fbu, Fb))
     block_residual = frob_rows(product - blk)
 
-    cond1 = (lo.mu[:, None] * hi.grad + vec_mat(lo.grad, hi.ahat)
-             - hi.mu[:, None] * lo.grad - vec_mat(hi.grad, lo.ahat))
-    op_eq_linear = frob_rows(cond1)
-    op_eq_orth = np.abs(dot(lo.grad_up, hi.grad_bar))
+    op_eq_linear = frob_rows(f_t - M[:, None] * f - vec_mat(F, a))
+    op_eq_orth = np.abs(dot(fu, Fb))
     holds = (op_eq_linear < BLOCK_TOL) & (op_eq_orth < BLOCK_TOL)
 
     g0 = geo.g0
-    mu_t = lo.mu * hi.mu + fF
-    f_t = lo.mu[:, None] * hi.grad + vec_mat(lo.grad, hi.ahat)
-    fb_t = np.einsum("zai,za->zi", geo.J0, f_t)
-    shape = np.zeros((n, d + 2, d + 2))
-    shape[:, 0, 0] = shape[:, 1, 1] = mu_t
-    shape[:, 0, 2:] = f_t
-    shape[:, 1, 2:] = fb_t
-    shape[:, 2:, 0] = _solve_vec(g0, f_t)
-    shape[:, 2:, 1] = _solve_vec(g0, fb_t)
-    shape[:, 2:, 2:] = product[:, 2:, 2:]
+    shape = _standard_shape(mu_t, f_t, g0, geo.J0, product[:, 2:, 2:])
     a_low = g0 @ product[:, 2:, 2:]
     shape_residual = np.where(
         holds, frob_rows(product - shape) + frob_rows(a_low - np.swapaxes(a_low, 1, 2)),
@@ -383,6 +359,16 @@ def spectrum(m: ExtendedMatrix | np.ndarray,
     return SpectrumResult(clusters, pairs)
 
 
+def _annihilator(reals, pairs) -> PolynomialReal:
+    """Product of (t - r) over the real roots and of (t - z)(t - conj z) over
+    the complex pairs (z, multiplicity)."""
+    P = PolynomialReal.from_roots(reals)
+    for z, _ in pairs:
+        P = PolynomialReal(tuple(np.convolve(
+            P.coeffs, (abs(z) ** 2, -2 * z.real, 1.0))))
+    return P
+
+
 def minimal_polynomial(m: ExtendedMatrix | np.ndarray,
                        tol: float = 1e-6) -> PolynomialReal:
     """Monic annihilating polynomial from clustered eigenvalues.
@@ -398,20 +384,15 @@ def minimal_polynomial(m: ExtendedMatrix | np.ndarray,
         gaps = np.diff(sorted(reps))
         if np.min(gaps) < 10 * tol * radius:
             raise IllConditioned("eigenvalue clusters overlap within tolerance")
-    P = PolynomialReal.from_roots(reps)
-    for z, _ in spec.complex_pairs:
-        quad = PolynomialReal((abs(z) ** 2, -2 * z.real, 1.0))
-        P = PolynomialReal(tuple(np.convolve(P.coeffs, quad.coeffs)))
+    P = _annihilator(reps, spec.complex_pairs)
     scale = max(1.0, frob(M)) ** P.degree
     if frob(P.eval_matrix(M)) >= tol * scale:
         raise IllConditioned(
             "clustered roots do not annihilate the matrix (defective or "
             "overlapping clusters)")
     for drop in range(len(reps)):
-        Q = PolynomialReal.from_roots([r for i, r in enumerate(reps) if i != drop])
-        for z, _ in spec.complex_pairs:
-            quad = PolynomialReal((abs(z) ** 2, -2 * z.real, 1.0))
-            Q = PolynomialReal(tuple(np.convolve(Q.coeffs, quad.coeffs)))
+        Q = _annihilator([r for i, r in enumerate(reps) if i != drop],
+                         spec.complex_pairs)
         if frob(Q.eval_matrix(M)) < tol * max(1.0, frob(M)) ** Q.degree:
             raise IllConditioned("a proper divisor already annihilates; "
                                  "clusters were merged too aggressively")
@@ -483,30 +464,39 @@ class EigenstructureReport:
         return {v: m for v, m in table.items() if m > 0}
 
 
+def classify_mu(mu: float) -> str:
+    """Eigenstructure case of a projector solution at a point with this mu:
+    "mu_max" at mu = 1, "mu_min" at mu = 0, otherwise "interior"."""
+    if abs(mu - 1.0) <= 10 * EIGEN_TOL:
+        return "mu_max"
+    if abs(mu) <= 10 * EIGEN_TOL:
+        return "mu_min"
+    return "interior"
+
+
 def eigenstructure_at(prob: TannoProblem, p):
     """Classify the a^i_j eigenstructure at p for a projector solution.
 
     Returns one report for a single point, a list of reports for a batch.
     """
     P, single = prob.chart.batch(p)
-    parts = _operator_parts(prob.f.jets(P, 2), prob.chart.at(P, 1))
-    Ls = _extended_from_parts(parts)
+    reports = _eigenstructure(_operator(prob.f.jets(P, 2), prob.chart.at(P, 1)))
+    return reports[0] if single else reports
+
+
+def _eigenstructure(Ls: np.ndarray) -> list[EigenstructureReport]:
+    """One report per (d+2, d+2) extended operator of a projector solution."""
     idem = frob_rows(Ls @ Ls - Ls)
     scale = np.maximum(1.0, frob_rows(Ls))
     if np.any(~(idem < PROJECTOR_TOL * scale)):
         raise NotProjector("extended operator is not idempotent at p")
+    mus, *_, ahats = _blocks(Ls)
     reports = []
-    for L, mu, ahat in zip(Ls, parts.mu, parts.ahat):
+    for L, mu, ahat in zip(Ls, mus, ahats):
         mu = float(mu)
         clusters = spectrum(ahat, cluster_tol=EIGEN_TOL).clusters
         m1 = sum(m for v, m in spectrum(L, cluster_tol=EIGEN_TOL).clusters
                  if abs(v - 1.0) <= 10 * EIGEN_TOL)
-        k = (m1 - 2) // 2
-        if abs(mu - 1.0) <= 10 * EIGEN_TOL:
-            cls = "mu_max"
-        elif abs(mu) <= 10 * EIGEN_TOL:
-            cls = "mu_min"
-        else:
-            cls = "interior"
-        reports.append(EigenstructureReport(mu, clusters, cls, k))
-    return reports[0] if single else reports
+        reports.append(EigenstructureReport(mu, clusters, classify_mu(mu),
+                                            (m1 - 2) // 2))
+    return reports

@@ -15,7 +15,7 @@ from scipy import optimize
 from .calculus import frob, scalar_covariant_jets
 from .charts import KahlerChart, checked_inverse
 from .errors import DegenerateBasis, NoExtremalPoint
-from .operator import EIGEN_TOL, _operator_parts
+from .operator import EIGEN_TOL, _blocks, _operator, classify_mu
 from .tanno import TannoProblem
 
 #: |grad mu| below which a refined point counts as a critical point of mu.
@@ -161,7 +161,10 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     order = np.argsort([g for g in grads])
     for idx in order[:4]:
         for t in (1.0, 0.5, 0.25, 0.0):
-            starts.append(t * pts[idx])
+            x0 = t * pts[idx]
+            # Each start is refined once; every t = 0 start is the center.
+            if not any(np.array_equal(x0, s) for s in starts):
+                starts.append(x0)
     candidates = []
     for x0 in starts:
         x_star = _refine_extremum(chart, mu_field, x0)
@@ -180,45 +183,30 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     X = np.array([x for x, _ in candidates])
     geo = chart.at(X, 1)
     fj = prob.f.jets(X, 2)
-    parts = _operator_parts(fj, geo)
+    mus, *_, ahats = _blocks(_operator(fj, geo))
     # mu = -2f: scaling f's jets by a power of two is exact.
     mu_jets = [-2.0 * t for t in fj]
     mu_hess_all = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
     for k, (x_star, gnorm) in enumerate(candidates):
-        mu_star = float(parts.mu[k])
+        mu_star = float(mus[k])
         kind = "mu_max" if mu_star >= 0.5 * (mu_lo + mu_hi) else "mu_min"
         mu_hess = mu_hess_all[k]
-        g0 = geo.g0[k]
-        ahat = parts.ahat[k]
         hess_eigs = list(np.linalg.eigvalsh(0.5 * (mu_hess + mu_hess.T)))
         finding = ExtremalFinding(x_star, mu_star, kind, gnorm, hess_eigs)
-        if kind == "mu_max":
-            basis = _eigenspace(ahat, 0.0, EIGEN_TOL)
-            if basis:
-                g_rest = restrict_form(g0, basis)
-                h_rest = restrict_form(mu_hess, basis)
-                finding.g_restricted_inertia = _inertia(g_rest)
-                finding.identity_residual = frob(h_rest + 2.0 * g_rest)
-            witnessed.add("mu_max")
-        else:
-            basis = _eigenspace(ahat, 1.0, EIGEN_TOL)
-            if basis:
-                g_rest = restrict_form(g0, basis)
-                h_rest = restrict_form(mu_hess, basis)
-                finding.g_restricted_inertia = _inertia(g_rest)
-                finding.identity_residual = frob(h_rest - 2.0 * g_rest)
-            witnessed.add("mu_min")
+        # Restricted to the a-eigenspace of `value`, the Hessian identity
+        # reads h = -2 sign g: h = -2g at a maximum, h = 2g at a minimum.
+        value, sign = (0.0, 1.0) if kind == "mu_max" else (1.0, -1.0)
+        basis = _eigenspace(ahats[k], value, EIGEN_TOL)
+        if basis:
+            g_rest = restrict_form(geo.g0[k], basis)
+            h_rest = restrict_form(mu_hess, basis)
+            finding.g_restricted_inertia = _inertia(g_rest)
+            finding.identity_residual = frob(h_rest + (sign * 2.0) * g_rest)
+        witnessed.add(kind)
         findings.append(finding)
 
     # Which of the three eigenstructure cases did the samples visit?
-    for q, mv in zip(pts, mu_vals):
-        mu_q = float(mv)
-        if abs(mu_q - 1.0) <= 10 * EIGEN_TOL:
-            witnessed.add("mu_max")
-        elif abs(mu_q) <= 10 * EIGEN_TOL:
-            witnessed.add("mu_min")
-        else:
-            witnessed.add("interior")
+    witnessed.update(classify_mu(float(mv)) for mv in mu_vals)
 
     return SignatureReport(n_pos, n_neg, per_point, verdict, findings,
                            sorted(witnessed))

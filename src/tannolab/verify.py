@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +32,7 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
 from .operator import (PolynomialReal, _projector_with_operator, assemble_L,
-                       eigenstructure_at, minimal_polynomial, poly_star,
+                       _eigenstructure, minimal_polynomial, poly_star,
                        product_block_check, projector_from_solution, spectrum,
                        star_power)
 from .signature import is_constant, positivity_scan
@@ -50,17 +52,36 @@ class SkipCheck(Exception):
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _number(name: str, value, kind):
-    """kind(value), or ConfigError naming the config field."""
+def _number(name: str, value, kind=float):
+    """value as a finite float, or as an int for kind=int; ConfigError naming
+    the config field otherwise.
+
+    Booleans, non-finite values and fractions for an int field are rejected
+    rather than coerced: int(2.5) and int(True) would run 2 and 1 samples.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        if isinstance(value, bool):
+            raise TypeError
+        if kind is int and isinstance(value, numbers.Integral):
+            return int(value)
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field {name!r} must be a number, "
                           f"got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"config field {name!r} must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"config field {name!r} must be an integer, "
+                              f"got {value!r}")
+        return int(number)
+    return number
 
 
 @dataclass
 class SuiteConfig:
+    """One suite run; every field is coerced and validated on construction."""
+
     chart: dict
     solution: str = "constant:-0.5"
     c: float = 1.0
@@ -71,6 +92,19 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        try:
+            self.chart = dict(self.chart)
+            self.checks = list(self.checks)
+            self.tolerances = dict(self.tolerances)
+        except (TypeError, ValueError):
+            raise ConfigError("config fields 'chart' and 'tolerances' must be "
+                              "objects and 'checks' a list") from None
+        self.solution = str(self.solution)
+        self.c = _number("c", self.c)
+        self.seed = _number("seed", self.seed, int)
+        self.samples = _number("samples", self.samples, int)
+        if self.radius is not None:
+            self.radius = _number("radius", self.radius)
         if self.samples < 1:
             raise ConfigError("config field 'samples' must be >= 1")
         for name in self.checks:
@@ -79,37 +113,22 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if name not in REGISTRY:
                 raise ConfigError(f"tolerances names unknown check {name!r}")
-            tol = _number(f"tolerances.{name}", tol, float)
-            if not tol > 0:     # also rejects NaN
+            tol = _number(f"tolerances.{name}", tol)
+            if not tol > 0:
                 raise ConfigError(f"tolerances.{name} must be positive")
+            self.tolerances[name] = tol
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        known = {"chart", "solution", "c", "seed", "samples", "radius",
-                 "checks", "tolerances"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         if "chart" not in data:
             raise ConfigError("config field 'chart' is required")
-        return cls(
-            chart=dict(data["chart"]),
-            solution=str(data.get("solution", "constant:-0.5")),
-            c=_number("c", data.get("c", 1.0), float),
-            seed=_number("seed", data.get("seed", 7), int),
-            samples=_number("samples", data.get("samples", 25), int),
-            radius=(None if data.get("radius") is None
-                    else _number("radius", data["radius"], float)),
-            checks=list(data.get("checks", [])),
-            tolerances=dict(data.get("tolerances", {})),
-        )
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "chart": self.chart, "solution": self.solution, "c": self.c,
-            "seed": self.seed, "samples": self.samples, "radius": self.radius,
-            "checks": self.checks, "tolerances": self.tolerances,
-        }
+        return asdict(self)
 
 
 def build_chart(spec: dict) -> KahlerChart:
@@ -165,14 +184,8 @@ class CheckContext:
     chart: KahlerChart
     f: ScalarField
     c: float
-    points: list
+    P: np.ndarray       # the (N, d) batch of sample points
     seed: int
-    config: SuiteConfig
-
-    @property
-    def P(self) -> np.ndarray:
-        """The sample points as one (N, d) batch."""
-        return np.array(self.points)
 
     @property
     def problem(self) -> TannoProblem:
@@ -299,12 +312,12 @@ def check_transport_match(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
     worst = 0.0
-    trials = min(6, len(ctx.points) - 1) if len(ctx.points) > 1 else 0
+    trials = min(6, len(ctx.P) - 1)
     if trials == 0:
         raise SkipCheck("needs at least two sample points")
     direct = bundle_from_f(prob, ctx.P[:trials + 1])
     for k in range(trials):
-        p, q = ctx.points[k], ctx.points[k + 1]
+        p, q = ctx.P[k], ctx.P[k + 1]
         path = densify_polyline([p, q], 0.2 * chart.domain_radius)
         out = transport_bundle(chart, path, _bundle_at(direct, k))
         ref = _bundle_at(direct, k + 1)
@@ -314,7 +327,7 @@ def check_transport_match(ctx: CheckContext) -> CheckOutcome:
 def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
-    center = ctx.points[0]
+    center = ctx.P[0]
     r = 0.3 * chart.domain_radius
     loop = []
     for t in np.linspace(0.0, 2 * np.pi, 41):
@@ -404,21 +417,19 @@ def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
                         note="points with fewer than two real clusters")
 
 def check_projector(ctx: CheckContext) -> CheckOutcome:
-    P, f_proj, Ls = ctx.projector
+    P, _, Ls = ctx.projector
     worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
-    mu = -2.0 * f_proj(ctx.P)
+    mu = Ls[:, 0, 0]
     mu_violation = float(np.max(np.maximum(0.0, np.maximum(-mu, mu - 1.0))))
-    return CheckOutcome(max(worst, mu_violation), len(ctx.points),
+    return CheckOutcome(max(worst, mu_violation), len(ctx.P),
                         note=f"P = {P!r}")
 
 def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    _, f_proj, _ = ctx.projector
-    probP = TannoProblem(prob.chart, f_proj, 1.0)
-    n = prob.chart.n
+    _, _, Ls = ctx.projector
+    n = ctx.chart.n
     worst = 0.0
     seen = set()
-    for rep in eigenstructure_at(probP, ctx.P):
+    for rep in _eigenstructure(Ls):
         seen.add(rep.classification)
         expected = rep.expected_clusters(n)
         exp_sorted = sorted([v for v, m in expected.items() for _ in range(m)])
@@ -428,7 +439,7 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
         elif exp_sorted:
             worst = max(worst, float(np.max(np.abs(
                 np.array(exp_sorted) - np.array(act_sorted)))))
-    return CheckOutcome(worst, len(ctx.points),
+    return CheckOutcome(worst, len(ctx.P),
                         note="cases seen: " + ", ".join(sorted(seen)))
 
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
@@ -441,7 +452,7 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
     if is_constant(float(values.max() - values.min()), grads):
         report = positivity_scan(prob, ctx.P)
         ok = "hypothesis not met" in report.note
-        return CheckOutcome(0.0 if ok else 1.0, len(ctx.points),
+        return CheckOutcome(0.0 if ok else 1.0, len(ctx.P),
                             note=f"verdict={report.verdict}; {report.note}")
     _, f_proj, _ = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
@@ -455,7 +466,7 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
             ok = ok and all(e <= 1e-6 for e in fnd.hessian_eigs)
     note = (f"verdict={report.verdict}; inertia=({report.n_pos},{report.n_neg}); "
             f"cases={','.join(report.witnessed_cases)}")
-    return CheckOutcome(0.0 if ok else 1.0, len(ctx.points), note=note)
+    return CheckOutcome(0.0 if ok else 1.0, len(ctx.P), note=note)
 
 def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:
     chart, f = ctx.chart, ctx.f
@@ -612,13 +623,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     radius = config.radius if config.radius is not None \
         else 0.75 * chart.domain_radius
     points = sample_points(chart, config.samples, config.seed, radius)
-    ctx = CheckContext(chart, f, config.c, points, config.seed, config)
+    ctx = CheckContext(chart, f, config.c, np.array(points), config.seed)
 
     names = config.checks or DEFAULT_CHECKS
     records = []
     for name in names:
         spec = REGISTRY[name]
-        tol = float(config.tolerances.get(name, spec.tolerance))
+        tol = config.tolerances.get(name, spec.tolerance)
         t0 = time.perf_counter()
         try:
             outcome = spec.func(ctx)

@@ -34,6 +34,15 @@ def fast_config(**over):
     return SuiteConfig.from_dict(data)
 
 
+def fast_context() -> CheckContext:
+    cfg = fast_config()
+    chart = build_chart(cfg.chart)
+    P = np.array(sample_points(chart, cfg.samples, cfg.seed,
+                               0.75 * chart.domain_radius))
+    return CheckContext(chart, build_solution(cfg.solution, chart), cfg.c, P,
+                        cfg.seed)
+
+
 class TestConfig:
     def test_unknown_chart_name(self):
         with pytest.raises(ConfigError, match="chart_spec"):
@@ -92,6 +101,33 @@ class TestConfig:
     def test_non_numeric_value_rejected(self, field, value, name):
         with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
             fast_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("c", float("nan")), ("c", float("inf")), ("c", float("-inf")),
+        ("radius", float("nan")), ("radius", float("inf")),
+        ("radius", float("-inf")),
+        ("samples", 2.5), ("seed", 7.9), ("samples", True),
+    ])
+    def test_value_rejected_not_coerced(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
+            fast_config(**{field: value})
+        with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
+            SuiteConfig(chart={"name": "flat"}, **{field: value})
+
+    def test_infinite_tolerance_rejected(self):
+        with pytest.raises(ConfigError, match="tolerances.eq1.residual"):
+            fast_config(tolerances={"eq1.residual": float("inf")})
+
+    def test_integral_values_accepted(self):
+        cfg = fast_config(samples=4.0, seed=np.int64(5), c=1, radius="0.5",
+                          tolerances={"eq1.residual": 1})
+        assert (cfg.samples, cfg.seed, cfg.c, cfg.radius) == (4, 5, 1.0, 0.5)
+        assert type(cfg.samples) is int and type(cfg.c) is float
+        assert cfg.tolerances == {"eq1.residual": 1.0}
+
+    def test_to_dict_round_trips(self):
+        cfg = fast_config(radius=0.5, tolerances={"eq1.residual": 1e-3})
+        assert SuiteConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_constant_solution_parsing(self, flat11):
         f = build_solution("constant:-0.5", flat11)
@@ -160,12 +196,7 @@ class TestRunSuite:
         assert "inertia=(2,0)" in rec.note
 
     def test_projector_check_reuses_operator_entries(self, monkeypatch):
-        cfg = fast_config()
-        chart = build_chart(cfg.chart)
-        points = sample_points(chart, cfg.samples, cfg.seed,
-                               0.75 * chart.domain_radius)
-        ctx = CheckContext(chart, build_solution(cfg.solution, chart), cfg.c,
-                           points, cfg.seed, cfg)
+        ctx = fast_context()
         P, f_proj, Ls = ctx.projector
         probP = TannoProblem(ctx.unit_problem.chart, f_proj, 1.0)
         assert np.array_equal(Ls, assemble_L(probP, ctx.P).entries)
@@ -175,6 +206,18 @@ class TestRunSuite:
             raise AssertionError("L re-assembled")
         monkeypatch.setattr(verify, "assemble_L", fail)
         assert REGISTRY["lem5.projector"].func(ctx).max_residual < 1e-7
+
+    def test_projector_checks_evaluate_no_projector_jets(self, monkeypatch):
+        # lem5 and lem6 read mu and a^i_j from the suite's verified L(P*(f)).
+        ctx = fast_context()
+        _, f_proj, _ = ctx.projector
+
+        def fail(*args):
+            raise AssertionError("P*(f) jets evaluated again")
+        monkeypatch.setattr(f_proj, "jets", fail)
+        for name in ("lem5.projector", "lem6.eigenstructure"):
+            spec = REGISTRY[name]
+            assert spec.func(ctx).max_residual <= spec.tolerance
 
 
 class TestEmission:
@@ -243,6 +286,10 @@ class TestCli:
     def test_non_numeric_override_exits_two(self, capsys):
         assert main(["verify", "--set", "samples=many"]) == 2
         assert "'samples' must be a number" in capsys.readouterr().err
+
+    def test_non_finite_override_exits_two(self, capsys):
+        assert main(["verify", "--set", "c=NaN", "--set", "samples=3"]) == 2
+        assert "'c' must be finite" in capsys.readouterr().err
 
     def test_set_tolerance_of_dotted_check(self, capsys):
         rc = main(["verify", "--set", "tolerances.eq1.residual=1e-30"])

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import points_on
-from tannolab.calculus import frob
+from tannolab.calculus import bar_form, frob, nabla_scalar, raise_lower
 from tannolab.errors import (DimensionMismatch, IllConditioned, NoRealSplit,
                              NotProjector)
 from tannolab.fields import ConstField
 from tannolab.manifolds import cpn_height_function, random_polynomial_field
-from tannolab.operator import (ExtendedMatrix, PolynomialReal, assemble_L,
-                               eigenstructure_at, minimal_polynomial,
-                               operator_parts, poly_star,
+from tannolab.operator import (ExtendedMatrix, PolynomialReal, _eigenstructure,
+                               assemble_L, eigenstructure_at,
+                               minimal_polynomial, poly_star,
                                product_block_check, projector_from_solution,
                                spectrum, star_power, star_product)
 from tannolab.tanno import TannoProblem, system_residual
@@ -56,14 +56,25 @@ class TestAssembleL:
         assert np.allclose(L[2:, 2:], 2.0 * np.eye(2), atol=1e-12)
 
     def test_block_layout_matches_parts(self, cp1_problem, cp1_points):
-        p = cp1_points[0]
-        parts = operator_parts(cp1_problem, p)
-        L = assemble_L(cp1_problem, p).entries
-        assert L[0, 0] == L[1, 1] == parts.mu
-        assert np.array_equal(L[0, 2:], parts.grad)
-        assert np.array_equal(L[1, 2:], parts.grad_bar)
-        assert np.array_equal(L[2:, 0], parts.grad_up)
-        assert np.array_equal(L[2:, 2:], parts.ahat)
+        # Each block against the calculus layer: mu = -2f, f_i, fbar_i and
+        # their raised forms, and a^i_j = g^{-1}(-Hess f) - 2f delta.
+        chart, f = cp1_problem.chart, cp1_problem.f
+        for p in cp1_points[:3]:
+            L = assemble_L(cp1_problem, p).entries
+            grad = nabla_scalar(chart, f, p, 1)
+            grad_bar = bar_form(chart, grad, p)
+            hess = nabla_scalar(chart, f, p, 2).components
+            ahat = (np.linalg.inv(chart.metric(p)) @ -hess
+                    - 2.0 * f(p) * np.eye(chart.dim))
+            assert L[0, 0] == L[1, 1] == -2.0 * f(p)
+            assert L[0, 1] == L[1, 0] == 0.0
+            for block, expect in [
+                    (L[0, 2:], grad.components),
+                    (L[1, 2:], grad_bar.components),
+                    (L[2:, 0], raise_lower(chart, grad, p, 0, "up").components),
+                    (L[2:, 1], raise_lower(chart, grad_bar, p, 0, "up").components),
+                    (L[2:, 2:], ahat)]:
+                np.testing.assert_allclose(block, expect, rtol=1e-12, atol=1e-14)
 
 
 class TestStarProduct:
@@ -370,6 +381,16 @@ class TestEigenstructure:
         actual = {round(v, 6): m for v, m in rep.clusters}
         assert sum(actual.values()) == 4
         assert actual[round(1.0 - rep.mu, 6)] == 2
+
+    def test_batch_of_operators_matches_public_reports(
+            self, fs1_unit, cp1_projector, cp1_points):
+        _, f_proj = cp1_projector
+        probP = TannoProblem(fs1_unit, f_proj, 1.0)
+        pts = np.vstack([np.zeros(2), cp1_points])
+        Ls = assemble_L(probP, pts).entries
+        reports = eigenstructure_at(probP, pts)
+        assert _eigenstructure(Ls) == reports
+        assert {r.classification for r in reports} >= {"mu_min", "interior"}
 
     def test_non_projector_rejected(self, cp1_problem, cp1_points):
         with pytest.raises(NotProjector):

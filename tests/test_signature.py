@@ -7,7 +7,8 @@ from conftest import points_on
 from tannolab.errors import DegenerateBasis, NoExtremalPoint
 from tannolab.fields import ConstField
 from tannolab.manifolds import cpn_height_function
-from tannolab.operator import operator_parts, projector_from_solution
+from tannolab import signature
+from tannolab.operator import assemble_L, projector_from_solution
 from tannolab.signature import (metric_signature, positivity_scan,
                                 restrict_form)
 from tannolab.tanno import TannoProblem
@@ -51,9 +52,9 @@ class TestRestrictForm:
     def test_gradient_span_positive_on_cp1(self, fs1_unit, height1):
         prob = TannoProblem(fs1_unit, height1, 1.0)
         p = np.array([0.6, 0.3])
-        parts = operator_parts(prob, p)
+        L = assemble_L(prob, p).entries
         g0 = fs1_unit.metric(p)
-        out = restrict_form(g0, [parts.grad_up, parts.grad_bar_up])
+        out = restrict_form(g0, [L[2:, 0], L[2:, 1]])
         ev = np.linalg.eigvalsh(out)
         assert np.all(ev > 0)
 
@@ -73,6 +74,22 @@ class TestPositivityScan:
         assert all(sig == (2, 0) for _, sig in report.per_point)
         assert report.extremal_findings
         assert "mu_min" in report.witnessed_cases
+
+    def test_each_start_refined_once(self, fs1_unit, height1, monkeypatch):
+        # Four samples at four radial shrinks; the four t = 0 shrinks are
+        # all the chart center.
+        probP, pts = self._projector_problem(fs1_unit, height1)
+        starts = []
+        refine = signature._refine_extremum
+
+        def spy(chart, mu_field, x0):
+            starts.append(np.array(x0))
+            return refine(chart, mu_field, x0)
+        monkeypatch.setattr(signature, "_refine_extremum", spy)
+        positivity_scan(probP, pts)
+        assert len(starts) == 13
+        assert not any(np.array_equal(a, b)
+                       for k, a in enumerate(starts) for b in starts[:k])
 
     def test_cp1_axis1_witnesses_mu_max(self, fs1_unit):
         f1 = cpn_height_function(1, 1)
