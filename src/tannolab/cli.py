@@ -1,7 +1,8 @@
 """Command-line driver: verify suites, inspect spectra, build projectors.
 
 Exit codes: 0 when the suite verdict is pass, 1 when any check fails,
-2 on configuration or I/O errors.
+2 on configuration or I/O errors, and when a config does not apply to the
+command (c = 0 for spectrum and projector).
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, TannoLabError
-from .operator import _projector_with_operator, assemble_L, spectrum
-from .tanno import TannoProblem
-from .manifolds import sample_points
-from .verify import (REGISTRY, SuiteConfig, build_chart, build_solution,
+from .verify import (REGISTRY, CheckContext, SkipCheck, SuiteConfig,
                      emit_report, load_report, run_suite)
 
 DEFAULT_CONFIG = {
@@ -85,22 +83,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _context_from_config(config: SuiteConfig):
-    chart = build_chart(config.chart)
-    f = build_solution(config.solution, chart)
-    prob = TannoProblem(chart, f, config.c).rescaled()
-    radius = config.radius if config.radius is not None \
-        else 0.75 * chart.domain_radius
-    pts = sample_points(prob.chart, config.samples, config.seed, radius)
-    return prob, pts
-
-
 def _cmd_spectrum(args) -> int:
-    config = _load_config(args)
-    prob, pts = _context_from_config(config)
-    shown = np.array(pts[:args.points])
-    for q, L in zip(shown, assemble_L(prob, shown).entries):
-        spec = spectrum(L)
+    ctx = CheckContext.from_config(_load_config(args))
+    for q, spec in zip(ctx.P[:args.points], ctx.spectra):
         parts = [f"{v:+.8f} (x{m})" for v, m in spec.clusters]
         parts += [f"{z.real:+.6f}+-{abs(z.imag):.6f}i (x{m})"
                   for z, m in spec.complex_pairs]
@@ -109,12 +94,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_projector(args) -> int:
-    config = _load_config(args)
-    prob, pts = _context_from_config(config)
-    P, _, Ls = _projector_with_operator(prob, pts)
+    ctx = CheckContext.from_config(_load_config(args))
+    P, _, Ls = ctx.projector
     print(f"P(t) = {P!r}")
     worst = max(float(np.linalg.norm(L @ L - L)) for L in Ls)
-    print(f"max |L^2 - L| over {len(pts)} points: {worst:.3e}")
+    print(f"max |L^2 - L| over {len(ctx.P)} points: {worst:.3e}")
     mus = Ls[:, 0, 0]
     print(f"mu range over samples: [{min(mus):.6f}, {max(mus):.6f}]")
     return 0
@@ -170,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, SkipCheck, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TannoLabError as exc:

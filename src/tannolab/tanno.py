@@ -142,33 +142,30 @@ def _third_jets(prob: TannoProblem, P: np.ndarray):
     return geo, f1, T3
 
 
-def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
-    """Left side of the c-equation as a rank-3 array, [i, j, k]."""
+def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
+    """f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus c times the two
+    complex-structure terms when jstruct is set."""
     P, single = prob.chart.batch(p)
     geo, f1, T3 = _third_jets(prob, P)
     g0 = geo.g0
-    fb, Jf = _jstruct_terms(f1, g0, geo.J0)
-    c = prob.c
-    res = (T3
-           + c * (2.0 * np.einsum("zk,zij->zijk", f1, g0)
-                  + np.einsum("zi,zjk->zijk", f1, g0)
-                  + np.einsum("zj,zik->zijk", f1, g0)
-                  - np.einsum("zi,zjk->zijk", fb, Jf)
-                  - np.einsum("zj,zik->zijk", fb, Jf)))
-    return unbatch(res, single)
+    terms = (2.0 * np.einsum("zk,zij->zijk", f1, g0)
+             + np.einsum("zi,zjk->zijk", f1, g0)
+             + np.einsum("zj,zik->zijk", f1, g0))
+    if jstruct:
+        fb, Jf = _jstruct_terms(f1, g0, geo.J0)
+        terms = (terms - np.einsum("zi,zjk->zijk", fb, Jf)
+                 - np.einsum("zj,zik->zijk", fb, Jf))
+    return unbatch(T3 + prob.c * terms, single)
+
+
+def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
+    """Left side of the c-equation as a rank-3 array, [i, j, k]."""
+    return _third_order_residual(prob, p, jstruct=True)
 
 
 def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     """Same operator without the complex-structure terms."""
-    P, single = prob.chart.batch(p)
-    geo, f1, T3 = _third_jets(prob, P)
-    g0 = geo.g0
-    c = prob.c
-    res = (T3
-           + c * (2.0 * np.einsum("zk,zij->zijk", f1, g0)
-                  + np.einsum("zi,zjk->zijk", f1, g0)
-                  + np.einsum("zj,zik->zijk", f1, g0)))
-    return unbatch(res, single)
+    return _third_order_residual(prob, p, jstruct=False)
 
 
 def laplace_identity_residual(prob: TannoProblem, p):

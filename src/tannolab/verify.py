@@ -31,10 +31,10 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_lightlike_directions, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
-from .operator import (PolynomialReal, _projector_with_operator, assemble_L,
-                       _eigenstructure, minimal_polynomial, poly_star,
-                       product_block_check, projector_from_solution, spectrum,
-                       star_power)
+from .operator import (PolynomialReal, SpectrumResult,
+                       _projector_with_operator, assemble_L, _eigenstructure,
+                       minimal_polynomial, poly_star, product_block_check,
+                       projector_from_solution, spectrum, star_power)
 from .signature import is_constant, positivity_scan
 from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
                     gallot_tanno_residual, laplace_identity_residual,
@@ -105,6 +105,8 @@ class SuiteConfig:
         self.samples = _number("samples", self.samples, int)
         if self.radius is not None:
             self.radius = _number("radius", self.radius)
+            if not self.radius > 0:
+                raise ConfigError("config field 'radius' must be positive")
         if self.samples < 1:
             raise ConfigError("config field 'samples' must be >= 1")
         for name in self.checks:
@@ -181,11 +183,27 @@ def build_solution(spec: str, chart: KahlerChart) -> ScalarField:
 
 @dataclass
 class CheckContext:
+    """A suite's inputs, and the operator, spectra and projector evaluated
+    from them once, on first use (an error is not cached: every check that
+    needs the object records it)."""
+
     chart: KahlerChart
     f: ScalarField
     c: float
     P: np.ndarray       # the (N, d) batch of sample points
     seed: int
+
+    @classmethod
+    def from_config(cls, config: SuiteConfig) -> "CheckContext":
+        chart = build_chart(config.chart)
+        f = build_solution(config.solution, chart)
+        try:
+            points = sample_points(chart, config.samples, config.seed,
+                                   config.radius)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'radius' ({config.radius:g}): "
+                              f"{exc}") from None
+        return cls(chart, f, config.c, np.array(points), config.seed)
 
     @property
     def problem(self) -> TannoProblem:
@@ -200,13 +218,20 @@ class CheckContext:
         return self.problem.rescaled()
 
     @cached_property
+    def operator(self) -> np.ndarray:
+        """The (N, d+2, d+2) entries of L(f) of the unit problem at the
+        sample points."""
+        return assemble_L(self.unit_problem, self.P).entries
+
+    @cached_property
+    def spectra(self) -> list[SpectrumResult]:
+        """The clustered spectrum of L(f) at each sample point."""
+        return [spectrum(L) for L in self.operator]
+
+    @cached_property
     def projector(self) -> tuple[PolynomialReal, ScalarField, np.ndarray]:
         """(P, P*(f), L) of the unit problem over the sample points, with L
-        the (N, d+2, d+2) entries of L(P*(f)) at them.
-
-        Built once per suite; a raised error is not cached, so every check
-        that needs the projector records it.
-        """
+        the (N, d+2, d+2) entries of L(P*(f)) at them."""
         return _projector_with_operator(self.unit_problem, self.P)
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
@@ -229,6 +254,13 @@ def _worst(residuals) -> CheckOutcome:
     """Outcome from per-point residuals: their maximum over the batch."""
     res = np.asarray(residuals, dtype=float)
     return CheckOutcome(float(np.max(res)), len(res))
+
+
+def _deviation(a, b) -> float:
+    """1.0 when value lists a and b differ in length, else max |a - b|."""
+    if len(a) != len(b):
+        return 1.0
+    return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +395,7 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
     pts = ctx.P[:20]
-    L1 = assemble_L(prob, pts).entries
+    L1 = ctx.operator[:20]
     worst = 0.0
     for k in (2, 3, 4):
         probk = TannoProblem(chart, star_power(chart, prob.f, k), 1.0)
@@ -385,33 +417,22 @@ def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(pts))
 
 def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
-    Ls = assemble_L(ctx.unit_problem, ctx.P).entries
-    specs = [spectrum(L).clusters for L in Ls]
-    base = specs[0]
+    base = ctx.spectra[0].clusters
     worst = 0.0
-    for s in specs[1:]:
-        if len(s) != len(base) or [m for _, m in s] != [m for _, m in base]:
-            worst = max(worst, 1.0)
-            continue
-        worst = max(worst, max(abs(a - b) for (a, _), (b, _) in zip(s, base)))
-    return CheckOutcome(worst, len(specs))
+    for spec in ctx.spectra[1:]:
+        s = spec.clusters
+        same = [m for _, m in s] == [m for _, m in base]
+        worst = max(worst, _deviation([v for v, _ in s], [v for v, _ in base])
+                    if same else 1.0)
+    return CheckOutcome(worst, len(ctx.spectra))
 
 def check_minimal_polynomial(ctx: CheckContext) -> CheckOutcome:
-    pts = ctx.P[:20]
-    polys = [minimal_polynomial(L).coeffs
-             for L in assemble_L(ctx.unit_problem, pts).entries]
-    base = np.array(polys[0])
-    worst = 0.0
-    for cs in polys[1:]:
-        if len(cs) != len(base):
-            worst = max(worst, 1.0)
-        else:
-            worst = max(worst, float(np.max(np.abs(np.array(cs) - base))))
-    return CheckOutcome(worst, len(pts))
+    polys = [minimal_polynomial(L).coeffs for L in ctx.operator[:20]]
+    worst = max((_deviation(cs, polys[0]) for cs in polys[1:]), default=0.0)
+    return CheckOutcome(worst, len(polys))
 
 def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
-    counts = [len(spectrum(L).clusters)
-              for L in assemble_L(ctx.unit_problem, ctx.P).entries]
+    counts = [len(s.clusters) for s in ctx.spectra]
     bad = sum(1 for c in counts if c < 2)
     return CheckOutcome(float(bad), len(counts),
                         note="points with fewer than two real clusters")
@@ -432,13 +453,9 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
     for rep in _eigenstructure(Ls):
         seen.add(rep.classification)
         expected = rep.expected_clusters(n)
-        exp_sorted = sorted([v for v, m in expected.items() for _ in range(m)])
-        act_sorted = sorted([v for v, m in rep.clusters for _ in range(m)])
-        if len(exp_sorted) != len(act_sorted):
-            worst = max(worst, 1.0)
-        elif exp_sorted:
-            worst = max(worst, float(np.max(np.abs(
-                np.array(exp_sorted) - np.array(act_sorted)))))
+        exp_sorted = sorted(v for v, m in expected.items() for _ in range(m))
+        act_sorted = sorted(v for v, m in rep.clusters for _ in range(m))
+        worst = max(worst, _deviation(exp_sorted, act_sorted))
     return CheckOutcome(worst, len(ctx.P),
                         note="cases seen: " + ", ".join(sorted(seen)))
 
@@ -618,13 +635,7 @@ class VerificationReport:
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    chart = build_chart(config.chart)
-    f = build_solution(config.solution, chart)
-    radius = config.radius if config.radius is not None \
-        else 0.75 * chart.domain_radius
-    points = sample_points(chart, config.samples, config.seed, radius)
-    ctx = CheckContext(chart, f, config.c, np.array(points), config.seed)
-
+    ctx = CheckContext.from_config(config)
     names = config.checks or DEFAULT_CHECKS
     records = []
     for name in names:

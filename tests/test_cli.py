@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from tannolab import verify
-from tannolab.cli import main
+from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError
 from tannolab.manifolds import sample_points
-from tannolab.operator import assemble_L, projector_from_solution
+from tannolab.operator import assemble_L, projector_from_solution, spectrum
 from tannolab.tanno import TannoProblem
 from tannolab.verify import (REGISTRY, CheckContext, CheckRecord, SuiteConfig,
                              build_chart, build_solution, emit_report,
@@ -35,12 +35,7 @@ def fast_config(**over):
 
 
 def fast_context() -> CheckContext:
-    cfg = fast_config()
-    chart = build_chart(cfg.chart)
-    P = np.array(sample_points(chart, cfg.samples, cfg.seed,
-                               0.75 * chart.domain_radius))
-    return CheckContext(chart, build_solution(cfg.solution, chart), cfg.c, P,
-                        cfg.seed)
+    return CheckContext.from_config(fast_config())
 
 
 class TestConfig:
@@ -113,6 +108,13 @@ class TestConfig:
             fast_config(**{field: value})
         with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
             SuiteConfig(chart={"name": "flat"}, **{field: value})
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_non_positive_radius_rejected(self, radius):
+        # radius 0 puts every sample at the origin; a negative one reflects
+        # the samples through it.
+        with pytest.raises(ConfigError, match="'radius' must be positive"):
+            fast_config(radius=radius)
 
     def test_infinite_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tolerances.eq1.residual"):
@@ -194,6 +196,27 @@ class TestRunSuite:
         assert rec.passed, rec.note
         assert "verdict=positive" in rec.note
         assert "inertia=(2,0)" in rec.note
+
+    def test_suite_assembles_solution_operator_once(self, monkeypatch):
+        # cor2, lem3, lem4 and lem2 all read the suite's one L(f) at the
+        # samples.
+        built, calls = [], []
+        build, assemble = verify.build_solution, verify.assemble_L
+
+        def spy_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def spy_assemble(prob, p):
+            if prob.f is built[0]:
+                calls.append(np.shape(p))
+            return assemble(prob, p)
+
+        monkeypatch.setattr(verify, "build_solution", spy_build)
+        monkeypatch.setattr(verify, "assemble_L", spy_assemble)
+        report = run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG))
+        assert report.passed
+        assert calls == [(DEFAULT_CONFIG["samples"], 2)]
 
     def test_projector_check_reuses_operator_entries(self, monkeypatch):
         ctx = fast_context()
@@ -333,6 +356,22 @@ class TestCli:
         assert out.count("\n") == 2
         assert "(x2)" in out
 
+    def test_spectrum_verb_prints_operator_spectra(self, capsys):
+        assert main(["spectrum", "--points", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = SuiteConfig.from_dict(DEFAULT_CONFIG)
+        chart = build_chart(cfg.chart)
+        pts = np.array(sample_points(chart, cfg.samples, cfg.seed))[:3]
+        prob = TannoProblem(chart, build_solution(cfg.solution, chart),
+                            cfg.c).rescaled()
+        assert len(lines) == 3
+        for line, q, L in zip(lines, pts, assemble_L(prob, pts).entries):
+            assert line.startswith(f"p = {np.array2string(q, precision=4)} ")
+            printed = re.findall(r"([+-]\d+\.\d+) \(x(\d+)\)", line)
+            assert printed == [(f"{v:+.8f}", str(m))
+                               for v, m in spectrum(L).clusters]
+            assert len(printed) >= 2
+
     def test_spectrum_verb_no_points(self, capsys):
         rc = main(["spectrum", "--set", "samples=4", "--points", "0"])
         assert rc == 0
@@ -343,3 +382,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "P(t)" in out and "mu range" in out
+
+    @pytest.mark.parametrize("verb", ["spectrum", "projector"])
+    def test_zero_c_exits_two_with_reason(self, verb, capsys):
+        assert main([verb, "--set", "c=0", "--set", "samples=3"]) == 2
+        assert "c = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "spectrum", "projector"])
+    def test_radius_beyond_domain_exits_two(self, verb, capsys):
+        # CP(1)'s chart domain radius is 2.
+        assert main([verb, "--set", "radius=5"]) == 2
+        assert "exceeds the chart domain radius" in capsys.readouterr().err
