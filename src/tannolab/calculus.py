@@ -2,8 +2,9 @@
 
 Index conventions used throughout the package:
 
-* the complex structure is stored as the matrix ``Jm[i, j] = J^i_j``, so
-  ``(J v)^i = Jm @ v`` and the bar of a covector is ``Jm.T @ w``;
+* the complex structure is the chart's constant matrix
+  ``chart.J[i, j] = J^i_j``, so ``(J v)^i = chart.J @ v`` and the bar of a
+  covector is ``chart.J.T @ w``;
 * Christoffel arrays are ``G[k, i, j] = Gamma^k_ij``;
 * the covariant Hessian array is ``H[i, j] = f_{,ij}`` and the third
   derivative array is ``T[i, j, k] = (f_{,ij})_{;k}``, symmetric in (i, j).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartJets, KahlerChart, checked_inverse, unbatch
+from .charts import KahlerChart, checked_inverse, unbatch
 from .fields import MatrixField, ScalarField
 
 
@@ -178,40 +179,37 @@ def bar_form(chart: KahlerChart, omega, p) -> TensorValue:
         w = omega.components
     else:
         w = np.asarray(omega, dtype=float)
-    Jm = chart.jstruct_jets(P, 0)[0]
-    out = np.einsum("zai,za->zi", Jm, np.broadcast_to(w, P.shape))
+    out = np.einsum("ai,za->zi", chart.J, np.broadcast_to(w, P.shape))
     return TensorValue(unbatch(out, single), ("l",))
 
 
 def kahler_form(chart: KahlerChart, p) -> TensorValue:
     """J_ij = g_ia J^a_j, the Kahlerian 2-form."""
     P, single = chart.batch(p)
-    geo = chart.at(P, 0)
-    return TensorValue(unbatch(geo.g0 @ geo.J0, single), ("l", "l"))
+    return TensorValue(unbatch(chart.metric_jets(P, 0)[0] @ chart.J, single),
+                       ("l", "l"))
 
 
-def _nabla_jstruct(geo: ChartJets) -> np.ndarray:
-    """Covariant derivative (nabla_k J)^i_j over a batch, axes [z, i, j, k];
-    ``geo`` holds the metric through order 1."""
-    Jj = geo.jstruct(1)
-    G0 = geo.gamma(0)[0]
-    return (Jj[1]
-            + np.einsum("zikl,zlj->zijk", G0, Jj[0])
-            - np.einsum("zlkj,zil->zijk", G0, Jj[0]))
+def _nabla_jstruct(Jm: np.ndarray, G0: np.ndarray) -> np.ndarray:
+    """Covariant derivative (nabla_k J)^i_j of the constant J over a batch
+    with Christoffel symbols G0, axes [z, i, j, k]."""
+    return (np.einsum("zikl,lj->zijk", G0, Jm)
+            - np.einsum("zlkj,il->zijk", G0, Jm))
 
 
 def kahler_residuals(chart: KahlerChart, p):
     """(|J^2 + Id|, |J^T g J - g|, |nabla J|) in Frobenius norm.
 
-    For a batch, each entry is an array with one residual per point.
+    |J^2 + Id| is a property of the chart, the same at every point.  For a
+    batch, each entry is an array with one residual per point.
     """
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
     g0 = geo.g0
-    Jm = geo.J0
-    r_sq = frob_rows(Jm @ Jm + np.eye(chart.dim))
-    r_compat = frob_rows(np.swapaxes(Jm, 1, 2) @ g0 @ Jm - g0)
-    r_par = frob_rows(_nabla_jstruct(geo))
+    Jm = chart.J
+    r_sq = frob(Jm @ Jm + np.eye(chart.dim))
+    r_compat = frob_rows(Jm.T @ g0 @ Jm - g0)
+    r_par = frob_rows(_nabla_jstruct(Jm, geo.gamma(0)[0]))
     if single:
-        return float(r_sq[0]), float(r_compat[0]), float(r_par[0])
-    return r_sq, r_compat, r_par
+        return r_sq, float(r_compat[0]), float(r_par[0])
+    return np.full(len(P), r_sq), r_compat, r_par

@@ -1,15 +1,17 @@
 """Coordinate charts carrying a pseudo-Kahler structure.
 
-A chart owns three evaluable structures: the metric g_ij, the complex
-structure J^i_j and (derived) the Christoffel symbols, each available as
-derivative lists of any order through the jet engine.  Every accessor takes
-one point of shape (d,) or a batch of shape (N, d); a batch returns arrays
-with a leading point axis, a single point returns them without it.
+A chart is the metric g_ij on a coordinate ball plus the complex structure
+J^i_j, which in holomorphic coordinates is the constant standard one and is
+held as the one (d, d) matrix ``chart.J``.  The metric and (derived) the
+inverse metric and Christoffel symbols are available as derivative lists of
+any order through the jet engine.  Every accessor takes one point of shape
+(d,) or a batch of shape (N, d); a batch returns arrays with a leading point
+axis, a single point returns them without it.
 
 Charts are immutable and keep no per-point state.  :meth:`KahlerChart.at`
-evaluates the metric once over a batch and hands out g, g^-1, Gamma and J
-from that one evaluation, so a consumer needing several of them pays for a
-single potential evaluation.
+evaluates the metric once over a batch and hands out g, g^-1 and Gamma from
+that one evaluation, so a consumer needing several of them pays for a single
+potential evaluation.
 """
 
 from __future__ import annotations
@@ -103,50 +105,46 @@ def checked_inverse(g0: np.ndarray, where: str = "") -> np.ndarray:
     return inv
 
 
-def _repeat(a: np.ndarray, n: int) -> np.ndarray:
-    return np.repeat(a[None], n, axis=0)
-
-
 def _constant_jets(a: np.ndarray, P: np.ndarray, order: int) -> list[np.ndarray]:
     n, d = P.shape
-    return [_repeat(a, n)] + [np.zeros((n,) + a.shape + (d,) * m)
-                              for m in range(1, order + 1)]
+    return [np.repeat(a[None], n, axis=0)] + [
+        np.zeros((n,) + a.shape + (d,) * m) for m in range(1, order + 1)]
 
 
 class KahlerChart:
-    """A single coordinate patch with evaluable g and J.
+    """A single coordinate patch: evaluable g and the constant matrix J.
 
-    ``metric_jets_fn(P, order)`` and ``jstruct_jets_fn(P, order)`` take an
-    (N, d) point array and return derivative lists with a leading point axis
-    (see :mod:`tannolab.jets`).  Use the classmethod constructors rather
-    than calling __init__ directly.
+    ``metric_jets_fn(P, order)`` takes an (N, d) point array and returns a
+    derivative list with a leading point axis (see :mod:`tannolab.jets`);
+    ``J[i, j] = J^i_j``.  Use the classmethod constructors rather than
+    calling __init__ directly.
     """
 
-    def __init__(self, dim, metric_jets_fn, jstruct_jets_fn, domain_radius, name):
+    def __init__(self, dim, metric_jets_fn, J, domain_radius, name):
         if dim % 2 != 0 or dim <= 0:
             raise ValueError("chart dimension must be a positive even integer")
         self.dim = int(dim)
         self.n = dim // 2
         self.domain_radius = float(domain_radius)
+        if not self.domain_radius > 0:
+            raise ValueError("domain_radius must be positive")
         self.name = name
         self._metric_jets_fn = metric_jets_fn
-        self._jstruct_jets_fn = jstruct_jets_fn
+        self.J = np.asarray(J, dtype=float)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_constant(cls, g0, J0, domain_radius=10.0, name="constant chart"):
+    def from_constant(cls, g0, domain_radius=10.0, name="constant chart"):
+        """Chart with the constant metric g0 and the standard J."""
         g0 = np.asarray(g0, dtype=float)
-        J0 = np.asarray(J0, dtype=float)
         dim = g0.shape[0]
 
         def metric_fn(P, order):
             return _constant_jets(g0, P, order)
 
-        def jstruct_fn(P, order):
-            return _constant_jets(J0, P, order)
-
-        return cls(dim, metric_fn, jstruct_fn, domain_radius, name)
+        return cls(dim, metric_fn, standard_complex_structure(dim),
+                   domain_radius, name)
 
     @classmethod
     def from_potential(cls, dim, potential_fn, domain_radius, name):
@@ -164,10 +162,7 @@ class KahlerChart:
                 out.append(0.5 * (H + np.einsum("db,zad...->zab...", J0, JH)))
             return out
 
-        def jstruct_fn(P, order):
-            return _constant_jets(J0, P, order)
-
-        return cls(dim, metric_fn, jstruct_fn, domain_radius, name)
+        return cls(dim, metric_fn, J0, domain_radius, name)
 
     # -- derived charts -------------------------------------------------------
 
@@ -180,17 +175,12 @@ class KahlerChart:
         def metric_fn(P, order):
             return [c * t for t in base.metric_jets(P, order)]
 
-        return KahlerChart(self.dim, metric_fn, base._jstruct_jets_fn,
+        return KahlerChart(self.dim, metric_fn, self.J,
                            self.domain_radius, f"{self.name} (metric x {c:g})")
 
     def with_scaled_jstruct(self, s: float) -> "KahlerChart":
         """Deliberately broken chart (J scaled); for residual-detection tests."""
-        base = self
-
-        def jstruct_fn(P, order):
-            return [s * t for t in base.jstruct_jets(P, order)]
-
-        return KahlerChart(self.dim, base._metric_jets_fn, jstruct_fn,
+        return KahlerChart(self.dim, self._metric_jets_fn, s * self.J,
                            self.domain_radius, f"{self.name} (J x {s:g})")
 
     def with_negated_metric(self) -> "KahlerChart":
@@ -227,10 +217,6 @@ class KahlerChart:
         P, single = as_points(p, self.dim)
         return unbatch(self._metric_jets_fn(P, order), single)
 
-    def jstruct_jets(self, p, order: int) -> list[np.ndarray]:
-        P, single = as_points(p, self.dim)
-        return unbatch(self._jstruct_jets_fn(P, order), single)
-
     def metric_inv_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of g^ij."""
         P, single = as_points(p, self.dim)
@@ -246,9 +232,6 @@ class KahlerChart:
     def metric(self, p) -> np.ndarray:
         return np.array(self.metric_jets(p, 0)[0])
 
-    def jstruct(self, p) -> np.ndarray:
-        return np.array(self.jstruct_jets(p, 0)[0])
-
     def inner(self, p, u, v):
         """g(u, v) at p: a float, or one value per point for a batch."""
         P, single = as_points(p, self.dim)
@@ -263,7 +246,7 @@ class KahlerChart:
 
 
 class ChartJets:
-    """g, g^-1, Gamma and J of one chart over one batch of points.
+    """g, g^-1 and Gamma of one chart over one batch of points.
 
     The metric is evaluated once, through ``order``.  Inverse-metric jets
     (through the order asked for) and Christoffel jets (through
@@ -274,25 +257,14 @@ class ChartJets:
 
     def __init__(self, chart: KahlerChart, P: np.ndarray, order: int):
         self.chart = chart
-        self.points = P
         self.order = order
         self.g = chart.metric_jets(P, order)
         self._ginv: list | None = None
         self._gamma: list | None = None
-        self._jstruct: list | None = None
 
     @property
     def g0(self) -> np.ndarray:
         return self.g[0]
-
-    @property
-    def J0(self) -> np.ndarray:
-        return self.jstruct(0)[0]
-
-    def jstruct(self, order: int) -> list[np.ndarray]:
-        if self._jstruct is None or len(self._jstruct) <= order:
-            self._jstruct = self.chart.jstruct_jets(self.points, order)
-        return self._jstruct
 
     def ginv(self, order: int = 0) -> list[np.ndarray]:
         if order > self.order:

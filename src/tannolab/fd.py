@@ -128,8 +128,7 @@ def sectional_curvature_fd(chart: KahlerChart, p, X, Y) -> float:
 
 
 def holomorphic_sectional_curvature_fd(chart: KahlerChart, p, X) -> float:
-    Jm = chart.jstruct(p)
-    return sectional_curvature_fd(chart, p, X, Jm @ np.asarray(X, float))
+    return sectional_curvature_fd(chart, p, X, chart.J @ np.asarray(X, float))
 
 
 def laplacian_fd(chart: KahlerChart, f, p) -> float:

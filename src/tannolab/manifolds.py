@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets as J
-from .charts import KahlerChart, chunked, standard_complex_structure
+from .charts import KahlerChart, chunked
 from .errors import NotLightlike
 from .fields import ExprField, ScalarField
 
@@ -32,12 +32,9 @@ def flat_kahler_chart(p: int, q: int, domain_radius: float = 10.0) -> KahlerChar
     """
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
-    dim = 2 * (p + q)
     signs = np.concatenate([np.ones(2 * p), -np.ones(2 * q)])
-    g0 = np.diag(signs)
-    J0 = standard_complex_structure(dim)
     return KahlerChart.from_constant(
-        g0, J0, domain_radius, name=f"flat ({p},{q})")
+        np.diag(signs), domain_radius, name=f"flat ({p},{q})")
 
 
 def fubini_study_chart(n: int, domain_radius: float = 2.0) -> KahlerChart:
@@ -210,10 +207,6 @@ class GeodesicPath:
     def samples(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
         t, X, V = self.grid()
         return [(float(tk), x, v) for tk, x, v in zip(t, X, V)]
-
-    @property
-    def points(self) -> list[np.ndarray]:
-        return [s[1] for s in self.samples]
 
 
 def _geodesic_rhs(chart: KahlerChart, x, v):

@@ -174,7 +174,7 @@ def _solve_vec(g0, v):
     return np.linalg.solve(g0, v[..., None])[..., 0]
 
 
-def _standard_shape(mu, f, g0, J0, ahat) -> np.ndarray:
+def _standard_shape(mu, f, g0, Jm, ahat) -> np.ndarray:
     """Batched extended operators of standard shape: the one writer of the
     block layout.
 
@@ -182,7 +182,7 @@ def _standard_shape(mu, f, g0, J0, ahat) -> np.ndarray:
     forms f^i and fbar^i the left columns, and a^i_j the lower right block.
     """
     n, d = f.shape
-    fb = np.einsum("zai,za->zi", J0, f)
+    fb = np.einsum("ai,za->zi", Jm, f)
     L = np.zeros((n, d + 2, d + 2))
     L[:, 0, 0] = L[:, 1, 1] = mu
     L[:, 0, 2:] = f
@@ -217,7 +217,7 @@ def _operator(fj, geo: ChartJets) -> np.ndarray:
     g0 = geo.g0
     ahat = (np.linalg.solve(g0, -H)
             - (2.0 * f0)[:, None, None] * np.eye(g0.shape[-1]))
-    return _standard_shape(-2.0 * f0, f1, g0, geo.J0, ahat)
+    return _standard_shape(-2.0 * f0, f1, g0, geo.chart.J, ahat)
 
 
 def assemble_L(prob: TannoProblem, p) -> ExtendedMatrix:
@@ -293,7 +293,7 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
     holds = (op_eq_linear < BLOCK_TOL) & (op_eq_orth < BLOCK_TOL)
 
     g0 = geo.g0
-    shape = _standard_shape(mu_t, f_t, g0, geo.J0, product[:, 2:, 2:])
+    shape = _standard_shape(mu_t, f_t, g0, chart.J, product[:, 2:, 2:])
     a_low = g0 @ product[:, 2:, 2:]
     shape_residual = np.where(
         holds, frob_rows(product - shape) + frob_rows(a_low - np.swapaxes(a_low, 1, 2)),
@@ -406,18 +406,19 @@ def projector_from_solution(prob: TannoProblem, sample_points
     Returns (P, P*(f)); the resulting operator is verified to be a
     non-trivial projector at every sample point, to :data:`PROJECTOR_TOL`.
     """
-    P, f_proj, _ = _projector_with_operator(prob, sample_points)
-    return P, f_proj
-
-
-def _projector_with_operator(prob: TannoProblem, sample_points):
-    """(P, P*(f), L) of :func:`projector_from_solution`, where L holds the
-    (N, d+2, d+2) entries of L(P*(f)) it verified at the sample points."""
     pts, _ = prob.chart.batch(sample_points)
     if not len(pts):
         raise ValueError("need at least one sample point")
-    L0 = assemble_L(prob, pts[0])
-    spec = spectrum(L0)
+    spec = spectrum(assemble_L(prob, pts[0]))
+    P, f_proj, _ = _projector_with_operator(prob, pts, spec)
+    return P, f_proj
+
+
+def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
+                             spec: SpectrumResult):
+    """(P, P*(f), L) of :func:`projector_from_solution` over the (N, d)
+    batch ``pts``, given ``spec``, the spectrum of L(f) at pts[0]; L holds
+    the (N, d+2, d+2) entries of L(P*(f)) it verified at the points."""
     reps = spec.real_values
     if len(reps) < 2:
         raise NoRealSplit(

@@ -77,7 +77,7 @@ class ExtremalFinding:
 
     point: np.ndarray
     mu: float
-    kind: str                      # "mu_max" | "mu_min"
+    kind: str                      # classify_mu(mu): mu_max, mu_min or interior
     grad_norm: float
     hessian_eigs: list[float] = field(default_factory=list)
     g_restricted_inertia: tuple[int, int] | None = None
@@ -179,7 +179,6 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
 
     findings = []
     witnessed = set()
-    mu_lo, mu_hi = float(mu_vals.min()), float(mu_vals.max())
     X = np.array([x for x, _ in candidates])
     geo = chart.at(X, 1)
     fj = prob.f.jets(X, 2)
@@ -189,14 +188,18 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     mu_hess_all = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
     for k, (x_star, gnorm) in enumerate(candidates):
         mu_star = float(mus[k])
-        kind = "mu_max" if mu_star >= 0.5 * (mu_lo + mu_hi) else "mu_min"
+        # At a critical point f_i = 0, so the corner of L^2 = L reads
+        # mu^2 = mu: mu is 1 (a maximum) or 0 (a minimum).  An "interior"
+        # label means the point is not one, and gets no restriction.
+        kind = classify_mu(mu_star)
         mu_hess = mu_hess_all[k]
         hess_eigs = list(np.linalg.eigvalsh(0.5 * (mu_hess + mu_hess.T)))
         finding = ExtremalFinding(x_star, mu_star, kind, gnorm, hess_eigs)
         # Restricted to the a-eigenspace of `value`, the Hessian identity
         # reads h = -2 sign g: h = -2g at a maximum, h = 2g at a minimum.
         value, sign = (0.0, 1.0) if kind == "mu_max" else (1.0, -1.0)
-        basis = _eigenspace(ahats[k], value, EIGEN_TOL)
+        basis = ([] if kind == "interior"
+                 else _eigenspace(ahats[k], value, EIGEN_TOL))
         if basis:
             g_rest = restrict_form(geo.g0[k], basis)
             h_rest = restrict_form(mu_hess, basis)

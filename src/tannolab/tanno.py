@@ -130,8 +130,9 @@ class BundleAField(MatrixField):
 # ---------------------------------------------------------------------------
 
 def _jstruct_terms(f1, g0, Jm):
-    """(fbar_i, J_ij) per point: fbar = J^T f_i and the Kahler form g J."""
-    return np.einsum("zai,za->zi", Jm, f1), g0 @ Jm
+    """(fbar_i, J_ij) per point: fbar = J^T f_i and the Kahler form g J,
+    for the chart's constant J."""
+    return np.einsum("ai,za->zi", Jm, f1), g0 @ Jm
 
 
 def _third_jets(prob: TannoProblem, P: np.ndarray):
@@ -152,7 +153,7 @@ def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
              + np.einsum("zi,zjk->zijk", f1, g0)
              + np.einsum("zj,zik->zijk", f1, g0))
     if jstruct:
-        fb, Jf = _jstruct_terms(f1, g0, geo.J0)
+        fb, Jf = _jstruct_terms(f1, g0, prob.chart.J)
         terms = (terms - np.einsum("zi,zjk->zijk", fb, Jf)
                  - np.einsum("zj,zik->zijk", fb, Jf))
     return unbatch(T3 + prob.c * terms, single)
@@ -189,7 +190,7 @@ def system_residual(prob: TannoProblem, p):
     fj = prob.f.jets(P, 3)
     f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
     g0 = geo.g0
-    fb, Jf = _jstruct_terms(f1, g0, geo.J0)
+    fb, Jf = _jstruct_terms(f1, g0, prob.chart.J)
 
     adk = covariant_d_cotensor2(_a_jets(geo, fj, 1), geo.gamma(0)[0])
     rhs1 = (np.einsum("zi,zjk->zijk", f1, g0) + np.einsum("zj,zik->zijk", f1, g0)
@@ -241,8 +242,9 @@ def mu_hessian_residual(prob: TannoProblem, p):
 def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     """Matrices A with dy/dt = A y for the first-order system along ``xdot``.
 
-    ``g0`` and ``Jm`` (Z, d, d) and ``G0`` (Z, d, d, d), with Gamma^l_ij at
-    [l, i, j], are the chart at Z points; ``xdot`` has shape (d,).  The
+    ``g0`` (Z, d, d) and ``G0`` (Z, d, d, d), with Gamma^l_ij at [l, i, j],
+    are the chart at Z points and ``Jm`` (d, d) its constant J; ``xdot`` has
+    shape (d,).  The
     state is y = (a.ravel(), f, mu), so A has shape (Z, m, m) with
     m = d^2 + d + 1.
     """
@@ -261,8 +263,8 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
                       + np.einsum("ip,zqj->zijpq", I, Gk)).reshape(Z, n2, n2)
     A[:, :n2, n2:-1] = (np.einsum("ia,zj->zija", I, gx)
                         + np.einsum("ja,zi->zija", I, gx)
-                        - np.einsum("zai,zj->zija", Jm, Jx)
-                        - np.einsum("zaj,zi->zija", Jm, Jx)).reshape(Z, n2, d)
+                        - np.einsum("ai,zj->zija", Jm, Jx)
+                        - np.einsum("aj,zi->zija", Jm, Jx)).reshape(Z, n2, d)
     # partial_j f_i = mu g_ij - a_ij + Gamma^l_ij f_l
     A[:, n2:-1, :n2] = -np.einsum("ip,q->ipq", I, xdot).reshape(d, n2)
     A[:, n2:-1, n2:-1] = Gj.transpose(0, 2, 1)
@@ -304,7 +306,7 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
         # next step's start).
         taus = np.linspace(0.0, 1.0, 2 * nsub + 1)
         geo = chart.at(q0 + taus[:, None] * seg, 1)
-        A = _transport_matrices(geo.g0, geo.J0, geo.gamma(0)[0], seg)
+        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], seg)
         for k in range(nsub):
             k1 = A[2 * k] @ y
             k2 = A[2 * k + 1] @ (y + dt / 2 * k1)

@@ -134,20 +134,26 @@ class SuiteConfig:
 
 
 def build_chart(spec: dict) -> KahlerChart:
+    """The chart a chart spec names; its fields are validated as config
+    fields ``chart.<key>``, and a value the constructor rejects as out of
+    range is a ConfigError too."""
     spec = dict(spec)
     name = spec.pop("name", None)
     if name in ("fubini_study", "fs"):
-        n = int(spec.pop("n", 1))
-        radius = float(spec.pop("domain_radius", 2.0))
-        _reject_extras("chart", spec)
-        return fubini_study_chart(n, radius)
-    if name == "flat":
-        p = int(spec.pop("p", 1))
-        q = int(spec.pop("q", 0))
-        radius = float(spec.pop("domain_radius", 10.0))
-        _reject_extras("chart", spec)
-        return flat_kahler_chart(p, q, radius)
-    raise ConfigError(f"chart_spec names unknown chart {name!r}")
+        make, defaults = fubini_study_chart, {"n": 1, "domain_radius": 2.0}
+    elif name == "flat":
+        make, defaults = flat_kahler_chart, {"p": 1, "q": 0,
+                                             "domain_radius": 10.0}
+    else:
+        raise ConfigError(f"chart_spec names unknown chart {name!r}")
+    args = {key: _number(f"chart.{key}", spec.pop(key, default),
+                         type(default))
+            for key, default in defaults.items()}
+    _reject_extras("chart", spec)
+    try:
+        return make(**args)
+    except ValueError as exc:
+        raise ConfigError(f"chart_spec {name!r}: {exc}") from None
 
 
 def _reject_extras(where: str, leftover: dict):
@@ -156,20 +162,22 @@ def _reject_extras(where: str, leftover: dict):
 
 
 def build_solution(spec: str, chart: KahlerChart) -> ScalarField:
+    """The field a solution spec names; its argument is validated as the
+    config field ``solution``, and a value the constructor rejects as out of
+    range is a ConfigError too."""
     kind, _, arg = spec.partition(":")
     if kind == "constant":
+        return ConstField(chart.dim, _number("solution", arg))
+    if kind == "height" and not chart.name.startswith("Fubini-Study"):
+        raise ConfigError("solution_spec 'height' requires a fubini_study chart")
+    if kind in ("height", "quadratic"):
+        k = _number("solution", arg, int) if arg else 0
         try:
-            return ConstField(chart.dim, float(arg))
+            if kind == "height":
+                return cpn_height_function(chart.n, k)
+            return random_quadratic_field(chart.dim, k)
         except ValueError as exc:
-            raise ConfigError(f"solution_spec constant value {arg!r}") from exc
-    if kind == "height":
-        if not chart.name.startswith("Fubini-Study"):
-            raise ConfigError("solution_spec 'height' requires a fubini_study chart")
-        axis = int(arg) if arg else 0
-        return cpn_height_function(chart.n, axis)
-    if kind == "quadratic":
-        seed = int(arg) if arg else 0
-        return random_quadratic_field(chart.dim, seed)
+            raise ConfigError(f"solution_spec {spec!r}: {exc}") from None
     if kind == "sphere_quadratic":
         if chart.dim != 2:
             raise ConfigError("solution_spec 'sphere_quadratic' requires CP(1)")
@@ -230,9 +238,11 @@ class CheckContext:
 
     @cached_property
     def projector(self) -> tuple[PolynomialReal, ScalarField, np.ndarray]:
-        """(P, P*(f), L) of the unit problem over the sample points, with L
-        the (N, d+2, d+2) entries of L(P*(f)) at them."""
-        return _projector_with_operator(self.unit_problem, self.P)
+        """(P, P*(f), L) of the unit problem over the sample points, with P
+        built from ``spectra[0]`` and L the (N, d+2, d+2) entries of
+        L(P*(f)) at the points."""
+        return _projector_with_operator(self.unit_problem, self.P,
+                                        self.spectra[0])
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
         g0 = self.chart.metric_jets(np.zeros(self.chart.dim), 0)[0]
@@ -476,6 +486,7 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
     report = positivity_scan(probP, ctx.P)
     ok = report.verdict == "positive"
     for fnd in report.extremal_findings:
+        ok = ok and fnd.kind != "interior"
         if fnd.g_restricted_inertia is not None:
             ok = ok and fnd.g_restricted_inertia[1] == 0
             ok = ok and fnd.identity_residual < 1e-6

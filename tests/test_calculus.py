@@ -154,8 +154,7 @@ class TestBarAndForm:
         p = points_on(fs1, 1, seed=9)[0]
         w = height1.gradient(p)
         out = bar_form(fs1, w, p).components
-        Jm = fs1.jstruct(p)
-        assert np.allclose(out, np.einsum("ai,a->i", Jm, w), atol=1e-15)
+        assert np.allclose(out, np.einsum("ai,a->i", fs1.J, w), atol=1e-15)
 
     def test_kahler_form_flat(self, flat10):
         out = kahler_form(flat10, np.zeros(2)).components

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from tannolab import verify
+from tannolab import operator, verify
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError
 from tannolab.manifolds import sample_points
@@ -197,6 +197,24 @@ class TestRunSuite:
         assert "verdict=positive" in rec.note
         assert "inertia=(2,0)" in rec.note
 
+    def test_interior_critical_point_fails_positivity(self, monkeypatch):
+        # A critical point of mu whose mu is neither 1 nor 0 contradicts
+        # mu^2 = mu there; it gets no eigenspace restriction and fails.
+        scan = verify.positivity_scan
+
+        def interior(prob, samples):
+            report = scan(prob, samples)
+            for fnd in report.extremal_findings:
+                fnd.kind = "interior"
+                fnd.g_restricted_inertia = fnd.identity_residual = None
+            return report
+
+        monkeypatch.setattr(verify, "positivity_scan", interior)
+        report = run_suite(fast_config(checks=["thm3.positivity"]))
+        rec = report.checks[0]
+        assert rec.status == "ok"
+        assert not rec.passed, rec.note
+
     def test_suite_assembles_solution_operator_once(self, monkeypatch):
         # cor2, lem3, lem4 and lem2 all read the suite's one L(f) at the
         # samples.
@@ -217,6 +235,21 @@ class TestRunSuite:
         report = run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG))
         assert report.passed
         assert calls == [(DEFAULT_CONFIG["samples"], 2)]
+
+    def test_projector_reads_suite_spectrum(self, monkeypatch):
+        # The projector's polynomial comes from the suite's spectra[0]: the
+        # only operator it assembles is L(P*(f)), never L(f) again.
+        ctx = fast_context()
+        ctx.spectra
+        fields, assemble = [], operator.assemble_L
+
+        def spy_assemble(prob, p):
+            fields.append(prob.f)
+            return assemble(prob, p)
+
+        monkeypatch.setattr(operator, "assemble_L", spy_assemble)
+        _, f_proj, _ = ctx.projector
+        assert len(fields) == 1 and fields[0] is f_proj
 
     def test_projector_check_reuses_operator_entries(self, monkeypatch):
         ctx = fast_context()
@@ -387,6 +420,25 @@ class TestCli:
     def test_zero_c_exits_two_with_reason(self, verb, capsys):
         assert main([verb, "--set", "c=0", "--set", "samples=3"]) == 2
         assert "c = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["chart.n=abc"], "'chart.n' must be a number"),
+        (["solution=quadratic:x"], "'solution' must be a number"),
+        (["chart.n=0"], "n must be >= 1"),
+        (["solution=height:5"], "axis must lie in 0..n"),
+        (["chart.n=1.5"], "'chart.n' must be an integer"),
+        (["chart.domain_radius=-1"], "domain_radius must be positive"),
+        (["chart.domain_radius=0", "samples=4"],
+         "domain_radius must be positive"),
+    ], ids=["n_text", "quadratic_text", "n_zero", "height_axis", "n_fraction",
+            "radius_negative", "radius_zero"])
+    def test_bad_chart_or_solution_spec_exits_two(self, overrides, message,
+                                                  capsys):
+        argv = ["verify"]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["verify", "spectrum", "projector"])
     def test_radius_beyond_domain_exits_two(self, verb, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import points_on
 from tannolab.calculus import frob, kahler_residuals
-from tannolab.charts import KahlerChart, as_points, standard_complex_structure
+from tannolab.charts import KahlerChart, as_points
 from tannolab.errors import SingularMetric
 from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart, random_polynomial_field,
@@ -94,17 +94,14 @@ def test_commuting_cp2_solution_pair_satisfies_op_eq(fs2_unit):
 
 def test_singular_metric_detected():
     g0 = np.diag([1.0, 1e-14])
-    chart = KahlerChart.from_constant(g0, standard_complex_structure(2),
-                                      name="degenerate")
+    chart = KahlerChart.from_constant(g0, name="degenerate")
     with pytest.raises(SingularMetric):
         chart.metric_inv_jets(np.zeros(2), 0)
 
 
 def test_singular_metric_test_is_scale_invariant():
     # A tiny but perfectly conditioned metric is not singular.
-    chart = KahlerChart.from_constant(1e-7 * np.eye(2),
-                                      standard_complex_structure(2),
-                                      name="small scale")
+    chart = KahlerChart.from_constant(1e-7 * np.eye(2), name="small scale")
     assert np.array_equal(chart.metric_inv_jets(np.zeros(2), 0)[0],
                           1e7 * np.eye(2))
 
@@ -127,7 +124,7 @@ def test_point_validation():
 
 def test_chart_requires_even_dimension():
     with pytest.raises(ValueError):
-        KahlerChart.from_constant(np.eye(3), np.eye(3))
+        KahlerChart.from_constant(np.eye(3))
 
 
 def test_empty_report_serializes_as_pass():

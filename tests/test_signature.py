@@ -8,7 +8,8 @@ from tannolab.errors import DegenerateBasis, NoExtremalPoint
 from tannolab.fields import ConstField
 from tannolab.manifolds import cpn_height_function
 from tannolab import signature
-from tannolab.operator import assemble_L, projector_from_solution
+from tannolab.operator import (assemble_L, classify_mu,
+                               projector_from_solution)
 from tannolab.signature import (metric_signature, positivity_scan,
                                 restrict_form)
 from tannolab.tanno import TannoProblem
@@ -103,6 +104,14 @@ class TestPositivityScan:
         assert finding.identity_residual < 1e-6
         assert finding.g_restricted_inertia[1] == 0
         assert finding.g_restricted_inertia[0] > 0
+
+    def test_cp2_axis1_kinds_follow_classify_mu(self, fs2_unit):
+        probP, pts = self._projector_problem(fs2_unit,
+                                             cpn_height_function(2, 1))
+        report = positivity_scan(probP, pts)
+        assert report.extremal_findings
+        assert all(f.kind == classify_mu(f.mu)
+                   for f in report.extremal_findings)
 
     def test_cp2_verdict_positive(self, fs2_unit, height2):
         probP, pts = self._projector_problem(fs2_unit, height2)

@@ -55,7 +55,8 @@ def _reference_transport(chart, path, init, max_step=0.02):
         for k in range(nsub):
             taus = np.array([k * dt, k * dt + dt / 2, k * dt + dt])
             geo = chart.at(q0 + taus[:, None] * seg, 1)
-            t, mid, end = zip(geo.g0, geo.J0, geo.gamma(0)[0])
+            t, mid, end = ((g, chart.J, G)
+                           for g, G in zip(geo.g0, geo.gamma(0)[0]))
             k1 = _einsum_rhs(t, seg, a, f, mu)
             k2 = _einsum_rhs(mid, seg, a + dt / 2 * k1[0], f + dt / 2 * k1[1],
                              mu + dt / 2 * k1[2])
@@ -178,7 +179,7 @@ class TestBundle:
         prob = TannoProblem(fs1_unit, height1, 1.0)
         for p in points_on(fs1_unit, 10, seed=11):
             b = bundle_from_f(prob, p)
-            Jm = fs1_unit.jstruct(p)
+            Jm = fs1_unit.J
             assert frob(Jm.T @ b.a @ Jm - b.a) < 1e-8
 
 
@@ -322,14 +323,14 @@ class TestTransport:
         rng = np.random.default_rng(26 + d)
         Z = 5
         g0 = rng.normal(size=(Z, d, d))
-        Jm = rng.normal(size=(Z, d, d))
+        Jm = rng.normal(size=(d, d))
         G0 = rng.normal(size=(Z, d, d, d))
         xdot = rng.normal(size=d)
         A = _transport_matrices(g0, Jm, G0, xdot)
         assert A.shape == (Z, d * d + d + 1, d * d + d + 1)
         for z in range(Z):
             b = _random_bundle(rng, d)
-            da, df, dmu = _einsum_rhs((g0[z], Jm[z], G0[z]), xdot,
+            da, df, dmu = _einsum_rhs((g0[z], Jm, G0[z]), xdot,
                                       b.a, b.grad, b.mu)
             ref = np.concatenate([da.ravel(), df, [dmu]])
             assert np.max(np.abs(A[z] @ _state(b) - ref)) <= \
