@@ -12,17 +12,16 @@ over built-in charts and emits machine-readable reports.
 __version__ = "0.1.0"
 
 from .charts import KahlerChart, standard_complex_structure
-from .fields import (ConstField, ExprField, ExprMatrixField, LinearComboField,
-                     MatrixField, ScalarField, ChartMetricField)
+from .fields import (ConstField, ExprField, LinearComboField, MatrixField,
+                     ScalarField)
 from .calculus import (TensorValue, bar_form, christoffel, kahler_form,
-                       kahler_residuals, laplacian, nabla_cotensor2,
-                       nabla_scalar, raise_lower)
+                       kahler_residuals, laplacian, nabla_scalar,
+                       raise_lower)
 from .manifolds import (GeodesicPath, cpn_height_function, flat_kahler_chart,
                         fubini_study_chart, integrate_geodesic, sample_points,
                         sphere_second_eigenfunction)
-from .tanno import (BundleAField, SolutionBundle, TannoProblem, bundle_from_f,
-                    f_from_mu, gallot_tanno_residual,
-                    laplace_identity_residual, lightlike_third_derivative,
+from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
+                    gallot_tanno_residual, laplace_identity_residual, lightlike_third_derivative,
                     mu_hessian_residual, system_residual, tanno_residual,
                     trace_identity_residual, transport_bundle)
 from .operator import (EigenstructureReport, ExtendedMatrix, PolynomialReal,

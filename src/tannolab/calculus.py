@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import KahlerChart, checked_inverse, unbatch
-from .fields import MatrixField, ScalarField
+from .fields import ScalarField
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,6 @@ def laplacian(chart: KahlerChart, f: ScalarField, p):
     H = scalar_covariant_jets(f.jets(P, 2), geo.gamma(0), 2)[2]
     out = np.einsum("zij,zij->z", geo.ginv(0)[0], H)
     return float(out[0]) if single else out
-
-
-def nabla_cotensor2(chart: KahlerChart, a: MatrixField, p) -> TensorValue:
-    """First covariant derivative a_{ij,k} of a symmetric (0,2)-tensor field."""
-    P, single = chart.batch(p)
-    C = covariant_d_cotensor2(a.jets(P, 1), chart.christoffel_jets(P, 0)[0])
-    return TensorValue(unbatch(C, single), ("l", "l", "l"))
 
 
 def covariant_d_cotensor2(aj, G0) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Scalar and matrix fields evaluable with exact derivatives of any order.
+"""Scalar fields evaluable with exact derivatives of any order, and the
+matrix-field interface.
 
 Fields are immutable after construction and keep no per-point state.
 :meth:`ScalarField.jets` and :meth:`MatrixField.jets` take one point of
 shape (d,) or a batch of shape (N, d) and return derivative lists with a
 leading point axis iff the input had one.  Subclasses implement
-``_jets(P, order)`` for an (N, d) batch only.
+``_jets(P, order)`` for an (N, d) batch only.  The package implements no
+matrix field: matrix-valued jets (the metric, a_ij) come straight from
+:meth:`KahlerChart.metric_jets` and the bundle code.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ class LinearComboField(ScalarField):
 
 
 class MatrixField:
-    """A smooth symmetric-matrix-valued map with exact derivatives."""
+    """Interface of a smooth symmetric-matrix-valued map with exact
+    derivatives; ``perfbench/bench_trace.py`` hooks its :meth:`jets`."""
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -130,26 +134,3 @@ class MatrixField:
 
     def __call__(self, p) -> np.ndarray:
         return np.array(self.jets(p, 0)[0])
-
-
-class ExprMatrixField(MatrixField):
-    """Matrix field from fn(list[Jet]) -> nested list of Jet entries."""
-
-    def __init__(self, dim: int, fn, name: str = "matrix expr"):
-        super().__init__(dim)
-        self.fn = fn
-        self.name = name
-
-    def _jets(self, P, order):
-        return J.eval_matrix_expr(self.fn, P, order)
-
-
-class ChartMetricField(MatrixField):
-    """The chart metric g_ij viewed as a matrix field (for nabla_cotensor2)."""
-
-    def __init__(self, chart):
-        super().__init__(chart.dim)
-        self.chart = chart
-
-    def _jets(self, P, order):
-        return self.chart.metric_jets(P, order)

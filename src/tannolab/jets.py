@@ -370,24 +370,6 @@ def _batched_terms(jet: Jet, n: int) -> list[np.ndarray]:
     return out
 
 
-def stack_jets(entries, n: int = 1) -> list[np.ndarray]:
-    """Stack a nested sequence of equal-order Jets into derivative arrays.
-
-    A 2D list of shape (R, C) over n points yields arrays of shape
-    (n, R, C) + (d,)*m.
-    """
-    entries = np.asarray(entries, dtype=object)
-    flat = entries.ravel()
-    order = flat[0].order
-    per_entry = [_batched_terms(j, n) for j in flat]
-    out = []
-    for m in range(order + 1):
-        arrs = [terms[m] for terms in per_entry]
-        stacked = np.stack(arrs, axis=1)
-        out.append(stacked.reshape((n,) + entries.shape + stacked.shape[2:]))
-    return out
-
-
 def _unbatch(terms, single: bool):
     return [t[0] for t in terms] if single else terms
 
@@ -406,16 +388,3 @@ def eval_scalar_expr(fn, p, order: int) -> list[np.ndarray]:
         # Allow plain floats for constant expressions.
         result = Jet.constant(float(result), d, order)
     return _unbatch(_batched_terms(result, n), p.ndim == 1)
-
-
-def eval_matrix_expr(fn, p, order: int) -> list[np.ndarray]:
-    """Evaluate a Jet-arithmetic callable returning a nested list of Jets."""
-    p = np.asarray(p, dtype=float)
-    x = seed_coordinates(p, order)
-    n, d = len(x[0]._t[0]), p.shape[-1]
-    rows = fn(x)
-    coerced = [
-        [e if isinstance(e, Jet) else Jet.constant(float(e), d, order) for e in row]
-        for row in rows
-    ]
-    return _unbatch(stack_jets(coerced, n), p.ndim == 1)

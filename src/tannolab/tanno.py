@@ -26,7 +26,7 @@ from .calculus import (covariant_d_cotensor2, frob_rows,
                        scalar_covariant_jets)
 from .charts import ChartJets, KahlerChart, chunked, unbatch
 from .errors import NotLightlike, StepTooLarge
-from .fields import MatrixField, ScalarField
+from .fields import ScalarField
 from .manifolds import GeodesicPath
 
 #: Longest classical RK4 step of :func:`transport_bundle`, in chart
@@ -58,15 +58,12 @@ class SolutionBundle:
     """Value of the unknowns (a_ij, f_i, mu) at one point.
 
     :func:`bundle_from_f` over a batch returns one with a leading point axis
-    on every entry; :meth:`copy` and :meth:`norm` are for single points.
+    on every entry; :meth:`norm` is for single points.
     """
 
     a: np.ndarray
     grad: np.ndarray
     mu: float
-
-    def copy(self) -> "SolutionBundle":
-        return SolutionBundle(self.a.copy(), self.grad.copy(), float(self.mu))
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.a ** 2) + np.sum(self.grad ** 2)
@@ -107,22 +104,6 @@ def _a_jets(geo: ChartJets, fj, order: int):
     corr = J.tconv(Gj, grad, "kij,k->ij", order)
     fg = J.tconv(fj, gj, ",ab->ab", order)
     return [-(hp - c) - 2.0 * f for hp, c, f in zip(hess_part, corr, fg)]
-
-
-class BundleAField(MatrixField):
-    """a_ij = -f_{,ij} - 2 f g_ij as a differentiable matrix field.
-
-    Derivatives of any order propagate through the covariant Hessian
-    (including the point dependence of the Christoffel symbols).
-    """
-
-    def __init__(self, prob: TannoProblem):
-        super().__init__(prob.chart.dim)
-        self.prob = prob
-
-    def _jets(self, P, order):
-        geo = self.prob.chart.at(P, order + 1)
-        return _a_jets(geo, self.prob.f.jets(P, order + 2), order)
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +262,36 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
     The system is linear, dy/dt = A(x, xdot) y, in the state
     y = (a.ravel(), f, mu) of length d^2 + d + 1.  The polyline is
     densified so each classical RK4 step is at most :data:`MAX_STEP`;
-    segments longer than a quarter of the domain radius are rejected.
+    segments longer than a quarter of the domain radius are rejected, and
+    so are vertices outside the domain.
     """
-    pts = [np.asarray(q, dtype=float) for q in path]
-    if len(pts) < 2:
-        return init.copy()
+    P, _ = chart.batch(path)
     bound = 0.25 * chart.domain_radius
     d = chart.dim
+    segs = P[1:] - P[:-1]
+    lens = np.array([float(np.linalg.norm(seg)) for seg in segs])
+    too_long = lens[lens > bound]
+    if too_long.size:
+        raise StepTooLarge(
+            f"segment length {too_long[0]:.3g} exceeds bound {bound:.3g}")
+    moves = lens > 0.0
+    starts, segs = P[:-1][moves], segs[moves]
+    nsubs = [max(1, int(np.ceil(seglen / MAX_STEP))) for seglen in lens[moves]]
+    # Each segment, parametrized on [0, 1], is known in advance, so the
+    # chart is evaluated once, at every RK4 stage point of the polyline: on
+    # each segment's grid of half steps, step k uses entries 2k (its start),
+    # 2k + 1 (stages 2 and 3) and 2k + 2 (its end, the next step's start).
+    grids = [q0 + np.linspace(0.0, 1.0, 2 * nsub + 1)[:, None] * seg
+             for q0, seg, nsub in zip(starts, segs, nsubs)]
+    geo = chart.at(np.concatenate([P[:0], *grids]), 1)
+    g0, G0 = geo.g0, geo.gamma(0)[0]
     y = np.concatenate([np.ravel(init.a), init.grad, [init.mu]])
-    for q0, q1 in zip(pts[:-1], pts[1:]):
-        seg = q1 - q0
-        seglen = float(np.linalg.norm(seg))
-        if seglen > bound:
-            raise StepTooLarge(
-                f"segment length {seglen:.3g} exceeds bound {bound:.3g}")
-        if seglen == 0.0:
-            continue
-        nsub = max(1, int(np.ceil(seglen / MAX_STEP)))
+    lo = 0
+    for seg, nsub in zip(segs, nsubs):
+        rows = slice(lo, lo + 2 * nsub + 1)
+        lo = rows.stop
+        A = _transport_matrices(g0[rows], chart.J, G0[rows], seg)
         dt = 1.0 / nsub
-        # The segment, parametrized on [0, 1], is known in advance, so the
-        # chart and A are evaluated at every RK4 stage point of it in one
-        # batch, on the grid of half steps: step k uses entries 2k (its
-        # start), 2k + 1 (stages 2 and 3) and 2k + 2 (its end, which is the
-        # next step's start).
-        taus = np.linspace(0.0, 1.0, 2 * nsub + 1)
-        geo = chart.at(q0 + taus[:, None] * seg, 1)
-        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], seg)
         for k in range(nsub):
             k1 = A[2 * k] @ y
             k2 = A[2 * k + 1] @ (y + dt / 2 * k1)

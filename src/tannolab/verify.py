@@ -34,7 +34,7 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
 from .operator import (PolynomialReal, SpectrumResult,
                        _projector_with_operator, assemble_L, _eigenstructure,
                        minimal_polynomial, poly_star, product_block_check,
-                       projector_from_solution, spectrum, star_power)
+                       spectrum, star_power)
 from .signature import is_constant, positivity_scan
 from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
                     gallot_tanno_residual, laplace_identity_residual,
@@ -370,7 +370,9 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
     center = ctx.P[0]
-    r = 0.3 * chart.domain_radius
+    # The circle through P[0] reaches |P[0]| + 2r from the origin at most.
+    R = chart.domain_radius
+    r = min(0.3 * R, (R - float(np.linalg.norm(center))) / 2)
     loop = []
     for t in np.linspace(0.0, 2 * np.pi, 41):
         q = center.copy()
@@ -417,7 +419,7 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
 def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
-    P_proj, _ = projector_from_solution(prob, ctx.P[:5])
+    P_proj = ctx.projector[0]
     polys = [P_proj, PolynomialReal((0.0, 0.0, 1.0)), PolynomialReal((1.0,))]
     pts = ctx.P[:8]
     worst = 0.0

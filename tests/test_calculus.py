@@ -5,12 +5,13 @@ import pytest
 
 from conftest import points_on
 from tannolab import fd
-from tannolab.calculus import (TensorValue, bar_form, christoffel, frob,
+from tannolab.calculus import (TensorValue, bar_form, christoffel,
+                               covariant_d_cotensor2, frob, frob_rows,
                                kahler_form, kahler_residuals, laplacian,
-                               nabla_cotensor2, nabla_scalar, raise_lower)
+                               nabla_scalar, raise_lower)
 from tannolab.charts import standard_complex_structure
 from tannolab.errors import OutOfDomain
-from tannolab.fields import ChartMetricField, ExprField, ExprMatrixField
+from tannolab.fields import ExprField
 
 
 class TestChristoffel:
@@ -84,28 +85,19 @@ class TestNablaScalar:
             nabla_scalar(flat10, f, [0.0, 0.0], 4)
 
 
-class TestNablaCotensor2:
+class TestCovariantDCotensor2:
     def test_metric_is_parallel(self, fs1):
-        mf = ChartMetricField(fs1)
-        for p in points_on(fs1, 3):
-            out = nabla_cotensor2(fs1, mf, p)
-            assert out.norm() < 1e-13
-
-    def test_flat_coordinate_pattern(self, flat10):
-        mf = ExprMatrixField(2, lambda x: [[x[0], 0.0 * x[0]],
-                                           [0.0 * x[0], x[0]]])
-        out = nabla_cotensor2(flat10, mf, np.array([0.5, 0.2])).components
-        expected = np.zeros((2, 2, 2))
-        expected[0, 0, 1 - 1] = 0.0
-        expected[:, :, 0] = np.eye(2)
-        assert np.allclose(out, expected, atol=1e-15)
+        geo = fs1.at(np.array(points_on(fs1, 3)), 1)
+        out = covariant_d_cotensor2(geo.g, geo.gamma(0)[0])
+        assert np.all(frob_rows(out) < 1e-13)
 
     def test_result_symmetric_in_ij(self, fs1, height1):
-        from tannolab.tanno import BundleAField, TannoProblem
+        from tannolab.tanno import TannoProblem, _a_jets
         prob = TannoProblem(fs1.rescaled(0.25), height1, 1.0)
-        af = BundleAField(prob)
-        p = points_on(fs1, 1)[0]
-        out = nabla_cotensor2(prob.chart, af, p).components
+        P = np.array(points_on(fs1, 1))
+        geo = prob.chart.at(P, 2)
+        out = covariant_d_cotensor2(_a_jets(geo, height1.jets(P, 3), 1),
+                                    geo.gamma(0)[0])[0]
         assert np.allclose(out, out.transpose(1, 0, 2), atol=1e-13)
 
 

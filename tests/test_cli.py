@@ -236,6 +236,58 @@ class TestRunSuite:
         assert report.passed
         assert calls == [(DEFAULT_CONFIG["samples"], 2)]
 
+    def test_poly_star_closure_reads_suite_projector(self, monkeypatch):
+        # cor1 takes its polynomial from ctx.projector; no check assembles
+        # L(f) at a single point.
+        shapes, assemble = [], operator.assemble_L
+
+        def spy_assemble(prob, p):
+            shapes.append(np.shape(p))
+            return assemble(prob, p)
+
+        monkeypatch.setattr(operator, "assemble_L", spy_assemble)
+        monkeypatch.setattr(verify, "assemble_L", spy_assemble)
+        report = run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG))
+        assert report.passed
+        assert shapes and all(len(s) == 2 for s in shapes)
+
+    def test_transport_loop_stays_in_domain(self, monkeypatch):
+        # The loop through P[0] shrinks near the domain boundary.
+        worst, transport = [], verify.transport_bundle
+
+        def spy_transport(chart, path, init):
+            worst.append(np.max(np.linalg.norm(path, axis=1))
+                         / chart.domain_radius)
+            return transport(chart, path, init)
+
+        monkeypatch.setattr(verify, "transport_bundle", spy_transport)
+        for seed in range(1, 21):
+            data = dict(DEFAULT_CONFIG, seed=seed,
+                        checks=["lem1.transport_loop"])
+            rec = run_suite(SuiteConfig.from_dict(data)).checks[0]
+            assert rec.status == "ok" and rec.passed, rec.note
+        assert len(worst) == 20 and max(worst) <= 1.0
+
+    @pytest.mark.parametrize("chart, solution, c", [
+        ({"name": "fubini_study", "n": 1}, "height:0", 0.3),
+        ({"name": "fubini_study", "n": 2}, "quadratic:3", 0.25)],
+        ids=["cp1_wrong_c", "cp2_not_a_solution"])
+    def test_negative_controls_fail(self, chart, solution, c):
+        # On a wrong solution only checks that hold for any field, and the
+        # checks that are identities of how the code is built, may PASS.
+        any_field = {"kahler.residuals", "op.identity_at_constant",
+                     "eq_product.block_identity", "oracle.derivatives"}
+        # The tautologies ROADMAP item 2 is to delete or relabel; this list
+        # must end up empty.
+        tautologies = {"sys.inverse_roundtrip", "lem1.transport_zero",
+                       "eq_mu.hessian", "lem4.two_real_eigenvalues"}
+        report = run_suite(SuiteConfig(chart=chart, solution=solution, c=c,
+                                       seed=7))
+        assert report.verdict == "fail"
+        passing = {r.name for r in report.checks
+                   if r.status == "ok" and r.passed}
+        assert passing == any_field | tautologies
+
     def test_projector_reads_suite_spectrum(self, monkeypatch):
         # The projector's polynomial comes from the suite's spectra[0]: the
         # only operator it assembles is L(P*(f)), never L(f) again.

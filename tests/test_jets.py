@@ -92,11 +92,12 @@ def test_integer_power_matches_repeated_multiplication(sample_point):
 
 
 def test_matrix_inverse_jets(sample_point):
-    def mat(x):
-        return [[2 + x[0] * x[0], x[0] * x[1]],
-                [x[0] * x[1], 1 + J.sin(x[1])]]
-
-    G = J.eval_matrix_expr(mat, sample_point[None], 3)
+    x = J.seed_coordinates(sample_point[None], 3)
+    rows = [[2 + x[0] * x[0], x[0] * x[1]],
+            [x[0] * x[1], 1 + J.sin(x[1])]]
+    # Matrix jet with axes [z, row, col, derivatives...].
+    G = [np.stack([np.stack([e.terms[m] for e in row], axis=1)
+                   for row in rows], axis=1) for m in range(4)]
     H = J.tinv(G, 3)
     GH = J.tconv(G, H, "ab,bc->ac", 3)
     assert np.allclose(GH[0], np.eye(2)[None], atol=1e-14)

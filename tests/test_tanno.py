@@ -5,14 +5,16 @@ import pytest
 
 from conftest import points_on
 from tannolab.calculus import frob
-from tannolab.errors import NotLightlike, StepTooLarge
+from tannolab.charts import KahlerChart
+from tannolab.errors import NotLightlike, OutOfDomain, StepTooLarge
 from tannolab.fields import ConstField, ExprField
 from tannolab.manifolds import (flat_kahler_chart, fubini_study_chart,
                                 integrate_geodesic,
                                 random_lightlike_directions,
                                 random_quadratic_field,
                                 sphere_second_eigenfunction)
-from tannolab.tanno import (SolutionBundle, TannoProblem, _transport_matrices,
+from tannolab.tanno import (MAX_STEP, SolutionBundle, TannoProblem,
+                            _transport_matrices,
                             bundle_from_f, f_from_mu, gallot_tanno_residual,
                             laplace_identity_residual,
                             lightlike_third_derivative, mu_hessian_residual,
@@ -68,6 +70,32 @@ def _reference_transport(chart, path, init, max_step=0.02):
             f = f + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             mu = mu + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     return SolutionBundle(a, f, mu)
+
+
+def _per_segment_transport(chart, path, init):
+    """transport_bundle with the chart evaluated once per segment, on that
+    segment's grid of half steps; the same arithmetic, so the results must
+    agree bit for bit."""
+    pts = [np.asarray(q, dtype=float) for q in path]
+    d = chart.dim
+    y = np.concatenate([np.ravel(init.a), init.grad, [init.mu]])
+    for q0, q1 in zip(pts[:-1], pts[1:]):
+        seg = q1 - q0
+        seglen = float(np.linalg.norm(seg))
+        if seglen == 0.0:
+            continue
+        nsub = max(1, int(np.ceil(seglen / MAX_STEP)))
+        dt = 1.0 / nsub
+        taus = np.linspace(0.0, 1.0, 2 * nsub + 1)
+        geo = chart.at(q0 + taus[:, None] * seg, 1)
+        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], seg)
+        for k in range(nsub):
+            k1 = A[2 * k] @ y
+            k2 = A[2 * k + 1] @ (y + dt / 2 * k1)
+            k3 = A[2 * k + 1] @ (y + dt / 2 * k2)
+            k4 = A[2 * k + 2] @ (y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
 
 
 def _state(b: SolutionBundle) -> np.ndarray:
@@ -317,6 +345,43 @@ class TestTransport:
         single = transport_bundle(chart, path[:1], init)
         assert np.array_equal(_state(single), _state(init))
         assert single.a is not init.a and single.grad is not init.grad
+
+    @pytest.mark.parametrize("chart", [
+        fubini_study_chart(1), fubini_study_chart(2), fubini_study_chart(3),
+        flat_kahler_chart(1, 1)], ids=["cp1", "cp2", "cp3", "flat11"])
+    def test_one_batch_matches_per_segment_evaluation(self, chart):
+        rng = np.random.default_rng(27)
+        d = chart.dim
+        way = [rng.uniform(-0.5, 0.5, size=d) for _ in range(3)]
+        path = densify_polyline(way, 0.3)
+        path.insert(2, path[1])
+        init = _random_bundle(rng, d)
+        for p in (path, path[:1]):
+            assert np.array_equal(_state(transport_bundle(chart, p, init)),
+                                  _state(_per_segment_transport(chart, p, init)))
+
+    def test_chart_evaluated_once_per_path(self, fs1_unit, monkeypatch):
+        calls, at = [], KahlerChart.at
+
+        def spy_at(chart, p, order):
+            calls.append(len(p))
+            return at(chart, p, order)
+
+        monkeypatch.setattr(KahlerChart, "at", spy_at)
+        d = fs1_unit.dim
+        path = densify_polyline([np.zeros(d), np.array([0.8, -0.5]),
+                                 np.array([0.2, 0.6])], 0.3)
+        zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
+        transport_bundle(fs1_unit, path, zero)
+        assert len(path) > 3 and len(calls) == 1
+
+    def test_vertex_outside_domain_rejected(self, fs1_unit):
+        d = fs1_unit.dim
+        R = fs1_unit.domain_radius
+        zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
+        with pytest.raises(OutOfDomain):
+            transport_bundle(fs1_unit, [np.array([R, 0.0]),
+                                        np.array([1.1 * R, 0.0])], zero)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_matrices_match_einsum_rhs(self, d):
