@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .calculus import frob, scalar_covariant_jets
 from .charts import KahlerChart, checked_inverse
@@ -20,6 +19,15 @@ from .tanno import TannoProblem
 
 #: |grad mu| below which a refined point counts as a critical point of mu.
 GRAD_THRESHOLD = 1e-6
+
+#: Newton on grad mu = 0 stops a start once its step is below this fraction
+#: of the domain radius, or after NEWTON_MAX_ITER batched iterations.
+NEWTON_STEP_TOL = 1e-12
+NEWTON_MAX_ITER = 60
+
+#: Relative cutoff of the Hessian's pseudo-inverse: smaller eigenvalues are
+#: the flat directions of a degenerate critical set, and get no step.
+NEWTON_RCOND = 1e-10
 
 #: Value spread and gradient norm below which a solution counts as constant.
 CONSTANT_TOL = 1e-10
@@ -80,6 +88,7 @@ class ExtremalFinding:
     kind: str                      # classify_mu(mu): mu_max, mu_min or interior
     grad_norm: float
     hessian_eigs: list[float] = field(default_factory=list)
+    hessian_inertia: tuple[int, int] | None = None
     g_restricted_inertia: tuple[int, int] | None = None
     identity_residual: float | None = None
 
@@ -95,6 +104,9 @@ class SignatureReport:
     extremal_findings: list[ExtremalFinding] = field(default_factory=list)
     witnessed_cases: list[str] = field(default_factory=list)
     note: str = ""
+    newton_iterations: int = 0     # batched Newton iterations of the search
+    starts_converged: int = 0      # starts that reached |grad mu| < GRAD_THRESHOLD
+    starts_total: int = 0
 
 
 def _verdict_from_inertias(inertias, dim) -> tuple[int, int, str]:
@@ -111,20 +123,48 @@ def _verdict_from_inertias(inertias, dim) -> tuple[int, int, str]:
     return np_, nn, v
 
 
-def _refine_extremum(chart: KahlerChart, mu_field, x0) -> np.ndarray:
-    """Minimize |grad mu|^2 from x0; exact gradient via order-2 jets."""
+def _refine_extremum(chart: KahlerChart, mu_field, X0):
+    """Batched Newton on grad mu = 0 from every row of X0.
 
-    def fun(x):
-        jets = mu_field.jets(x, 2)
-        g = jets[1]
-        return float(g @ g), 2.0 * (jets[2] @ g)
+    Each iteration makes one order-2 jet call at the trial points of the
+    running starts.  A trial that lowers |grad mu|^2 is accepted and the
+    next step is the minimum-norm Newton step -H^+ grad mu (the pseudo-
+    inverse of the exact Hessian), so starts also converge onto degenerate
+    critical sets; otherwise the step is halved (backtracking).  A start
+    stops when its step is below NEWTON_STEP_TOL * domain radius; one whose
+    trial leaves the domain is dropped.
 
-    r = chart.domain_radius / np.sqrt(chart.dim)
-    bounds = [(-r, r)] * chart.dim
-    res = optimize.minimize(fun, np.asarray(x0, float), jac=True,
-                            method="L-BFGS-B", bounds=bounds,
-                            options={"ftol": 1e-18, "gtol": 1e-14})
-    return res.x
+    Returns (X, gnorm, iterations): the last accepted points, |grad mu| there
+    (inf for a dropped start) and the number of iterations.
+    """
+    X = np.array(X0, dtype=float)
+    trial = X.copy()
+    step = np.zeros_like(X)
+    alpha = np.ones(len(X))
+    phi = np.full(len(X), np.inf)          # |grad mu|^2 at X
+    running = np.ones(len(X), dtype=bool)
+    tol = NEWTON_STEP_TOL * chart.domain_radius
+    iterations = 0
+    while running.any() and iterations < NEWTON_MAX_ITER:
+        iterations += 1
+        idx = np.flatnonzero(running)
+        _, G, H = mu_field.jets(trial[idx], 2)
+        phi_t = np.einsum("zi,zi->z", G, G)
+        better = phi_t < phi[idx]
+        acc = idx[better]
+        X[acc], phi[acc], alpha[acc] = trial[acc], phi_t[better], 1.0
+        if acc.size:
+            Hs = 0.5 * (H[better] + np.swapaxes(H[better], 1, 2))
+            Hinv = np.linalg.pinv(Hs, NEWTON_RCOND, hermitian=True)
+            step[acc] = -np.einsum("zij,zj->zi", Hinv, G[better])
+        alpha[idx[~better]] *= 0.5
+        move = alpha[idx, None] * step[idx]
+        running[idx] = np.linalg.norm(move, axis=1) > tol
+        trial[idx] = X[idx] + move
+        out = running & ~chart.inside(trial)
+        phi[out] = np.inf
+        running &= ~out
+    return X, np.sqrt(phi), iterations
 
 
 def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
@@ -165,36 +205,40 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
             # Each start is refined once; every t = 0 start is the center.
             if not any(np.array_equal(x0, s) for s in starts):
                 starts.append(x0)
-    candidates = []
-    for x0 in starts:
-        x_star = _refine_extremum(chart, mu_field, x0)
-        gnorm = float(np.linalg.norm(mu_field.gradient(x_star)))
-        if gnorm < GRAD_THRESHOLD and chart.inside(x_star):
-            if not any(np.linalg.norm(x_star - c) < 1e-6 for c, _ in candidates):
-                candidates.append((x_star, gnorm))
-    if not candidates:
+    X, gnorms, iterations = _refine_extremum(chart, mu_field, np.array(starts))
+    found = gnorms < GRAD_THRESHOLD
+    if not found.any():
         raise NoExtremalPoint(
             f"no point with |grad mu| < {GRAD_THRESHOLD:g} found "
             "(chart may not contain the extremum)")
+    X, gnorms = X[found], gnorms[found]
 
-    findings = []
-    witnessed = set()
-    X = np.array([x for x, _ in candidates])
     geo = chart.at(X, 1)
     fj = prob.f.jets(X, 2)
     mus, *_, ahats = _blocks(_operator(fj, geo))
     # mu = -2f: scaling f's jets by a power of two is exact.
     mu_jets = [-2.0 * t for t in fj]
     mu_hess_all = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
-    for k, (x_star, gnorm) in enumerate(candidates):
-        mu_star = float(mus[k])
+    # One finding per critical set: points with the same mu level and the
+    # same Hessian inertia; the one with the smallest |grad mu| stands for it.
+    sets = {}                       # (inertia, mu level) -> point index
+    for k in np.argsort(gnorms, kind="stable"):
+        inertia = _inertia(mu_hess_all[k])
+        if not any(inertia == other and abs(mus[k] - level) <= 10 * EIGEN_TOL
+                   for other, level in sets):
+            sets[inertia, float(mus[k])] = k
+
+    findings = []
+    witnessed = set()
+    for (inertia, mu_star), k in sets.items():
         # At a critical point f_i = 0, so the corner of L^2 = L reads
         # mu^2 = mu: mu is 1 (a maximum) or 0 (a minimum).  An "interior"
         # label means the point is not one, and gets no restriction.
         kind = classify_mu(mu_star)
         mu_hess = mu_hess_all[k]
         hess_eigs = list(np.linalg.eigvalsh(0.5 * (mu_hess + mu_hess.T)))
-        finding = ExtremalFinding(x_star, mu_star, kind, gnorm, hess_eigs)
+        finding = ExtremalFinding(X[k], mu_star, kind, float(gnorms[k]),
+                                  hess_eigs, inertia)
         # Restricted to the a-eigenspace of `value`, the Hessian identity
         # reads h = -2 sign g: h = -2g at a maximum, h = 2g at a minimum.
         value, sign = (0.0, 1.0) if kind == "mu_max" else (1.0, -1.0)
@@ -212,4 +256,6 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     witnessed.update(classify_mu(float(mv)) for mv in mu_vals)
 
     return SignatureReport(n_pos, n_neg, per_point, verdict, findings,
-                           sorted(witnessed))
+                           sorted(witnessed), newton_iterations=iterations,
+                           starts_converged=int(found.sum()),
+                           starts_total=len(starts))

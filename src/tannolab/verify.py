@@ -495,7 +495,10 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
         if fnd.kind == "mu_max":
             ok = ok and all(e <= 1e-6 for e in fnd.hessian_eigs)
     note = (f"verdict={report.verdict}; inertia=({report.n_pos},{report.n_neg}); "
-            f"cases={','.join(report.witnessed_cases)}")
+            f"cases={','.join(report.witnessed_cases)}; "
+            f"newton_iterations={report.newton_iterations}; "
+            f"starts_converged={report.starts_converged}/{report.starts_total}; "
+            f"critical_sets={len(report.extremal_findings)}")
     return CheckOutcome(0.0 if ok else 1.0, len(ctx.P), note=note)
 
 def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:

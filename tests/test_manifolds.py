@@ -9,12 +9,13 @@ import pytest
 
 from conftest import points_on
 import tannolab
-from tannolab import fd
+from tannolab import fd, manifolds
 from tannolab import jets as J
 from tannolab.calculus import kahler_residuals, laplacian
 from tannolab.errors import NotLightlike
-from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
-                                fubini_study_chart, geodesic_residual,
+from tannolab.manifolds import (GEODESIC_TOL, cpn_height_function,
+                                flat_kahler_chart, fubini_study_chart,
+                                geodesic_residual,
                                 integrate_geodesic,
                                 random_lightlike_directions,
                                 random_polynomial_field, sample_points,
@@ -230,22 +231,105 @@ class TestGeodesics:
         assert not path.left_domain
         assert path.samples[-1][0] == 1.0
 
+    @pytest.mark.parametrize("radius", [0.5, 0.0], ids=["midway", "at_start"])
+    def test_non_finite_rhs_ends_the_path(self, flat11, monkeypatch, radius):
+        # The acceleration turns NaN once |x| >= radius: the path ends at its
+        # last finite step, unconverged, without raising or looping.
+        rhs = manifolds._geodesic_rhs
+
+        def blows_up(chart, x, v):
+            xdot, acc = rhs(chart, x, v)
+            return xdot, acc if np.linalg.norm(x) < radius else acc * np.nan
+        monkeypatch.setattr(manifolds, "_geodesic_rhs", blows_up)
+        v0 = np.array([1.0, 0.0, 0.0, 0.0])
+        path = integrate_geodesic(flat11, np.zeros(4), v0, 2.0, steps=16)
+        assert path.converged is False and not path.left_domain
+        assert path.t_end <= radius and path.t_end < 2.0
+        assert path.rhs_calls < 2000
+        t, x, v = path.grid()
+        assert t[-1] <= path.t_end and np.isfinite(path.drift)
+        assert np.allclose(x, t[:, None] * v0) and np.allclose(v, v0)
+
     def test_min_steps_validated(self, flat11):
         with pytest.raises(ValueError):
             integrate_geodesic(flat11, np.zeros(4), np.ones(4), 1.0, steps=8)
 
 
-def test_import_does_not_load_the_ode_solver():
-    # integrate_geodesic imports solve_ivp on first use; scipy.integrate
-    # also imports scipy.optimize, ~0.5 s and ~50 MB when that is not loaded.
+def test_import_loads_no_scipy():
+    # The runtime needs numpy only: neither the package nor its command line
+    # may load a SciPy module (its optimizer and integrator imports cost
+    # ~0.6 s and ~50 MB each).
     src = os.path.dirname(os.path.dirname(tannolab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import tannolab, sys; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    for module in ("tannolab", "tannolab.cli"):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import {module}, sys; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]", (module, out.stdout)
+
+
+def _benchmark_starts(chart, seed=7, count=4, radius=0.5):
+    """The cp2_geodesics starts: unit-speed, |x0| <= radius, seeded."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(count):
+        u = rng.normal(size=chart.dim)
+        x = radius * rng.uniform() ** (1.0 / chart.dim) * u / np.linalg.norm(u)
+        v = rng.normal(size=chart.dim)
+        starts.append((x, v / np.sqrt(chart.inner(x, v, v))))
+    return starts
+
+
+class TestDop853Parity:
+    """The package's DOP853 against SciPy's ``solve_ivp(method="DOP853")``
+    with the same tolerance, dense output and domain-exit event."""
+
+    @staticmethod
+    def _scipy(chart, x0, v0, T, events=None):
+        integrate = pytest.importorskip("scipy.integrate")
+        d = chart.dim
+
+        def rhs(_t, y):
+            return np.concatenate(manifolds._geodesic_rhs(chart, y[:d], y[d:]))
+        return integrate.solve_ivp(
+            rhs, (0.0, T), np.concatenate([x0, v0]), method="DOP853",
+            rtol=GEODESIC_TOL, atol=GEODESIC_TOL, dense_output=True,
+            events=events)
+
+    def test_benchmark_geodesics(self, fs2):
+        for x0, v0 in _benchmark_starts(fs2):
+            ref = self._scipy(fs2, x0, v0, 1.0)
+            path = integrate_geodesic(fs2, x0, v0, 1.0)
+            t, x, v = path.samples[-1]
+            assert t == 1.0 and path.converged and not path.left_domain
+            assert np.max(np.abs(np.concatenate([x, v]) - ref.y[:, -1])) < 1e-12
+            assert path.rhs_calls <= ref.nfev
+
+    def test_equator(self, fs1):
+        x0, v0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        ref = self._scipy(fs1, x0, v0, 2 * np.pi)
+        path = integrate_geodesic(fs1, x0, v0, 2 * np.pi, steps=2048)
+        _, x_end, v_end = path.samples[-1]
+        assert np.max(np.abs(np.concatenate([x_end, v_end])
+                             - ref.y[:, -1])) < 1e-12
+        assert np.linalg.norm(x_end - x0) < 1e-4
+        assert np.linalg.norm(v_end - v0) < 1e-4
+        assert geodesic_residual(fs1, path) < 1e-8
+        assert path.converged and path.rhs_calls <= ref.nfev
+
+    def test_origin_ray_event_time(self, fs1):
+        def leaves_domain(_t, y):
+            return np.linalg.norm(y[:2]) - fs1.domain_radius
+        leaves_domain.terminal = True
+        x0, v0 = np.zeros(2), np.array([0.25, 0.0])
+        ref = self._scipy(fs1, x0, v0, 20.0, events=leaves_domain)
+        path = integrate_geodesic(fs1, x0, v0, 20.0)
+        assert ref.status == 1 and path.left_domain
+        assert abs(path.t_end - ref.t_events[0][0]) < 1e-10
+        assert path.rhs_calls <= ref.nfev
 
 
 class TestLightlikeDirections:

@@ -13,6 +13,7 @@ from tannolab.operator import (assemble_L, classify_mu,
 from tannolab.signature import (metric_signature, positivity_scan,
                                 restrict_form)
 from tannolab.tanno import TannoProblem
+from tannolab.verify import CheckContext, SuiteConfig, run_suite
 
 
 class TestMetricSignature:
@@ -78,19 +79,60 @@ class TestPositivityScan:
 
     def test_each_start_refined_once(self, fs1_unit, height1, monkeypatch):
         # Four samples at four radial shrinks; the four t = 0 shrinks are
-        # all the chart center.
+        # all the chart center.  The 13 distinct starts are one Newton batch.
         probP, pts = self._projector_problem(fs1_unit, height1)
-        starts = []
+        batches = []
         refine = signature._refine_extremum
 
-        def spy(chart, mu_field, x0):
-            starts.append(np.array(x0))
-            return refine(chart, mu_field, x0)
+        def spy(chart, mu_field, X0):
+            batches.append(np.array(X0))
+            return refine(chart, mu_field, X0)
         monkeypatch.setattr(signature, "_refine_extremum", spy)
-        positivity_scan(probP, pts)
-        assert len(starts) == 13
+        report = positivity_scan(probP, pts)
+        assert len(batches) == 1
+        starts = batches[0]
+        assert starts.shape == (13, 2)
         assert not any(np.array_equal(a, b)
                        for k, a in enumerate(starts) for b in starts[:k])
+        assert report.starts_total == 13
+        assert 1 <= report.starts_converged <= 13
+        assert report.newton_iterations >= 1
+
+    def test_start_pushed_out_of_domain_dropped(self, fs1_unit, height1):
+        probP, _ = self._projector_problem(fs1_unit, height1)
+        mu_field = -2.0 * probP.f
+        far = np.array([1.5, 0.0])
+        # The first Newton step from `far` lands outside the domain ball.
+        _, G, H = mu_field.jets(far, 2)
+        assert np.linalg.norm(far - np.linalg.pinv(H) @ G) > fs1_unit.domain_radius
+        X, gnorms, _ = signature._refine_extremum(
+            fs1_unit, mu_field, np.array([far, [0.3, 0.0], [0.0, 0.0]]))
+        assert gnorms[0] == np.inf
+        assert np.array_equal(X[0], far)
+        assert np.all(gnorms[1:] < signature.GRAD_THRESHOLD)
+        assert np.all(np.linalg.norm(X[1:], axis=1) < 1e-12)
+
+    def test_degenerate_set_is_one_finding(self, fs2_unit, monkeypatch):
+        # Samples near the mu-max set {z1 = 0} of CP(2) height:1 (Hessian
+        # signs -, -, 0, 0): Newton reaches it at several distinct points,
+        # which make one critical set and so one finding.
+        probP, _ = self._projector_problem(fs2_unit, cpn_height_function(2, 1))
+        near = np.array([[0.01, -0.02, 0.3, 0.1], [0.02, 0.01, -0.2, 0.25],
+                         [-0.01, 0.01, 0.1, -0.3], [0.0, 0.02, -0.25, -0.15]])
+        reached = []
+        refine = signature._refine_extremum
+
+        def spy(chart, mu_field, X0):
+            X, gnorms, iterations = refine(chart, mu_field, X0)
+            reached.extend(X[gnorms < signature.GRAD_THRESHOLD])
+            return X, gnorms, iterations
+        monkeypatch.setattr(signature, "_refine_extremum", spy)
+        report = positivity_scan(probP, near)
+        assert len(reached) >= 3
+        assert min(np.linalg.norm(a - b) for k, a in enumerate(reached)
+                   for b in reached[:k]) > 0.1
+        assert [(f.kind, f.hessian_inertia) for f in report.extremal_findings] \
+            == [("mu_max", (0, 2))]
 
     def test_cp1_axis1_witnesses_mu_max(self, fs1_unit):
         f1 = cpn_height_function(1, 1)
@@ -167,3 +209,30 @@ class TestPositivityScan:
         pts = points_on(chart, 6, seed=55, radius=0.6)
         with pytest.raises(NoExtremalPoint):
             positivity_scan(prob, pts)
+
+
+@pytest.mark.parametrize("chart, solution, kind, hessian_inertia", [
+    ({"name": "fubini_study", "n": 1}, "height:0", "mu_min", (2, 0)),
+    ({"name": "fubini_study", "n": 2}, "height:1", "mu_max", (0, 2))],
+    ids=["cli_default", "cp2_height1"])
+def test_suite_finds_one_extremum_per_critical_set(chart, solution, kind,
+                                                   hessian_inertia):
+    # One finding per suite: the mu minimum of CP(1) height:0, and the
+    # degenerate mu-max set of CP(2) height:1 (Hessian signs -, -, 0, 0).
+    config = SuiteConfig(chart=chart, solution=solution, c=0.25, seed=7,
+                         checks=["thm3.positivity"])
+    ctx = CheckContext.from_config(config)
+    _, f_proj, _ = ctx.projector
+    chart = ctx.unit_problem.chart
+    report = positivity_scan(TannoProblem(chart, f_proj, 1.0), ctx.P)
+    assert [(f.kind, f.hessian_inertia) for f in report.extremal_findings] \
+        == [(kind, hessian_inertia)]
+    finding = report.extremal_findings[0]
+    assert finding.grad_norm < signature.GRAD_THRESHOLD
+    assert finding.g_restricted_inertia[1] == 0
+    assert finding.identity_residual < 1e-6
+    rec = run_suite(config).checks[0]
+    assert rec.status == "ok" and rec.passed, rec.note
+    assert (f"newton_iterations={report.newton_iterations}; "
+            f"starts_converged={report.starts_converged}/13; "
+            "critical_sets=1") in rec.note
