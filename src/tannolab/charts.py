@@ -152,14 +152,22 @@ class KahlerChart:
         H the coordinate Hessian of the potential.  Such a metric is
         automatically symmetric, J-compatible and parallel-J."""
         J0 = standard_complex_structure(dim)
+        # J0 is a signed permutation: J0 e_a = sign[a] e_perm[a], so
+        # (J0^T H J0)_ab = sign[a] sign[b] H_{perm[a] perm[b]}.
+        perm = np.argmax(np.abs(J0), axis=0)
+        sign = J0[perm, np.arange(dim)]
+        signs = np.outer(sign, sign)
 
         def metric_fn(P, order):
             pot = J.eval_scalar_expr(potential_fn, P, order + 2)
             out = []
             for m in range(order + 1):
                 H = pot[m + 2]  # axes [z, a, b, ...]: first two read as (a, b)
-                JH = np.einsum("ca,zcd...->zad...", J0, H)
-                out.append(0.5 * (H + np.einsum("db,zad...->zab...", J0, JH)))
+                g = np.take(np.take(H, perm, axis=1), perm, axis=2)
+                g *= signs.reshape(signs.shape + (1,) * m)
+                g += H
+                g *= 0.5
+                out.append(g)
             return out
 
         return cls(dim, metric_fn, J0, domain_radius, name)

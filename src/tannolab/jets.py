@@ -1,71 +1,310 @@
 """Truncated multivariate Taylor (jet) arithmetic over batches of points.
 
-A jet of order r over N points of R^d is stored as a list ``[T0, T1, ..., Tr]``
-where ``Tm`` is the raw m-th partial-derivative tensor, shape
-``(N,) + lead_shape + (d,)*m``, symmetric in its trailing m axes.  The leading
-point axis is carried through every operation, so one call evaluates a whole
-sample set.  All derivative propagation reduces to the generalized Leibniz
-rule
+Interface.  Outside this module a jet of order r over N points of R^d is a
+derivative list ``[T0, T1, ..., Tr]``: ``Tm`` is the raw m-th
+partial-derivative tensor, shape ``(N,) + lead_shape + (d,)*m``, symmetric
+in its trailing m axes.  A list may be shorter than its order: missing
+trailing terms are zero.  :func:`eval_scalar_expr`, :func:`tconv`,
+:func:`tconv_single`, :func:`tinv` and :attr:`Jet.terms` take and return
+such lists; they are the only places full tensors appear.  Each compresses
+its inputs on entry and expands its results once on exit.
 
-    (A.B)_{i1..im} = sum over subsets S of {i1..im} of A_{iS} B_{iS^c}
+Storage.  Inside, a jet holds one Taylor coefficient ``d^a f / a!`` per
+multi-index a, degree after degree (within a degree in the order of
+``itertools.combinations_with_replacement``), so degree m costs
+C(d+m-1, m) numbers where a full tensor costs d^m, and the coefficients
+through degree k are a prefix of those through degree k + 1.  Products use
 
-realized as einsum outer products (with a ``z`` point axis prefixed to every
-operand) followed by axis scatters.  A derivative list may be shorter than
-its order: missing trailing terms are zero by construction and are skipped.
-Scalar-valued jets get an operator-overloaded wrapper (:class:`Jet`) so chart
-metrics and scalar fields can be written as ordinary arithmetic expressions;
-tensor-valued jets are combined directly with :func:`tconv` using an
-einsum-style spec for the leading (non-derivative) axes.
+    (AB)_g = sum over a + b = g of A_a B_b
 
-Nothing here is chart-aware; higher layers consume these raw partials.
+through pair tables built on first use per dimension and degree range:
+
+* scalar jets (:class:`Jet`, :func:`reciprocal`, :func:`log`, the ``',->'``
+  spec): a product is one gather of the listed pairs, one multiply and one
+  segmented sum (``np.add.reduceat``);
+* tensor-valued jets (:func:`tconv`, :func:`tinv`) hold the leading axes as
+  matrices: output degree m is one stack of matrix products, one per point
+  and output monomial, whose inner axis runs over that output's pairs side
+  by side.
+
+A table lists each output's pairs in the same order whatever the
+truncation, so lower-order jets are a bit-exact prefix of higher-order
+ones, and no sum mixes points, so a batch gives the bits its points give
+one at a time.  A :class:`Jet` stores coefficients only through the
+highest degree that can be nonzero, so a product with a coordinate costs
+that coordinate's degree-1 block only.  Nothing here is chart-aware.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cache
 
 import numpy as np
 
-_DERIV_LETTERS = "ABCDEFGHMN"
+#: Most numbers one gathered factor of a tensor-valued product may hold: a
+#: product with more pairs runs in pieces, so its gathers stay small.
+GATHER_CHUNK = 1 << 18
 
-#: Largest supported jet order.  Star-power chains on solutions are the only
-#: consumers above order 3 (f^{*4} needs order-5 jets of f).
-MAX_ORDER = len(_DERIV_LETTERS)
+
+# ---------------------------------------------------------------------------
+# Monomial tables, built on first use.
+# ---------------------------------------------------------------------------
+
+def _size(d: int, top: int) -> int:
+    """Number of monomials in d variables of degree at most top."""
+    return math.comb(d + top, top) if top >= 0 else 0
+
+
+def _frozen(*arrays):
+    """Cached tables are shared by every caller: make them read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 @cache
-def _script(spec: str, m: int, j: int) -> str:
-    """einsum script for an order-(j, m-j) Leibniz term with lead spec."""
-    if m > MAX_ORDER:
-        raise ValueError(f"jet order {m} exceeds supported maximum {MAX_ORDER}")
-    lhs, rhs = spec.split("->")
-    a_spec, b_spec = lhs.split(",")
-    return (
-        "z" + a_spec + _DERIV_LETTERS[:j] + ",z" + b_spec + _DERIV_LETTERS[j:m]
-        + "->z" + rhs + _DERIV_LETTERS[:m]
-    )
+def _monomials(d: int, m: int) -> np.ndarray:
+    """Degree-m monomials as sorted index tuples, shape (n_m, m)."""
+    rows = list(itertools.combinations_with_replacement(range(d), m))
+    return _frozen(np.array(rows, dtype=np.intp).reshape(len(rows), m))
+
+
+def _counts(rows: np.ndarray, d: int) -> np.ndarray:
+    """Exponent vector of each row of indices: how often each of 0..d-1 occurs."""
+    return (rows[:, :, None] == np.arange(d)).sum(axis=1)
 
 
 @cache
-def _scatters(m: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """Trailing-axis permutations placing j "A" axes on every size-j subset.
+def _exponents(d: int, m: int) -> np.ndarray:
+    """Exponent vectors of the degree-m monomials, shape (n_m, d)."""
+    return _frozen(_counts(_monomials(d, m), d))
 
-    The einsum in :func:`_script` produces trailing axes ordered (A-axes,
-    B-axes).  For a subset S of target positions, entry p of the returned
-    permutation is the source axis that lands at target position p.
+
+@cache
+def _full_index(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(expand, pick, factorial) for degree m >= 1.
+
+    ``expand[k]`` is the monomial of flat entry k of a (d,)*m tensor,
+    ``pick[i]`` the flat entry holding monomial i (its sorted index), and
+    ``factorial[i]`` the multi-index factorial a! that converts between a
+    raw partial derivative and a Taylor coefficient.
     """
-    perms = []
-    for subset in itertools.combinations(range(m), j):
-        comp = [p for p in range(m) if p not in subset]
-        src = [0] * m
-        for a_idx, pos in enumerate(subset):
-            src[pos] = a_idx
-        for b_idx, pos in enumerate(comp):
-            src[pos] = j + b_idx
-        perms.append(tuple(src))
-    return tuple(perms)
+    exps = _exponents(d, m)
+    expand = _lookup(exps, _counts(np.indices((d,) * m).reshape(m, -1).T, d))
+    pick = np.ravel_multi_index(tuple(_monomials(d, m).T), (d,) * m)
+    factorial = np.array([math.prod(math.factorial(int(e)) for e in row)
+                          for row in exps], dtype=float)
+    return _frozen(expand, pick, factorial)
+
+
+def _lookup(exps: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index within ``exps`` (one degree's exponent rows) of each query row."""
+    base = int(exps.sum(axis=1).max(initial=0)) + 1
+    weights = base ** np.arange(exps.shape[1], dtype=np.intp)
+    keys = exps @ weights
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys[order], queries @ weights)]
+
+
+@cache
+def _degree_pairs(d: int, m: int) -> tuple[np.ndarray, ...]:
+    """All coefficient pairs (a, b) with |a| + |b| = m, as flat indices.
+
+    Returns (ia, ib, j, g): pair k multiplies entry ia[k] of the first
+    factor, of degree j[k], with entry ib[k] of the second, into output
+    monomial g[k] of degree m.  Pairs are sorted by (g, j, a), so an
+    output's pairs come in one fixed order.
+    """
+    ia, ib, js, gs = [], [], [], []
+    out = _exponents(d, m)
+    for j in range(m + 1):
+        ea, eb = _exponents(d, j), _exponents(d, m - j)
+        na, nb = len(ea), len(eb)
+        g = _lookup(out, (ea[:, None, :] + eb[None, :, :]).reshape(na * nb, d))
+        ia.append(_size(d, j - 1) + np.repeat(np.arange(na), nb))
+        ib.append(_size(d, m - j - 1) + np.tile(np.arange(nb), na))
+        js.append(np.full(na * nb, j))
+        gs.append(g)
+    ia, ib, js, gs = (np.concatenate(v) for v in (ia, ib, js, gs))
+    order = np.lexsort((ia, js, gs))
+    return _frozen(ia[order], ib[order], js[order], gs[order])
+
+
+def _pairs(d: int, m: int, jmin: int, ta: int, tb: int):
+    """The degree-m pairs (ia, ib, g) with jmin <= |a| <= ta and |b| <= tb,
+    i.e. for a first factor stored through degree ta and a second through
+    tb.  Every output keeps a pair when jmin <= m <= ta + tb, jmin <= ta."""
+    a, b, j, g = _degree_pairs(d, m)
+    keep = (j >= max(jmin, m - tb)) & (j <= min(m, ta))
+    return a[keep], b[keep], g[keep]
+
+
+@cache
+def _table(d: int, m0: int, m1: int, jmin: int, ta: int, tb: int):
+    """Scalar product table for output degrees m0..m1: (ia, ib, starts),
+    ``starts`` the segment starts for ``np.add.reduceat``."""
+    ia, ib, starts, pos = [], [], [], 0
+    for m in range(m0, m1 + 1):
+        a, b, g = _pairs(d, m, jmin, ta, tb)
+        starts.append(pos + np.flatnonzero(np.r_[True, g[1:] != g[:-1]]))
+        ia.append(a)
+        ib.append(b)
+        pos += len(a)
+    return _frozen(np.concatenate(ia), np.concatenate(ib), np.concatenate(starts))
+
+
+@cache
+def _padded_table(d: int, m: int, jmin: int, ta: int, tb: int):
+    """Tensor product table for output degree m: (ia, ib) of shape (n_m, L).
+
+    Row g lists output g's pairs in table order, padded to the longest row
+    with index -1, the zero slot at the end of a stacked coefficient array.
+    """
+    a, b, g = _pairs(d, m, jmin, ta, tb)
+    counts = np.bincount(g)
+    rank = np.arange(len(g)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ia = np.full((len(counts), counts.max()), -1, dtype=np.intp)
+    ib = ia.copy()
+    ia[g, rank], ib[g, rank] = a, b
+    return _frozen(ia, ib)
+
+
+@cache
+def _degrees(d: int, top: int) -> np.ndarray:
+    """Degree of each monomial through ``top``, as floats."""
+    return _frozen(np.repeat(np.arange(top + 1.0),
+                             [_size(d, m) - _size(d, m - 1) for m in range(top + 1)]))
+
+
+def _product(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
+    """Scalar jets: segmented sum over the table's pairs of a_ia * b_ib."""
+    ia, ib, starts = table
+    return np.add.reduceat(np.take(a, ia, axis=-1) * np.take(b, ib, axis=-1),
+                           starts, axis=-1)
+
+
+@cache
+def _plan(spec: str):
+    """How a leading-axis spec maps onto stacks of matrix products.
+
+    None when both factors are scalars.  Otherwise (axes_a, axes_b, nk,
+    axes_out): each factor's leading axes reordered as (contracted...,
+    free...), the number nk of contracted axes, and the result's axes as
+    a permutation of (free axes of A..., free axes of B...).
+    """
+    lhs, out = spec.replace(" ", "").split("->")
+    a, b = lhs.split(",")
+    if not (a or b or out):
+        return None
+    k = [c for c in a if c in b]
+    free = [c for c in a if c not in b] + [c for c in b if c not in a]
+    if set(k) & set(out) or sorted(free) != sorted(out):
+        raise ValueError(f"unsupported jet product spec {spec!r}")
+    return (tuple(a.index(c) for c in k + free if c in a),
+            tuple(b.index(c) for c in k + free if c in b),
+            len(k), tuple(free.index(c) for c in out))
+
+
+def _stack(terms, top: int, axes: tuple, nk: int) -> np.ndarray:
+    """Coefficients of a derivative list through ``top`` as (N, M + 1, K, F).
+
+    Leading axes are reordered by ``axes`` and flattened into K contracted
+    and F free entries (1 and 1 for a scalar list); slot M is zero, the
+    padding of :func:`_padded_table`.
+    """
+    lead = np.shape(terms[0])[1:]
+    n, k = len(terms[0]), math.prod(lead[i] for i in axes[:nk])
+    f, d = math.prod(lead) // k, _dim_of(terms, terms)
+    out = np.empty((n, _size(d, top) + 1, k, f))
+    out[:, -1] = 0.0
+    order = (0, len(lead) + 1) + tuple(1 + i for i in axes)
+    for m in range(top + 1):
+        flat = np.reshape(terms[m], (n,) + lead + (d ** m,))
+        if m >= 2:
+            _, pick, factorial = _full_index(d, m)
+            flat = np.take(flat, pick, axis=-1) / factorial
+        block = flat.transpose(order)
+        out[:, _size(d, m - 1):_size(d, m)] = block.reshape(n, block.shape[1], k, f)
+    return out
+
+
+def _pair_matmul(x: np.ndarray, y: np.ndarray, table) -> np.ndarray:
+    """sum over output g's pairs (a, b) of x_a^T y_b: one matrix product per
+    point and output, with the pairs laid side by side along the inner axis.
+
+    Outputs are taken in runs whose gathered factors hold at most
+    GATHER_CHUNK numbers each; every output's product is the same whatever
+    the run it falls in.
+    """
+    ia, ib = table
+    n, (g, L) = len(x), ia.shape
+    k, f, c = x.shape[2], x.shape[3], y.shape[3]
+    out = np.empty((n, g, f, c))
+    step = max(1, GATHER_CHUNK // max(1, n * L * k * max(f, c)))
+    for lo in range(0, g, step):
+        rows = slice(lo, lo + step)
+        xs = np.take(x, ia[rows], axis=1)
+        ys = np.take(y, ib[rows], axis=1)
+        shape = (n, xs.shape[1], L * k)
+        np.matmul(xs.reshape(shape + (f,)).swapaxes(2, 3), ys.reshape(shape + (c,)),
+                  out=out[:, rows])
+    return out
+
+
+def _expand_degree(block: np.ndarray, d: int, m: int) -> np.ndarray:
+    """The (d,)*m derivative tensor of one degree's coefficient block."""
+    if m >= 2:
+        expand, _, factorial = _full_index(d, m)
+        block = np.take(block * factorial, expand, axis=-1)
+    else:
+        block = np.array(block)
+    return block.reshape(block.shape[:-1] + (d,) * m)
+
+
+def _expand(c: np.ndarray, d: int, top: int, order: int) -> list[np.ndarray]:
+    """Derivative terms through ``order`` of a coefficient array stored
+    through ``top``; terms past ``top`` are zero."""
+    return [_expand_degree(c[..., _size(d, m - 1):_size(d, m)], d, m) if m <= top
+            else np.zeros(c.shape[:-1] + (d,) * m) for m in range(order + 1)]
+
+
+def _dim_of(A, B) -> int:
+    for lst in (A, B):
+        for m, t in enumerate(lst):
+            if m >= 1:
+                return np.shape(t)[-1]
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Derivative-list operations.
+# ---------------------------------------------------------------------------
+
+def _leibniz(A, B, spec: str, d: int, m0: int, m1: int, jmin: int,
+             ta: int, tb: int) -> list[np.ndarray]:
+    """Terms m0..m1 of the product of A (through ta) and B (through tb),
+    with jmin <= derivatives on A; every term must have a pair."""
+    plan = _plan(spec)
+    if plan is None:
+        a, b = _stack(A, ta, (), 0)[:, :-1, 0, 0], _stack(B, tb, (), 0)[:, :-1, 0, 0]
+        c = _product(a, b, _table(d, m0, m1, jmin, ta, tb))
+        base = _size(d, m0 - 1)
+        return [_expand_degree(c[..., _size(d, m - 1) - base:_size(d, m) - base], d, m)
+                for m in range(m0, m1 + 1)]
+    axes_a, axes_b, nk, axes_out = plan
+    x, y = _stack(A, ta, axes_a, nk), _stack(B, tb, axes_b, nk)
+    lead_a, lead_b = np.shape(A[0])[1:], np.shape(B[0])[1:]
+    free = [lead_a[i] for i in axes_a[nk:]] + [lead_b[i] for i in axes_b[nk:]]
+    out = []
+    for m in range(m0, m1 + 1):
+        s = _pair_matmul(x, y, _padded_table(d, m, jmin, ta, tb))
+        s = s.reshape(s.shape[:2] + tuple(free))
+        out.append(_expand_degree(s.transpose((0,) + tuple(2 + i for i in axes_out) + (1,)),
+                                  d, m))
+    return out
 
 
 def tconv_single(A, B, spec: str, m: int, j_min: int = 0,
@@ -78,44 +317,24 @@ def tconv_single(A, B, spec: str, m: int, j_min: int = 0,
     (used by order-by-order recurrences that solve for the top coefficient).
     Terms beyond the end of either list are zero and are skipped.
     """
-    lo = max(j_min, m - len(B) + 1)
-    hi = min(m if j_max is None else j_max, m, len(A) - 1)
-    out = None
-    for j in range(lo, hi + 1):
-        base = np.einsum(_script(spec, m, j), A[j], B[m - j])
-        lead = base.ndim - m
-        for perm in _scatters(m, j):
-            axes = tuple(range(lead)) + tuple(lead + q for q in perm)
-            term = base.transpose(axes)
-            if out is None:
-                out = term.copy()
-            else:
-                out += term
-    if out is None:
-        # Shape bookkeeping for an all-zero result.
-        lead_shape = np.einsum(_script(spec, 0, 0), A[0], B[0]).shape
-        d = _dim_of(A, B) if dim is None else dim
-        return np.zeros(lead_shape + (d,) * m)
-    return out
-
-
-def _dim_of(A, B) -> int:
-    for lst in (A, B):
-        for m, t in enumerate(lst):
-            if m >= 1:
-                return t.shape[-1]
-    return 0
+    d = _dim_of(A, B) if dim is None else dim
+    ta = min(len(A) - 1, m, m if j_max is None else j_max)
+    tb = min(len(B) - 1, m)
+    if max(j_min, m - tb) > ta:
+        lead = np.einsum(spec, np.asarray(A[0])[0], np.asarray(B[0])[0]).shape
+        return np.zeros((len(A[0]),) + lead + (d,) * m)
+    return _leibniz(A, B, spec, d, m, m, j_min, ta, tb)[0]
 
 
 def tconv(A, B, spec: str, order: int | None = None):
     """Full Leibniz product of two batched derivative lists up to ``order``."""
     if order is None:
         order = min(len(A), len(B)) - 1
-    return [tconv_single(A, B, spec, m) for m in range(order + 1)]
-
-
-def tscale(A, c: float):
-    return [c * t for t in A]
+    d = _dim_of(A, B)
+    ta, tb = min(len(A) - 1, order), min(len(B) - 1, order)
+    top = min(order, ta + tb)
+    out = _leibniz(A, B, spec, d, 0, top, 0, ta, tb)
+    return out + [np.zeros(out[0].shape + (d,) * m) for m in range(top + 1, order + 1)]
 
 
 def tgrad(A):
@@ -130,28 +349,29 @@ def tgrad(A):
 def tinv(G, order: int, inv0=None):
     """Derivative list of the matrix inverse of a batched matrix-valued jet.
 
-    Solves (G.H)_m = 0 order by order:  H_m = -H_0 (sum_{j>=1} G_j H_{m-j}).
+    Solves (G.H)_m = 0 degree by degree:  H_m = -H_0 (sum_{j>=1} G_j H_{m-j}).
     ``inv0`` is G_0^{-1} when the caller already has it.
     """
     H0 = np.linalg.inv(G[0]) if inv0 is None else inv0
-    H = [H0]
+    d, tg = _dim_of(G, G), min(len(G) - 1, order)
+    if tg == 0:
+        return [H0] + _expand(H0[..., None], d, 0, order)[1:]
+    axes, _, nk, _ = _plan("ab,bc->ac")
+    g = _stack(G, tg, axes, nk)
+    h = np.zeros((len(H0), _size(d, order) + 1) + H0.shape[1:])
+    h[:, 0] = H0
     for m in range(1, order + 1):
-        S = tconv_single(G, H, "ab,bc->ac", m, j_min=1)
-        H.append(-np.einsum("zab,zbc...->zac...", H0, S))
-    return H
-
-
-def _bc(v: np.ndarray, m: int) -> np.ndarray:
-    """Per-point values reshaped to broadcast against order-m terms."""
-    return v.reshape(v.shape + (1,) * m)
+        S = _pair_matmul(g, h, _padded_table(d, m, 1, min(tg, m), m - 1))
+        h[:, _size(d, m - 1):_size(d, m)] = -np.matmul(H0[:, None], S)
+    return [H0] + _expand(np.moveaxis(h[:, :-1], 1, -1), d, order, order)[1:]
 
 
 def _libm(fn, v: np.ndarray) -> np.ndarray:
     """Apply a math-module function to each point's value.
 
-    numpy's vectorized log/exp/pow may differ from the C library in the
-    last ulp; going through ``math`` keeps jet values independent of the
-    batch layout and of the CPU's SIMD support.
+    numpy's vectorized log may differ from the C library in the last ulp;
+    going through ``math`` keeps jet values independent of the batch layout
+    and of the CPU's SIMD support.
     """
     return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
 
@@ -163,61 +383,57 @@ def _libm(fn, v: np.ndarray) -> np.ndarray:
 class Jet:
     """Scalar-valued truncated Taylor expansion over a batch of points.
 
-    Only the leading terms that can be nonzero are stored (``_t``); the
-    order is tracked separately and :attr:`terms` pads the list with zeros.
-    A value-only jet built by :meth:`constant` has a point-free (0-d) value
-    and broadcasts against any batch.
+    ``c`` holds the Taylor coefficients through degree ``top`` (the highest
+    that can be nonzero) on its last axis, after a point axis or none; the
+    order is tracked separately and :attr:`terms` pads with zeros.  A
+    value-only jet built by :meth:`constant` has no point axis and
+    broadcasts against any batch.
     """
 
-    __slots__ = ("_t", "order", "dim")
+    __slots__ = ("c", "top", "order", "dim")
 
-    def __init__(self, terms, order: int | None = None, dim: int | None = None):
-        self._t = [np.asarray(t, dtype=float) for t in terms]
-        self.order = len(self._t) - 1 if order is None else int(order)
-        if dim is None:
-            dim = self._t[1].shape[-1] if len(self._t) > 1 else 0
-        self.dim = int(dim)
+    def __init__(self, c, top: int, order: int, dim: int):
+        self.c = c
+        self.top = top
+        self.order = order
+        self.dim = dim
 
     @property
     def terms(self) -> list[np.ndarray]:
-        """All order+1 derivative terms, zero-padded past the stored ones."""
-        t0 = self._t[0]
-        pad = [np.zeros(t0.shape + (self.dim,) * m)
-               for m in range(len(self._t), self.order + 1)]
-        return self._t[:self.order + 1] + pad
+        """All order+1 derivative tensors, zero past the stored degrees."""
+        return _expand(self.c, self.dim, self.top, self.order)
 
     @property
     def value(self):
-        v = self._t[0]
+        v = self.c[..., 0]
         return float(v) if v.ndim == 0 else v
 
     @classmethod
     def constant(cls, c: float, dim: int, order: int) -> "Jet":
-        return cls([np.asarray(float(c))], order, dim)
+        return cls(np.array([float(c)]), 0, order, dim)
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             return other
         return Jet.constant(float(other), self.dim, self.order)
 
-    def _new(self, terms, other: "Jet | None" = None) -> "Jet":
-        order = self.order if other is None else min(self.order, other.order)
-        return Jet(terms[:order + 1], order, self.dim or (other.dim if other else 0))
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        a, b = self._t, o._t
-        n = max(len(a), len(b))
-        terms = [a[m] + b[m] if m < len(a) and m < len(b)
-                 else (a[m] if m < len(a) else b[m]) for m in range(n)]
-        return self._new(terms, o)
+        order = min(self.order, o.order)
+        a, b = (self, o) if self.top >= o.top else (o, self)
+        top = min(a.top, order)
+        na, nb = _size(self.dim, top), _size(self.dim, min(b.top, top))
+        shape = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1]) + (na,)
+        c = np.array(np.broadcast_to(a.c[..., :na], shape))
+        c[..., :nb] += b.c[..., :nb]
+        return Jet(c, top, order, self.dim)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-t for t in self._t], self.order, self.dim)
+        return Jet(-self.c, self.top, self.order, self.dim)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -227,16 +443,15 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = float(other)
-            return Jet([c * t for t in self._t], self.order, self.dim)
-        a, b = self._t, other._t
-        if len(a) == 1 or len(b) == 1:
-            (c,), rest = (a, b) if len(a) == 1 else (b, a)
-            return self._new([_bc(c, m) * t for m, t in enumerate(rest)], other)
+            return Jet(float(other) * self.c, self.top, self.order, self.dim)
         order = min(self.order, other.order)
-        top = min(order, len(a) + len(b) - 2)
-        return self._new([tconv_single(a, b, ",->", m) for m in range(top + 1)],
-                         other)
+        top = min(order, self.top + other.top)
+        if self.top == 0 or other.top == 0:
+            const, rest = (self, other) if self.top == 0 else (other, self)
+            return Jet(const.c[..., :1] * rest.c[..., :_size(self.dim, top)],
+                       top, order, self.dim)
+        table = _table(self.dim, 0, top, 0, min(self.top, top), min(other.top, top))
+        return Jet(_product(self.c, other.c, table), top, order, self.dim)
 
     __rmul__ = __mul__
 
@@ -248,19 +463,18 @@ class Jet:
     def __rtruediv__(self, other):
         return reciprocal(self) * float(other)
 
-    def __pow__(self, n):
-        if isinstance(n, int):
-            if n < 0:
-                return reciprocal(self) ** (-n)
-            out = Jet.constant(1.0, self.dim, self.order)
-            base = self
-            while n:
-                if n & 1:
-                    out = out * base
-                base = base * base
-                n >>= 1
-            return out
-        return powf(self, float(n))
+    def __pow__(self, n: int):
+        n = operator.index(n)  # integer powers only
+        if n < 0:
+            return reciprocal(self) ** (-n)
+        out = Jet.constant(1.0, self.dim, self.order)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
 
     def __repr__(self):
         return f"Jet(order={self.order}, value={self.value})"
@@ -271,107 +485,43 @@ def seed_coordinates(p, order: int) -> list[Jet]:
     unit gradient.  A single point is evaluated as a batch of one."""
     P = np.atleast_2d(np.asarray(p, dtype=float))
     n, d = P.shape
+    top = min(order, 1)
     jets = []
     for i in range(d):
-        terms = [P[:, i].copy()]
-        if order >= 1:
-            e = np.zeros((n, d))
-            e[:, i] = 1.0
-            terms.append(e)
-        jets.append(Jet(terms, order, d))
+        c = np.zeros((n, _size(d, top)))
+        c[:, 0] = P[:, i]
+        if top:
+            c[:, 1 + i] = 1.0
+        jets.append(Jet(c, top, order, d))
     return jets
 
 
-def _top(u: Jet) -> int:
-    """Highest order a non-polynomial function of u can populate."""
-    return u.order if len(u._t) > 1 else 0
-
-
 def reciprocal(u: Jet) -> Jet:
-    h0 = 1.0 / u._t[0]
-    h = [h0]
-    neg_h0 = -h0
-    for m in range(1, _top(u) + 1):
-        s = tconv_single(u._t, h, ",->", m, j_min=1)
-        h.append(_bc(neg_h0, m) * s)
-    return Jet(h, u.order, u.dim)
-
-
-def _from_gradient_recurrence(u: Jet, h0, factor_terms_fn) -> Jet:
-    """Build phi(u) from  d(phi(u)) = factor * du  solved order by order.
-
-    ``factor_terms_fn(h_terms)`` returns the derivative list of the factor;
-    it may consult the partially built ``h_terms`` (self-referential rules
-    like exp).  Entry m of the result is the order-(m-1) term of factor*du
-    with the new derivative axis leading, which is symmetric with the rest.
-    """
-    gu = tgrad(u._t)
-    h = [h0]
-    for m in range(1, _top(u) + 1):
-        fac = factor_terms_fn(h)
-        h.append(tconv_single(fac, gu, ",a->a", m - 1))
-    return Jet(h, u.order, u.dim)
+    """1/u from u h = 1, degree by degree: h_m = -h_0 sum_{j>=1} u_j h_{m-j}."""
+    d = u.dim
+    top = u.order if u.top else 0
+    h0 = 1.0 / u.c[..., :1]
+    h = np.zeros(h0.shape[:-1] + (_size(d, top),))
+    h[..., :1] = h0
+    for m in range(1, top + 1):
+        s = _product(u.c, h, _table(d, m, m, 1, min(u.top, m), m - 1))
+        h[..., _size(d, m - 1):_size(d, m)] = -h0 * s
+    return Jet(h, top, u.order, d)
 
 
 def log(u: Jet) -> Jet:
+    """log u from the Euler identity sum_i x_i d_i: m h_m = sum_j j u_j v_{m-j},
+    with v = 1/u and the degree-m parts of the Taylor series at each point."""
     v = reciprocal(u)
-    return _from_gradient_recurrence(u, _libm(math.log, u._t[0]), lambda h: v._t)
-
-
-def exp(u: Jet) -> Jet:
-    return _from_gradient_recurrence(u, _libm(math.exp, u._t[0]), lambda h: h)
-
-
-def powf(u: Jet, alpha: float) -> Jet:
-    v = reciprocal(u)
-    h0 = _libm(lambda x: x ** alpha, u._t[0])
-    scaled = tscale(v._t, alpha)
-
-    def factor(h):
-        return tconv(h, scaled, ",->", order=len(h) - 1)
-
-    return _from_gradient_recurrence(u, h0, factor)
-
-
-def sqrt(u: Jet) -> Jet:
-    h = [_libm(math.sqrt, u._t[0])]
-    inv2h0 = 0.5 / h[0]
-    for m in range(1, _top(u) + 1):
-        s = tconv_single(h, h, ",->", m, j_min=1, j_max=m - 1, dim=u.dim)
-        um = u._t[m] if m < len(u._t) else 0.0
-        h.append((um - s) * _bc(inv2h0, m))
-    return Jet(h, u.order, u.dim)
-
-
-def sin(u: Jet) -> Jet:
-    return _sincos(u)[0]
-
-
-def cos(u: Jet) -> Jet:
-    return _sincos(u)[1]
-
-
-def _sincos(u: Jet) -> tuple[Jet, Jet]:
-    gu = tgrad(u._t)
-    s = [_libm(math.sin, u._t[0])]
-    c = [_libm(math.cos, u._t[0])]
-    for m in range(1, _top(u) + 1):
-        s.append(tconv_single(c, gu, ",a->a", m - 1))
-        c.append(-tconv_single(s, gu, ",a->a", m - 1))
-    return Jet(s, u.order, u.dim), Jet(c, u.order, u.dim)
-
-
-def _batched_terms(jet: Jet, n: int) -> list[np.ndarray]:
-    """Padded terms of a jet with the point axis broadcast to n points."""
-    out = []
-    for m, t in enumerate(jet.terms):
-        shape = (n,) + t.shape[t.ndim - m:]
-        out.append(t if t.shape == shape else np.array(np.broadcast_to(t, shape)))
-    return out
-
-
-def _unbatch(terms, single: bool):
-    return [t[0] for t in terms] if single else terms
+    d, top = u.dim, v.top
+    h = np.empty(v.c.shape)
+    h[..., 0] = _libm(math.log, u.c[..., 0])
+    if top:
+        tu = min(u.top, top)
+        euler = u.c[..., :_size(d, tu)] * _degrees(d, tu)
+        h[..., 1:] = (_product(euler, v.c, _table(d, 1, top, 1, tu, top))
+                      / _degrees(d, top)[1:])
+    return Jet(h, top, u.order, d)
 
 
 def eval_scalar_expr(fn, p, order: int) -> list[np.ndarray]:
@@ -382,9 +532,11 @@ def eval_scalar_expr(fn, p, order: int) -> list[np.ndarray]:
     """
     p = np.asarray(p, dtype=float)
     x = seed_coordinates(p, order)
-    n, d = len(x[0]._t[0]), p.shape[-1]
+    n, d = len(x[0].c), p.shape[-1]
     result = fn(x)
     if not isinstance(result, Jet):
         # Allow plain floats for constant expressions.
         result = Jet.constant(float(result), d, order)
-    return _unbatch(_batched_terms(result, n), p.ndim == 1)
+    c = result.c if result.c.ndim == 2 else np.tile(result.c, (n, 1))
+    terms = _expand(c, d, min(result.top, order), order)
+    return [t[0] for t in terms] if p.ndim == 1 else terms

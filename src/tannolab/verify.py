@@ -369,16 +369,19 @@ def check_transport_match(ctx: CheckContext) -> CheckOutcome:
 def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
-    center = ctx.P[0]
-    # The circle through P[0] reaches |P[0]| + 2r from the origin at most.
-    R = chart.domain_radius
-    r = min(0.3 * R, (R - float(np.linalg.norm(center))) / 2)
-    loop = []
-    for t in np.linspace(0.0, 2 * np.pi, 41):
-        q = center.copy()
-        q[0] += r * (np.cos(t) - 1.0)
-        q[1] += r * np.sin(t)
-        loop.append(q)
+    start = ctx.P[0]
+    # The circle through P[0] bends toward the origin, in the plane of
+    # u = P[0]/|P[0]| and the coordinate axis most nearly orthogonal to u.
+    # Its points lie within max(|P[0]|, 2r - |P[0]|) of the origin, inside
+    # the domain for r = 0.3 R.
+    r = 0.3 * chart.domain_radius
+    norm = float(np.linalg.norm(start))
+    u = start / norm if norm > 0 else np.eye(chart.dim)[0]
+    w = np.eye(chart.dim)[int(np.argmin(np.abs(u)))]
+    w = w - (w @ u) * u
+    w /= np.linalg.norm(w)
+    loop = [start + r * (np.cos(t) - 1.0) * u + r * np.sin(t) * w
+            for t in np.linspace(0.0, 2 * np.pi, 41)]
     init = bundle_from_f(prob, loop[0])
     out = transport_bundle(chart, loop, init)
     defect = _bundle_distance(out, init)

@@ -9,7 +9,7 @@ k + 1 terms of jets through order k + 1.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tannolab import charts
@@ -91,7 +91,8 @@ def test_tanno_residual_and_extended_operator(case):
 
 
 @PROPERTY
-@given(batches(), st.integers(0, 2))
+@given(batches(), st.integers(0, 3))
+@example((*CASES["cp3"], np.array([[0.1, -0.2, 0.3, 0.0, 0.25, -0.1]])), 3)
 def test_lower_order_jets_are_a_prefix(case, k):
     chart, field, P = case
     fields = [field, random_polynomial_field(chart.dim, seed=9),

@@ -252,7 +252,7 @@ class TestRunSuite:
         assert shapes and all(len(s) == 2 for s in shapes)
 
     def test_transport_loop_stays_in_domain(self, monkeypatch):
-        # The loop through P[0] shrinks near the domain boundary.
+        # The loop through P[0] bends toward the origin, so it stays inside.
         worst, transport = [], verify.transport_bundle
 
         def spy_transport(chart, path, init):
@@ -267,6 +267,39 @@ class TestRunSuite:
             rec = run_suite(SuiteConfig.from_dict(data)).checks[0]
             assert rec.status == "ok" and rec.passed, rec.note
         assert len(worst) == 20 and max(worst) <= 1.0
+
+    def test_transport_loop_keeps_its_radius(self, monkeypatch):
+        # Samples drawn out to the domain boundary (radius 2 = R): at seed
+        # 190 the loop once shrank to r = 0.0048 and measured nothing.
+        loops, transport = [], verify.transport_bundle
+
+        def spy_transport(chart, path, init):
+            loops.append((np.array(path), chart.domain_radius))
+            return transport(chart, path, init)
+
+        monkeypatch.setattr(verify, "transport_bundle", spy_transport)
+        for seed in (190, 7):
+            data = dict(DEFAULT_CONFIG, seed=seed, radius=2.0,
+                        checks=["lem1.transport_loop"])
+            rec = run_suite(SuiteConfig.from_dict(data)).checks[0]
+            assert rec.status == "ok" and rec.passed, rec.note
+            path, R = loops[-1]
+            assert len(path) == 41
+            center = path[:-1].mean(axis=0)
+            assert np.allclose(np.linalg.norm(path - center, axis=1), 0.3 * R,
+                               rtol=1e-12)
+            assert np.max(np.linalg.norm(path, axis=1)) <= R
+
+    @pytest.mark.parametrize("chart", [
+        {"name": "fubini_study", "n": 1}, {"name": "fubini_study", "n": 2},
+        {"name": "fubini_study", "n": 3}], ids=["cp1", "cp2", "cp3"])
+    def test_exact_identities_are_exactly_zero(self, chart):
+        # The benchmark gate holds these two checks to a tolerance of 0.
+        report = run_suite(SuiteConfig(
+            chart=chart, solution="height:0", c=0.25, seed=7,
+            checks=["op.identity_at_constant", "sys.inverse_roundtrip"]))
+        assert [(r.status, r.max_residual) for r in report.checks] == [
+            ("ok", 0.0), ("ok", 0.0)]
 
     @pytest.mark.parametrize("chart, solution, c", [
         ({"name": "fubini_study", "n": 1}, "height:0", 0.3),

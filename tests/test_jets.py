@@ -1,4 +1,9 @@
-"""Jet engine checks: exact derivative propagation against finite differences."""
+"""Jet engine checks: exact derivative propagation against finite differences,
+and the monomial-basis engine against a full-tensor Leibniz reference."""
+
+import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,14 +14,16 @@ from tannolab.fd import fd_gradient, fd_hessian, fd_third
 
 def _field(x):
     u = 1 + x[0] * x[0] + x[1] * x[2] + 0.3 * x[2]
-    return (2 * J.log(u) + J.sin(x[0] * x[1]) / u
-            + J.sqrt(u) * J.exp(0.1 * x[2]) - x[1] ** 3 + J.powf(u, 0.7))
+    w = 2 + x[0] * x[1]
+    return (2 * J.log(u) + J.log(w) / u + x[0] / w ** 2 - x[1] ** 3
+            + x[2] * u ** -2)
 
 
 def _field_value(q):
     u = 1 + q[..., 0] * q[..., 0] + q[..., 1] * q[..., 2] + 0.3 * q[..., 2]
-    return (2 * np.log(u) + np.sin(q[..., 0] * q[..., 1]) / u
-            + np.sqrt(u) * np.exp(0.1 * q[..., 2]) - q[..., 1] ** 3 + u ** 0.7)
+    w = 2 + q[..., 0] * q[..., 1]
+    return (2 * np.log(u) + np.log(w) / u + q[..., 0] / w ** 2 - q[..., 1] ** 3
+            + q[..., 2] * u ** -2)
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +98,16 @@ def test_integer_power_matches_repeated_multiplication(sample_point):
         assert np.allclose(ta, tb, atol=1e-12)
 
 
+def test_powers_are_integers_only(sample_point):
+    x = J.seed_coordinates(sample_point, 2)
+    with pytest.raises(TypeError):
+        (1 + x[0]) ** 0.5
+
+
 def test_matrix_inverse_jets(sample_point):
     x = J.seed_coordinates(sample_point[None], 3)
     rows = [[2 + x[0] * x[0], x[0] * x[1]],
-            [x[0] * x[1], 1 + J.sin(x[1])]]
+            [x[0] * x[1], 1 + J.log(2 + x[1])]]
     # Matrix jet with axes [z, row, col, derivatives...].
     G = [np.stack([np.stack([e.terms[m] for e in row], axis=1)
                    for row in rows], axis=1) for m in range(4)]
@@ -109,12 +122,12 @@ def test_tconv_respects_leibniz_on_scalars():
     rng = np.random.default_rng(5)
     p = rng.normal(size=2) * 0.3
     x = J.seed_coordinates(p, 3)
-    f = J.exp(x[0] * x[1])
+    f = J.log(2 + x[0] * x[1])
     g = 1 + x[0] ** 2
     prod = f * g
 
     def val(q):
-        return np.exp(q[..., 0] * q[..., 1]) * (1 + q[..., 0] ** 2)
+        return np.log(2 + q[..., 0] * q[..., 1]) * (1 + q[..., 0] ** 2)
 
     assert np.max(np.abs(prod.terms[3] - fd_third(val, p))) < 1e-7
 
@@ -124,3 +137,129 @@ def test_constant_jets_are_exact_zero():
     assert c.terms[0] == 3.5
     for m in (1, 2, 3):
         assert not c.terms[m].any()
+
+
+def test_import_builds_no_tables():
+    # Product tables are built on first use, so importing costs nothing.
+    code = ("import tannolab, tannolab.cli\n"
+            "from tannolab import jets\n"
+            "cached = [f for f in (jets._table, jets._padded_table, "
+            "jets._degree_pairs, jets._full_index) if f.cache_info().currsize]\n"
+            "raise SystemExit(len(cached))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# The monomial engine against the full-tensor Leibniz rule.
+# ---------------------------------------------------------------------------
+
+_DERIV_LETTERS = "ABCDEFGHMN"
+
+
+def _reference_tconv_single(A, B, spec, m, j_min=0):
+    """Order-m Leibniz term summed over full derivative tensors:
+    (A.B)_{i1..im} = sum over subsets S of A_{iS} B_{iS^c}, as einsum outer
+    products scattered onto every subset of the m derivative axes."""
+    lhs, rhs = spec.split("->")
+    a_spec, b_spec = lhs.split(",")
+    out = 0.0
+    for j in range(max(j_min, m - len(B) + 1), min(m, len(A) - 1) + 1):
+        script = ("z" + a_spec + _DERIV_LETTERS[:j] + ",z" + b_spec
+                  + _DERIV_LETTERS[j:m] + "->z" + rhs + _DERIV_LETTERS[:m])
+        base = np.einsum(script, A[j], B[m - j])
+        lead = base.ndim - m
+        for subset in itertools.combinations(range(m), j):
+            comp = [p for p in range(m) if p not in subset]
+            src = [0] * m
+            for k, pos in enumerate(subset):
+                src[pos] = k
+            for k, pos in enumerate(comp):
+                src[pos] = j + k
+            out = out + base.transpose(tuple(range(lead))
+                                       + tuple(lead + q for q in src))
+    return out
+
+
+def _random_symmetric(rng, lead, d, m):
+    """A tensor of shape lead + (d,)*m whose entries depend only on the
+    multiset of the trailing indices, with random values."""
+    if m == 0:
+        return rng.normal(size=lead)
+    grid = np.sort(np.indices((d,) * m).reshape(m, -1).T, axis=1)
+    _, inverse = np.unique(grid, axis=0, return_inverse=True)
+    values = rng.normal(size=lead + (int(inverse.max()) + 1,))
+    return values[..., inverse.ravel()].reshape(lead + (d,) * m)
+
+
+def _random_jet(rng, lead, d, order):
+    return [_random_symmetric(rng, lead, d, m) for m in range(order + 1)]
+
+
+def _assert_close(terms, reference, rtol=1e-13):
+    assert len(terms) == len(reference)
+    for m, (t, r) in enumerate(zip(terms, reference)):
+        assert t.shape == r.shape, f"term {m} shape"
+        assert np.max(np.abs(t - r)) <= rtol * np.max(np.abs(r)), f"term {m}"
+
+
+D, ORDER, N = 6, 6, 2
+
+
+@pytest.mark.parametrize("spec, lead_a, lead_b", [
+    (",->", (N,), (N,)),
+    ("ab,bc->ac", (N, 2, 3), (N, 3, 2)),
+    ("ab,a->b", (N, 3, 2), (N, 3)),
+    (",ab->ab", (N,), (N, 2, 2))])
+def test_products_match_full_tensor_leibniz(spec, lead_a, lead_b):
+    rng = np.random.default_rng(11)
+    A = _random_jet(rng, lead_a, D, ORDER)
+    B = _random_jet(rng, lead_b, D, ORDER)
+    reference = [_reference_tconv_single(A, B, spec, m) for m in range(ORDER + 1)]
+    _assert_close(J.tconv(A, B, spec, ORDER), reference)
+    # A shorter factor stands for zero higher terms.
+    short = [_reference_tconv_single(A[:3], B, spec, m) for m in range(ORDER + 1)]
+    _assert_close(J.tconv(A[:3], B, spec, ORDER), short)
+    for m in (3, ORDER):
+        _assert_close([J.tconv_single(A, B, spec, m, j_min=1)],
+                      [_reference_tconv_single(A, B, spec, m, j_min=1)])
+
+
+def _generic_positive(x):
+    """A degree-6 polynomial touching every coordinate, positive near 0."""
+    s = x[0] + 0.5 * x[1] - 0.3 * x[2] + 0.2 * x[3] * x[4] + 0.4 * x[5]
+    return 2 + s + 0.3 * s * s + 0.1 * (x[1] * x[2] - x[3]) ** 3 * s ** 3
+
+
+def _reference_reciprocal(u):
+    h = [1.0 / u[0]]
+    for m in range(1, len(u)):
+        s = _reference_tconv_single(u, h, ",->", m, j_min=1)
+        h.append(-h[0].reshape(h[0].shape + (1,) * m) * s)
+    return h
+
+
+def _reference_log(u):
+    v = _reference_reciprocal(u)
+    grad = [u[m + 1] for m in range(len(u) - 1)]
+    return [np.log(u[0])] + [_reference_tconv_single(v, grad, ",a->a", m - 1)
+                             for m in range(1, len(u))]
+
+
+def test_reciprocal_and_log_match_full_tensor_leibniz():
+    P = np.random.default_rng(12).uniform(-0.3, 0.3, size=(N, D))
+    u = J.eval_scalar_expr(_generic_positive, P, ORDER)
+    _assert_close(J.eval_scalar_expr(lambda x: 1 / _generic_positive(x), P, ORDER),
+                  _reference_reciprocal(u))
+    _assert_close(J.eval_scalar_expr(lambda x: J.log(_generic_positive(x)), P, ORDER),
+                  _reference_log(u))
+
+
+def test_matrix_inverse_matches_full_tensor_leibniz():
+    rng = np.random.default_rng(13)
+    G = _random_jet(rng, (N, 3, 3), D, ORDER)
+    G[0] = G[0] + 4 * np.eye(3)
+    H = [np.linalg.inv(G[0])]
+    for m in range(1, ORDER + 1):
+        S = _reference_tconv_single(G, H, "ab,bc->ac", m, j_min=1)
+        H.append(-np.einsum("zab,zbc...->zac...", H[0], S))
+    _assert_close(J.tinv(G, ORDER), H)
