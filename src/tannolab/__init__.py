@@ -24,7 +24,7 @@ from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
                     gallot_tanno_residual, laplace_identity_residual, lightlike_third_derivative,
                     mu_hessian_residual, system_residual, tanno_residual,
                     trace_identity_residual, transport_bundle)
-from .operator import (EigenstructureReport, ExtendedMatrix, PolynomialReal,
+from .operator import (EigenstructureReport, PolynomialReal,
                        ProductBlockReport, SpectrumResult, assemble_L,
                        eigenstructure_at, minimal_polynomial, poly_star,
                        product_block_check, projector_from_solution, spectrum,

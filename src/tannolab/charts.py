@@ -25,10 +25,13 @@ from .errors import OutOfDomain, SingularMetric
 #: The test is relative, so it does not depend on the metric's overall scale.
 RCOND_FLOOR = 1e-12
 
-#: Points per evaluation in :func:`chunked`.  Unchunked, the order-3 field
-#: jets and order-1 Christoffels of a lightlike-jerk check take ~70 KB per
-#: point on CP(3), 9 GB over a 2^17-sample path; at this size the check's
-#: traced heap peaks at 84 MB over such a path.
+#: Points per evaluation in :func:`chunked`, and RK4 steps per block of
+#: transport matrices in :func:`~tannolab.tanno.transport_bundle`.
+#: Unchunked, the order-3 field jets and order-1 Christoffels of a
+#: lightlike-jerk check take ~70 KB per point on CP(3), 9 GB over a
+#: 2^17-sample path; at this size the check's traced heap peaks at 84 MB
+#: over such a path.  A block of transport matrices holds 2 * 1024 + 1
+#: matrices of m = d^2 + d + 1 rows, 30 MB on CP(3).
 POINT_CHUNK = 1024
 
 

@@ -13,10 +13,6 @@ class SingularMetric(TannoLabError):
     """The metric is (numerically) degenerate at the evaluation point."""
 
 
-class StepTooLarge(TannoLabError):
-    """A polyline segment exceeds the transport step bound."""
-
-
 class NotLightlike(TannoLabError):
     """A geodesic path does not carry the lightlike causal tag."""
 

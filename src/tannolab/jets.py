@@ -4,10 +4,10 @@ Interface.  Outside this module a jet of order r over N points of R^d is a
 derivative list ``[T0, T1, ..., Tr]``: ``Tm`` is the raw m-th
 partial-derivative tensor, shape ``(N,) + lead_shape + (d,)*m``, symmetric
 in its trailing m axes.  A list may be shorter than its order: missing
-trailing terms are zero.  :func:`eval_scalar_expr`, :func:`tconv`,
-:func:`tconv_single`, :func:`tinv` and :attr:`Jet.terms` take and return
-such lists; they are the only places full tensors appear.  Each compresses
-its inputs on entry and expands its results once on exit.
+trailing terms are zero.  :func:`eval_scalar_expr`, :func:`tconv` (the
+one product of two lists), :func:`tinv` and :attr:`Jet.terms` take and
+return such lists; they are the only places full tensors appear.  Each
+compresses its inputs on entry and expands its results once on exit.
 
 Storage.  Inside, a jet holds one Taylor coefficient ``d^a f / a!`` per
 multi-index a, degree after degree (within a degree in the order of
@@ -283,57 +283,40 @@ def _dim_of(A, B) -> int:
 # Derivative-list operations.
 # ---------------------------------------------------------------------------
 
-def _leibniz(A, B, spec: str, d: int, m0: int, m1: int, jmin: int,
-             ta: int, tb: int) -> list[np.ndarray]:
-    """Terms m0..m1 of the product of A (through ta) and B (through tb),
-    with jmin <= derivatives on A; every term must have a pair."""
+def _leibniz(A, B, spec: str, d: int, top: int, ta: int, tb: int
+             ) -> list[np.ndarray]:
+    """Terms 0..top of the product of A (through ta) and B (through tb),
+    with top <= ta + tb."""
     plan = _plan(spec)
     if plan is None:
         a, b = _stack(A, ta, (), 0)[:, :-1, 0, 0], _stack(B, tb, (), 0)[:, :-1, 0, 0]
-        c = _product(a, b, _table(d, m0, m1, jmin, ta, tb))
-        base = _size(d, m0 - 1)
-        return [_expand_degree(c[..., _size(d, m - 1) - base:_size(d, m) - base], d, m)
-                for m in range(m0, m1 + 1)]
+        c = _product(a, b, _table(d, 0, top, 0, ta, tb))
+        return [_expand_degree(c[..., _size(d, m - 1):_size(d, m)], d, m)
+                for m in range(top + 1)]
     axes_a, axes_b, nk, axes_out = plan
     x, y = _stack(A, ta, axes_a, nk), _stack(B, tb, axes_b, nk)
     lead_a, lead_b = np.shape(A[0])[1:], np.shape(B[0])[1:]
     free = [lead_a[i] for i in axes_a[nk:]] + [lead_b[i] for i in axes_b[nk:]]
     out = []
-    for m in range(m0, m1 + 1):
-        s = _pair_matmul(x, y, _padded_table(d, m, jmin, ta, tb))
+    for m in range(top + 1):
+        s = _pair_matmul(x, y, _padded_table(d, m, 0, ta, tb))
         s = s.reshape(s.shape[:2] + tuple(free))
         out.append(_expand_degree(s.transpose((0,) + tuple(2 + i for i in axes_out) + (1,)),
                                   d, m))
     return out
 
 
-def tconv_single(A, B, spec: str, m: int, j_min: int = 0,
-                 j_max: int | None = None, dim: int | None = None):
-    """Order-m term of the Leibniz product of derivative lists A and B.
+def tconv(A, B, spec: str, order: int):
+    """Leibniz product of two batched derivative lists through ``order``.
 
     ``spec`` is an einsum signature for the leading axes after the point
     axis, e.g. ``'ab,bc->ac'`` for a matrix product or ``',->'`` for
-    scalars.  ``j_min``/``j_max`` restrict how many derivatives fall on A
-    (used by order-by-order recurrences that solve for the top coefficient).
-    Terms beyond the end of either list are zero and are skipped.
+    scalars.  Terms beyond the end of either list are zero.
     """
-    d = _dim_of(A, B) if dim is None else dim
-    ta = min(len(A) - 1, m, m if j_max is None else j_max)
-    tb = min(len(B) - 1, m)
-    if max(j_min, m - tb) > ta:
-        lead = np.einsum(spec, np.asarray(A[0])[0], np.asarray(B[0])[0]).shape
-        return np.zeros((len(A[0]),) + lead + (d,) * m)
-    return _leibniz(A, B, spec, d, m, m, j_min, ta, tb)[0]
-
-
-def tconv(A, B, spec: str, order: int | None = None):
-    """Full Leibniz product of two batched derivative lists up to ``order``."""
-    if order is None:
-        order = min(len(A), len(B)) - 1
     d = _dim_of(A, B)
     ta, tb = min(len(A) - 1, order), min(len(B) - 1, order)
     top = min(order, ta + tb)
-    out = _leibniz(A, B, spec, d, 0, top, 0, ta, tb)
+    out = _leibniz(A, B, spec, d, top, ta, tb)
     return out + [np.zeros(out[0].shape + (d,) * m) for m in range(top + 1, order + 1)]
 
 

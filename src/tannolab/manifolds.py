@@ -25,6 +25,10 @@ POLY_SCALE = 0.5
 #: 1e-11 the equator test's geodesic_residual is 5.5e-9, a 2x margin to 1e-8.
 GEODESIC_TOL = 1e-12
 
+#: A geodesic is converged when g(v, v) drifts by at most this times
+#: 1 + |g(v0, v0)| over its samples.
+CONSERVATION_TOL = 1e-8
+
 
 def flat_kahler_chart(p: int, q: int, domain_radius: float = 10.0) -> KahlerChart:
     """Constant metric of signature (2p, 2q) with the standard J.
@@ -217,14 +221,13 @@ def _geodesic_rhs(chart: KahlerChart, x, v):
 
 
 def integrate_geodesic(chart: KahlerChart, x0, v0, T: float,
-                       steps: int = 256,
-                       conservation_tol: float = 1e-8) -> GeodesicPath:
+                       steps: int = 256) -> GeodesicPath:
     """Adaptive DOP853 integration of the geodesic equation on [0, T].
 
     The package's DOP853 (:mod:`tannolab.dop853`) runs at ``rtol = atol =
     GEODESIC_TOL`` and keeps its dense solution; ``steps`` sets the number
     of uniform output intervals.  The path is ``converged`` when the solver
-    did not fail and g(v, v) drifts by at most ``conservation_tol * (1 +
+    did not fail and g(v, v) drifts by at most ``CONSERVATION_TOL * (1 +
     |g(v0,v0)|)`` over the samples; nothing is retried.  If the path leaves
     the chart domain it ends there and is flagged; if the right-hand side
     turns non-finite it ends at its last accepted step, not converged.
@@ -259,7 +262,7 @@ def integrate_geodesic(chart: KahlerChart, x0, v0, T: float,
     dev = chunked(lambda x, v: np.abs(chart.inner(x, v, v) - q0), X, V)
     path.drift = float(np.max(dev))
     path.converged = bool(run.status != "failed"
-                          and path.drift <= conservation_tol * (1 + abs(q0)))
+                          and path.drift <= CONSERVATION_TOL * (1 + abs(q0)))
     return path
 
 

@@ -153,23 +153,6 @@ def poly_star(chart: KahlerChart, f: ScalarField, P: PolynomialReal) -> ScalarFi
 # The extended matrix
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExtendedMatrix:
-    """(2n+2) x (2n+2) value of the extended operator at a base point, or
-    one matrix per point (leading point axis) over a batch."""
-
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1] - 2
-
-    def norm(self):
-        if self.entries.ndim == 3:
-            return frob_rows(self.entries)
-        return frob(self.entries)
-
-
 def _solve_vec(g0, v):
     return np.linalg.solve(g0, v[..., None])[..., 0]
 
@@ -220,11 +203,11 @@ def _operator(fj, geo: ChartJets) -> np.ndarray:
     return _standard_shape(-2.0 * f0, f1, g0, geo.chart.J, ahat)
 
 
-def assemble_L(prob: TannoProblem, p) -> ExtendedMatrix:
-    """Extended operator of the bundle built from prob.f (c = 1 convention)."""
+def assemble_L(prob: TannoProblem, p) -> np.ndarray:
+    """Extended operator of the bundle built from prob.f (c = 1 convention):
+    one (d+2, d+2) matrix at a point, an (N, d+2, d+2) array over a batch."""
     P, single = prob.chart.batch(p)
-    L = _operator(prob.f.jets(P, 2), prob.chart.at(P, 1))
-    return ExtendedMatrix(unbatch(L, single))
+    return unbatch(_operator(prob.f.jets(P, 2), prob.chart.at(P, 1)), single)
 
 
 @dataclass
@@ -335,10 +318,9 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return [(float(np.mean(g)), len(g)) for g in groups]
 
 
-def spectrum(m: ExtendedMatrix | np.ndarray,
-             cluster_tol: float | None = None) -> SpectrumResult:
+def spectrum(M: np.ndarray, cluster_tol: float | None = None) -> SpectrumResult:
     """Eigenvalues of the extended matrix, merged into clusters."""
-    M = m.entries if isinstance(m, ExtendedMatrix) else np.asarray(m, float)
+    M = np.asarray(M, float)
     try:
         ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -369,16 +351,15 @@ def _annihilator(reals, pairs) -> PolynomialReal:
     return P
 
 
-def minimal_polynomial(m: ExtendedMatrix | np.ndarray,
-                       tol: float = 1e-6) -> PolynomialReal:
+def minimal_polynomial(M: np.ndarray, tol: float = 1e-6) -> PolynomialReal:
     """Monic annihilating polynomial from clustered eigenvalues.
 
     Assumes one factor per distinct cluster (diagonalizable case) and
     verifies the annihilation bound a posteriori.
     """
-    M = m.entries if isinstance(m, ExtendedMatrix) else np.asarray(m, float)
+    M = np.asarray(M, float)
     radius = max(1.0, float(np.max(np.abs(np.linalg.eigvals(M)))))
-    spec = spectrum(m, cluster_tol=tol * radius)
+    spec = spectrum(M, cluster_tol=tol * radius)
     reps = spec.real_values
     if len(reps) >= 2:
         gaps = np.diff(sorted(reps))
@@ -432,7 +413,7 @@ def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
     f_proj = poly_star(prob.chart, prob.f, P)
     check = TannoProblem(prob.chart, f_proj, 1.0)
     d = prob.chart.dim
-    Ls = assemble_L(check, pts).entries
+    Ls = assemble_L(check, pts)
     residuals = frob_rows(Ls @ Ls - Ls)
     bad = np.flatnonzero(~(residuals < PROJECTOR_TOL))
     if bad.size:

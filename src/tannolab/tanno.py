@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import charts
 from . import jets as J
 from .calculus import (covariant_d_cotensor2, frob_rows,
                        scalar_covariant_jets)
 from .charts import ChartJets, KahlerChart, chunked, unbatch
-from .errors import NotLightlike, StepTooLarge
+from .errors import NotLightlike
 from .fields import ScalarField
 from .manifolds import GeodesicPath
 
@@ -260,20 +261,15 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
     """Integrate the first-order system along a polyline of chart points.
 
     The system is linear, dy/dt = A(x, xdot) y, in the state
-    y = (a.ravel(), f, mu) of length d^2 + d + 1.  The polyline is
-    densified so each classical RK4 step is at most :data:`MAX_STEP`;
-    segments longer than a quarter of the domain radius are rejected, and
-    so are vertices outside the domain.
+    y = (a.ravel(), f, mu) of length d^2 + d + 1.  Each segment is split
+    into equal classical RK4 steps of at most :data:`MAX_STEP`.  Vertices
+    outside the domain are rejected; the domain is a ball, so every segment
+    between two vertices inside it lies inside it too.
     """
     P, _ = chart.batch(path)
-    bound = 0.25 * chart.domain_radius
     d = chart.dim
     segs = P[1:] - P[:-1]
     lens = np.array([float(np.linalg.norm(seg)) for seg in segs])
-    too_long = lens[lens > bound]
-    if too_long.size:
-        raise StepTooLarge(
-            f"segment length {too_long[0]:.3g} exceeds bound {bound:.3g}")
     moves = lens > 0.0
     starts, segs = P[:-1][moves], segs[moves]
     nsubs = [max(1, int(np.ceil(seglen / MAX_STEP))) for seglen in lens[moves]]
@@ -288,16 +284,20 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
     y = np.concatenate([np.ravel(init.a), init.grad, [init.mu]])
     lo = 0
     for seg, nsub in zip(segs, nsubs):
-        rows = slice(lo, lo + 2 * nsub + 1)
-        lo = rows.stop
-        A = _transport_matrices(g0[rows], chart.J, G0[rows], seg)
         dt = 1.0 / nsub
-        for k in range(nsub):
-            k1 = A[2 * k] @ y
-            k2 = A[2 * k + 1] @ (y + dt / 2 * k1)
-            k3 = A[2 * k + 1] @ (y + dt / 2 * k2)
-            k4 = A[2 * k + 2] @ (y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # The matrices A are built for at most POINT_CHUNK steps at a time,
+        # which bounds their (2 steps + 1, m, m) stack on a long segment.
+        for k0 in range(0, nsub, charts.POINT_CHUNK):
+            steps = min(charts.POINT_CHUNK, nsub - k0)
+            rows = slice(lo + 2 * k0, lo + 2 * (k0 + steps) + 1)
+            A = _transport_matrices(g0[rows], chart.J, G0[rows], seg)
+            for k in range(steps):
+                k1 = A[2 * k] @ y
+                k2 = A[2 * k + 1] @ (y + dt / 2 * k1)
+                k3 = A[2 * k + 1] @ (y + dt / 2 * k2)
+                k4 = A[2 * k + 2] @ (y + dt * k3)
+                y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        lo += 2 * nsub + 1
     return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
 
 

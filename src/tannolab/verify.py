@@ -229,7 +229,7 @@ class CheckContext:
     def operator(self) -> np.ndarray:
         """The (N, d+2, d+2) entries of L(f) of the unit problem at the
         sample points."""
-        return assemble_L(self.unit_problem, self.P).entries
+        return assemble_L(self.unit_problem, self.P)
 
     @cached_property
     def spectra(self) -> list[SpectrumResult]:
@@ -312,23 +312,10 @@ def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
     b = bundle_from_f(prob, ctx.P)
     return _worst(np.abs(f_from_mu(b.mu) - prob.f(ctx.P)))
 
-def densify_polyline(waypoints, max_seg: float):
-    """Insert intermediate points so no segment exceeds max_seg."""
-    out = [np.asarray(waypoints[0], dtype=float)]
-    for q in waypoints[1:]:
-        q = np.asarray(q, dtype=float)
-        prev = out[-1]
-        seg = np.linalg.norm(q - prev)
-        n = max(1, int(np.ceil(seg / max_seg)))
-        for k in range(1, n + 1):
-            out.append(prev + (k / n) * (q - prev))
-    return out
-
-def _random_polyline(chart, rng, n_way=4):
+def _random_polyline(chart, rng):
     r = 0.6 * chart.domain_radius
-    pts = [rng.uniform(-r / np.sqrt(chart.dim), r / np.sqrt(chart.dim),
-                       size=chart.dim) for _ in range(n_way)]
-    return densify_polyline(pts, 0.2 * chart.domain_radius)
+    return [rng.uniform(-r / np.sqrt(chart.dim), r / np.sqrt(chart.dim),
+                        size=chart.dim) for _ in range(4)]
 
 def _bundle_at(b: SolutionBundle, k: int) -> SolutionBundle:
     return SolutionBundle(b.a[k], b.grad[k], float(b.mu[k]))
@@ -359,9 +346,7 @@ def check_transport_match(ctx: CheckContext) -> CheckOutcome:
         raise SkipCheck("needs at least two sample points")
     direct = bundle_from_f(prob, ctx.P[:trials + 1])
     for k in range(trials):
-        p, q = ctx.P[k], ctx.P[k + 1]
-        path = densify_polyline([p, q], 0.2 * chart.domain_radius)
-        out = transport_bundle(chart, path, _bundle_at(direct, k))
+        out = transport_bundle(chart, ctx.P[k:k + 2], _bundle_at(direct, k))
         ref = _bundle_at(direct, k + 1)
         worst = max(worst, _bundle_distance(out, ref) / max(1.0, ref.norm()))
     return CheckOutcome(worst, trials)
@@ -391,7 +376,7 @@ def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     prob = TannoProblem(chart, ConstField(chart.dim, -0.5), 1.0)
     d = chart.dim
-    return _worst(frob_rows(assemble_L(prob, ctx.P).entries - np.eye(d + 2)))
+    return _worst(frob_rows(assemble_L(prob, ctx.P) - np.eye(d + 2)))
 
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
@@ -414,7 +399,7 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
     worst = 0.0
     for k in (2, 3, 4):
         probk = TannoProblem(chart, star_power(chart, prob.f, k), 1.0)
-        Lk = assemble_L(probk, pts).entries
+        Lk = assemble_L(probk, pts)
         worst = max(worst, float(np.max(
             frob_rows(Lk - np.linalg.matrix_power(L1, k)))))
     return CheckOutcome(worst, len(pts))
@@ -482,10 +467,8 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
     values, gradients = prob.f.jets(ctx.P, 1)
     grads = [float(np.linalg.norm(g)) for g in gradients]
     if is_constant(float(values.max() - values.min()), grads):
-        report = positivity_scan(prob, ctx.P)
-        ok = "hypothesis not met" in report.note
-        return CheckOutcome(0.0 if ok else 1.0, len(ctx.P),
-                            note=f"verdict={report.verdict}; {report.note}")
+        raise SkipCheck("hypothesis not met: the positivity theorem assumes "
+                        "a non-constant solution")
     _, f_proj, _ = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     report = positivity_scan(probP, ctx.P)

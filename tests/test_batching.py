@@ -86,8 +86,8 @@ def test_tanno_residual_and_extended_operator(case):
     _assert_stacked([tanno_residual(prob, P)],
                     [[tanno_residual(prob, p)] for p in P])
     unit = prob.rescaled()
-    _assert_stacked([assemble_L(unit, P).entries],
-                    [[assemble_L(unit, p).entries] for p in P])
+    _assert_stacked([assemble_L(unit, P)],
+                    [[assemble_L(unit, p)] for p in P])
 
 
 @PROPERTY

@@ -158,6 +158,14 @@ class TestRunSuite:
         assert "signature" in rec.note
         assert report.verdict == "pass"
 
+    def test_constant_solution_skips_positivity(self):
+        cfg = fast_config(solution="constant:-0.5", checks=["thm3.positivity"])
+        report = run_suite(cfg)
+        rec = report.checks[0]
+        assert rec.status == "skipped"
+        assert "non-constant solution" in rec.note
+        assert report.verdict == "pass"
+
     def test_error_captured_not_raised(self):
         cfg = fast_config(solution="constant:-0.5", c=1.0,
                           checks=["lem5.projector"])
@@ -340,7 +348,7 @@ class TestRunSuite:
         ctx = fast_context()
         P, f_proj, Ls = ctx.projector
         probP = TannoProblem(ctx.unit_problem.chart, f_proj, 1.0)
-        assert np.array_equal(Ls, assemble_L(probP, ctx.P).entries)
+        assert np.array_equal(Ls, assemble_L(probP, ctx.P))
         assert projector_from_solution(ctx.unit_problem, ctx.P)[0] == P
 
         def fail(*args):
@@ -483,7 +491,7 @@ class TestCli:
         prob = TannoProblem(chart, build_solution(cfg.solution, chart),
                             cfg.c).rescaled()
         assert len(lines) == 3
-        for line, q, L in zip(lines, pts, assemble_L(prob, pts).entries):
+        for line, q, L in zip(lines, pts, assemble_L(prob, pts)):
             assert line.startswith(f"p = {np.array2string(q, precision=4)} ")
             printed = re.findall(r"([+-]\d+\.\d+) \(x(\d+)\)", line)
             assert printed == [(f"{v:+.8f}", str(m))

@@ -47,8 +47,8 @@ def test_left_nested_star_power_matches_product_of_operators(fs1_unit, height1):
     f3 = star_product(fs1_unit, height1, star_power(fs1_unit, height1, 2))
     prob3 = TannoProblem(fs1_unit, f3, 1.0)
     p = np.array([0.5, 0.1])
-    L = assemble_L(prob, p).entries
-    assert frob(assemble_L(prob3, p).entries
+    L = assemble_L(prob, p)
+    assert frob(assemble_L(prob3, p)
                 - np.linalg.matrix_power(L, 3)) < 1e-7
 
 
@@ -141,8 +141,8 @@ def test_operator_entries_depend_only_on_base_point(fs1_unit, height1):
     # at the same chart point twice gives the identical matrix.
     prob = TannoProblem(fs1_unit, height1, 1.0)
     p = np.array([0.3, 0.8])
-    assert np.array_equal(assemble_L(prob, p).entries,
-                          assemble_L(prob, p.copy()).entries)
+    assert np.array_equal(assemble_L(prob, p),
+                          assemble_L(prob, p.copy()))
 
 
 def test_rescaling_helper_requires_nonzero():

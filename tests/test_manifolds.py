@@ -213,11 +213,11 @@ class TestGeodesics:
         assert path.left_domain
         assert np.linalg.norm(path.samples[-1][1]) <= fs1.domain_radius
 
-    def test_non_convergence_reported(self, fs1):
+    def test_non_convergence_reported(self, fs1, monkeypatch):
         # A conservation bound the solver cannot meet is reported on the
         # path, not retried away or hidden.
-        path = integrate_geodesic(fs1, [0.3, 0.1], [0.2, 1.0], 1.0,
-                                  conservation_tol=1e-30)
+        monkeypatch.setattr(manifolds, "CONSERVATION_TOL", 1e-30)
+        path = integrate_geodesic(fs1, [0.3, 0.1], [0.2, 1.0], 1.0)
         assert path.converged is False
         assert path.drift > 1e-30 * (1 + abs(path.energy))
 

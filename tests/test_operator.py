@@ -9,7 +9,7 @@ from tannolab.errors import (DimensionMismatch, IllConditioned, NoRealSplit,
                              NotProjector)
 from tannolab.fields import ConstField
 from tannolab.manifolds import cpn_height_function, random_polynomial_field
-from tannolab.operator import (ExtendedMatrix, PolynomialReal, _eigenstructure,
+from tannolab.operator import (PolynomialReal, _eigenstructure, _operator,
                                assemble_L, eigenstructure_at,
                                minimal_polynomial, poly_star,
                                product_block_check, projector_from_solution,
@@ -33,23 +33,30 @@ def cp1_projector(cp1_problem, cp1_points):
 
 
 class TestAssembleL:
+    def test_returns_the_operator_array(self, cp1_problem, cp1_points):
+        P = np.array(cp1_points)
+        ref = _operator(cp1_problem.f.jets(P, 2), cp1_problem.chart.at(P, 1))
+        for p, expected in ((P, ref), (P[0], ref[0])):
+            L = assemble_L(cp1_problem, p)
+            assert type(L) is np.ndarray and np.array_equal(L, expected)
+
     def test_constant_is_identity_bitwise(self, fs1_unit, fs2_unit, flat11):
         for chart in (fs1_unit, fs2_unit, flat11):
             prob = TannoProblem(chart, ConstField(chart.dim, -0.5), 1.0)
             for p in points_on(chart, 3, seed=32):
-                L = assemble_L(prob, p).entries
+                L = assemble_L(prob, p)
                 assert np.array_equal(L, np.eye(chart.dim + 2))
 
     def test_zero_field_gives_zero_matrix(self, fs1_unit):
         prob = TannoProblem(fs1_unit, ConstField(2, 0.0), 1.0)
-        L = assemble_L(prob, np.zeros(2)).entries
+        L = assemble_L(prob, np.zeros(2))
         assert not L.any()
 
     def test_block_diagonal_at_critical_point(self, fs1_unit, height1):
         # grad f = 0 at the origin: corner blocks vanish and the matrix is
         # blockdiag(mu Id_2, a^i_j).
         prob = TannoProblem(fs1_unit, height1, 1.0)
-        L = assemble_L(prob, np.zeros(2)).entries
+        L = assemble_L(prob, np.zeros(2))
         assert not L[0, 2:].any() and not L[2:, 0].any()
         assert not L[1, 2:].any() and not L[2:, 1].any()
         assert L[0, 0] == L[1, 1] == pytest.approx(-2.0)
@@ -60,7 +67,7 @@ class TestAssembleL:
         # their raised forms, and a^i_j = g^{-1}(-Hess f) - 2f delta.
         chart, f = cp1_problem.chart, cp1_problem.f
         for p in cp1_points[:3]:
-            L = assemble_L(cp1_problem, p).entries
+            L = assemble_L(cp1_problem, p)
             grad = nabla_scalar(chart, f, p, 1)
             grad_bar = bar_form(chart, grad, p)
             hess = nabla_scalar(chart, f, p, 2).components
@@ -125,8 +132,8 @@ class TestStarPowerOperator:
         fk = star_power(chart, cp1_problem.f, k)
         probk = TannoProblem(chart, fk, 1.0)
         for p in cp1_points[:5]:
-            Lk = assemble_L(probk, p).entries
-            L1 = assemble_L(cp1_problem, p).entries
+            Lk = assemble_L(probk, p)
+            L1 = assemble_L(cp1_problem, p)
             assert frob(Lk - np.linalg.matrix_power(L1, k)) < 1e-7
 
     def test_matches_matrix_power_cp2(self, fs2_unit, height2):
@@ -136,8 +143,8 @@ class TestStarPowerOperator:
             fk = star_power(fs2_unit, height2, k)
             probk = TannoProblem(fs2_unit, fk, 1.0)
             for p in pts:
-                Lk = assemble_L(probk, p).entries
-                L1 = assemble_L(prob, p).entries
+                Lk = assemble_L(probk, p)
+                L1 = assemble_L(prob, p)
                 assert frob(Lk - np.linalg.matrix_power(L1, k)) < 1e-7
 
 
@@ -159,8 +166,8 @@ class TestPolyStar:
         fP = poly_star(chart, cp1_problem.f, P)
         probP = TannoProblem(chart, fP, 1.0)
         for p in cp1_points[:5]:
-            LP = assemble_L(probP, p).entries
-            L = assemble_L(cp1_problem, p).entries
+            LP = assemble_L(probP, p)
+            L = assemble_L(cp1_problem, p)
             assert frob(LP - P.eval_matrix(L)) < 1e-7
 
     def test_closure_under_polynomials(self, cp1_problem, cp1_points):
@@ -187,8 +194,8 @@ class TestProductBlock:
         rep = product_block_check(id_prob, other, p)
         assert rep.block_residual < 1e-12
         assert rep.op_eq_holds
-        LF = assemble_L(other, p).entries
-        Lid = assemble_L(id_prob, p).entries
+        LF = assemble_L(other, p)
+        Lid = assemble_L(id_prob, p)
         assert np.allclose(Lid @ LF, LF, atol=1e-14)
 
     def test_arbitrary_fields_block_identity(self, fs2_unit):
@@ -218,17 +225,17 @@ class TestProductBlock:
 
 class TestSpectrum:
     def test_identity(self):
-        out = spectrum(ExtendedMatrix(np.eye(4)))
+        out = spectrum(np.eye(4))
         assert out.clusters == [(1.0, 4)]
         assert not out.complex_pairs
 
     def test_two_clusters(self):
-        out = spectrum(ExtendedMatrix(np.diag([2.0, 2.0, -2.0, -2.0])))
+        out = spectrum(np.diag([2.0, 2.0, -2.0, -2.0]))
         assert out.clusters == [(-2.0, 2), (2.0, 2)]
 
     def test_complex_pairs_reported_separately(self):
         M = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = spectrum(ExtendedMatrix(M))
+        out = spectrum(M)
         assert not out.clusters
         assert len(out.complex_pairs) == 1
         z, mult = out.complex_pairs[0]
@@ -252,19 +259,19 @@ class TestSpectrum:
 
 class TestMinimalPolynomial:
     def test_identity_matrix(self):
-        P = minimal_polynomial(ExtendedMatrix(np.eye(4)))
+        P = minimal_polynomial(np.eye(4))
         assert np.allclose(P.coeffs, (-1.0, 1.0))
 
     def test_projector_matrix(self):
         M = np.diag([1.0, 1.0, 0.0, 0.0])
-        P = minimal_polynomial(ExtendedMatrix(M))
+        P = minimal_polynomial(M)
         assert np.allclose(P.coeffs, (0.0, -1.0, 1.0))  # t(t-1)
 
     def test_monic_and_annihilating(self, cp1_problem, cp1_points):
         L = assemble_L(cp1_problem, cp1_points[0])
         P = minimal_polynomial(L)
         assert P.coeffs[-1] == 1.0
-        assert frob(P.eval_matrix(L.entries)) < 1e-6 * max(1.0, L.norm()) ** P.degree
+        assert frob(P.eval_matrix(L)) < 1e-6 * max(1.0, frob(L)) ** P.degree
 
     def test_constant_coefficients_across_points(self, cp1_problem, cp1_points):
         polys = [minimal_polynomial(assemble_L(cp1_problem, p)).coeffs
@@ -276,14 +283,14 @@ class TestMinimalPolynomial:
     def test_near_multiple_eigenvalues_merge_cleanly(self):
         # A gap far below the cluster tolerance is one cluster, not an error.
         M = np.diag([1.0, 1.0 + 1e-9, 5.0])
-        P = minimal_polynomial(ExtendedMatrix(M), tol=1e-6)
+        P = minimal_polynomial(M, tol=1e-6)
         assert P.degree == 2
 
     def test_marginally_separated_clusters_raise(self):
         # Distinct clusters closer than the safety margin are rejected.
         M = np.diag([1.0, 1.0 + 2e-5, 5.0])
         with pytest.raises(IllConditioned):
-            minimal_polynomial(ExtendedMatrix(M), tol=1e-6)
+            minimal_polynomial(M, tol=1e-6)
 
 
 class TestProjector:
@@ -303,7 +310,7 @@ class TestProjector:
         _, f_proj = cp1_projector
         probP = TannoProblem(fs1_unit, f_proj, 1.0)
         for p in cp1_points:
-            L = assemble_L(probP, p).entries
+            L = assemble_L(probP, p)
             assert frob(L @ L - L) < 1e-7
             assert frob(L) > 1e-3 and frob(L - np.eye(4)) > 1e-3
 
@@ -331,7 +338,7 @@ class TestProjector:
         pts = points_on(fs2_unit, 5, seed=46)
         P, f_proj = projector_from_solution(prob, pts)
         probP = TannoProblem(fs2_unit, f_proj, 1.0)
-        L = assemble_L(probP, pts[0]).entries
+        L = assemble_L(probP, pts[0])
         trace = float(np.trace(L))
         assert trace == pytest.approx(round(trace), abs=1e-8)
         assert round(trace) % 2 == 0
@@ -387,7 +394,7 @@ class TestEigenstructure:
         _, f_proj = cp1_projector
         probP = TannoProblem(fs1_unit, f_proj, 1.0)
         pts = np.vstack([np.zeros(2), cp1_points])
-        Ls = assemble_L(probP, pts).entries
+        Ls = assemble_L(probP, pts)
         reports = eigenstructure_at(probP, pts)
         assert _eigenstructure(Ls) == reports
         assert {r.classification for r in reports} >= {"mu_min", "interior"}

@@ -54,7 +54,7 @@ class TestRestrictForm:
     def test_gradient_span_positive_on_cp1(self, fs1_unit, height1):
         prob = TannoProblem(fs1_unit, height1, 1.0)
         p = np.array([0.6, 0.3])
-        L = assemble_L(prob, p).entries
+        L = assemble_L(prob, p)
         g0 = fs1_unit.metric(p)
         out = restrict_form(g0, [L[2:, 0], L[2:, 1]])
         ev = np.linalg.eigvalsh(out)

@@ -6,7 +6,8 @@ import pytest
 from conftest import points_on
 from tannolab.calculus import frob
 from tannolab.charts import KahlerChart
-from tannolab.errors import NotLightlike, OutOfDomain, StepTooLarge
+from tannolab import charts
+from tannolab.errors import NotLightlike, OutOfDomain
 from tannolab.fields import ConstField, ExprField
 from tannolab.manifolds import (flat_kahler_chart, fubini_study_chart,
                                 integrate_geodesic,
@@ -20,7 +21,6 @@ from tannolab.tanno import (MAX_STEP, SolutionBundle, TannoProblem,
                             lightlike_third_derivative, mu_hessian_residual,
                             system_residual, tanno_residual,
                             trace_identity_residual, transport_bundle)
-from tannolab.verify import densify_polyline
 
 
 def _einsum_rhs(geometry, xdot, a, f, mu):
@@ -279,14 +279,13 @@ class TestTransport:
         zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
         for _ in range(10):
             way = [rng.uniform(-0.9, 0.9, size=d) for _ in range(4)]
-            path = densify_polyline(way, 0.3)
-            out = transport_bundle(fs1_unit, path, zero)
+            out = transport_bundle(fs1_unit, way, zero)
             assert out.norm() <= 1e-10
 
     def test_linearity(self, fs1_unit):
         rng = np.random.default_rng(18)
         d = fs1_unit.dim
-        path = densify_polyline([np.zeros(d), np.array([0.8, -0.5])], 0.3)
+        path = [np.zeros(d), np.array([0.8, -0.5])]
         u, v = _random_bundle(rng, d), _random_bundle(rng, d)
         al, be = 0.7, -1.3
         combo = SolutionBundle(al * u.a + be * v.a, al * u.grad + be * v.grad,
@@ -303,8 +302,7 @@ class TestTransport:
         pts = points_on(fs1_unit, 4, seed=19)
         for p, q in zip(pts[:-1], pts[1:]):
             init = bundle_from_f(prob, p)
-            path = densify_polyline([p, q], 0.3)
-            out = transport_bundle(fs1_unit, path, init)
+            out = transport_bundle(fs1_unit, [p, q], init)
             ref = bundle_from_f(prob, q)
             assert frob(out.a - ref.a) < 1e-5
             assert np.linalg.norm(out.grad - ref.grad) < 1e-5
@@ -321,12 +319,14 @@ class TestTransport:
         assert np.linalg.norm(out.grad - init.grad) < 1e-5
         assert abs(out.mu - init.mu) < 1e-5
 
-    def test_step_bound_enforced(self, fs1_unit):
-        d = fs1_unit.dim
-        zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
-        with pytest.raises(StepTooLarge):
-            transport_bundle(fs1_unit, [np.zeros(d), np.array([1.4, 0.0])],
-                             zero)
+    def test_long_chord_matches_evaluation(self, fs1_unit, height1):
+        # One segment of 1.4 R, far beyond a quarter of the domain radius.
+        prob = TannoProblem(fs1_unit, height1, 1.0)
+        p, q = np.array([-1.4, 0.0]), np.array([1.4, 0.3])
+        assert np.linalg.norm(q - p) > 0.25 * fs1_unit.domain_radius
+        out = transport_bundle(fs1_unit, [p, q], bundle_from_f(prob, p))
+        ref = bundle_from_f(prob, q)
+        assert np.linalg.norm(_state(out) - _state(ref)) < 1e-6
 
     @pytest.mark.parametrize("chart", [
         fubini_study_chart(1), fubini_study_chart(2), fubini_study_chart(3),
@@ -336,8 +336,7 @@ class TestTransport:
         d = chart.dim
         way = [rng.uniform(-0.5, 0.5, size=d) for _ in range(3)]
         # A repeated point gives zero-length segments, which are skipped.
-        path = densify_polyline([way[0], way[1], way[1], way[2]], 0.3)
-        path.insert(2, path[1])
+        path = [way[0], *np.linspace(way[0], way[1], 4)[1:], way[1], way[2]]
         init = _random_bundle(rng, d)
         out = _state(transport_bundle(chart, path, init))
         ref = _state(_reference_transport(chart, path, init))
@@ -349,16 +348,19 @@ class TestTransport:
     @pytest.mark.parametrize("chart", [
         fubini_study_chart(1), fubini_study_chart(2), fubini_study_chart(3),
         flat_kahler_chart(1, 1)], ids=["cp1", "cp2", "cp3", "flat11"])
-    def test_one_batch_matches_per_segment_evaluation(self, chart):
+    def test_one_batch_matches_per_segment_evaluation(self, chart, monkeypatch):
         rng = np.random.default_rng(27)
         d = chart.dim
         way = [rng.uniform(-0.5, 0.5, size=d) for _ in range(3)]
-        path = densify_polyline(way, 0.3)
-        path.insert(2, path[1])
+        path = [*np.linspace(way[0], way[1], 3), way[1], way[2]]
         init = _random_bundle(rng, d)
-        for p in (path, path[:1]):
-            assert np.array_equal(_state(transport_bundle(chart, p, init)),
-                                  _state(_per_segment_transport(chart, p, init)))
+        # Blocks of 3 steps split every segment; the bits must not move.
+        for chunk in (charts.POINT_CHUNK, 3):
+            monkeypatch.setattr(charts, "POINT_CHUNK", chunk)
+            for p in (path, path[:1]):
+                assert np.array_equal(
+                    _state(transport_bundle(chart, p, init)),
+                    _state(_per_segment_transport(chart, p, init)))
 
     def test_chart_evaluated_once_per_path(self, fs1_unit, monkeypatch):
         calls, at = [], KahlerChart.at
@@ -369,8 +371,8 @@ class TestTransport:
 
         monkeypatch.setattr(KahlerChart, "at", spy_at)
         d = fs1_unit.dim
-        path = densify_polyline([np.zeros(d), np.array([0.8, -0.5]),
-                                 np.array([0.2, 0.6])], 0.3)
+        path = [np.zeros(d), np.array([0.8, -0.5]), np.array([0.2, 0.6]),
+                np.array([-0.4, 0.1])]
         zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
         transport_bundle(fs1_unit, path, zero)
         assert len(path) > 3 and len(calls) == 1
