@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the suite verdict is pass, 1 when any check fails,
 2 on configuration or I/O errors, and when a config does not apply to the
-command (c = 0 for spectrum and projector).
+command (c = 0 for spectrum and projector, a constant solution for
+projector).
 """
 
 from __future__ import annotations

@@ -48,42 +48,49 @@ EIGEN_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 class StarField(ScalarField):
-    """F*H = -2 F H - 1/2 g^{ab} F_{,a} H_{,b} as a differentiable field.
+    """The star chain -c_0/2 + f*(-c_1/2 + ... f*(-c_{k-1}/2 + c_k H)), k >= 2,
+    with F*H = -2 F H - 1/2 g^{ab} F_{,a} H_{,b}: P*(f) in Horner form for
+    H = f (the default) and P = c_0 + c_1 t + ... + c_k t^k.
 
-    Jets of order r need order r+1 jets of both factors, so derivative
-    requirements grow along star-power chains.
+    Jets of order r need f and H through r + k - 1 and g^-1 through
+    r + k - 2; each is evaluated once, as is the lift g^{ab} f_{,a}, and the
+    k - 1 levels read their bit-exact prefixes.
     """
 
-    def __init__(self, chart: KahlerChart, F: ScalarField, H: ScalarField):
-        if F.dim != H.dim or F.dim != chart.dim:
+    def __init__(self, chart: KahlerChart, f: ScalarField, coeffs,
+                 H: ScalarField | None = None):
+        H = f if H is None else H
+        if f.dim != H.dim or f.dim != chart.dim:
             raise DimensionMismatch("star product factors live on different charts")
         super().__init__(chart.dim)
-        self.chart = chart
-        self.F = F
-        self.H = H
+        self.chart, self.f, self.H = chart, f, H
+        self.coeffs = tuple(float(c) for c in coeffs)
 
     def _jets(self, P, order):
-        Fj = self.F.jets(P, order + 1)
-        Hj = Fj if self.H is self.F else self.H.jets(P, order + 1)
-        ginv = self.chart.metric_inv_jets(P, order)
-        prod = J.tconv(Fj, Hj, ",->", order)
-        lifted = J.tconv(ginv, J.tgrad(Fj), "ab,a->b", order)
-        cross = J.tconv(lifted, J.tgrad(Hj), "b,b->", order)
-        return [-2.0 * a - 0.5 * b for a, b in zip(prod, cross)]
+        *outer, c, lead = self.coeffs
+        top = order + len(outer)
+        fj = self.f.jets(P, top)
+        lifted = J.tconv(self.chart.at(P, top - 1).ginv(top - 1), J.tgrad(fj),
+                         "ab,a->b", top - 1)
+        S = [lead * t for t in (fj if self.H is self.f else self.H.jets(P, top))]
+        S[0] = S[0] - 0.5 * c
+        for r, c in reversed(list(enumerate(outer, order))):
+            prod = J.tconv(fj, S, ",->", r)
+            cross = J.tconv(lifted, J.tgrad(S), "b,b->", r)
+            S = [-2.0 * a - 0.5 * b for a, b in zip(prod, cross)]
+            S[0] = S[0] - 0.5 * c
+        return S
 
 
 def star_product(chart: KahlerChart, F: ScalarField, H: ScalarField) -> ScalarField:
-    return StarField(chart, F, H)
+    return StarField(chart, F, (0.0, 0.0, 1.0), H)
 
 
 def star_power(chart: KahlerChart, f: ScalarField, k: int) -> ScalarField:
     """k-fold star power, nested as f * (f * (... )) to match L^k = L . L^(k-1)."""
     if k < 1:
         raise ValueError("star power needs k >= 1")
-    out = f
-    for _ in range(k - 1):
-        out = StarField(chart, f, out)
-    return out
+    return f if k == 1 else StarField(chart, f, (0.0,) * k + (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +143,14 @@ class PolynomialReal:
 
 
 def poly_star(chart: KahlerChart, f: ScalarField, P: PolynomialReal) -> ScalarField:
-    """P*(f) = c_k f^{*k} + ... + c_1 f - 1/2 c_0."""
+    """P*(f) = c_k f^{*k} + ... + c_1 f - 1/2 c_0, as one :class:`StarField`
+    chain by Horner's rule, since f*(-c/2) = c f."""
     cs = P.coeffs
-    fields, coeffs = [], []
-    for k in range(1, len(cs)):
-        if cs[k] != 0.0:
-            fields.append(star_power(chart, f, k))
-            coeffs.append(cs[k])
-    const = -0.5 * cs[0]
-    if not fields:
-        return ConstField(chart.dim, const)
-    return LinearComboField(fields, coeffs, const)
+    if len(cs) > 2:
+        return StarField(chart, f, cs)
+    if len(cs) == 2:
+        return LinearComboField([f], [cs[1]], -0.5 * cs[0])
+    return ConstField(chart.dim, -0.5 * cs[0])
 
 
 # ---------------------------------------------------------------------------

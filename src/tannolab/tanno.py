@@ -222,22 +222,21 @@ def mu_hessian_residual(prob: TannoProblem, p):
 # ---------------------------------------------------------------------------
 
 def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
-    """Matrices A with dy/dt = A y for the first-order system along ``xdot``.
+    """Matrices A with dy/dt = A y for the first-order system, one per row.
 
-    ``g0`` (Z, d, d) and ``G0`` (Z, d, d, d), with Gamma^l_ij at [l, i, j],
-    are the chart at Z points and ``Jm`` (d, d) its constant J; ``xdot`` has
-    shape (d,).  The
-    state is y = (a.ravel(), f, mu), so A has shape (Z, m, m) with
-    m = d^2 + d + 1.
+    Row z is the chart at a point, ``g0[z]`` (d, d) and ``G0[z]`` (d, d, d)
+    with Gamma^l_ij at [l, i, j], with the velocity ``xdot[z]`` (d,) there;
+    ``Jm`` (d, d) is the chart's constant J.  The state is
+    y = (a.ravel(), f, mu), so A has shape (Z, m, m) with m = d^2 + d + 1.
     """
     Z, d = g0.shape[:2]
     n2 = d * d
     m = n2 + d + 1
     I = np.eye(d)
-    gx = g0 @ xdot                               # g_ik xdot^k
-    Jx = (g0 @ Jm) @ xdot                        # (g J)_ik xdot^k
-    Gk = np.einsum("zlki,k->zli", G0, xdot)      # Gamma^l_ki xdot^k
-    Gj = G0 @ xdot                               # Gamma^l_ij xdot^j
+    gx = np.einsum("zik,zk->zi", g0, xdot)            # g_ik xdot^k
+    Jx = np.einsum("zik,zk->zi", g0 @ Jm, xdot)       # (g J)_ik xdot^k
+    Gk = np.einsum("zlki,zk->zli", G0, xdot)          # Gamma^l_ki xdot^k
+    Gj = np.einsum("zlij,zj->zli", G0, xdot)          # Gamma^l_ij xdot^j
     A = np.zeros((Z, m, m))
     # partial_k a_ij = f_i g_jk + f_j g_ik - fbar_i (gJ)_jk - fbar_j (gJ)_ik
     #                  + Gamma^l_ki a_lj + Gamma^l_kj a_il,  fbar_i = J_ai f_a
@@ -248,7 +247,7 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
                         - np.einsum("ai,zj->zija", Jm, Jx)
                         - np.einsum("aj,zi->zija", Jm, Jx)).reshape(Z, n2, d)
     # partial_j f_i = mu g_ij - a_ij + Gamma^l_ij f_l
-    A[:, n2:-1, :n2] = -np.einsum("ip,q->ipq", I, xdot).reshape(d, n2)
+    A[:, n2:-1, :n2] = -np.einsum("ip,zq->zipq", I, xdot).reshape(Z, d, n2)
     A[:, n2:-1, n2:-1] = Gj.transpose(0, 2, 1)
     A[:, n2:-1, -1] = gx
     # mu_{,i} = -2 f_i
@@ -270,34 +269,31 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
     d = chart.dim
     segs = P[1:] - P[:-1]
     lens = np.array([float(np.linalg.norm(seg)) for seg in segs])
-    moves = lens > 0.0
-    starts, segs = P[:-1][moves], segs[moves]
-    nsubs = [max(1, int(np.ceil(seglen / MAX_STEP))) for seglen in lens[moves]]
-    # Each segment, parametrized on [0, 1], is known in advance, so the
-    # chart is evaluated once, at every RK4 stage point of the polyline: on
-    # each segment's grid of half steps, step k uses entries 2k (its start),
-    # 2k + 1 (stages 2 and 3) and 2k + 2 (its end, the next step's start).
-    grids = [q0 + np.linspace(0.0, 1.0, 2 * nsub + 1)[:, None] * seg
-             for q0, seg, nsub in zip(starts, segs, nsubs)]
-    geo = chart.at(np.concatenate([P[:0], *grids]), 1)
-    g0, G0 = geo.g0, geo.gamma(0)[0]
+    starts, segs, lens = P[:-1][lens > 0.0], segs[lens > 0.0], lens[lens > 0.0]
+    nsubs = np.maximum(1, np.ceil(lens / MAX_STEP)).astype(int)
+    # X holds each segment's grid of half steps on [0, 1], V its velocity:
+    # step s, on segment i, uses rows 2s + i, 2s + i + 1 and 2s + i + 2.
+    X = np.concatenate([P[:0], *(q0 + np.linspace(0.0, 1.0, 2 * n + 1)[:, None] * seg
+                                 for q0, seg, n in zip(starts, segs, nsubs))])
+    V = np.repeat(segs, 2 * nsubs + 1, axis=0)
+    rows = 2 * np.arange(nsubs.sum()) + np.repeat(np.arange(len(nsubs)), nsubs)
+    dts = np.repeat(1.0 / nsubs, nsubs)
     y = np.concatenate([np.ravel(init.a), init.grad, [init.mu]])
-    lo = 0
-    for seg, nsub in zip(segs, nsubs):
-        dt = 1.0 / nsub
-        # The matrices A are built for at most POINT_CHUNK steps at a time,
-        # which bounds their (2 steps + 1, m, m) stack on a long segment.
-        for k0 in range(0, nsub, charts.POINT_CHUNK):
-            steps = min(charts.POINT_CHUNK, nsub - k0)
-            rows = slice(lo + 2 * k0, lo + 2 * (k0 + steps) + 1)
-            A = _transport_matrices(g0[rows], chart.J, G0[rows], seg)
-            for k in range(steps):
-                k1 = A[2 * k] @ y
-                k2 = A[2 * k + 1] @ (y + dt / 2 * k1)
-                k3 = A[2 * k + 1] @ (y + dt / 2 * k2)
-                k4 = A[2 * k + 2] @ (y + dt * k3)
-                y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        lo += 2 * nsub + 1
+    # A block of at most POINT_CHUNK steps, on at most 2 POINT_CHUNK + 1 rows
+    # of one or more segments, evaluates the chart and builds A on its rows.
+    s0 = 0
+    while s0 < len(rows):
+        s1 = np.searchsorted(rows, rows[s0] + 2 * charts.POINT_CHUNK - 2, "right")
+        lo, hi = rows[s0], rows[s1 - 1] + 3
+        geo = chart.at(X[lo:hi], 1)
+        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], V[lo:hi])
+        for k, dt in zip((rows[s0:s1] - lo).tolist(), dts[s0:s1].tolist()):
+            k1 = A[k] @ y
+            k2 = A[k + 1] @ (y + dt / 2 * k1)
+            k3 = A[k + 1] @ (y + dt / 2 * k2)
+            k4 = A[k + 2] @ (y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s0 = s1
     return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
 
 

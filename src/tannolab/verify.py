@@ -236,11 +236,21 @@ class CheckContext:
         """The clustered spectrum of L(f) at each sample point."""
         return [spectrum(L) for L in self.operator]
 
+    def require_nonconstant(self) -> None:
+        """SkipCheck when f is constant on the samples: the paper's lemmas on
+        the spectrum and projectors of L(f) assume a non-constant solution."""
+        values, gradients = self.f.jets(self.P, 1)
+        if is_constant(float(values.max() - values.min()),
+                       np.linalg.norm(gradients, axis=1)):
+            raise SkipCheck("hypothesis not met: the paper's lemmas on L(f) "
+                            "assume a non-constant solution")
+
     @cached_property
     def projector(self) -> tuple[PolynomialReal, ScalarField, np.ndarray]:
         """(P, P*(f), L) of the unit problem over the sample points, with P
         built from ``spectra[0]`` and L the (N, d+2, d+2) entries of
-        L(P*(f)) at the points."""
+        L(P*(f)) at the points.  A constant f raises SkipCheck."""
+        self.require_nonconstant()
         return _projector_with_operator(self.unit_problem, self.P,
                                         self.spectra[0])
 
@@ -432,6 +442,7 @@ def check_minimal_polynomial(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(polys))
 
 def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
+    ctx.require_nonconstant()
     counts = [len(s.clusters) for s in ctx.spectra]
     bad = sum(1 for c in counts if c < 2)
     return CheckOutcome(float(bad), len(counts),
@@ -464,11 +475,6 @@ def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
 
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
-    values, gradients = prob.f.jets(ctx.P, 1)
-    grads = [float(np.linalg.norm(g)) for g in gradients]
-    if is_constant(float(values.max() - values.min()), grads):
-        raise SkipCheck("hypothesis not met: the positivity theorem assumes "
-                        "a non-constant solution")
     _, f_proj, _ = ctx.projector
     probP = TannoProblem(prob.chart, f_proj, 1.0)
     report = positivity_scan(probP, ctx.P)

@@ -166,13 +166,23 @@ class TestRunSuite:
         assert "non-constant solution" in rec.note
         assert report.verdict == "pass"
 
+    def test_constant_solution_suite_passes(self):
+        # The lemmas on L(f)'s spectrum and projectors assume a non-constant
+        # solution: on a constant one their checks are skipped, not failed.
+        report = run_suite(fast_config(solution="constant:-0.5", checks=[]))
+        assert report.verdict == "pass"
+        skipped = {r.name: r.note for r in report.checks if r.status == "skipped"}
+        lemmas = {"cor1.poly_star_closure", "lem4.two_real_eigenvalues",
+                  "lem5.projector", "lem6.eigenstructure", "thm3.positivity"}
+        assert set(skipped) == lemmas | {"rem2.lightlike_f3"}
+        assert all("non-constant solution" in skipped[name] for name in lemmas)
+
     def test_error_captured_not_raised(self):
-        cfg = fast_config(solution="constant:-0.5", c=1.0,
-                          checks=["lem5.projector"])
+        cfg = fast_config(c=0.3, checks=["lem5.projector"])
         report = run_suite(cfg)
         rec = report.checks[0]
         assert rec.status == "error"
-        assert "NoRealSplit" in rec.note
+        assert "NotProjector" in rec.note
         assert report.verdict == "fail"
 
     def test_reports_deterministic_modulo_timing(self):
@@ -508,6 +518,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "P(t)" in out and "mu range" in out
+
+    def test_constant_solution_exit_codes(self, capsys):
+        args = ["--set", "solution=constant:-0.5", "--set", "samples=4"]
+        assert main(["verify", *args]) == 0
+        assert main(["projector", *args]) == 2
+        assert "non-constant solution" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["spectrum", "projector"])
     def test_zero_c_exits_two_with_reason(self, verb, capsys):

@@ -5,10 +5,12 @@ import pytest
 
 from conftest import points_on
 from tannolab.calculus import bar_form, frob, nabla_scalar, raise_lower
+from tannolab.charts import KahlerChart
 from tannolab.errors import (DimensionMismatch, IllConditioned, NoRealSplit,
                              NotProjector)
 from tannolab.fields import ConstField
-from tannolab.manifolds import cpn_height_function, random_polynomial_field
+from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
+                                random_polynomial_field)
 from tannolab.operator import (PolynomialReal, _eigenstructure, _operator,
                                assemble_L, eigenstructure_at,
                                minimal_polynomial, poly_star,
@@ -146,6 +148,59 @@ class TestStarPowerOperator:
                 Lk = assemble_L(probk, p)
                 L1 = assemble_L(prob, p)
                 assert frob(Lk - np.linalg.matrix_power(L1, k)) < 1e-7
+
+
+class TestStarChain:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_star_power_matches_nested_products_bitwise(self, n):
+        chart = fubini_study_chart(n).rescaled(0.25)
+        f = cpn_height_function(n, 0)
+        P = np.array(points_on(chart, 4, seed=38))
+        for k in (2, 3, 4):
+            nested = star_product(chart, f, star_power(chart, f, k - 1))
+            for order in (0, 2):
+                for a, b in zip(star_power(chart, f, k).jets(P, order),
+                                nested.jets(P, order)):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("coeffs", [(0.3, -1.2, 0.7), (0.5, 0.0, -2.0, 1.5)],
+                             ids=["degree2", "degree3"])
+    def test_horner_matches_sum_of_powers(self, cp1_problem, cp1_points, coeffs):
+        chart, f = cp1_problem.chart, cp1_problem.f
+        P = np.array(cp1_points)
+        horner = poly_star(chart, f, PolynomialReal(coeffs)).jets(P, 2)
+        powers = [star_power(chart, f, j).jets(P, 2) for j in range(1, len(coeffs))]
+        for m in range(3):
+            expect = sum(c * fj[m] for c, fj in zip(coeffs[1:], powers))
+            if m == 0:
+                expect = expect - 0.5 * coeffs[0]
+            assert np.max(np.abs(horner[m] - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_one_chart_and_one_field_evaluation_per_call(self, fs2, height2,
+                                                         monkeypatch, k):
+        metric_calls, field_calls = [], []
+        metric_jets, field_jets = KahlerChart.metric_jets, type(height2)._jets
+
+        def spy_metric(chart, p, order):
+            metric_calls.append(order)
+            return metric_jets(chart, p, order)
+
+        def spy_field(field, p, order):
+            if field is height2:
+                field_calls.append(order)
+            return field_jets(field, p, order)
+
+        monkeypatch.setattr(KahlerChart, "metric_jets", spy_metric)
+        monkeypatch.setattr(type(height2), "_jets", spy_field)
+        P = np.array(points_on(fs2, 3, seed=39))
+        for chain in (star_power(fs2, height2, k),
+                      poly_star(fs2, height2, PolynomialReal((1.0,) * (k + 1)))):
+            metric_calls.clear()
+            field_calls.clear()
+            chain.jets(P, 2)
+            assert field_calls == [2 + k - 1]
+            assert len(metric_calls) == 1
 
 
 class TestPolyStar:

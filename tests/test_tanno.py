@@ -88,7 +88,8 @@ def _per_segment_transport(chart, path, init):
         dt = 1.0 / nsub
         taus = np.linspace(0.0, 1.0, 2 * nsub + 1)
         geo = chart.at(q0 + taus[:, None] * seg, 1)
-        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], seg)
+        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0],
+                                np.tile(seg, (len(taus), 1)))
         for k in range(nsub):
             k1 = A[2 * k] @ y
             k2 = A[2 * k + 1] @ (y + dt / 2 * k1)
@@ -372,10 +373,17 @@ class TestTransport:
         monkeypatch.setattr(KahlerChart, "at", spy_at)
         d = fs1_unit.dim
         path = [np.zeros(d), np.array([0.8, -0.5]), np.array([0.2, 0.6]),
-                np.array([-0.4, 0.1])]
-        zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
-        transport_bundle(fs1_unit, path, zero)
+                np.array([-0.4, 0.1]), np.array([-0.4, 0.5])]
+        init = _random_bundle(np.random.default_rng(28), d)
+        whole = _state(transport_bundle(fs1_unit, path, init))
         assert len(path) > 3 and len(calls) == 1
+        # Blocks of at most 3 steps (the segments have 48, 63, 40 and 20)
+        # evaluate the chart on at most 7 points each and keep the bits of
+        # one block.  Only a block of 2 steps across a segment end has 6.
+        calls.clear()
+        monkeypatch.setattr(charts, "POINT_CHUNK", 3)
+        assert np.array_equal(_state(transport_bundle(fs1_unit, path, init)), whole)
+        assert max(calls) <= 7 and len(calls) >= 171 / 3 and 6 in calls
 
     def test_vertex_outside_domain_rejected(self, fs1_unit):
         d = fs1_unit.dim
@@ -392,12 +400,12 @@ class TestTransport:
         g0 = rng.normal(size=(Z, d, d))
         Jm = rng.normal(size=(d, d))
         G0 = rng.normal(size=(Z, d, d, d))
-        xdot = rng.normal(size=d)
+        xdot = rng.normal(size=(Z, d))
         A = _transport_matrices(g0, Jm, G0, xdot)
         assert A.shape == (Z, d * d + d + 1, d * d + d + 1)
         for z in range(Z):
             b = _random_bundle(rng, d)
-            da, df, dmu = _einsum_rhs((g0[z], Jm, G0[z]), xdot,
+            da, df, dmu = _einsum_rhs((g0[z], Jm, G0[z]), xdot[z],
                                       b.a, b.grad, b.mu)
             ref = np.concatenate([da.ravel(), df, [dmu]])
             assert np.max(np.abs(A[z] @ _state(b) - ref)) <= \
