@@ -122,13 +122,6 @@ def laplacian(chart: KahlerChart, f: ScalarField, p):
     return float(out[0]) if single else out
 
 
-def covariant_d_cotensor2(aj, G0) -> np.ndarray:
-    """a_{ij,k} from batched order-1 jets of a_ij and Gamma at the same points."""
-    return (aj[1]
-            - np.einsum("zlki,zlj->zijk", G0, aj[0])
-            - np.einsum("zlkj,zil->zijk", G0, aj[0]))
-
-
 # ---------------------------------------------------------------------------
 # Index gymnastics and the Kahler structure
 # ---------------------------------------------------------------------------

@@ -85,6 +85,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.points < 0:
+        raise ConfigError(f"--points must be >= 0, got {args.points}")
     ctx = CheckContext.from_config(_load_config(args))
     for q, spec in zip(ctx.P[:args.points], ctx.spectra):
         parts = [f"{v:+.8f} (x{m})" for v, m in spec.clusters]

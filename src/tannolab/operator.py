@@ -54,7 +54,8 @@ class StarField(ScalarField):
 
     Jets of order r need f and H through r + k - 1 and g^-1 through
     r + k - 2; each is evaluated once, as is the lift g^{ab} f_{,a}, and the
-    k - 1 levels read their bit-exact prefixes.
+    k - 1 levels read their bit-exact prefixes.  :meth:`levels` returns
+    every level, so f^{*2}, ..., f^{*k} of :func:`star_power` cost one chain.
     """
 
     def __init__(self, chart: KahlerChart, f: ScalarField, coeffs,
@@ -66,7 +67,9 @@ class StarField(ScalarField):
         self.chart, self.f, self.H = chart, f, H
         self.coeffs = tuple(float(c) for c in coeffs)
 
-    def _jets(self, P, order):
+    def levels(self, P, order):
+        """Jets through ``order`` of the chain's k - 1 star products over an
+        (N, d) batch, innermost first; the last is the field's own jets."""
         *outer, c, lead = self.coeffs
         top = order + len(outer)
         fj = self.f.jets(P, top)
@@ -74,12 +77,17 @@ class StarField(ScalarField):
                          "ab,a->b", top - 1)
         S = [lead * t for t in (fj if self.H is self.f else self.H.jets(P, top))]
         S[0] = S[0] - 0.5 * c
+        out = []
         for r, c in reversed(list(enumerate(outer, order))):
             prod = J.tconv(fj, S, ",->", r)
             cross = J.tconv(lifted, J.tgrad(S), "b,b->", r)
             S = [-2.0 * a - 0.5 * b for a, b in zip(prod, cross)]
             S[0] = S[0] - 0.5 * c
-        return S
+            out.append(S[:order + 1])
+        return out
+
+    def _jets(self, P, order):
+        return self.levels(P, order)[-1]
 
 
 def star_product(chart: KahlerChart, F: ScalarField, H: ScalarField) -> ScalarField:

@@ -10,9 +10,10 @@ and, in the c = 1 normalization, the associated triple
 
     a_ij := -f_{,ij} - 2 f g_ij,   f_i := f_{,i},   mu := -2 f
 
-which satisfies a first-order linear system in Frobenius form.  That system
-is also realized as an ODE along curves (transport_bundle), which is how the
-determined-by-one-point property becomes checkable.
+which satisfies a first-order linear system in Frobenius form, stated once
+by :func:`_transport_matrices`: :func:`system_residual` checks a field
+against it, and :func:`transport_bundle` integrates it along curves, which
+is how the determined-by-one-point property becomes checkable.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import charts
 from . import jets as J
-from .calculus import (covariant_d_cotensor2, frob_rows,
-                       scalar_covariant_jets)
+from .calculus import frob_rows, scalar_covariant_jets
 from .charts import ChartJets, KahlerChart, chunked, unbatch
 from .errors import NotLightlike
 from .fields import ScalarField
@@ -91,8 +91,7 @@ def bundle_from_f(prob: TannoProblem, p) -> SolutionBundle:
 def _bundle(fj, geo: ChartJets) -> SolutionBundle:
     """Batched bundle from f jets through order 2 and the chart through
     metric order 1 at the same points."""
-    f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
-    return SolutionBundle(-H - (2.0 * f0)[:, None, None] * geo.g0, f1, -2.0 * f0)
+    return SolutionBundle(_a_jets(geo, fj, 0)[0], fj[1], -2.0 * fj[0])
 
 
 def _a_jets(geo: ChartJets, fj, order: int):
@@ -110,12 +109,6 @@ def _a_jets(geo: ChartJets, fj, order: int):
 # ---------------------------------------------------------------------------
 # Residual operators
 # ---------------------------------------------------------------------------
-
-def _jstruct_terms(f1, g0, Jm):
-    """(fbar_i, J_ij) per point: fbar = J^T f_i and the Kahler form g J,
-    for the chart's constant J."""
-    return np.einsum("ai,za->zi", Jm, f1), g0 @ Jm
-
 
 def _third_jets(prob: TannoProblem, P: np.ndarray):
     """(geo, f_{,i}, f_{,ijk}) over a batch: the chart through metric
@@ -135,7 +128,7 @@ def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
              + np.einsum("zi,zjk->zijk", f1, g0)
              + np.einsum("zj,zik->zijk", f1, g0))
     if jstruct:
-        fb, Jf = _jstruct_terms(f1, g0, prob.chart.J)
+        fb, Jf = np.einsum("ai,za->zi", prob.chart.J, f1), g0 @ prob.chart.J
         terms = (terms - np.einsum("zi,zjk->zijk", fb, Jf)
                  - np.einsum("zj,zik->zijk", fb, Jf))
     return unbatch(T3 + prob.c * terms, single)
@@ -162,32 +155,30 @@ def laplace_identity_residual(prob: TannoProblem, p):
 
 
 def system_residual(prob: TannoProblem, p):
-    """Residuals of the three first-order equations (c = 1 convention).
+    """Residuals of the first-order system d_k y = A(e_k) y (c = 1
+    convention), with y = (a.ravel(), f_i, mu) built from the field and A
+    from :func:`_transport_matrices`.
 
-    Returns (|a_{ij,k} - rhs|, |f_{i,j} - (mu g - a)|, |mu_{,i} + 2 f_i|),
-    three floats, or three per-point arrays for a batch.
+    Returns the norms over all k of the a rows, f rows and mu row of
+    d_k y - A(e_k) y: three floats, or three per-point arrays for a batch.
     """
     P, single = prob.chart.batch(p)
     geo = prob.chart.at(P, 2)
     fj = prob.f.jets(P, 3)
-    f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
-    g0 = geo.g0
-    fb, Jf = _jstruct_terms(f1, g0, prob.chart.J)
-
-    adk = covariant_d_cotensor2(_a_jets(geo, fj, 1), geo.gamma(0)[0])
-    rhs1 = (np.einsum("zi,zjk->zijk", f1, g0) + np.einsum("zj,zik->zijk", f1, g0)
-            - np.einsum("zi,zjk->zijk", fb, Jf) - np.einsum("zj,zik->zijk", fb, Jf))
-    r1 = frob_rows(adk - rhs1)
-
-    a0 = -H - (2.0 * f0)[:, None, None] * g0
-    mu = -2.0 * f0
-    r2 = frob_rows(H - (mu[:, None, None] * g0 - a0))
-
-    mu_grad = -2.0 * f1
-    r3 = frob_rows(mu_grad + 2.0 * f1)
-    if single:
-        return float(r1[0]), float(r2[0]), float(r3[0])
-    return r1, r2, r3
+    aj = _a_jets(geo, fj, 1)
+    Z, d = P.shape
+    n2 = d * d
+    y = np.concatenate([aj[0].reshape(Z, n2), fj[1], -2.0 * fj[0][:, None]],
+                       axis=1)[:, :, None]
+    dy = np.concatenate([aj[1].reshape(Z, n2, d), fj[2], -2.0 * fj[1][:, None]],
+                        axis=1)
+    for k, e in enumerate(np.eye(d)):
+        A = _transport_matrices(geo.g0, prob.chart.J, geo.gamma(0)[0],
+                                np.tile(e, (Z, 1)))
+        dy[:, :, k] -= (A @ y)[:, :, 0]
+    r = tuple(frob_rows(dy[:, rows]) for rows in
+              (slice(0, n2), slice(n2, -1), slice(-1, None)))
+    return tuple(float(x[0]) for x in r) if single else r
 
 
 def trace_identity_residual(prob: TannoProblem, p):
@@ -240,8 +231,11 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     A = np.zeros((Z, m, m))
     # partial_k a_ij = f_i g_jk + f_j g_ik - fbar_i (gJ)_jk - fbar_j (gJ)_ik
     #                  + Gamma^l_ki a_lj + Gamma^l_kj a_il,  fbar_i = J_ai f_a
-    A[:, :n2, :n2] = (np.einsum("zpi,qj->zijpq", Gk, I)
-                      + np.einsum("ip,zqj->zijpq", I, Gk)).reshape(Z, n2, n2)
+    # In place on the a-block's [z, i, j, p, q] view: the two Gamma terms.
+    Aa, GkT = A[:, :n2, :n2].reshape(Z, d, d, d, d), Gk.transpose(0, 2, 1)
+    for j in range(d):
+        Aa[:, :, j, :, j] += GkT
+        Aa[:, j, :, j, :] += GkT
     A[:, :n2, n2:-1] = (np.einsum("ia,zj->zija", I, gx)
                         + np.einsum("ja,zi->zija", I, gx)
                         - np.einsum("ai,zj->zija", Jm, Jx)

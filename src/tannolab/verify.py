@@ -31,11 +31,11 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_lightlike_directions, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
-from .operator import (PolynomialReal, SpectrumResult,
+from .operator import (PolynomialReal, SpectrumResult, _operator,
                        _projector_with_operator, assemble_L, _eigenstructure,
                        minimal_polynomial, poly_star, product_block_check,
                        spectrum, star_power)
-from .signature import is_constant, positivity_scan
+from .signature import is_constant, metric_signature, positivity_scan
 from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
                     gallot_tanno_residual, laplace_identity_residual,
                     lightlike_third_derivative, mu_hessian_residual,
@@ -255,9 +255,7 @@ class CheckContext:
                                         self.spectra[0])
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
-        g0 = self.chart.metric_jets(np.zeros(self.chart.dim), 0)[0]
-        ev = np.linalg.eigvalsh(g0)
-        pos, neg = int(np.sum(ev > 0)), int(np.sum(ev < 0))
+        pos, neg = metric_signature(self.chart, np.zeros(self.chart.dim))
         if pos and neg and self.chart.name.startswith("flat"):
             return pos // 2, neg // 2
         return None
@@ -406,12 +404,11 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
     chart = prob.chart
     pts = ctx.P[:20]
     L1 = ctx.operator[:20]
+    geo = chart.at(pts, 1)
     worst = 0.0
-    for k in (2, 3, 4):
-        probk = TannoProblem(chart, star_power(chart, prob.f, k), 1.0)
-        Lk = assemble_L(probk, pts)
+    for k, fj in enumerate(star_power(chart, prob.f, 4).levels(pts, 2), 2):
         worst = max(worst, float(np.max(
-            frob_rows(Lk - np.linalg.matrix_power(L1, k)))))
+            frob_rows(_operator(fj, geo) - np.linalg.matrix_power(L1, k)))))
     return CheckOutcome(worst, len(pts))
 
 def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:

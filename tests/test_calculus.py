@@ -6,7 +6,7 @@ import pytest
 from conftest import points_on
 from tannolab import fd
 from tannolab.calculus import (TensorValue, bar_form, christoffel,
-                               covariant_d_cotensor2, frob, frob_rows,
+                               frob, frob_rows,
                                kahler_form, kahler_residuals, laplacian,
                                nabla_scalar, raise_lower)
 from tannolab.charts import standard_complex_structure
@@ -43,6 +43,14 @@ class TestChristoffel:
         corr = (np.einsum("lki,lj->ijk", G, g0)
                 + np.einsum("lkj,il->ijk", G, g0))
         assert np.allclose(g1, corr, atol=1e-13)
+
+    def test_metric_is_parallel(self, fs1):
+        geo = fs1.at(np.array(points_on(fs1, 3)), 1)
+        g0, dg = geo.g
+        G0 = geo.gamma(0)[0]
+        nabla_g = (dg - np.einsum("zlki,zlj->zijk", G0, g0)
+                   - np.einsum("zlkj,zil->zijk", G0, g0))
+        assert np.all(frob_rows(nabla_g) < 1e-13)
 
     def test_out_of_domain(self, fs1):
         with pytest.raises(OutOfDomain):
@@ -83,22 +91,6 @@ class TestNablaScalar:
         f = ExprField(2, lambda x: x[0])
         with pytest.raises(ValueError):
             nabla_scalar(flat10, f, [0.0, 0.0], 4)
-
-
-class TestCovariantDCotensor2:
-    def test_metric_is_parallel(self, fs1):
-        geo = fs1.at(np.array(points_on(fs1, 3)), 1)
-        out = covariant_d_cotensor2(geo.g, geo.gamma(0)[0])
-        assert np.all(frob_rows(out) < 1e-13)
-
-    def test_result_symmetric_in_ij(self, fs1, height1):
-        from tannolab.tanno import TannoProblem, _a_jets
-        prob = TannoProblem(fs1.rescaled(0.25), height1, 1.0)
-        P = np.array(points_on(fs1, 1))
-        geo = prob.chart.at(P, 2)
-        out = covariant_d_cotensor2(_a_jets(geo, height1.jets(P, 3), 1),
-                                    geo.gamma(0)[0])[0]
-        assert np.allclose(out, out.transpose(1, 0, 2), atol=1e-13)
 
 
 class TestRaiseLower:

@@ -513,6 +513,11 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == ""
 
+    def test_spectrum_verb_negative_points(self, capsys):
+        assert main(["spectrum", "--points", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--points" in captured.err
+
     def test_projector_verb(self, capsys):
         rc = main(["projector", "--set", "samples=5"])
         out = capsys.readouterr().out

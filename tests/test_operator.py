@@ -163,6 +163,19 @@ class TestStarChain:
                                 nested.jets(P, order)):
                     assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_levels_are_the_star_powers_bitwise(self, n):
+        chart = fubini_study_chart(n).rescaled(0.25)
+        f = cpn_height_function(n, 0)
+        P = np.array(points_on(chart, 4, seed=40))
+        levels = star_power(chart, f, 4).levels(P, 2)
+        assert len(levels) == 3
+        for k, level in enumerate(levels, 2):
+            own = star_power(chart, f, k).jets(P, 2)
+            assert len(level) == len(own) == 3
+            for a, b in zip(level, own):
+                assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("coeffs", [(0.3, -1.2, 0.7), (0.5, 0.0, -2.0, 1.5)],
                              ids=["degree2", "degree3"])
     def test_horner_matches_sum_of_powers(self, cp1_problem, cp1_points, coeffs):

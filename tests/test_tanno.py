@@ -6,10 +6,12 @@ import pytest
 from conftest import points_on
 from tannolab.calculus import frob
 from tannolab.charts import KahlerChart
-from tannolab import charts
+from tannolab import charts, tanno
+from tannolab.cli import DEFAULT_CONFIG
 from tannolab.errors import NotLightlike, OutOfDomain
 from tannolab.fields import ConstField, ExprField
-from tannolab.manifolds import (flat_kahler_chart, fubini_study_chart,
+from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
+                                fubini_study_chart,
                                 integrate_geodesic,
                                 random_lightlike_directions,
                                 random_quadratic_field,
@@ -21,6 +23,7 @@ from tannolab.tanno import (MAX_STEP, SolutionBundle, TannoProblem,
                             lightlike_third_derivative, mu_hessian_residual,
                             system_residual, tanno_residual,
                             trace_identity_residual, transport_bundle)
+from tannolab.verify import SuiteConfig, run_suite
 
 
 def _einsum_rhs(geometry, xdot, a, f, mu):
@@ -40,6 +43,56 @@ def _einsum_rhs(geometry, xdot, a, f, mu):
     df = (mu * g0 - a) @ xdot + np.einsum("lij,j,l->i", G0, xdot, f)
     dmu = -2.0 * float(f @ xdot)
     return da, df, dmu
+
+
+def _einsum_matrices(g0, Jm, G0, xdot):
+    """The transport matrices over a batch, every block from dense einsums
+    (the a-block from two (Z, d, d, d, d) terms); _transport_matrices must
+    give the same bits."""
+    Z, d = g0.shape[:2]
+    n2 = d * d
+    I = np.eye(d)
+    gx = np.einsum("zik,zk->zi", g0, xdot)
+    Jx = np.einsum("zik,zk->zi", g0 @ Jm, xdot)
+    Gk = np.einsum("zlki,zk->zli", G0, xdot)
+    A = np.zeros((Z, n2 + d + 1, n2 + d + 1))
+    A[:, :n2, :n2] = (np.einsum("zpi,qj->zijpq", Gk, I)
+                      + np.einsum("ip,zqj->zijpq", I, Gk)).reshape(Z, n2, n2)
+    A[:, :n2, n2:-1] = (np.einsum("ia,zj->zija", I, gx)
+                        + np.einsum("ja,zi->zija", I, gx)
+                        - np.einsum("ai,zj->zija", Jm, Jx)
+                        - np.einsum("aj,zi->zija", Jm, Jx)).reshape(Z, n2, d)
+    A[:, n2:-1, :n2] = -np.einsum("ip,zq->zipq", I, xdot).reshape(Z, d, n2)
+    A[:, n2:-1, n2:-1] = np.einsum("zlij,zj->zli", G0, xdot).transpose(0, 2, 1)
+    A[:, n2:-1, -1] = gx
+    A[:, -1, n2:-1] = -2.0 * xdot
+    return A
+
+
+def _einsum_system_residual(chart, f, P):
+    """(a rows, f rows, mu row) norms of d_k y - rhs(e_k) per point, with
+    d_k y from einsums over the field's and the chart's jets and rhs from
+    :func:`_einsum_rhs`; the reference for system_residual."""
+    geo = chart.at(P, 2)
+    fj = f.jets(P, 3)
+    G0, dG = geo.gamma(1)
+    d = chart.dim
+    out = []
+    for z in range(len(P)):
+        f0, f1, f2, f3 = (t[z] for t in fj)
+        g0, dg = geo.g[0][z], geo.g[1][z]
+        a = -(f2 - np.einsum("lij,l->ij", G0[z], f1)) - 2.0 * f0 * g0
+        da = (-(f3 - np.einsum("lijk,l->ijk", dG[z], f1)
+                - np.einsum("lij,lk->ijk", G0[z], f2))
+              - 2.0 * (np.einsum("k,ij->ijk", f1, g0) + f0 * dg))
+        rows = ([], [], [])
+        for k, e in enumerate(np.eye(d)):
+            ra, rf, rmu = _einsum_rhs((g0, chart.J, G0[z]), e, a, f1, -2.0 * f0)
+            rows[0].append(da[..., k] - ra)
+            rows[1].append(f2[:, k] - rf)
+            rows[2].append(-2.0 * f1[k] - rmu)
+        out.append([frob(np.array(r)) for r in rows])
+    return np.array(out).T
 
 
 def _reference_transport(chart, path, init, max_step=0.02):
@@ -237,6 +290,35 @@ class TestSystemResidual:
             direct = frob(tanno_residual(prob, p))
             assert r1 == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("case", ["cp1", "cp2", "cp3", "flat11"])
+    def test_matches_einsum_reference(self, case):
+        if case == "flat11":
+            chart, f = flat_kahler_chart(1, 1), random_quadratic_field(4, 3)
+        else:
+            n = int(case[2])
+            chart = fubini_study_chart(n).rescaled(0.25)
+            f = cpn_height_function(n, 0)
+        P = np.array(points_on(chart, 5, seed=27))
+        got = np.array(system_residual(TannoProblem(chart, f, 1.0), P))
+        ref = _einsum_system_residual(chart, f, P)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_reads_the_transport_matrices(self, monkeypatch):
+        # A wrong mu row of A, which transport would integrate, fails the
+        # check on the CLI default.
+        build = tanno._transport_matrices
+
+        def negated_mu_row(*args):
+            A = build(*args)
+            A[:, -1] *= -1.0
+            return A
+
+        monkeypatch.setattr(tanno, "_transport_matrices", negated_mu_row)
+        config = SuiteConfig.from_dict(dict(DEFAULT_CONFIG,
+                                            checks=["sys.residual"]))
+        record = run_suite(config).checks[0]
+        assert record.status == "ok" and not record.passed
+
 
 class TestTraceIdentity:
     def test_constant(self, fs1):
@@ -403,6 +485,7 @@ class TestTransport:
         xdot = rng.normal(size=(Z, d))
         A = _transport_matrices(g0, Jm, G0, xdot)
         assert A.shape == (Z, d * d + d + 1, d * d + d + 1)
+        assert np.array_equal(A, _einsum_matrices(g0, Jm, G0, xdot))
         for z in range(Z):
             b = _random_bundle(rng, d)
             da, df, dmu = _einsum_rhs((g0[z], Jm, G0[z]), xdot[z],
