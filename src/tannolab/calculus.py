@@ -18,6 +18,7 @@ caller already evaluated over a batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,15 @@ def frob(a) -> float:
 
 
 def frob_rows(a) -> np.ndarray:
-    """Frobenius norm of each point's slice of a batched array."""
-    a = np.asarray(a)
-    return np.array([frob(row) for row in a.reshape(len(a), -1)])
+    """Frobenius norm of each point's slice of a batched array; an empty
+    batch gives an empty array.
+
+    Each row's square sum is one dot product, the kernel :func:`frob` runs,
+    so every norm has the bits ``frob(row)`` gives.
+    """
+    a = np.asarray(a, dtype=float)
+    rows = a.reshape(len(a), math.prod(a.shape[1:]))
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------

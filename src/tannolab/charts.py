@@ -263,7 +263,8 @@ class ChartJets:
     The metric is evaluated once, through ``order``.  Inverse-metric jets
     (through the order asked for) and Christoffel jets (through
     ``order - 1``) are derived from that evaluation on first use and kept
-    for the lifetime of this object, which belongs to a single batched call.
+    for the lifetime of this object, which usually belongs to a single
+    batched call; one held longer is reduced with :meth:`pointwise`.
     This is the only place the chart's g^-1 and Gamma are derived.
     """
 
@@ -279,9 +280,9 @@ class ChartJets:
         return self.g[0]
 
     def ginv(self, order: int = 0) -> list[np.ndarray]:
-        if order > self.order:
+        if order >= len(self.g):
             raise ValueError(f"g^-1 through order {order} needs the metric "
-                             f"through {order}, evaluated through {self.order}")
+                             f"through {order}, held through {len(self.g) - 1}")
         if self._ginv is None or len(self._ginv) <= order:
             inv0 = checked_inverse(self.g[0], f"on {self.chart.name}")
             self._ginv = J.tinv(self.g, order, inv0)
@@ -300,3 +301,13 @@ class ChartJets:
                                  - np.moveaxis(A, (1, 2, 3), (2, 3, 1))))
             self._gamma = J.tconv(self.ginv(top), dg, "kl,lij->kij", top)
         return self._gamma
+
+    def pointwise(self) -> "ChartJets":
+        """This geometry, reduced to g and Gamma at the points: Gamma is
+        derived, then the metric's derivatives and g^-1, which only Gamma
+        needed, are let go.  For a holder that keeps the geometry across
+        other work; g^-1 stays available at order 0 only.  Returns self."""
+        self.gamma()
+        self.g = self.g[:1]
+        self._ginv = None
+        return self

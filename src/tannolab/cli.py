@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .calculus import frob_rows
 from .errors import ConfigError, TannoLabError
 from .verify import (REGISTRY, CheckContext, SkipCheck, SuiteConfig,
                      emit_report, load_report, run_suite)
@@ -100,7 +101,7 @@ def _cmd_projector(args) -> int:
     ctx = CheckContext.from_config(_load_config(args))
     P, _, Ls = ctx.projector
     print(f"P(t) = {P!r}")
-    worst = max(float(np.linalg.norm(L @ L - L)) for L in Ls)
+    worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
     print(f"max |L^2 - L| over {len(ctx.P)} points: {worst:.3e}")
     mus = Ls[:, 0, 0]
     print(f"mu range over samples: [{min(mus):.6f}, {max(mus):.6f}]")

@@ -307,50 +307,91 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
 
 @dataclass
 class SpectrumResult:
-    """Clustered real eigenvalues plus any complex-pair clusters."""
+    """Clustered real eigenvalues plus any complex-pair clusters, and the
+    spectral radius max |lambda| of the matrix."""
 
     clusters: list[tuple[float, int]]
     complex_pairs: list[tuple[complex, int]] = field(default_factory=list)
+    radius: float = 0.0
 
     @property
     def real_values(self) -> list[float]:
         return [v for v, _ in self.clusters]
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    if values.size == 0:
-        return []
-    vals = np.sort(values)
-    groups = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
+def _real_clusters(values: np.ndarray, rows: np.ndarray, tol: np.ndarray,
+                   count: int) -> list[list[tuple[float, int]]]:
+    """Clusters of the real eigenvalues ``values`` of ``count`` matrices,
+    ``rows[k]`` the matrix of ``values[k]`` and ``tol`` one tolerance per
+    matrix.
+
+    A matrix's values, in ascending order, join the current cluster while
+    each lies within its tolerance of the one before.  A cluster stands for
+    the mean of its members, summed as ``np.mean`` sums them: one row
+    reduction per cluster size, so each mean has the bits of ``np.mean``.
+    """
+    order = np.lexsort((values, rows))
+    values, rows = values[order], rows[order]
+    fresh = np.ones(len(values), bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | ~(np.diff(values) <= tol[rows[1:]])
+    starts = np.flatnonzero(fresh)
+    sizes = np.diff(np.append(starts, len(values)))
+    sums = np.empty(len(starts))
+    for size in set(sizes.tolist()):
+        pick = sizes == size
+        sums[pick] = values[starts[pick, None] + np.arange(size)].sum(axis=1)
+    pairs = list(zip((sums / sizes).tolist(), sizes.tolist()))
+    cuts = np.searchsorted(rows[starts], np.arange(count + 1)).tolist()
+    return [pairs[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _pair_clusters(upper: np.ndarray, tol: float) -> list[tuple[complex, int]]:
+    """Clusters of one matrix's eigenvalues with positive imaginary part:
+    by ascending real part, each joins the current cluster when within tol
+    of its first member."""
+    pairs = []
+    for z in upper[np.argsort(upper.real)]:
+        if pairs and abs(z - pairs[-1][0]) <= tol:
+            pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)
         else:
-            groups.append([v])
-    return [(float(np.mean(g)), len(g)) for g in groups]
+            pairs.append((complex(z), 1))
+    return pairs
+
+
+def spectra(Ms: np.ndarray, cluster_tol: float | None = None
+            ) -> list[SpectrumResult]:
+    """Clustered eigenvalues of each matrix of an (N, m, m) stack, from one
+    eigenvalue call for the whole stack.
+
+    An eigenvalue is real when its imaginary part is within the tolerance:
+    ``cluster_tol``, or 1e-6 max(1, max |lambda|) per matrix by default.
+    An empty stack gives an empty list.
+    """
+    Ms = np.asarray(Ms, float)
+    if not len(Ms):
+        return []
+    try:
+        ev = np.linalg.eigvals(Ms)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
+    radius = np.max(np.abs(ev), axis=1, initial=0.0)
+    tol = (1e-6 * np.maximum(1.0, radius) if cluster_tol is None
+           else np.full(len(ev), float(cluster_tol)))
+    real = np.abs(ev.imag) <= tol[:, None]
+    rows, cols = np.nonzero(real)
+    clusters = _real_clusters(ev.real[rows, cols], rows, tol, len(ev))
+    upper = ~real & (ev.imag > 0)
+    pairs = [[] for _ in range(len(ev))]
+    for k in np.flatnonzero(upper.any(axis=1)).tolist():
+        pairs[k] = _pair_clusters(ev[k][upper[k]], tol[k])
+    return [SpectrumResult(c, p, r)
+            for c, p, r in zip(clusters, pairs, radius.tolist())]
 
 
 def spectrum(M: np.ndarray, cluster_tol: float | None = None) -> SpectrumResult:
-    """Eigenvalues of the extended matrix, merged into clusters."""
-    M = np.asarray(M, float)
-    try:
-        ev = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    radius = float(np.max(np.abs(ev))) if ev.size else 0.0
-    tol = cluster_tol if cluster_tol is not None else 1e-6 * max(1.0, radius)
-    real_mask = np.abs(ev.imag) <= tol
-    clusters = _cluster(ev[real_mask].real, tol)
-    upper = ev[~real_mask & (ev.imag > 0)]
-    pairs = []
-    if upper.size:
-        order = np.argsort(upper.real)
-        for z in upper[order]:
-            if pairs and abs(z - pairs[-1][0]) <= tol:
-                pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)
-            else:
-                pairs.append((complex(z), 1))
-    return SpectrumResult(clusters, pairs)
+    """Eigenvalues of the extended matrix, merged into clusters: one matrix's
+    entry of :func:`spectra`."""
+    return spectra(np.asarray(M, float)[None], cluster_tol)[0]
 
 
 def _annihilator(reals, pairs) -> PolynomialReal:
@@ -370,8 +411,16 @@ def minimal_polynomial(M: np.ndarray, tol: float = 1e-6) -> PolynomialReal:
     verifies the annihilation bound a posteriori.
     """
     M = np.asarray(M, float)
-    radius = max(1.0, float(np.max(np.abs(np.linalg.eigvals(M)))))
-    spec = spectrum(M, cluster_tol=tol * radius)
+    radius = max(1.0, spectrum(M).radius)
+    return _minimal_polynomial(M, spectrum(M, cluster_tol=tol * radius), tol)
+
+
+def _minimal_polynomial(M: np.ndarray, spec: SpectrumResult,
+                        tol: float = 1e-6) -> PolynomialReal:
+    """:func:`minimal_polynomial` of M from ``spec``, M's spectrum clustered
+    at tol max(1, max |lambda|); for tol = 1e-6 that is :func:`spectrum`'s
+    default."""
+    radius = max(1.0, spec.radius)
     reps = spec.real_values
     if len(reps) >= 2:
         gaps = np.diff(sorted(reps))
@@ -486,11 +535,9 @@ def _eigenstructure(Ls: np.ndarray) -> list[EigenstructureReport]:
         raise NotProjector("extended operator is not idempotent at p")
     mus, *_, ahats = _blocks(Ls)
     reports = []
-    for L, mu, ahat in zip(Ls, mus, ahats):
-        mu = float(mu)
-        clusters = spectrum(ahat, cluster_tol=EIGEN_TOL).clusters
-        m1 = sum(m for v, m in spectrum(L, cluster_tol=EIGEN_TOL).clusters
-                 if abs(v - 1.0) <= 10 * EIGEN_TOL)
-        reports.append(EigenstructureReport(mu, clusters, classify_mu(mu),
-                                            (m1 - 2) // 2))
+    for mu, a_spec, L_spec in zip(mus.tolist(), spectra(ahats, EIGEN_TOL),
+                                  spectra(Ls, EIGEN_TOL)):
+        m1 = sum(m for v, m in L_spec.clusters if abs(v - 1.0) <= 10 * EIGEN_TOL)
+        reports.append(EigenstructureReport(mu, a_spec.clusters,
+                                            classify_mu(mu), (m1 - 2) // 2))
     return reports

@@ -118,11 +118,11 @@ def _third_jets(prob: TannoProblem, P: np.ndarray):
     return geo, f1, T3
 
 
-def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
-    """f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus c times the two
-    complex-structure terms when jstruct is set."""
-    P, single = prob.chart.batch(p)
-    geo, f1, T3 = _third_jets(prob, P)
+def _third_order_terms(prob: TannoProblem, geo: ChartJets, f1, T3,
+                       jstruct: bool) -> np.ndarray:
+    """Batched residual of the third-order equation from
+    :func:`_third_jets`: f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus
+    c times the two complex-structure terms when jstruct is set."""
     g0 = geo.g0
     terms = (2.0 * np.einsum("zk,zij->zijk", f1, g0)
              + np.einsum("zi,zjk->zijk", f1, g0)
@@ -131,7 +131,13 @@ def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
         fb, Jf = np.einsum("ai,za->zi", prob.chart.J, f1), g0 @ prob.chart.J
         terms = (terms - np.einsum("zi,zjk->zijk", fb, Jf)
                  - np.einsum("zj,zik->zijk", fb, Jf))
-    return unbatch(T3 + prob.c * terms, single)
+    return T3 + prob.c * terms
+
+
+def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
+    P, single = prob.chart.batch(p)
+    return unbatch(_third_order_terms(prob, *_third_jets(prob, P), jstruct),
+                   single)
 
 
 def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
@@ -144,14 +150,42 @@ def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     return _third_order_residual(prob, p, jstruct=False)
 
 
+def _laplace_rows(prob: TannoProblem, geo: ChartJets, f1, T3) -> np.ndarray:
+    """Per-point :func:`laplace_identity_residual` from :func:`_third_jets`."""
+    dlap = np.einsum("zij,zijk->zk", geo.ginv(0)[0], T3)
+    return frob_rows(dlap + 4.0 * prob.c * (prob.chart.n + 1) * f1)
+
+
 def laplace_identity_residual(prob: TannoProblem, p):
     """|(Delta f)_{,k} + 4c(n+1) f_{,k}|; the contracted equation."""
     P, single = prob.chart.batch(p)
-    geo, f1, T3 = _third_jets(prob, P)
-    dlap = np.einsum("zij,zijk->zk", geo.ginv(0)[0], T3)
-    n = prob.chart.n
-    res = frob_rows(dlap + 4.0 * prob.c * (n + 1) * f1)
+    res = _laplace_rows(prob, *_third_jets(prob, P))
     return float(res[0]) if single else res
+
+
+def _system_jets(prob: TannoProblem, P: np.ndarray):
+    """(geo, f jets, a jets) over a batch: the chart through metric order 2
+    and the field through order 3, each evaluated once, and a_ij through
+    order 1 built from them."""
+    geo = prob.chart.at(P, 2)
+    fj = prob.f.jets(P, 3)
+    return geo, fj, _a_jets(geo, fj, 1)
+
+
+def _system_rows(geo: ChartJets, fj, aj):
+    """Per-point :func:`system_residual` from :func:`_system_jets`."""
+    Z, d = fj[1].shape
+    n2 = d * d
+    y = np.concatenate([aj[0].reshape(Z, n2), fj[1], -2.0 * fj[0][:, None]],
+                       axis=1)[:, :, None]
+    dy = np.concatenate([aj[1].reshape(Z, n2, d), fj[2], -2.0 * fj[1][:, None]],
+                        axis=1)
+    for k, e in enumerate(np.eye(d)):
+        A = _transport_matrices(geo.g0, geo.chart.J, geo.gamma(0)[0],
+                                np.tile(e, (Z, 1)))
+        dy[:, :, k] -= (A @ y)[:, :, 0]
+    return tuple(frob_rows(dy[:, rows]) for rows in
+                 (slice(0, n2), slice(n2, -1), slice(-1, None)))
 
 
 def system_residual(prob: TannoProblem, p):
@@ -163,32 +197,31 @@ def system_residual(prob: TannoProblem, p):
     d_k y - A(e_k) y: three floats, or three per-point arrays for a batch.
     """
     P, single = prob.chart.batch(p)
-    geo = prob.chart.at(P, 2)
-    fj = prob.f.jets(P, 3)
-    aj = _a_jets(geo, fj, 1)
-    Z, d = P.shape
-    n2 = d * d
-    y = np.concatenate([aj[0].reshape(Z, n2), fj[1], -2.0 * fj[0][:, None]],
-                       axis=1)[:, :, None]
-    dy = np.concatenate([aj[1].reshape(Z, n2, d), fj[2], -2.0 * fj[1][:, None]],
-                        axis=1)
-    for k, e in enumerate(np.eye(d)):
-        A = _transport_matrices(geo.g0, prob.chart.J, geo.gamma(0)[0],
-                                np.tile(e, (Z, 1)))
-        dy[:, :, k] -= (A @ y)[:, :, 0]
-    r = tuple(frob_rows(dy[:, rows]) for rows in
-              (slice(0, n2), slice(n2, -1), slice(-1, None)))
+    r = _system_rows(*_system_jets(prob, P))
     return tuple(float(x[0]) for x in r) if single else r
+
+
+def _trace_rows(geo: ChartJets, fj, aj) -> np.ndarray:
+    """Per-point :func:`trace_identity_residual` from :func:`_system_jets`."""
+    tr = J.tconv(geo.ginv(1), aj, "ab,ab->", 1)
+    return frob_rows(fj[1] - 0.25 * tr[1])
 
 
 def trace_identity_residual(prob: TannoProblem, p):
     """|f_i - 1/4 (a^al_al)_{,i}| (the contracted first equation)."""
     P, single = prob.chart.batch(p)
-    geo = prob.chart.at(P, 2)
-    fj = prob.f.jets(P, 3)
-    tr = J.tconv(geo.ginv(1), _a_jets(geo, fj, 1), "ab,ab->", 1)
-    res = frob_rows(fj[1] - 0.25 * tr[1])
+    res = _trace_rows(*_system_jets(prob, P))
     return float(res[0]) if single else res
+
+
+def _mu_hessian_rows(fj, geo: ChartJets) -> np.ndarray:
+    """Per-point :func:`mu_hessian_residual` from f jets through order 2 and
+    the chart through metric order 1 at the same points."""
+    # mu = -2f: scaling f's jets by a power of two is exact.
+    mu_jets = [-2.0 * t for t in fj]
+    mu_hess = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
+    b = _bundle(fj, geo)
+    return frob_rows(mu_hess - 2.0 * b.a + 2.0 * b.mu[:, None, None] * geo.g0)
 
 
 def mu_hessian_residual(prob: TannoProblem, p):
@@ -198,13 +231,7 @@ def mu_hessian_residual(prob: TannoProblem, p):
     consistency check between the field-Hessian route and bundle assembly.
     """
     P, single = prob.chart.batch(p)
-    geo = prob.chart.at(P, 1)
-    fj = prob.f.jets(P, 2)
-    # mu = -2f: scaling f's jets by a power of two is exact.
-    mu_jets = [-2.0 * t for t in fj]
-    mu_hess = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
-    b = _bundle(fj, geo)
-    res = frob_rows(mu_hess - 2.0 * b.a + 2.0 * b.mu[:, None, None] * geo.g0)
+    res = _mu_hessian_rows(prob.f.jets(P, 2), prob.chart.at(P, 1))
     return float(res[0]) if single else res
 
 

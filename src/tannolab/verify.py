@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .calculus import (christoffel, frob, frob_rows, kahler_residuals,
                        nabla_scalar)
-from .charts import KahlerChart
+from .charts import ChartJets, KahlerChart
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
 from .manifolds import (cpn_height_function, flat_kahler_chart,
@@ -31,15 +31,16 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_lightlike_directions, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
-from .operator import (PolynomialReal, SpectrumResult, _operator,
-                       _projector_with_operator, assemble_L, _eigenstructure,
-                       minimal_polynomial, poly_star, product_block_check,
-                       spectrum, star_power)
+from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
+                       _minimal_polynomial, _operator,
+                       _projector_with_operator, poly_star,
+                       product_block_check, spectra, star_power)
 from .signature import is_constant, metric_signature, positivity_scan
-from .tanno import (SolutionBundle, TannoProblem, bundle_from_f, f_from_mu,
-                    gallot_tanno_residual, laplace_identity_residual,
-                    lightlike_third_derivative, mu_hessian_residual,
-                    system_residual, tanno_residual, trace_identity_residual,
+from .tanno import (SolutionBundle, TannoProblem, _bundle, _laplace_rows,
+                    _mu_hessian_rows, _system_jets, _system_rows,
+                    _third_jets, _third_order_terms, _trace_rows,
+                    bundle_from_f, f_from_mu, gallot_tanno_residual,
+                    lightlike_third_derivative, system_residual,
                     transport_bundle)
 from . import fd
 
@@ -191,9 +192,16 @@ def build_solution(spec: str, chart: KahlerChart) -> ScalarField:
 
 @dataclass
 class CheckContext:
-    """A suite's inputs, and the operator, spectra and projector evaluated
-    from them once, on first use (an error is not cached: every check that
-    needs the object records it)."""
+    """A suite's inputs, and what several checks read at the samples,
+    evaluated once, on first use (an error is not cached: every check that
+    needs the object records it).
+
+    Shared are the unit problem; g and Gamma of its chart and f's jets
+    through order 2, from which the operator, its spectra and the bundle
+    come; and the per-point residuals of the checks that evaluate the same
+    jets, eq1 with rem1 and sys.residual with sys.trace_identity.  Larger
+    jets are not kept: they would stay alive across the checks that follow.
+    """
 
     chart: KahlerChart
     f: ScalarField
@@ -217,7 +225,7 @@ class CheckContext:
     def problem(self) -> TannoProblem:
         return TannoProblem(self.chart, self.f, self.c)
 
-    @property
+    @cached_property
     def unit_problem(self) -> TannoProblem:
         """The c = 1 normalization (metric rescaled by c)."""
         if self.c == 0:
@@ -226,20 +234,50 @@ class CheckContext:
         return self.problem.rescaled()
 
     @cached_property
+    def unit_geometry(self) -> ChartJets:
+        """The unit problem's g and Gamma at the samples, from one
+        evaluation through metric order 1."""
+        return self.unit_problem.chart.at(self.P, 1).pointwise()
+
+    @cached_property
+    def f_jets(self) -> list[np.ndarray]:
+        """f's jets through order 2 at the samples."""
+        return self.f.jets(self.P, 2)
+
+    @cached_property
     def operator(self) -> np.ndarray:
         """The (N, d+2, d+2) entries of L(f) of the unit problem at the
         sample points."""
-        return assemble_L(self.unit_problem, self.P)
+        return _operator(self.f_jets, self.unit_geometry)
 
     @cached_property
     def spectra(self) -> list[SpectrumResult]:
         """The clustered spectrum of L(f) at each sample point."""
-        return [spectrum(L) for L in self.operator]
+        return spectra(self.operator)
+
+    @cached_property
+    def third_order_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point residuals of eq1 and rem1 from one evaluation of the
+        chart through metric order 2 and f through order 3."""
+        prob = self.problem
+        jets = _third_jets(prob, self.P)
+        return (frob_rows(_third_order_terms(prob, *jets, jstruct=True)),
+                _laplace_rows(prob, *jets))
+
+    @cached_property
+    def system_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point residuals of sys.residual (the worst of its three row
+        blocks) and sys.trace_identity from one evaluation of the unit chart
+        through metric order 2 and f through order 3."""
+        prob = self.unit_problem
+        jets = _system_jets(prob, self.P)
+        return (np.max(_system_rows(*jets), axis=0),
+                _trace_rows(*jets))
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
         the spectrum and projectors of L(f) assume a non-constant solution."""
-        values, gradients = self.f.jets(self.P, 1)
+        values, gradients = self.f_jets[:2]
         if is_constant(float(values.max() - values.min()),
                        np.linalg.norm(gradients, axis=1)):
             raise SkipCheck("hypothesis not met: the paper's lemmas on L(f) "
@@ -289,13 +327,13 @@ def check_kahler_residuals(ctx: CheckContext) -> CheckOutcome:
     return _worst(np.max(kahler_residuals(ctx.chart, ctx.P), axis=0))
 
 def check_tanno_residual(ctx: CheckContext) -> CheckOutcome:
-    return _worst(frob_rows(tanno_residual(ctx.problem, ctx.P)))
+    return _worst(ctx.third_order_rows[0])
 
 def check_gallot_tanno(ctx: CheckContext) -> CheckOutcome:
     return _worst(frob_rows(gallot_tanno_residual(ctx.problem, ctx.P)))
 
 def check_laplace_identity(ctx: CheckContext) -> CheckOutcome:
-    return _worst(laplace_identity_residual(ctx.problem, ctx.P))
+    return _worst(ctx.third_order_rows[1])
 
 def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
     blocks = ctx.is_flat_mixed()
@@ -310,15 +348,14 @@ def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(dirs))
 
 def check_system_residual(ctx: CheckContext) -> CheckOutcome:
-    return _worst(np.max(system_residual(ctx.unit_problem, ctx.P), axis=0))
+    return _worst(ctx.system_rows[0])
 
 def check_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    return _worst(trace_identity_residual(ctx.unit_problem, ctx.P))
+    return _worst(ctx.system_rows[1])
 
 def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    b = bundle_from_f(prob, ctx.P)
-    return _worst(np.abs(f_from_mu(b.mu) - prob.f(ctx.P)))
+    b = _bundle(ctx.f_jets, ctx.unit_geometry)
+    return _worst(np.abs(f_from_mu(b.mu) - ctx.f(ctx.P)))
 
 def _random_polyline(chart, rng):
     r = 0.6 * chart.domain_radius
@@ -381,10 +418,9 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(defect / max(1.0, init.norm()), len(loop))
 
 def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
-    chart = ctx.unit_problem.chart
-    prob = TannoProblem(chart, ConstField(chart.dim, -0.5), 1.0)
-    d = chart.dim
-    return _worst(frob_rows(assemble_L(prob, ctx.P) - np.eye(d + 2)))
+    d = ctx.chart.dim
+    L = _operator(ConstField(d, -0.5).jets(ctx.P, 2), ctx.unit_geometry)
+    return _worst(frob_rows(L - np.eye(d + 2)))
 
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
@@ -434,7 +470,8 @@ def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(ctx.spectra))
 
 def check_minimal_polynomial(ctx: CheckContext) -> CheckOutcome:
-    polys = [minimal_polynomial(L).coeffs for L in ctx.operator[:20]]
+    polys = [_minimal_polynomial(L, spec).coeffs
+             for L, spec in zip(ctx.operator[:20], ctx.spectra[:20])]
     worst = max((_deviation(cs, polys[0]) for cs in polys[1:]), default=0.0)
     return CheckOutcome(worst, len(polys))
 
@@ -468,7 +505,7 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
                         note="cases seen: " + ", ".join(sorted(seen)))
 
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
-    return _worst(mu_hessian_residual(ctx.unit_problem, ctx.P))
+    return _worst(_mu_hessian_rows(ctx.f_jets, ctx.unit_geometry))
 
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem

@@ -12,15 +12,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from tannolab import charts
+from tannolab.calculus import kahler_residuals, laplacian
 from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart, geodesic_residual,
                                 integrate_geodesic,
                                 random_polynomial_field,
                                 random_quadratic_field)
-from tannolab.operator import assemble_L, star_power
-from tannolab.tanno import (TannoProblem, lightlike_third_derivative,
-                            tanno_residual)
+from tannolab.operator import assemble_L, eigenstructure_at, star_power
+from tannolab.tanno import (TannoProblem, laplace_identity_residual,
+                            lightlike_third_derivative, mu_hessian_residual,
+                            system_residual, tanno_residual,
+                            trace_identity_residual)
 
 # (chart, solution field) per case; charts and fields hold no per-point
 # state, so sharing them across examples cannot leak results between them.
@@ -125,3 +130,27 @@ def test_path_checks_independent_of_chunk_size(monkeypatch):
     whole = evaluate()
     monkeypatch.setattr(charts, "POINT_CHUNK", 5)
     assert evaluate() == whole
+
+
+EMPTY_BATCH = {
+    "tanno_residual": tanno_residual,
+    "laplace_identity_residual": laplace_identity_residual,
+    "system_residual": system_residual,
+    "trace_identity_residual": trace_identity_residual,
+    "mu_hessian_residual": mu_hessian_residual,
+    "assemble_L": assemble_L,
+    "eigenstructure_at": eigenstructure_at,
+    "kahler_residuals": lambda prob, P: kahler_residuals(prob.chart, P),
+    "laplacian": lambda prob, P: laplacian(prob.chart, prob.f, P),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(EMPTY_BATCH))
+def test_empty_batch_gives_empty_results(name, case):
+    """A (0, d) batch is a batch: every per-point result has no rows."""
+    chart, field = CASES[case]
+    prob = TannoProblem(chart, field, 1.0)
+    out = EMPTY_BATCH[name](prob, np.empty((0, chart.dim)))
+    for part in (out if isinstance(out, tuple) else (out,)):
+        assert len(part) == 0

@@ -52,6 +52,15 @@ class TestChristoffel:
                    - np.einsum("zlkj,zil->zijk", G0, g0))
         assert np.all(frob_rows(nabla_g) < 1e-13)
 
+    def test_pointwise_keeps_g_and_gamma_bits(self, fs2):
+        P = np.array(points_on(fs2, 4))
+        full, reduced = fs2.at(P, 1), fs2.at(P, 1).pointwise()
+        assert len(reduced.g) == 1 and np.array_equal(reduced.g0, full.g0)
+        assert np.array_equal(reduced.gamma(0)[0], full.gamma(0)[0])
+        assert np.array_equal(reduced.ginv(0)[0], full.ginv(0)[0])
+        with pytest.raises(ValueError, match="held through 0"):
+            reduced.ginv(1)
+
     def test_out_of_domain(self, fs1):
         with pytest.raises(OutOfDomain):
             christoffel(fs1, [5.0, 0.0])
@@ -152,6 +161,21 @@ class TestBarAndForm:
         for p in points_on(fs2, 10, seed=21):
             out = kahler_form(fs2, p).components
             assert frob(out + out.T) < 1e-10
+
+
+class TestFrobRows:
+    @pytest.mark.parametrize("view", ["contiguous", "sliced", "transposed",
+                                      "vector"])
+    def test_bits_of_the_per_row_norm(self, view):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(9, 5, 7)) * 10.0 ** rng.uniform(-8, 8, (9, 1, 1))
+        a = {"contiguous": a, "sliced": a[::2, 1:, ::3],
+             "transposed": a.transpose(0, 2, 1), "vector": a[:, 2, 3]}[view]
+        expected = [float(np.linalg.norm(np.ravel(row))) for row in a]
+        assert frob_rows(a).tolist() == expected
+
+    def test_empty_batch(self):
+        assert frob_rows(np.empty((0, 3, 3))).shape == (0,)
 
 
 class TestKahlerResiduals:

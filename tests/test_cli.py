@@ -7,15 +7,16 @@ import re
 import numpy as np
 import pytest
 
-from tannolab import operator, verify
+from tannolab import jets, operator, verify
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError
 from tannolab.manifolds import sample_points
 from tannolab.operator import assemble_L, projector_from_solution, spectrum
 from tannolab.tanno import TannoProblem
-from tannolab.verify import (REGISTRY, CheckContext, CheckRecord, SuiteConfig,
-                             build_chart, build_solution, emit_report,
-                             load_report, run_suite)
+from tannolab.verify import (DEFAULT_CHECKS, REGISTRY, CheckContext,
+                             CheckRecord, SuiteConfig, build_chart,
+                             build_solution, emit_report, load_report,
+                             run_suite)
 
 FAST_CHECKS = ["kahler.residuals", "eq1.residual", "sys.inverse_roundtrip",
                "op.identity_at_constant"]
@@ -235,36 +236,71 @@ class TestRunSuite:
 
     def test_suite_assembles_solution_operator_once(self, monkeypatch):
         # cor2, lem3, lem4 and lem2 all read the suite's one L(f) at the
-        # samples.
-        built, calls = [], []
-        build, assemble = verify.build_solution, verify.assemble_L
+        # samples, built from the context's shared jets.  Every operator
+        # the package assembles goes through operator._operator.
+        cfg = SuiteConfig.from_dict(DEFAULT_CONFIG)
+        chart = build_chart(cfg.chart)
+        pts = np.array(sample_points(chart, cfg.samples, cfg.seed))
+        f_values = build_solution(cfg.solution, chart)(pts)
+        calls, operator_of = [], operator._operator
 
-        def spy_build(*args):
-            built.append(build(*args))
-            return built[-1]
+        def spy_operator(fj, geo):
+            if len(fj[0]) == len(pts) and np.array_equal(fj[0], f_values):
+                calls.append(np.shape(fj[1]))
+            return operator_of(fj, geo)
 
-        def spy_assemble(prob, p):
-            if prob.f is built[0]:
-                calls.append(np.shape(p))
-            return assemble(prob, p)
-
-        monkeypatch.setattr(verify, "build_solution", spy_build)
-        monkeypatch.setattr(verify, "assemble_L", spy_assemble)
-        report = run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG))
+        monkeypatch.setattr(operator, "_operator", spy_operator)
+        monkeypatch.setattr(verify, "_operator", spy_operator)
+        report = run_suite(cfg)
         assert report.passed
         assert calls == [(DEFAULT_CONFIG["samples"], 2)]
+
+    def test_suite_evaluates_sample_quantities_once(self, monkeypatch):
+        # CP(3) at 200 samples with every check that runs no ODE (the
+        # benchmark's cp3_points config).  The checks share the context's
+        # jets and residual rows, and the spectra are one eigenvalue call
+        # per stack: 12 jet evaluations at the samples (23 when each check
+        # evaluated its own) and 3 eigvals calls (640 at one per matrix).
+        config = SuiteConfig.from_dict({
+            "chart": {"name": "fubini_study", "n": 3},
+            "solution": "height:0", "c": 0.25, "seed": 7, "samples": 200,
+            "checks": [name for name in DEFAULT_CHECKS
+                       if not name.startswith("lem1.")
+                       and name != "rem2.lightlike_f3"]})
+        evaluations, eig_calls = [], []
+        evaluate, eigvals = jets.eval_scalar_expr, np.linalg.eigvals
+
+        def spy_evaluate(fn, p, order):
+            if np.shape(p) == (config.samples, 6):
+                evaluations.append(order)
+            return evaluate(fn, p, order)
+
+        def spy_eigvals(a):
+            eig_calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(jets, "eval_scalar_expr", spy_evaluate)
+        monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+        report = run_suite(config)
+        assert report.passed
+        assert len(evaluations) <= 12
+        assert len(eig_calls) <= 3
 
     def test_poly_star_closure_reads_suite_projector(self, monkeypatch):
         # cor1 takes its polynomial from ctx.projector; no check assembles
         # L(f) at a single point.
-        shapes, assemble = [], operator.assemble_L
+        shapes, assemble, operator_of = [], operator.assemble_L, verify._operator
 
         def spy_assemble(prob, p):
             shapes.append(np.shape(p))
             return assemble(prob, p)
 
+        def spy_operator(fj, geo):
+            shapes.append(np.shape(fj[1]))
+            return operator_of(fj, geo)
+
         monkeypatch.setattr(operator, "assemble_L", spy_assemble)
-        monkeypatch.setattr(verify, "assemble_L", spy_assemble)
+        monkeypatch.setattr(verify, "_operator", spy_operator)
         report = run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG))
         assert report.passed
         assert shapes and all(len(s) == 2 for s in shapes)
@@ -363,7 +399,8 @@ class TestRunSuite:
 
         def fail(*args):
             raise AssertionError("L re-assembled")
-        monkeypatch.setattr(verify, "assemble_L", fail)
+        monkeypatch.setattr(operator, "assemble_L", fail)
+        monkeypatch.setattr(verify, "_operator", fail)
         assert REGISTRY["lem5.projector"].func(ctx).max_residual < 1e-7
 
     def test_projector_checks_evaluate_no_projector_jets(self, monkeypatch):

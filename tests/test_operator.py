@@ -15,7 +15,7 @@ from tannolab.operator import (PolynomialReal, _eigenstructure, _operator,
                                assemble_L, eigenstructure_at,
                                minimal_polynomial, poly_star,
                                product_block_check, projector_from_solution,
-                               spectrum, star_power, star_product)
+                               spectra, spectrum, star_power, star_product)
 from tannolab.tanno import TannoProblem, system_residual
 
 
@@ -323,6 +323,91 @@ class TestSpectrum:
         s = spectrum(assemble_L(prob, np.zeros(4))).clusters
         assert s[0] == (pytest.approx(-8.0 / 3.0), 2)
         assert s[1] == (pytest.approx(4.0 / 3.0), 4)
+
+
+def _spectrum_one_at_a_time(M, cluster_tol=None):
+    """(clusters, complex pairs, radius) of M the way the spectrum layer
+    clustered before it was batched: one eigenvalue call per matrix, then
+    one pass over the sorted real values and one over the upper pairs."""
+    ev = np.linalg.eigvals(M)
+    radius = float(np.max(np.abs(ev))) if ev.size else 0.0
+    tol = cluster_tol if cluster_tol is not None else 1e-6 * max(1.0, radius)
+    real = np.abs(ev.imag) <= tol
+    groups = []
+    for v in np.sort(ev[real].real):
+        if groups and v - groups[-1][-1] <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    pairs = []
+    upper = ev[~real & (ev.imag > 0)]
+    for z in upper[np.argsort(upper.real)]:
+        if pairs and abs(z - pairs[-1][0]) <= tol:
+            pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)
+        else:
+            pairs.append((complex(z), 1))
+    return [(float(np.mean(g)), len(g)) for g in groups], pairs, radius
+
+
+def _conjugated(rng, eigenvalue_blocks):
+    """A random similarity transform of the block-diagonal matrix with the
+    given blocks: numbers become 1x1 blocks, (a, b) pairs the rotation
+    block with eigenvalues a +- ib."""
+    blocks = [np.array([[x]]) if np.isscalar(x) else
+              np.array([[x[0], -x[1]], [x[1], x[0]]]) for x in eigenvalue_blocks]
+    m = sum(len(b) for b in blocks)
+    D = np.zeros((m, m))
+    k = 0
+    for b in blocks:
+        D[k:k + len(b), k:k + len(b)] = b
+        k += len(b)
+    S = np.eye(m) + 0.3 * rng.normal(size=(m, m))
+    return S @ D @ np.linalg.inv(S)
+
+
+def _stack(kind, rng):
+    if kind == "distinct_real":
+        return np.array([_conjugated(rng, rng.normal(size=6) * 3)
+                         for _ in range(12)])
+    if kind == "repeated":
+        # Projector-like: eigenvalues 0 and 1 (and mu) with multiplicities,
+        # perturbed by rounding only.
+        return np.array([_conjugated(rng, [1.0] * k + [0.0] * (7 - k) + [mu])
+                         for k, mu in zip(range(1, 7), rng.uniform(size=6))])
+    if kind == "complex":
+        return np.array([_conjugated(rng, [(a, b), (a, b), (c, 1.0)])
+                         for a, b, c in rng.normal(size=(8, 3))])
+    # "mixed": real and complex rows in one stack, all 6 x 6.
+    return np.concatenate([
+        _stack("distinct_real", rng), _stack("complex", rng),
+        np.array([_conjugated(rng, [2.0, 2.0, (0.5, 1.5), -1.0, -1.0])
+                  for _ in range(4)]),
+        np.array([np.eye(6), np.zeros((6, 6)), np.diag([1.0, 1, 1, 0, 0, 0])])])
+
+
+class TestSpectra:
+    @pytest.mark.parametrize("cluster_tol", [None, 1e-3])
+    @pytest.mark.parametrize("kind", ["distinct_real", "repeated", "complex",
+                                      "mixed"])
+    def test_equals_one_matrix_at_a_time(self, kind, cluster_tol):
+        Ms = _stack(kind, np.random.default_rng(len(kind)))
+        out = spectra(Ms, cluster_tol)
+        assert len(out) == len(Ms)
+        for M, spec in zip(Ms, out):
+            assert spec == spectrum(M, cluster_tol)
+            ref = _spectrum_one_at_a_time(M, cluster_tol)
+            assert (spec.clusters, spec.complex_pairs, spec.radius) == ref
+
+    def test_stacks_see_every_case(self):
+        rng = np.random.default_rng(3)
+        merged = [s for s in spectra(_stack("repeated", rng))
+                  if any(m > 1 for _, m in s.clusters)]
+        paired = [s for s in spectra(_stack("complex", rng))
+                  if any(m > 1 for _, m in s.complex_pairs)]
+        assert merged and paired
+
+    def test_empty_stack(self):
+        assert spectra(np.empty((0, 4, 4))) == []
 
 
 class TestMinimalPolynomial:
