@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import KahlerChart, checked_inverse, unbatch
+from .charts import ChartJets, KahlerChart, checked_inverse, unbatch
 from .fields import ScalarField
 
 
@@ -197,12 +197,18 @@ def kahler_residuals(chart: KahlerChart, p):
     batch, each entry is an array with one residual per point.
     """
     P, single = chart.batch(p)
-    geo = chart.at(P, 1)
+    rows = _kahler_rows(chart.at(P, 1))
+    if single:
+        return tuple(float(r[0]) for r in rows)
+    return rows
+
+
+def _kahler_rows(geo: ChartJets):
+    """Per-point :func:`kahler_residuals` from the chart through metric
+    order 1 over a batch."""
     g0 = geo.g0
-    Jm = chart.J
-    r_sq = frob(Jm @ Jm + np.eye(chart.dim))
+    Jm = geo.chart.J
+    r_sq = frob(Jm @ Jm + np.eye(len(Jm)))
     r_compat = frob_rows(Jm.T @ g0 @ Jm - g0)
     r_par = frob_rows(_nabla_jstruct(Jm, geo.gamma(0)[0]))
-    if single:
-        return r_sq, float(r_compat[0]), float(r_par[0])
-    return np.full(len(P), r_sq), r_compat, r_par
+    return np.full(len(g0), r_sq), r_compat, r_par

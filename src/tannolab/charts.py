@@ -275,6 +275,16 @@ class ChartJets:
         self._ginv: list | None = None
         self._gamma: list | None = None
 
+    @classmethod
+    def from_metric(cls, chart: KahlerChart, g: list) -> "ChartJets":
+        """Geometry of ``chart`` from its metric jets ``g`` already evaluated
+        over a batch, through order ``len(g) - 1``; g^-1 and Gamma are
+        derived from them as :meth:`KahlerChart.at` would."""
+        geo = cls.__new__(cls)
+        geo.chart, geo.order, geo.g = chart, len(g) - 1, list(g)
+        geo._ginv = geo._gamma = None
+        return geo
+
     @property
     def g0(self) -> np.ndarray:
         return self.g[0]

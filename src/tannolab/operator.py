@@ -452,15 +452,17 @@ def projector_from_solution(prob: TannoProblem, sample_points
     if not len(pts):
         raise ValueError("need at least one sample point")
     spec = spectrum(assemble_L(prob, pts[0]))
-    P, f_proj, _ = _projector_with_operator(prob, pts, spec)
+    P, f_proj, _ = _projector_with_operator(prob, pts, spec,
+                                            prob.chart.at(pts, 1))
     return P, f_proj
 
 
 def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
-                             spec: SpectrumResult):
+                             spec: SpectrumResult, geo: ChartJets):
     """(P, P*(f), L) of :func:`projector_from_solution` over the (N, d)
-    batch ``pts``, given ``spec``, the spectrum of L(f) at pts[0]; L holds
-    the (N, d+2, d+2) entries of L(P*(f)) it verified at the points."""
+    batch ``pts``, given ``spec``, the spectrum of L(f) at pts[0], and
+    ``geo``, g and Gamma of prob's chart at pts; L holds the (N, d+2, d+2)
+    entries of L(P*(f)) it verified at the points."""
     reps = spec.real_values
     if len(reps) < 2:
         raise NoRealSplit(
@@ -472,9 +474,8 @@ def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
     P = PolynomialReal.from_roots(others)
     P = PolynomialReal(tuple(c / denom for c in P.coeffs))
     f_proj = poly_star(prob.chart, prob.f, P)
-    check = TannoProblem(prob.chart, f_proj, 1.0)
     d = prob.chart.dim
-    Ls = assemble_L(check, pts)
+    Ls = _operator(f_proj.jets(pts, 2), geo)
     residuals = frob_rows(Ls @ Ls - Ls)
     bad = np.flatnonzero(~(residuals < PROJECTOR_TOL))
     if bad.size:

@@ -10,10 +10,13 @@ and, in the c = 1 normalization, the associated triple
 
     a_ij := -f_{,ij} - 2 f g_ij,   f_i := f_{,i},   mu := -2 f
 
-which satisfies a first-order linear system in Frobenius form, stated once
-by :func:`_transport_matrices`: :func:`system_residual` checks a field
-against it, and :func:`transport_bundle` integrates it along curves, which
-is how the determined-by-one-point property becomes checkable.
+which satisfies a first-order linear system in Frobenius form, dy/dt =
+A(xdot) y.  :func:`_system_apply` forms A(xdot) y in block form, and
+:func:`system_residual` checks a field against it; :func:`_transport_matrices`
+writes the dense A, and :func:`transport_bundle` integrates it along
+curves, which is how the determined-by-one-point property becomes
+checkable.  Both read the chart's contractions with the velocity from
+:func:`_velocity_terms`.
 """
 
 from __future__ import annotations
@@ -113,8 +116,13 @@ def _a_jets(geo: ChartJets, fj, order: int):
 def _third_jets(prob: TannoProblem, P: np.ndarray):
     """(geo, f_{,i}, f_{,ijk}) over a batch: the chart through metric
     order 2 and the field through order 3, each evaluated once."""
-    geo = prob.chart.at(P, 2)
-    _, f1, _, T3 = scalar_covariant_jets(prob.f.jets(P, 3), geo.gamma(1), 3)
+    return _third_from(prob.chart.at(P, 2), prob.f.jets(P, 3))
+
+
+def _third_from(geo: ChartJets, fj):
+    """:func:`_third_jets` from the chart through metric order 2 and f jets
+    through order 3, evaluated at the same points."""
+    _, f1, _, T3 = scalar_covariant_jets(fj, geo.gamma(1), 3)
     return geo, f1, T3
 
 
@@ -167,31 +175,38 @@ def _system_jets(prob: TannoProblem, P: np.ndarray):
     """(geo, f jets, a jets) over a batch: the chart through metric order 2
     and the field through order 3, each evaluated once, and a_ij through
     order 1 built from them."""
-    geo = prob.chart.at(P, 2)
-    fj = prob.f.jets(P, 3)
+    return _system_from(prob.chart.at(P, 2), prob.f.jets(P, 3))
+
+
+def _system_from(geo: ChartJets, fj):
+    """:func:`_system_jets` from the chart through metric order 2 and f jets
+    through order 3, evaluated at the same points."""
     return geo, fj, _a_jets(geo, fj, 1)
 
 
 def _system_rows(geo: ChartJets, fj, aj):
-    """Per-point :func:`system_residual` from :func:`_system_jets`."""
+    """Per-point :func:`system_residual` from :func:`_system_jets`: d_k y
+    less :func:`_system_apply` along e_k, for each direction k."""
     Z, d = fj[1].shape
     n2 = d * d
-    y = np.concatenate([aj[0].reshape(Z, n2), fj[1], -2.0 * fj[0][:, None]],
-                       axis=1)[:, :, None]
+    y = (aj[0][..., None], fj[1][..., None], -2.0 * fj[0][:, None])
     dy = np.concatenate([aj[1].reshape(Z, n2, d), fj[2], -2.0 * fj[1][:, None]],
                         axis=1)
+    G0 = geo.gamma(0)[0]
     for k, e in enumerate(np.eye(d)):
-        A = _transport_matrices(geo.g0, geo.chart.J, geo.gamma(0)[0],
-                                np.tile(e, (Z, 1)))
-        dy[:, :, k] -= (A @ y)[:, :, 0]
+        da, df, dmu = _system_apply(geo.g0, geo.chart.J, G0,
+                                    np.tile(e, (Z, 1)), *y)
+        dy[:, :n2, k] -= da.reshape(Z, n2)
+        dy[:, n2:-1, k] -= df[..., 0]
+        dy[:, -1, k] -= dmu[:, 0]
     return tuple(frob_rows(dy[:, rows]) for rows in
                  (slice(0, n2), slice(n2, -1), slice(-1, None)))
 
 
 def system_residual(prob: TannoProblem, p):
     """Residuals of the first-order system d_k y = A(e_k) y (c = 1
-    convention), with y = (a.ravel(), f_i, mu) built from the field and A
-    from :func:`_transport_matrices`.
+    convention), with y = (a.ravel(), f_i, mu) built from the field and
+    A(e_k) y from :func:`_system_apply`.
 
     Returns the norms over all k of the a rows, f rows and mu row of
     d_k y - A(e_k) y: three floats, or three per-point arrays for a batch.
@@ -239,6 +254,34 @@ def mu_hessian_residual(prob: TannoProblem, p):
 # Transport along curves (the Frobenius property made computational)
 # ---------------------------------------------------------------------------
 
+def _velocity_terms(g0, Jm, G0, xdot):
+    """The contractions of the chart with the velocity that the first-order
+    system reads, one row per point: g_ik xdot^k, (g J)_ik xdot^k,
+    Gamma^l_ki xdot^k at [l, i] and Gamma^l_ij xdot^j at [l, i]."""
+    return (np.einsum("zik,zk->zi", g0, xdot),
+            np.einsum("zik,zk->zi", g0 @ Jm, xdot),
+            np.einsum("zlki,zk->zli", G0, xdot),
+            np.einsum("zlij,zj->zli", G0, xdot))
+
+
+def _system_apply(g0, Jm, G0, xdot, a, f, mu):
+    """A(xdot) y for the first-order system in block form, one row per point,
+    without the dense A of :func:`_transport_matrices`.
+
+    The chart and velocity are as there.  y = (a.ravel(), f, mu) comes as
+    its blocks with a trailing axis of C columns: ``a`` (Z, d, d, C), ``f``
+    (Z, d, C), ``mu`` (Z, C).  Returns the blocks of A y in the same shapes.
+    """
+    gx, Jx, Gk, Gj = _velocity_terms(g0, Jm, G0, xdot)
+    fb = np.einsum("ai,zac->zic", Jm, f)              # fbar_i = J_ai f_a
+    fg = np.einsum("zic,zj->zijc", f, gx) - np.einsum("zic,zj->zijc", fb, Jx)
+    da = (np.einsum("zli,zljc->zijc", Gk, a) + np.einsum("zilc,zlj->zijc", a, Gk)
+          + fg + fg.transpose(0, 2, 1, 3))
+    df = (np.einsum("zli,zlc->zic", Gj, f) - np.einsum("zijc,zj->zic", a, xdot)
+          + gx[:, :, None] * mu[:, None, :])
+    return da, df, -2.0 * np.einsum("zi,zic->zc", xdot, f)
+
+
 def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     """Matrices A with dy/dt = A y for the first-order system, one per row.
 
@@ -251,10 +294,7 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     n2 = d * d
     m = n2 + d + 1
     I = np.eye(d)
-    gx = np.einsum("zik,zk->zi", g0, xdot)            # g_ik xdot^k
-    Jx = np.einsum("zik,zk->zi", g0 @ Jm, xdot)       # (g J)_ik xdot^k
-    Gk = np.einsum("zlki,zk->zli", G0, xdot)          # Gamma^l_ki xdot^k
-    Gj = np.einsum("zlij,zj->zli", G0, xdot)          # Gamma^l_ij xdot^j
+    gx, Jx, Gk, Gj = _velocity_terms(g0, Jm, G0, xdot)
     A = np.zeros((Z, m, m))
     # partial_k a_ij = f_i g_jk + f_j g_ik - fbar_i (gJ)_jk - fbar_j (gJ)_ik
     #                  + Gamma^l_ki a_lj + Gamma^l_kj a_il,  fbar_i = J_ai f_a

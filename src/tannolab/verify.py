@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .calculus import (christoffel, frob, frob_rows, kahler_residuals,
-                       nabla_scalar)
+from .calculus import _kahler_rows, christoffel, frob, frob_rows, nabla_scalar
 from .charts import ChartJets, KahlerChart
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
@@ -37,8 +36,8 @@ from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
                        product_block_check, spectra, star_power)
 from .signature import is_constant, metric_signature, positivity_scan
 from .tanno import (SolutionBundle, TannoProblem, _bundle, _laplace_rows,
-                    _mu_hessian_rows, _system_jets, _system_rows,
-                    _third_jets, _third_order_terms, _trace_rows,
+                    _mu_hessian_rows, _system_from, _system_rows,
+                    _third_from, _third_order_terms, _trace_rows,
                     bundle_from_f, f_from_mu, gallot_tanno_residual,
                     lightlike_third_derivative, system_residual,
                     transport_bundle)
@@ -93,13 +92,17 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # list() of a string would read it as a list of one-letter names.
+        if not isinstance(self.checks, list):
+            raise ConfigError(f"config field 'checks' must be a list of check "
+                              f"names, got {self.checks!r}")
+        self.checks = list(self.checks)
         try:
             self.chart = dict(self.chart)
-            self.checks = list(self.checks)
             self.tolerances = dict(self.tolerances)
         except (TypeError, ValueError):
             raise ConfigError("config fields 'chart' and 'tolerances' must be "
-                              "objects and 'checks' a list") from None
+                              "objects") from None
         self.solution = str(self.solution)
         self.c = _number("c", self.c)
         self.seed = _number("seed", self.seed, int)
@@ -198,9 +201,10 @@ class CheckContext:
 
     Shared are the unit problem; g and Gamma of its chart and f's jets
     through order 2, from which the operator, its spectra and the bundle
-    come; and the per-point residuals of the checks that evaluate the same
-    jets, eq1 with rem1 and sys.residual with sys.trace_identity.  Larger
-    jets are not kept: they would stay alive across the checks that follow.
+    come; and the per-point residuals of the five checks that read the
+    chart through metric order 2 and f through order 3, from one pass.
+    Larger jets are not kept: they would stay alive across the checks that
+    follow.
     """
 
     chart: KahlerChart
@@ -256,23 +260,37 @@ class CheckContext:
         return spectra(self.operator)
 
     @cached_property
-    def third_order_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point residuals of eq1 and rem1 from one evaluation of the
-        chart through metric order 2 and f through order 3."""
-        prob = self.problem
-        jets = _third_jets(prob, self.P)
-        return (frob_rows(_third_order_terms(prob, *jets, jstruct=True)),
-                _laplace_rows(prob, *jets))
+    def sample_rows(self) -> dict[str, np.ndarray]:
+        """Per-point residuals of kahler.residuals, eq1.residual,
+        rem1.laplace_identity, sys.residual (the worst of its three row
+        blocks) and sys.trace_identity, by check name, from one evaluation
+        of the chart through metric order 2 and f through order 3.
 
-    @cached_property
-    def system_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point residuals of sys.residual (the worst of its three row
-        blocks) and sys.trace_identity from one evaluation of the unit chart
-        through metric order 2 and f through order 3."""
-        prob = self.unit_problem
-        jets = _system_jets(prob, self.P)
-        return (np.max(_system_rows(*jets), axis=0),
-                _trace_rows(*jets))
+        The unit chart's metric jets are c times the chart's, term by term,
+        which is what ``KahlerChart.rescaled`` evaluates.  At c = 0 there is
+        no unit chart, and the two sys.* rows are left out.
+        """
+        prob = self.problem
+        geo = self.chart.at(self.P, 2)
+        fj = self.f.jets(self.P, 3)
+        third = _third_from(geo, fj)
+        rows = {"kahler.residuals": np.max(_kahler_rows(geo), axis=0),
+                "eq1.residual": frob_rows(_third_order_terms(
+                    prob, *third, jstruct=True)),
+                "rem1.laplace_identity": _laplace_rows(prob, *third)}
+        if self.c == 0:
+            return rows
+        unit = ChartJets.from_metric(self.unit_problem.chart,
+                                     [self.c * t for t in geo.g])
+        # Let the chart's g^-1 and Gamma go before the unit chart's are
+        # derived, so the arrays of the two derivations are never alive
+        # together: on CP(3) at 200 samples the pass then peaks at 16 MB
+        # traced, not 22 MB.
+        del geo, third
+        jets = _system_from(unit, fj)
+        rows["sys.residual"] = np.max(_system_rows(*jets), axis=0)
+        rows["sys.trace_identity"] = _trace_rows(*jets)
+        return rows
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
@@ -290,7 +308,7 @@ class CheckContext:
         L(P*(f)) at the points.  A constant f raises SkipCheck."""
         self.require_nonconstant()
         return _projector_with_operator(self.unit_problem, self.P,
-                                        self.spectra[0])
+                                        self.spectra[0], self.unit_geometry)
 
     def is_flat_mixed(self) -> tuple[int, int] | None:
         pos, neg = metric_signature(self.chart, np.zeros(self.chart.dim))
@@ -324,16 +342,16 @@ def _deviation(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 def check_kahler_residuals(ctx: CheckContext) -> CheckOutcome:
-    return _worst(np.max(kahler_residuals(ctx.chart, ctx.P), axis=0))
+    return _worst(ctx.sample_rows["kahler.residuals"])
 
 def check_tanno_residual(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.third_order_rows[0])
+    return _worst(ctx.sample_rows["eq1.residual"])
 
 def check_gallot_tanno(ctx: CheckContext) -> CheckOutcome:
     return _worst(frob_rows(gallot_tanno_residual(ctx.problem, ctx.P)))
 
 def check_laplace_identity(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.third_order_rows[1])
+    return _worst(ctx.sample_rows["rem1.laplace_identity"])
 
 def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
     blocks = ctx.is_flat_mixed()
@@ -348,14 +366,16 @@ def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(dirs))
 
 def check_system_residual(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.system_rows[0])
+    ctx.unit_problem                    # c = 0 skips
+    return _worst(ctx.sample_rows["sys.residual"])
 
 def check_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.system_rows[1])
+    ctx.unit_problem                    # c = 0 skips
+    return _worst(ctx.sample_rows["sys.trace_identity"])
 
 def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
     b = _bundle(ctx.f_jets, ctx.unit_geometry)
-    return _worst(np.abs(f_from_mu(b.mu) - ctx.f(ctx.P)))
+    return _worst(np.abs(f_from_mu(b.mu) - ctx.f_jets[0]))
 
 def _random_polyline(chart, rng):
     r = 0.6 * chart.domain_radius

@@ -10,9 +10,13 @@ import pytest
 from tannolab import jets, operator, verify
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError
+from tannolab.charts import ChartJets, KahlerChart
 from tannolab.manifolds import sample_points
 from tannolab.operator import assemble_L, projector_from_solution, spectrum
-from tannolab.tanno import TannoProblem
+from tannolab.calculus import frob_rows, kahler_residuals
+from tannolab.tanno import (TannoProblem, laplace_identity_residual,
+                            system_residual, tanno_residual,
+                            trace_identity_residual)
 from tannolab.verify import (DEFAULT_CHECKS, REGISTRY, CheckContext,
                              CheckRecord, SuiteConfig, build_chart,
                              build_solution, emit_report, load_report,
@@ -77,6 +81,20 @@ class TestConfig:
         # Rejected when the config is read, not after earlier checks ran.
         with pytest.raises(ConfigError, match="checks"):
             fast_config(checks=["kahler.residuals", "definitely.not.a.check"])
+
+    @pytest.mark.parametrize("value", ["kahler.residuals", 3,
+                                       {"eq1.residual": 1}])
+    def test_checks_must_be_a_list(self, value):
+        # A string is not read as a list of one-letter check names.
+        with pytest.raises(ConfigError, match=re.escape(
+                "'checks' must be a list of check names")):
+            fast_config(checks=value)
+
+    def test_checks_string_override_exits_two(self, capsys):
+        assert main(["verify", "--set", "checks=kahler.residuals"]) == 2
+        err = capsys.readouterr().err
+        assert "'checks' must be a list of check names" in err
+        assert "'k'" not in err
 
     def test_misspelled_tolerance_key_rejected(self):
         # A typo must not silently run the check at its default tolerance.
@@ -259,8 +277,9 @@ class TestRunSuite:
         # CP(3) at 200 samples with every check that runs no ODE (the
         # benchmark's cp3_points config).  The checks share the context's
         # jets and residual rows, and the spectra are one eigenvalue call
-        # per stack: 12 jet evaluations at the samples (23 when each check
-        # evaluated its own) and 3 eigvals calls (640 at one per matrix).
+        # per stack: 7 jet evaluations at the samples (23 when each check
+        # evaluated its own, 12 with a pass per pair of checks) and 3
+        # eigvals calls (640 at one per matrix).
         config = SuiteConfig.from_dict({
             "chart": {"name": "fubini_study", "n": 3},
             "solution": "height:0", "c": 0.25, "seed": 7, "samples": 200,
@@ -283,7 +302,7 @@ class TestRunSuite:
         monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
         report = run_suite(config)
         assert report.passed
-        assert len(evaluations) <= 12
+        assert len(evaluations) <= 7
         assert len(eig_calls) <= 3
 
     def test_poly_star_closure_reads_suite_projector(self, monkeypatch):
@@ -377,18 +396,28 @@ class TestRunSuite:
 
     def test_projector_reads_suite_spectrum(self, monkeypatch):
         # The projector's polynomial comes from the suite's spectra[0]: the
-        # only operator it assembles is L(P*(f)), never L(f) again.
+        # only operator it builds is L(P*(f)), never L(f) again, on the
+        # suite's g and Gamma at the samples, without evaluating the chart.
         ctx = fast_context()
         ctx.spectra
-        fields, assemble = [], operator.assemble_L
+        built, operator_of = [], operator._operator
 
-        def spy_assemble(prob, p):
-            fields.append(prob.f)
-            return assemble(prob, p)
+        def spy_operator(fj, geo):
+            built.append((fj, geo))
+            return operator_of(fj, geo)
 
-        monkeypatch.setattr(operator, "assemble_L", spy_assemble)
+        def fail(*args):
+            raise AssertionError("chart evaluated at the samples")
+
+        monkeypatch.setattr(operator, "_operator", spy_operator)
+        monkeypatch.setattr(KahlerChart, "metric_jets", fail)
         _, f_proj, _ = ctx.projector
-        assert len(fields) == 1 and fields[0] is f_proj
+        monkeypatch.undo()
+        assert len(built) == 1
+        fj, geo = built[0]
+        assert geo is ctx.unit_geometry
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(fj, f_proj.jets(ctx.P, 2)))
 
     def test_projector_check_reuses_operator_entries(self, monkeypatch):
         ctx = fast_context()
@@ -414,6 +443,87 @@ class TestRunSuite:
         for name in ("lem5.projector", "lem6.eigenstructure"):
             spec = REGISTRY[name]
             assert spec.func(ctx).max_residual <= spec.tolerance
+
+
+PASS_CHECKS = ["kahler.residuals", "eq1.residual", "rem1.laplace_identity",
+               "sys.residual", "sys.trace_identity"]
+
+PASS_CHARTS = [
+    ({"name": "fubini_study", "n": 1}, "height:0"),
+    ({"name": "fubini_study", "n": 2}, "height:0"),
+    ({"name": "fubini_study", "n": 3}, "height:0"),
+    ({"name": "flat", "p": 1, "q": 1}, "quadratic:3"),
+]
+
+
+class TestSamplePass:
+    """CheckContext.sample_rows: the rows of five checks from one
+    evaluation of the chart and f at the samples."""
+
+    @staticmethod
+    def _context(chart, solution, c, samples=9):
+        return CheckContext.from_config(SuiteConfig.from_dict({
+            "chart": chart, "solution": solution, "c": c, "seed": 5,
+            "samples": samples}))
+
+    @pytest.mark.parametrize("c", [0.25, 0.3, -0.25])
+    @pytest.mark.parametrize("chart, solution", PASS_CHARTS)
+    def test_rows_equal_the_public_residuals(self, chart, solution, c):
+        ctx = self._context(chart, solution, c)
+        rows = ctx.sample_rows
+        prob, unit = ctx.problem, ctx.unit_problem
+        expected = {
+            "kahler.residuals": np.max(kahler_residuals(ctx.chart, ctx.P),
+                                       axis=0),
+            "eq1.residual": frob_rows(tanno_residual(prob, ctx.P)),
+            "rem1.laplace_identity": laplace_identity_residual(prob, ctx.P),
+            "sys.residual": np.max(system_residual(unit, ctx.P), axis=0),
+            "sys.trace_identity": trace_identity_residual(unit, ctx.P),
+        }
+        assert sorted(rows) == sorted(PASS_CHECKS)
+        for name in PASS_CHECKS:
+            assert np.array_equal(rows[name], expected[name]), name
+
+    @pytest.mark.parametrize("c", [0.25, 0.3, -0.25])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_jets_equal_the_rescaled_chart(self, n, c):
+        # c times the chart's metric jets, term by term, is what the
+        # rescaled chart evaluates; g^-1 and Gamma follow bit for bit.
+        ctx = self._context({"name": "fubini_study", "n": n}, "height:0", c)
+        unit_chart = ctx.chart.rescaled(c)
+        geo = ChartJets.from_metric(
+            unit_chart, [c * t for t in ctx.chart.at(ctx.P, 2).g])
+        ref = unit_chart.at(ctx.P, 2)
+        assert geo.order == ref.order == 2
+        for got, want in ((geo.g, ref.g), (geo.ginv(1), ref.ginv(1)),
+                          (geo.gamma(1), ref.gamma(1))):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_one_evaluation_for_all_five_checks(self, monkeypatch):
+        ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)
+        evaluated, metric_jets = [], KahlerChart.metric_jets
+
+        def spy(chart, p, order):
+            evaluated.append(order)
+            return metric_jets(chart, p, order)
+
+        monkeypatch.setattr(KahlerChart, "metric_jets", spy)
+        for name in PASS_CHECKS:
+            assert REGISTRY[name].func(ctx).max_residual < 1e-6
+        assert evaluated == [2]
+
+    def test_zero_c_keeps_the_chart_rows(self):
+        ctx = self._context({"name": "fubini_study", "n": 1}, "height:0", 0.0)
+        assert sorted(ctx.sample_rows) == sorted(PASS_CHECKS[:3])
+        recs = {r.name: r for r in run_suite(fast_config(
+            c=0.0, checks=PASS_CHECKS)).checks}
+        for name in PASS_CHECKS[:3]:
+            assert recs[name].status == "ok"
+        for name in PASS_CHECKS[3:]:
+            assert recs[name].status == "skipped" and recs[name].passed
+            assert recs[name].note == ("c = 0: the metric cannot be rescaled "
+                                       "to the c = 1 normalization")
 
 
 class TestEmission:

@@ -303,9 +303,23 @@ class TestSystemResidual:
         ref = _einsum_system_residual(chart, f, P)
         assert np.max(np.abs(got - ref)) <= 1e-14
 
-    def test_reads_the_transport_matrices(self, monkeypatch):
-        # A wrong mu row of A, which transport would integrate, fails the
-        # check on the CLI default.
+    def test_reads_the_system_apply(self, monkeypatch):
+        # A wrong mu row of A y fails the check on the CLI default.
+        apply = tanno._system_apply
+
+        def negated_mu_row(*args):
+            da, df, dmu = apply(*args)
+            return da, df, -dmu
+
+        monkeypatch.setattr(tanno, "_system_apply", negated_mu_row)
+        config = SuiteConfig.from_dict(dict(DEFAULT_CONFIG,
+                                            checks=["sys.residual"]))
+        record = run_suite(config).checks[0]
+        assert record.status == "ok" and not record.passed
+
+    def test_transport_reads_the_transport_matrices(self, monkeypatch):
+        # The same wrong mu row in the dense A that transport integrates
+        # fails lem1.transport_match on the CLI default.
         build = tanno._transport_matrices
 
         def negated_mu_row(*args):
@@ -315,7 +329,7 @@ class TestSystemResidual:
 
         monkeypatch.setattr(tanno, "_transport_matrices", negated_mu_row)
         config = SuiteConfig.from_dict(dict(DEFAULT_CONFIG,
-                                            checks=["sys.residual"]))
+                                            checks=["lem1.transport_match"]))
         record = run_suite(config).checks[0]
         assert record.status == "ok" and not record.passed
 
@@ -493,6 +507,48 @@ class TestTransport:
             ref = np.concatenate([da.ravel(), df, [dmu]])
             assert np.max(np.abs(A[z] @ _state(b) - ref)) <= \
                 1e-14 * np.max(np.abs(ref))
+
+
+class TestSystemApply:
+    """_system_apply is A(xdot) y in block form; _transport_matrices writes
+    the dense A of the same system.  The two must agree."""
+
+    @staticmethod
+    def _tie(g0, Jm, G0, xdot, rng, columns=3):
+        Z, d = xdot.shape
+        a = rng.normal(size=(Z, d, d, columns))
+        f = rng.normal(size=(Z, d, columns))
+        mu = rng.normal(size=(Z, columns))
+        Y = np.concatenate([a.reshape(Z, d * d, columns), f, mu[:, None]],
+                           axis=1)
+        ref = _transport_matrices(g0, Jm, G0, xdot) @ Y
+        da, df, dmu = tanno._system_apply(g0, Jm, G0, xdot, a, f, mu)
+        assert (da.shape, df.shape, dmu.shape) == (a.shape, f.shape, mu.shape)
+        got = np.concatenate([da.reshape(Z, d * d, columns), df, dmu[:, None]],
+                             axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_matches_dense_matrices_random(self, d):
+        rng = np.random.default_rng(60 + d)
+        Z = 7
+        self._tie(rng.normal(size=(Z, d, d)), rng.normal(size=(d, d)),
+                  rng.normal(size=(Z, d, d, d)), rng.normal(size=(Z, d)), rng)
+
+    def test_matches_dense_matrices_flat11(self, flat11):
+        rng = np.random.default_rng(66)
+        P = np.array(points_on(flat11, 5, seed=67))
+        geo = flat11.at(P, 1)
+        self._tie(geo.g0, flat11.J, geo.gamma(0)[0],
+                  rng.normal(size=P.shape), rng)
+
+    def test_empty_batch(self):
+        d = 4
+        out = tanno._system_apply(np.empty((0, d, d)), np.eye(d),
+                                  np.empty((0, d, d, d)), np.empty((0, d)),
+                                  np.empty((0, d, d, 2)), np.empty((0, d, 2)),
+                                  np.empty((0, 2)))
+        assert [t.shape for t in out] == [(0, d, d, 2), (0, d, 2), (0, 2)]
 
 
 class TestLightlikeThirdDerivative:
