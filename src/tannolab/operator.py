@@ -466,8 +466,8 @@ def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
     reps = spec.real_values
     if len(reps) < 2:
         raise NoRealSplit(
-            f"only {len(reps)} real eigenvalue cluster(s); "
-            "constant solutions admit no non-trivial projector")
+            "a non-trivial projector needs at least two real eigenvalue "
+            f"clusters, found {len(reps)}")
     lam_max = max(reps)
     others = [r for r in reps if r != lam_max]
     denom = float(np.prod([lam_max - r for r in others]))

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import frob, scalar_covariant_jets
+from .calculus import frob
 from .charts import KahlerChart, checked_inverse
 from .errors import DegenerateBasis, NoExtremalPoint
 from .operator import EIGEN_TOL, _blocks, _operator, classify_mu
-from .tanno import TannoProblem
+from .tanno import TannoProblem, _mu_hessian
 
 #: |grad mu| below which a refined point counts as a critical point of mu.
 GRAD_THRESHOLD = 1e-6
@@ -216,9 +216,7 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     geo = chart.at(X, 1)
     fj = prob.f.jets(X, 2)
     mus, *_, ahats = _blocks(_operator(fj, geo))
-    # mu = -2f: scaling f's jets by a power of two is exact.
-    mu_jets = [-2.0 * t for t in fj]
-    mu_hess_all = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
+    mu_hess_all = _mu_hessian(fj, geo)
     # One finding per critical set: points with the same mu level and the
     # same Hessian inertia; the one with the smallest |grad mu| stands for it.
     sets = {}                       # (inertia, mu level) -> point index

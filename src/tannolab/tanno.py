@@ -113,15 +113,14 @@ def _a_jets(geo: ChartJets, fj, order: int):
 # Residual operators
 # ---------------------------------------------------------------------------
 
-def _third_jets(prob: TannoProblem, P: np.ndarray):
-    """(geo, f_{,i}, f_{,ijk}) over a batch: the chart through metric
-    order 2 and the field through order 3, each evaluated once."""
-    return _third_from(prob.chart.at(P, 2), prob.f.jets(P, 3))
+def _order3(chart: KahlerChart, f: ScalarField, P: np.ndarray):
+    """(geo, f jets) over a batch: the chart through metric order 2 and f
+    through order 3, each evaluated once."""
+    return chart.at(P, 2), f.jets(P, 3)
 
 
 def _third_from(geo: ChartJets, fj):
-    """:func:`_third_jets` from the chart through metric order 2 and f jets
-    through order 3, evaluated at the same points."""
+    """(geo, f_{,i}, f_{,ijk}) from :func:`_order3`."""
     _, f1, _, T3 = scalar_covariant_jets(fj, geo.gamma(1), 3)
     return geo, f1, T3
 
@@ -129,7 +128,7 @@ def _third_from(geo: ChartJets, fj):
 def _third_order_terms(prob: TannoProblem, geo: ChartJets, f1, T3,
                        jstruct: bool) -> np.ndarray:
     """Batched residual of the third-order equation from
-    :func:`_third_jets`: f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus
+    :func:`_third_from`: f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus
     c times the two complex-structure terms when jstruct is set."""
     g0 = geo.g0
     terms = (2.0 * np.einsum("zk,zij->zijk", f1, g0)
@@ -144,8 +143,8 @@ def _third_order_terms(prob: TannoProblem, geo: ChartJets, f1, T3,
 
 def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
     P, single = prob.chart.batch(p)
-    return unbatch(_third_order_terms(prob, *_third_jets(prob, P), jstruct),
-                   single)
+    third = _third_from(*_order3(prob.chart, prob.f, P))
+    return unbatch(_third_order_terms(prob, *third, jstruct), single)
 
 
 def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
@@ -159,7 +158,7 @@ def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
 
 
 def _laplace_rows(prob: TannoProblem, geo: ChartJets, f1, T3) -> np.ndarray:
-    """Per-point :func:`laplace_identity_residual` from :func:`_third_jets`."""
+    """Per-point :func:`laplace_identity_residual` from :func:`_third_from`."""
     dlap = np.einsum("zij,zijk->zk", geo.ginv(0)[0], T3)
     return frob_rows(dlap + 4.0 * prob.c * (prob.chart.n + 1) * f1)
 
@@ -167,25 +166,18 @@ def _laplace_rows(prob: TannoProblem, geo: ChartJets, f1, T3) -> np.ndarray:
 def laplace_identity_residual(prob: TannoProblem, p):
     """|(Delta f)_{,k} + 4c(n+1) f_{,k}|; the contracted equation."""
     P, single = prob.chart.batch(p)
-    res = _laplace_rows(prob, *_third_jets(prob, P))
+    res = _laplace_rows(prob, *_third_from(*_order3(prob.chart, prob.f, P)))
     return float(res[0]) if single else res
 
 
-def _system_jets(prob: TannoProblem, P: np.ndarray):
-    """(geo, f jets, a jets) over a batch: the chart through metric order 2
-    and the field through order 3, each evaluated once, and a_ij through
-    order 1 built from them."""
-    return _system_from(prob.chart.at(P, 2), prob.f.jets(P, 3))
-
-
 def _system_from(geo: ChartJets, fj):
-    """:func:`_system_jets` from the chart through metric order 2 and f jets
-    through order 3, evaluated at the same points."""
+    """(geo, f jets, a jets) from :func:`_order3`, with a_ij through order 1
+    built from them."""
     return geo, fj, _a_jets(geo, fj, 1)
 
 
 def _system_rows(geo: ChartJets, fj, aj):
-    """Per-point :func:`system_residual` from :func:`_system_jets`: d_k y
+    """Per-point :func:`system_residual` from :func:`_system_from`: d_k y
     less :func:`_system_apply` along e_k, for each direction k."""
     Z, d = fj[1].shape
     n2 = d * d
@@ -212,12 +204,12 @@ def system_residual(prob: TannoProblem, p):
     d_k y - A(e_k) y: three floats, or three per-point arrays for a batch.
     """
     P, single = prob.chart.batch(p)
-    r = _system_rows(*_system_jets(prob, P))
+    r = _system_rows(*_system_from(*_order3(prob.chart, prob.f, P)))
     return tuple(float(x[0]) for x in r) if single else r
 
 
 def _trace_rows(geo: ChartJets, fj, aj) -> np.ndarray:
-    """Per-point :func:`trace_identity_residual` from :func:`_system_jets`."""
+    """Per-point :func:`trace_identity_residual` from :func:`_system_from`."""
     tr = J.tconv(geo.ginv(1), aj, "ab,ab->", 1)
     return frob_rows(fj[1] - 0.25 * tr[1])
 
@@ -225,18 +217,22 @@ def _trace_rows(geo: ChartJets, fj, aj) -> np.ndarray:
 def trace_identity_residual(prob: TannoProblem, p):
     """|f_i - 1/4 (a^al_al)_{,i}| (the contracted first equation)."""
     P, single = prob.chart.batch(p)
-    res = _trace_rows(*_system_jets(prob, P))
+    res = _trace_rows(*_system_from(*_order3(prob.chart, prob.f, P)))
     return float(res[0]) if single else res
+
+
+def _mu_hessian(fj, geo: ChartJets) -> np.ndarray:
+    """Per-point mu_{,ij}, mu = -2f, from f jets through order 2 and the
+    chart through metric order 1 (scaling jets by -2 is exact)."""
+    return scalar_covariant_jets([-2.0 * t for t in fj], geo.gamma(0), 2)[2]
 
 
 def _mu_hessian_rows(fj, geo: ChartJets) -> np.ndarray:
     """Per-point :func:`mu_hessian_residual` from f jets through order 2 and
     the chart through metric order 1 at the same points."""
-    # mu = -2f: scaling f's jets by a power of two is exact.
-    mu_jets = [-2.0 * t for t in fj]
-    mu_hess = scalar_covariant_jets(mu_jets, geo.gamma(0), 2)[2]
     b = _bundle(fj, geo)
-    return frob_rows(mu_hess - 2.0 * b.a + 2.0 * b.mu[:, None, None] * geo.g0)
+    return frob_rows(_mu_hessian(fj, geo) - 2.0 * b.a
+                     + 2.0 * b.mu[:, None, None] * geo.g0)
 
 
 def mu_hessian_residual(prob: TannoProblem, p):
@@ -358,26 +354,23 @@ def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
     return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
 
 
+def _cubic_form(T, V) -> np.ndarray:
+    """T(v, v, v) per point of T (Z, d, d, d), for V (Z, d) or (Z, K, d)."""
+    return np.einsum("zabc,z...a,z...b,z...c->z...", T, V, V, V)
+
+
 def lightlike_third_derivative(chart: KahlerChart, f: ScalarField,
                                geo: GeodesicPath) -> float:
     """max |d^3/dt^3 f(gamma(t))| over the sample grid.
 
-    Computed from chain-rule jets: the curve's own Taylor coefficients come
-    from the geodesic equation, the field's from its order-3 jets, over
-    chunks of :data:`~tannolab.charts.POINT_CHUNK` samples.
+    Along a geodesic that is f_{,ijk} v^i v^j v^k with v = gamma', read from
+    :func:`_third_from` over chunks of :data:`~tannolab.charts.POINT_CHUNK`.
     """
     if geo.causal_type != "lightlike":
         raise NotLightlike(f"geodesic is {geo.causal_type}, not lightlike")
     _, X, V = geo.grid()
 
     def d3(X, V):
-        fj = f.jets(X, 3)
-        G0, dG = chart.christoffel_jets(X, 1)
-        acc = -np.einsum("zkij,zi,zj->zk", G0, V, V)
-        jerk = (-np.einsum("zkijl,zi,zj,zl->zk", dG, V, V, V)
-                - 2.0 * np.einsum("zkij,zi,zj->zk", G0, acc, V))
-        return (np.einsum("zabc,za,zb,zc->z", fj[3], V, V, V)
-                + 3.0 * np.einsum("zab,za,zb->z", fj[2], acc, V)
-                + (fj[1][:, None, :] @ jerk[:, :, None])[:, 0, 0])
+        return _cubic_form(_third_from(*_order3(chart, f, X))[2], V)
 
     return float(np.max(np.abs(chunked(d3, X, V))))

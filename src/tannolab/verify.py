@@ -26,22 +26,24 @@ from .charts import ChartJets, KahlerChart
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
 from .manifolds import (cpn_height_function, flat_kahler_chart,
-                        fubini_study_chart, integrate_geodesic,
-                        random_lightlike_directions, random_polynomial_field,
+                        fubini_study_chart, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
 from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
                        _minimal_polynomial, _operator,
                        _projector_with_operator, poly_star,
                        product_block_check, spectra, star_power)
-from .signature import is_constant, metric_signature, positivity_scan
-from .tanno import (SolutionBundle, TannoProblem, _bundle, _laplace_rows,
-                    _mu_hessian_rows, _system_from, _system_rows,
-                    _third_from, _third_order_terms, _trace_rows,
-                    bundle_from_f, f_from_mu, gallot_tanno_residual,
-                    lightlike_third_derivative, system_residual,
-                    transport_bundle)
+from .signature import is_constant, positivity_scan
+from .tanno import (SolutionBundle, TannoProblem, _bundle, _cubic_form,
+                    _laplace_rows, _mu_hessian_rows, _order3, _system_from,
+                    _system_rows, _third_from, _third_order_terms,
+                    _trace_rows, bundle_from_f, f_from_mu,
+                    gallot_tanno_residual, system_residual, transport_bundle)
 from . import fd
+
+
+#: Seeded null vectors of g per sample at which rem2.lightlike_f3 reads f_{,ijk}.
+NULL_VECTORS = 8
 
 
 class SkipCheck(Exception):
@@ -201,7 +203,7 @@ class CheckContext:
 
     Shared are the unit problem; g and Gamma of its chart and f's jets
     through order 2, from which the operator, its spectra and the bundle
-    come; and the per-point residuals of the five checks that read the
+    come; and the per-point residuals of the six checks that read the
     chart through metric order 2 and f through order 3, from one pass.
     Larger jets are not kept: they would stay alive across the checks that
     follow.
@@ -262,22 +264,25 @@ class CheckContext:
     @cached_property
     def sample_rows(self) -> dict[str, np.ndarray]:
         """Per-point residuals of kahler.residuals, eq1.residual,
-        rem1.laplace_identity, sys.residual (the worst of its three row
-        blocks) and sys.trace_identity, by check name, from one evaluation
-        of the chart through metric order 2 and f through order 3.
+        rem1.laplace_identity, rem2.lightlike_f3 (max |f_{,ijk} v^i v^j v^k|
+        over null vectors v; only where g is indefinite at every sample),
+        sys.residual (the worst of its three row blocks) and
+        sys.trace_identity, by check name, from one :func:`_order3` pass.
 
         The unit chart's metric jets are c times the chart's, term by term,
         which is what ``KahlerChart.rescaled`` evaluates.  At c = 0 there is
         no unit chart, and the two sys.* rows are left out.
         """
         prob = self.problem
-        geo = self.chart.at(self.P, 2)
-        fj = self.f.jets(self.P, 3)
+        geo, fj = _order3(self.chart, self.f, self.P)
         third = _third_from(geo, fj)
         rows = {"kahler.residuals": np.max(_kahler_rows(geo), axis=0),
                 "eq1.residual": frob_rows(_third_order_terms(
                     prob, *third, jstruct=True)),
                 "rem1.laplace_identity": _laplace_rows(prob, *third)}
+        null = _null_vectors(geo.g0, NULL_VECTORS, self.seed)
+        if null is not None:
+            rows["rem2.lightlike_f3"] = np.abs(_cubic_form(third[2], null)).max(1)
         if self.c == 0:
             return rows
         unit = ChartJets.from_metric(self.unit_problem.chart,
@@ -310,11 +315,21 @@ class CheckContext:
         return _projector_with_operator(self.unit_problem, self.P,
                                         self.spectra[0], self.unit_geometry)
 
-    def is_flat_mixed(self) -> tuple[int, int] | None:
-        pos, neg = metric_signature(self.chart, np.zeros(self.chart.dim))
-        if pos and neg and self.chart.name.startswith("flat"):
-            return pos // 2, neg // 2
+
+def _null_vectors(g0: np.ndarray, count: int, seed: int) -> np.ndarray | None:
+    """(Z, count, d) seeded null vectors v = u+ + u- of the metrics g0, with
+    g(u+-, u+-) = +-1 from g's eigenbasis, scaled to unit euclidean length;
+    None unless every metric is indefinite."""
+    lam = np.linalg.eigvalsh(g0)
+    if not (np.all(lam[:, 0] < 0) and np.all(lam[:, -1] > 0)):
         return None
+    lam, Q = np.linalg.eigh(g0)
+    w = np.random.default_rng(seed).normal(size=(len(g0), count, g0.shape[-1]))
+    pos = (lam > 0)[:, None, :]
+    y = sum(u / np.linalg.norm(u, axis=-1, keepdims=True)
+            for u in (w * pos, w * ~pos))
+    v = np.einsum("zij,zkj->zki", Q, y / np.sqrt(np.abs(lam))[:, None, :])
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 @dataclass
@@ -354,16 +369,9 @@ def check_laplace_identity(ctx: CheckContext) -> CheckOutcome:
     return _worst(ctx.sample_rows["rem1.laplace_identity"])
 
 def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
-    blocks = ctx.is_flat_mixed()
-    if blocks is None:
-        raise SkipCheck("needs a flat chart of mixed signature")
-    p_blk, q_blk = blocks
-    dirs = random_lightlike_directions(ctx.chart, 20, ctx.seed, p_blk, q_blk)
-    worst = 0.0
-    for v in dirs:
-        geo = integrate_geodesic(ctx.chart, np.zeros(ctx.chart.dim), v, 4.0, 16)
-        worst = max(worst, lightlike_third_derivative(ctx.chart, ctx.f, geo))
-    return CheckOutcome(worst, len(dirs))
+    if "rem2.lightlike_f3" not in ctx.sample_rows:
+        raise SkipCheck("needs a metric of mixed signature")
+    return _worst(ctx.sample_rows["rem2.lightlike_f3"])
 
 def check_system_residual(ctx: CheckContext) -> CheckOutcome:
     ctx.unit_problem                    # c = 0 skips
@@ -591,7 +599,7 @@ REGISTRY: dict[str, CheckSpec] = {
         "contracted identity (Delta f)_,k = -4c(n+1) f_,k"),
     "rem2.lightlike_f3": CheckSpec(
         check_lightlike_f3, 1e-9,
-        "f''' = 0 along lightlike geodesics for flat-chart solutions"),
+        "T3(v,v,v) = 0 at null vectors of g (f''' along lightlike geodesics)"),
     "sys.residual": CheckSpec(
         check_system_residual, 1e-7,
         "first-order system residuals for (a_ij, f_i, mu), c=1"),

@@ -7,14 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from tannolab import jets, operator, verify
+from tannolab import dop853, jets, operator, verify
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError
 from tannolab.charts import ChartJets, KahlerChart
-from tannolab.manifolds import sample_points
+from tannolab.manifolds import random_polynomial_field, sample_points
 from tannolab.operator import assemble_L, projector_from_solution, spectrum
-from tannolab.calculus import frob_rows, kahler_residuals
-from tannolab.tanno import (TannoProblem, laplace_identity_residual,
+from tannolab.calculus import frob_rows, kahler_residuals, nabla_scalar
+from tannolab.tanno import (TannoProblem, _cubic_form,
+                            laplace_identity_residual,
                             system_residual, tanno_residual,
                             trace_identity_residual)
 from tannolab.verify import (DEFAULT_CHECKS, REGISTRY, CheckContext,
@@ -196,6 +197,19 @@ class TestRunSuite:
         assert set(skipped) == lemmas | {"rem2.lightlike_f3"}
         assert all("non-constant solution" in skipped[name] for name in lemmas)
 
+    def test_projector_error_states_the_failed_condition(self):
+        # At c = -0.25 the unit metric is negative definite and L(f) of the
+        # non-constant height function has no real eigenvalue: the projector
+        # checks end in error, and the note names only that condition.
+        names = ["cor1.poly_star_closure", "lem5.projector",
+                 "lem6.eigenstructure", "thm3.positivity"]
+        report = run_suite(fast_config(c=-0.25, checks=names))
+        for rec in report.checks:
+            assert rec.status == "error"
+            assert rec.note == ("NoRealSplit: a non-trivial projector needs "
+                                "at least two real eigenvalue clusters, "
+                                "found 0")
+
     def test_error_captured_not_raised(self):
         cfg = fast_config(c=0.3, checks=["lem5.projector"])
         report = run_suite(cfg)
@@ -275,17 +289,16 @@ class TestRunSuite:
 
     def test_suite_evaluates_sample_quantities_once(self, monkeypatch):
         # CP(3) at 200 samples with every check that runs no ODE (the
-        # benchmark's cp3_points config).  The checks share the context's
-        # jets and residual rows, and the spectra are one eigenvalue call
-        # per stack: 7 jet evaluations at the samples (23 when each check
-        # evaluated its own, 12 with a pass per pair of checks) and 3
-        # eigvals calls (640 at one per matrix).
+        # benchmark's cp3_points config, and rem2).  The checks share the
+        # context's jets and residual rows, and the spectra are one
+        # eigenvalue call per stack: 7 jet evaluations at the samples (23
+        # when each check evaluated its own, 12 with a pass per pair of
+        # checks) and 3 eigvals calls (640 at one per matrix).
         config = SuiteConfig.from_dict({
             "chart": {"name": "fubini_study", "n": 3},
             "solution": "height:0", "c": 0.25, "seed": 7, "samples": 200,
             "checks": [name for name in DEFAULT_CHECKS
-                       if not name.startswith("lem1.")
-                       and name != "rem2.lightlike_f3"]})
+                       if not name.startswith("lem1.")]})
         evaluations, eig_calls = [], []
         evaluate, eigvals = jets.eval_scalar_expr, np.linalg.eigvals
 
@@ -457,8 +470,9 @@ PASS_CHARTS = [
 
 
 class TestSamplePass:
-    """CheckContext.sample_rows: the rows of five checks from one
-    evaluation of the chart and f at the samples."""
+    """CheckContext.sample_rows: the rows of six checks from one
+    evaluation of the chart and f at the samples; rem2's on indefinite
+    charts only."""
 
     @staticmethod
     def _context(chart, solution, c, samples=9):
@@ -480,8 +494,14 @@ class TestSamplePass:
             "sys.residual": np.max(system_residual(unit, ctx.P), axis=0),
             "sys.trace_identity": trace_identity_residual(unit, ctx.P),
         }
-        assert sorted(rows) == sorted(PASS_CHECKS)
-        for name in PASS_CHECKS:
+        if chart["name"] == "flat":
+            null = verify._null_vectors(ctx.chart.at(ctx.P, 0).g0,
+                                        verify.NULL_VECTORS, ctx.seed)
+            T3 = nabla_scalar(ctx.chart, ctx.f, ctx.P, 3).components
+            expected["rem2.lightlike_f3"] = np.max(
+                np.abs(_cubic_form(T3, null)), axis=1)
+        assert sorted(rows) == sorted(expected)
+        for name in expected:
             assert np.array_equal(rows[name], expected[name]), name
 
     @pytest.mark.parametrize("c", [0.25, 0.3, -0.25])
@@ -524,6 +544,79 @@ class TestSamplePass:
             assert recs[name].status == "skipped" and recs[name].passed
             assert recs[name].note == ("c = 0: the metric cannot be rescaled "
                                        "to the c = 1 normalization")
+
+
+class TestLightlikeRow:
+    """rem2.lightlike_f3: max |f_{,ijk} v^i v^j v^k| over null vectors v
+    of g at each sample, a row of the sample pass."""
+
+    @staticmethod
+    def _outcome(chart, f, c=0.25, samples=25, seed=7, radius=0.6):
+        P = np.array(sample_points(chart, samples, seed, radius))
+        return verify.check_lightlike_f3(CheckContext(chart, f, c, P, seed))
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_cubic_fails_on_flat11(self, flat11, seed):
+        tol = REGISTRY["rem2.lightlike_f3"].tolerance
+        out = self._outcome(flat11, random_polynomial_field(4, seed),
+                            seed=seed, radius=5.0)
+        assert out.max_residual > 1e3 * tol
+        assert out.points == 25
+
+    def test_cp11_heights_pass_and_cubic_fails(self, cp11, cp11_heights):
+        for f in cp11_heights:
+            assert self._outcome(cp11, f).max_residual <= 1e-12
+        cubic = random_polynomial_field(4, seed=7)
+        assert self._outcome(cp11, cubic).max_residual > 1.0
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_quadratic_reads_zero_on_flat(self, p, q, c):
+        rec = run_suite(fast_config(
+            chart={"name": "flat", "p": p, "q": q}, solution="quadratic:3",
+            c=c, checks=["rem2.lightlike_f3"])).checks[0]
+        assert rec.status == "ok" and rec.passed
+        assert rec.max_residual == 0.0
+        assert rec.points == 6
+
+    @pytest.mark.parametrize("chart, solution", [
+        ({"name": "fubini_study", "n": 1}, "height:0"),
+        ({"name": "fubini_study", "n": 3}, "height:0"),
+        ({"name": "flat", "p": 2, "q": 0}, "quadratic:3"),
+        ({"name": "flat", "p": 0, "q": 1}, "quadratic:3"),
+    ])
+    def test_definite_charts_skip(self, chart, solution):
+        rec = run_suite(fast_config(chart=chart, solution=solution,
+                                    checks=["rem2.lightlike_f3"])).checks[0]
+        assert rec.status == "skipped" and rec.passed
+        assert rec.note == "needs a metric of mixed signature"
+
+    def test_no_ode_on_check_path(self, monkeypatch):
+        def no_ode(*args, **kwargs):
+            raise AssertionError("an ODE ran on the check path")
+
+        monkeypatch.setattr(dop853, "integrate", no_ode)
+        report = run_suite(SuiteConfig.from_dict({
+            "chart": {"name": "flat", "p": 1, "q": 1},
+            "solution": "quadratic:3", "c": 0.0}))
+        assert report.passed
+        rec = next(r for r in report.checks if r.name == "rem2.lightlike_f3")
+        assert rec.status == "ok"
+
+    def test_null_vectors(self, cp11, fs2):
+        P = np.array(sample_points(cp11, 9, 3, 0.8))
+        g0 = cp11.at(P, 0).g0
+        V = verify._null_vectors(g0, 8, 3)
+        assert V.shape == (9, 8, 4)
+        assert np.allclose(np.linalg.norm(V, axis=-1), 1.0, rtol=0, atol=1e-15)
+        gvv = np.einsum("zki,zij,zkj->zk", V, g0, V)
+        assert np.max(np.abs(gvv)) < 1e-14 * np.max(np.abs(g0))
+        assert np.array_equal(V, verify._null_vectors(g0, 8, 3))
+        assert not np.array_equal(V, verify._null_vectors(g0, 8, 4))
+        definite = fs2.at(np.array(sample_points(fs2, 3, 3)), 0).g0
+        assert verify._null_vectors(definite, 8, 3) is None
+        mixed = np.concatenate([g0[:2], np.eye(4)[None]])
+        assert verify._null_vectors(mixed, 8, 3) is None
 
 
 class TestEmission:

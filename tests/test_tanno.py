@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import points_on
-from tannolab.calculus import frob
+from tannolab.calculus import frob, nabla_scalar
 from tannolab.charts import KahlerChart
-from tannolab import charts, tanno
+from tannolab import charts, tanno, verify
 from tannolab.cli import DEFAULT_CONFIG
 from tannolab.errors import NotLightlike, OutOfDomain
 from tannolab.fields import ConstField, ExprField
@@ -14,6 +14,7 @@ from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart,
                                 integrate_geodesic,
                                 random_lightlike_directions,
+                                random_polynomial_field,
                                 random_quadratic_field,
                                 sphere_second_eigenfunction)
 from tannolab.tanno import (MAX_STEP, SolutionBundle, TannoProblem,
@@ -551,6 +552,22 @@ class TestSystemApply:
         assert [t.shape for t in out] == [(0, d, d, 2), (0, d, 2), (0, 2)]
 
 
+def _chain_rule_d3(chart, f, geo):
+    """Reference max |d^3/dt^3 f(gamma(t))| over a geodesic's grid by the
+    chain rule: the curve's acceleration and jerk from the geodesic
+    equation, Gamma and its first derivatives, with f's coordinate jets."""
+    _, X, V = geo.grid()
+    fj = f.jets(X, 3)
+    G0, dG = chart.christoffel_jets(X, 1)
+    acc = -np.einsum("zkij,zi,zj->zk", G0, V, V)
+    jerk = (-np.einsum("zkijl,zi,zj,zl->zk", dG, V, V, V)
+            - 2.0 * np.einsum("zkij,zi,zj->zk", G0, acc, V))
+    d3 = (np.einsum("zabc,za,zb,zc->z", fj[3], V, V, V)
+          + 3.0 * np.einsum("zab,za,zb->z", fj[2], acc, V)
+          + (fj[1][:, None, :] @ jerk[:, :, None])[:, 0, 0])
+    return float(np.max(np.abs(d3)))
+
+
 class TestLightlikeThirdDerivative:
     def _lightlike_geo(self, chart, v, T=3.0):
         return integrate_geodesic(chart, np.zeros(chart.dim), v, T, steps=16)
@@ -580,17 +597,55 @@ class TestLightlikeThirdDerivative:
         with pytest.raises(NotLightlike):
             lightlike_third_derivative(flat11, f, geo)
 
-    def test_tanno_solution_constant_along_null_geodesics(self, fs1_unit,
-                                                          height1):
-        # The restriction argument: a c=1 solution has vanishing third
-        # t-derivative along lightlike curves.  Positive-definite charts
-        # admit none, so verify the identity algebraically instead:
-        # contracting the residual with a null vector three times is zero
-        # because g(v,v) = 0 kills every term.
-        prob = TannoProblem(fs1_unit, height1, 1.0)
-        p = points_on(fs1_unit, 1, seed=24)[0]
-        res = tanno_residual(prob, p)
-        assert frob(res) < 1e-8  # solution: every contraction vanishes too
+    def test_matches_chain_rule_on_cp11(self, cp11, cp11_heights):
+        # Curved and indefinite.  Null geodesics through the origin are
+        # straight chart lines, so these start off-centre, where the chain
+        # rule's acceleration and jerk terms contribute.
+        cubic = random_polynomial_field(4, seed=24)
+        x0 = np.array([0.3, -0.2, 0.1, 0.25])
+        for v in verify._null_vectors(cp11.at(x0[None], 0).g0, 3, 25)[0]:
+            geo = integrate_geodesic(cp11, x0, v, 0.4, steps=16)
+            assert geo.converged and geo.causal_type == "lightlike"
+            for f in cp11_heights + [cubic]:
+                ref = _chain_rule_d3(cp11, f, geo)
+                out = lightlike_third_derivative(cp11, f, geo)
+                assert abs(out - ref) <= 1e-13 * max(1.0, ref)
+            # f's coordinate third jets alone miss those terms.
+            _, X, V = geo.grid()
+            coordinate = np.max(np.abs(tanno._cubic_form(cubic.jets(X, 3)[3], V)))
+            assert abs(coordinate - ref) > 0.05 * ref
+
+    def test_bit_identical_to_chain_rule_on_flat11(self, flat11):
+        # Gamma = 0 on a flat chart: f_{,ijk} is f's third jet exactly.
+        fields = [random_quadratic_field(4, seed=26),
+                  ExprField(4, lambda x: x[0] ** 3),
+                  random_polynomial_field(4, seed=27)]
+        for v in random_lightlike_directions(flat11, 5, 28, 1, 1):
+            geo = self._lightlike_geo(flat11, v, T=4.0)
+            for f in fields:
+                assert (lightlike_third_derivative(flat11, f, geo)
+                        == _chain_rule_d3(flat11, f, geo))
+
+    def test_tanno_solution_constant_along_null_geodesics(self, cp11,
+                                                          cp11_heights):
+        # The restriction argument: along a geodesic d^3/dt^3 f =
+        # f_{,ijk} v^i v^j v^k, and contracting eq1 with a null vector v
+        # three times leaves exactly that term, since g(v,v) = 0 kills the
+        # g terms and J_jk v^j v^k = 0 the J terms.  So a solution has
+        # T3(v,v,v) = 0 at every null v, and a generic field does not.
+        P = np.array(points_on(cp11, 9, seed=29, radius=0.6))
+        g0 = cp11.at(P, 0).g0
+        V = verify._null_vectors(g0, 8, 30)
+        assert np.max(np.abs(np.einsum("zki,zij,zkj->zk", V, g0, V))) < 1e-13
+        cubic = random_polynomial_field(4, seed=31)
+        for f in cp11_heights + [cubic]:
+            prob = TannoProblem(cp11, f, 0.25)
+            T3 = nabla_scalar(cp11, f, P, 3).components
+            along = tanno._cubic_form(T3, V)
+            residual = tanno._cubic_form(tanno_residual(prob, P), V)
+            worst = float(np.max(np.abs(along)))
+            assert np.max(np.abs(along - residual)) < 1e-12 * max(1.0, worst)
+            assert worst > 1.0 if f is cubic else worst < 1e-12
 
 
 def test_problem_rescaling_shares_connection(fs1, height1):
