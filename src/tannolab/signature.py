@@ -45,12 +45,16 @@ def metric_signature(chart: KahlerChart, p):
     Returns one pair for a single point, a list of pairs for a batch.
     """
     P, single = chart.batch(p)
-    g0 = chart.metric_jets(P, 0)[0]
+    pairs = _metric_inertias(chart, chart.metric_jets(P, 0)[0])
+    return pairs[0] if single else pairs
+
+
+def _metric_inertias(chart: KahlerChart, g0) -> list[tuple[int, int]]:
+    """(n_pos, n_neg) of each of the chart's metrics g0 (N, d, d)."""
     checked_inverse(g0, f"on {chart.name}")
     ev = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, 1, 2)))
-    pairs = [(int(n_pos), int(n_neg))
-             for n_pos, n_neg in zip(np.sum(ev > 0, axis=1), np.sum(ev < 0, axis=1))]
-    return pairs[0] if single else pairs
+    return [(int(n_pos), int(n_neg))
+            for n_pos, n_neg in zip(np.sum(ev > 0, axis=1), np.sum(ev < 0, axis=1))]
 
 
 def restrict_form(form, basis) -> np.ndarray:
@@ -178,12 +182,17 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     P, _ = chart.batch(samples)
     if not len(P):
         raise ValueError("need at least one sample point")
-    pts = list(P)
-    inertias = metric_signature(chart, P)
-    per_point = list(zip(pts, inertias))
+    return _positivity_scan(prob, P, chart.metric_jets(P, 0)[0],
+                            *prob.f.jets(P, 1))
+
+
+def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
+    """:func:`positivity_scan` at P from g0, f's values and f's gradients."""
+    chart = prob.chart
+    inertias = _metric_inertias(chart, g0)
+    per_point = list(zip(P, inertias))
     n_pos, n_neg, verdict = _verdict_from_inertias(inertias, chart.dim)
 
-    values, gradients = prob.f.jets(P, 1)
     grads = [float(np.linalg.norm(g)) for g in gradients]
     spread = float(values.max() - values.min())
     if is_constant(spread, grads):
@@ -201,7 +210,7 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     order = np.argsort([g for g in grads])
     for idx in order[:4]:
         for t in (1.0, 0.5, 0.25, 0.0):
-            x0 = t * pts[idx]
+            x0 = t * P[idx]
             # Each start is refined once; every t = 0 start is the center.
             if not any(np.array_equal(x0, s) for s in starts):
                 starts.append(x0)

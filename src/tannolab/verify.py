@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .calculus import _kahler_rows, christoffel, frob, frob_rows, nabla_scalar
+from .calculus import _kahler_rows, christoffel, frob, frob_rows
 from .charts import ChartJets, KahlerChart
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
@@ -33,12 +33,12 @@ from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
                        _minimal_polynomial, _operator,
                        _projector_with_operator, poly_star,
                        product_block_check, spectra, star_power)
-from .signature import is_constant, positivity_scan
+from .signature import _positivity_scan, is_constant
 from .tanno import (SolutionBundle, TannoProblem, _bundle, _cubic_form,
                     _laplace_rows, _mu_hessian_rows, _order3, _system_from,
                     _system_rows, _third_from, _third_order_terms,
-                    _trace_rows, bundle_from_f, f_from_mu,
-                    gallot_tanno_residual, system_residual, transport_bundle)
+                    _trace_rows, f_from_mu, gallot_tanno_residual,
+                    transport_bundle)
 from . import fd
 
 
@@ -201,12 +201,11 @@ class CheckContext:
     evaluated once, on first use (an error is not cached: every check that
     needs the object records it).
 
-    Shared are the unit problem; g and Gamma of its chart and f's jets
-    through order 2, from which the operator, its spectra and the bundle
-    come; and the per-point residuals of the six checks that read the
-    chart through metric order 2 and f through order 3, from one pass.
-    Larger jets are not kept: they would stay alive across the checks that
-    follow.
+    The samples are evaluated in one pass: the chart through metric order 2
+    and f through order 3.  From it come the per-point residuals of six
+    checks, f's jets through order 2, and the unit problem's g and Gamma;
+    from those the operator, its spectra and the bundle.  Larger jets are
+    not kept: they would stay alive across the checks that follow.
     """
 
     chart: KahlerChart
@@ -239,16 +238,16 @@ class CheckContext:
                             "c = 1 normalization")
         return self.problem.rescaled()
 
-    @cached_property
+    @property
     def unit_geometry(self) -> ChartJets:
-        """The unit problem's g and Gamma at the samples, from one
-        evaluation through metric order 1."""
-        return self.unit_problem.chart.at(self.P, 1).pointwise()
+        """The unit problem's g and Gamma at the samples, from the pass."""
+        self.unit_problem                   # c = 0 skips
+        return self._sample_pass[2]
 
-    @cached_property
+    @property
     def f_jets(self) -> list[np.ndarray]:
-        """f's jets through order 2 at the samples."""
-        return self.f.jets(self.P, 2)
+        """f's jets through order 2 at the samples, from the pass."""
+        return self._sample_pass[1]
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -262,16 +261,26 @@ class CheckContext:
         return spectra(self.operator)
 
     @cached_property
+    def bundle(self) -> SolutionBundle:
+        """The unit problem's (a_ij, f_i, mu) at the samples."""
+        return _bundle(self.f_jets, self.unit_geometry)
+
+    @property
     def sample_rows(self) -> dict[str, np.ndarray]:
         """Per-point residuals of kahler.residuals, eq1.residual,
         rem1.laplace_identity, rem2.lightlike_f3 (max |f_{,ijk} v^i v^j v^k|
         over null vectors v; only where g is indefinite at every sample),
         sys.residual (the worst of its three row blocks) and
-        sys.trace_identity, by check name, from one :func:`_order3` pass.
+        sys.trace_identity, by check name, from the pass."""
+        return self._sample_pass[0]
+
+    @cached_property
+    def _sample_pass(self):
+        """(sample_rows, f_jets, unit_geometry) from one :func:`_order3` pass.
 
         The unit chart's metric jets are c times the chart's, term by term,
         which is what ``KahlerChart.rescaled`` evaluates.  At c = 0 there is
-        no unit chart, and the two sys.* rows are left out.
+        no unit chart: the two sys.* rows are left out, the geometry is None.
         """
         prob = self.problem
         geo, fj = _order3(self.chart, self.f, self.P)
@@ -284,7 +293,7 @@ class CheckContext:
         if null is not None:
             rows["rem2.lightlike_f3"] = np.abs(_cubic_form(third[2], null)).max(1)
         if self.c == 0:
-            return rows
+            return rows, fj[:3], None
         unit = ChartJets.from_metric(self.unit_problem.chart,
                                      [self.c * t for t in geo.g])
         # Let the chart's g^-1 and Gamma go before the unit chart's are
@@ -295,7 +304,7 @@ class CheckContext:
         jets = _system_from(unit, fj)
         rows["sys.residual"] = np.max(_system_rows(*jets), axis=0)
         rows["sys.trace_identity"] = _trace_rows(*jets)
-        return rows
+        return rows, fj[:3], unit.pointwise()
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
@@ -382,8 +391,7 @@ def check_trace_identity(ctx: CheckContext) -> CheckOutcome:
     return _worst(ctx.sample_rows["sys.trace_identity"])
 
 def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
-    b = _bundle(ctx.f_jets, ctx.unit_geometry)
-    return _worst(np.abs(f_from_mu(b.mu) - ctx.f_jets[0]))
+    return _worst(np.abs(f_from_mu(ctx.bundle.mu) - ctx.f_jets[0]))
 
 def _random_polyline(chart, rng):
     r = 0.6 * chart.domain_radius
@@ -411,22 +419,19 @@ def check_transport_zero(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, 10)
 
 def check_transport_match(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    chart = prob.chart
+    chart = ctx.unit_problem.chart
     worst = 0.0
     trials = min(6, len(ctx.P) - 1)
     if trials == 0:
         raise SkipCheck("needs at least two sample points")
-    direct = bundle_from_f(prob, ctx.P[:trials + 1])
     for k in range(trials):
-        out = transport_bundle(chart, ctx.P[k:k + 2], _bundle_at(direct, k))
-        ref = _bundle_at(direct, k + 1)
+        out = transport_bundle(chart, ctx.P[k:k + 2], _bundle_at(ctx.bundle, k))
+        ref = _bundle_at(ctx.bundle, k + 1)
         worst = max(worst, _bundle_distance(out, ref) / max(1.0, ref.norm()))
     return CheckOutcome(worst, trials)
 
 def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    chart = prob.chart
+    chart = ctx.unit_problem.chart
     start = ctx.P[0]
     # The circle through P[0] bends toward the origin, in the plane of
     # u = P[0]/|P[0]| and the coordinate axis most nearly orthogonal to u.
@@ -440,7 +445,7 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     w /= np.linalg.norm(w)
     loop = [start + r * (np.cos(t) - 1.0) * u + r * np.sin(t) * w
             for t in np.linspace(0.0, 2 * np.pi, 41)]
-    init = bundle_from_f(prob, loop[0])
+    init = _bundle_at(ctx.bundle, 0)       # at loop[0] = P[0]
     out = transport_bundle(chart, loop, init)
     defect = _bundle_distance(out, init)
     return CheckOutcome(defect / max(1.0, init.norm()), len(loop))
@@ -481,10 +486,11 @@ def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     P_proj = ctx.projector[0]
     polys = [P_proj, PolynomialReal((0.0, 0.0, 1.0)), PolynomialReal((1.0,))]
     pts = ctx.P[:8]
+    geo = chart.at(pts, 2)
     worst = 0.0
     for P in polys:
-        probP = TannoProblem(chart, poly_star(chart, prob.f, P), 1.0)
-        worst = max(worst, float(np.max(system_residual(probP, pts))))
+        fj = poly_star(chart, prob.f, P).jets(pts, 3)
+        worst = max(worst, float(np.max(_system_rows(*_system_from(geo, fj)))))
     return CheckOutcome(worst, len(pts))
 
 def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
@@ -536,10 +542,11 @@ def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
     return _worst(_mu_hessian_rows(ctx.f_jets, ctx.unit_geometry))
 
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
-    prob = ctx.unit_problem
-    _, f_proj, _ = ctx.projector
-    probP = TannoProblem(prob.chart, f_proj, 1.0)
-    report = positivity_scan(probP, ctx.P)
+    _, f_proj, Ls = ctx.projector
+    probP = TannoProblem(ctx.unit_problem.chart, f_proj, 1.0)
+    # P*(f) = -mu/2 and its gradient, read off the verified L(P*(f)).
+    report = _positivity_scan(probP, ctx.P, ctx.unit_geometry.g0,
+                              -0.5 * Ls[:, 0, 0], Ls[:, 0, 2:])
     ok = report.verdict == "positive"
     for fnd in report.extremal_findings:
         ok = ok and fnd.kind != "interior"
@@ -560,12 +567,11 @@ def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:
     pts = ctx.P[:3]
     # Exact derivatives for all points in one batch; each oracle call
     # evaluates its whole stencil around one point in one batch.
-    exact1 = nabla_scalar(chart, f, pts, 1).components
     fj = f.jets(pts, 3)
     exactG = christoffel(chart, pts).components
     worst = 0.0
     for k, q in enumerate(pts):
-        worst = max(worst, _rel_err(exact1[k], fd.fd_gradient(f, q)))
+        worst = max(worst, _rel_err(fj[1][k], fd.fd_gradient(f, q)))
         worst = max(worst, _rel_err(fj[2][k], fd.fd_hessian(f, q)))
         worst = max(worst, _rel_err(fj[3][k], fd.fd_third(f, q)))
         worst = max(worst, _rel_err(exactG[k], fd.christoffel_fd(chart, q)))

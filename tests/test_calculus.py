@@ -54,12 +54,15 @@ class TestChristoffel:
 
     def test_pointwise_keeps_g_and_gamma_bits(self, fs2):
         P = np.array(points_on(fs2, 4))
-        full, reduced = fs2.at(P, 1), fs2.at(P, 1).pointwise()
+        full, reduced = fs2.at(P, 2), fs2.at(P, 2).pointwise()
         assert len(reduced.g) == 1 and np.array_equal(reduced.g0, full.g0)
-        assert np.array_equal(reduced.gamma(0)[0], full.gamma(0)[0])
+        assert len(reduced.gamma()) == 1
+        assert np.array_equal(reduced.gamma(0)[0], full.gamma(1)[0])
         assert np.array_equal(reduced.ginv(0)[0], full.ginv(0)[0])
         with pytest.raises(ValueError, match="held through 0"):
             reduced.ginv(1)
+        with pytest.raises(ValueError, match="Gamma through order 1"):
+            reduced.gamma(1)
 
     def test_out_of_domain(self, fs1):
         with pytest.raises(OutOfDomain):

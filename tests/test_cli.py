@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from tannolab import dop853, jets, operator, verify
+from tannolab import dop853, jets, operator, signature, tanno, verify
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError
 from tannolab.charts import ChartJets, KahlerChart
@@ -251,16 +251,16 @@ class TestRunSuite:
     def test_interior_critical_point_fails_positivity(self, monkeypatch):
         # A critical point of mu whose mu is neither 1 nor 0 contradicts
         # mu^2 = mu there; it gets no eigenspace restriction and fails.
-        scan = verify.positivity_scan
+        scan = verify._positivity_scan
 
-        def interior(prob, samples):
-            report = scan(prob, samples)
+        def interior(*args):
+            report = scan(*args)
             for fnd in report.extremal_findings:
                 fnd.kind = "interior"
                 fnd.g_restricted_inertia = fnd.identity_residual = None
             return report
 
-        monkeypatch.setattr(verify, "positivity_scan", interior)
+        monkeypatch.setattr(verify, "_positivity_scan", interior)
         report = run_suite(fast_config(checks=["thm3.positivity"]))
         rec = report.checks[0]
         assert rec.status == "ok"
@@ -287,24 +287,20 @@ class TestRunSuite:
         assert report.passed
         assert calls == [(DEFAULT_CONFIG["samples"], 2)]
 
-    def test_suite_evaluates_sample_quantities_once(self, monkeypatch):
-        # CP(3) at 200 samples with every check that runs no ODE (the
-        # benchmark's cp3_points config, and rem2).  The checks share the
-        # context's jets and residual rows, and the spectra are one
-        # eigenvalue call per stack: 7 jet evaluations at the samples (23
-        # when each check evaluated its own, 12 with a pass per pair of
-        # checks) and 3 eigvals calls (640 at one per matrix).
-        config = SuiteConfig.from_dict({
-            "chart": {"name": "fubini_study", "n": 3},
-            "solution": "height:0", "c": 0.25, "seed": 7, "samples": 200,
-            "checks": [name for name in DEFAULT_CHECKS
-                       if not name.startswith("lem1.")]})
-        evaluations, eig_calls = [], []
+    @staticmethod
+    def _sample_evaluations(monkeypatch, data):
+        """(report, orders, eig_calls): the suite's report, the order of each
+        jet evaluation at its sample batch, and the shape of each eigvals
+        call."""
+        config = SuiteConfig.from_dict(data)
+        chart = build_chart(config.chart)
+        pts = np.array(sample_points(chart, config.samples, config.seed))
+        orders, eig_calls = [], []
         evaluate, eigvals = jets.eval_scalar_expr, np.linalg.eigvals
 
         def spy_evaluate(fn, p, order):
-            if np.shape(p) == (config.samples, 6):
-                evaluations.append(order)
+            if np.shape(p) == pts.shape and np.array_equal(p, pts):
+                orders.append(order)
             return evaluate(fn, p, order)
 
         def spy_eigvals(a):
@@ -314,9 +310,47 @@ class TestRunSuite:
         monkeypatch.setattr(jets, "eval_scalar_expr", spy_evaluate)
         monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
         report = run_suite(config)
+        monkeypatch.undo()
+        return report, orders, eig_calls
+
+    def test_suite_evaluates_sample_quantities_once(self, monkeypatch):
+        # CP(3) at 200 samples with every check that runs no ODE (the
+        # benchmark's cp3_points config, and rem2).  The checks read the
+        # context's one pass over the samples, and the spectra are one
+        # eigenvalue call per stack: 3 jet evaluations at the samples, the
+        # chart through metric order 2, f through order 3 and P*(f) through
+        # order 2 (23 when each check evaluated its own, 7 before the pass
+        # also yielded f's jets and the unit geometry), and 3 eigvals calls
+        # (640 at one per matrix).
+        report, orders, eig_calls = self._sample_evaluations(monkeypatch, {
+            "chart": {"name": "fubini_study", "n": 3}, "solution": "height:0",
+            "c": 0.25, "seed": 7, "samples": 200,
+            "checks": [name for name in DEFAULT_CHECKS
+                       if not name.startswith("lem1.")]})
         assert report.passed
-        assert len(evaluations) <= 7
+        assert len(orders) <= 3, orders
         assert len(eig_calls) <= 3
+
+    def test_default_suite_evaluates_sample_quantities_once(self, monkeypatch):
+        # The CLI default, transport checks included: the same 3 evaluations.
+        report, orders, _ = self._sample_evaluations(monkeypatch,
+                                                     DEFAULT_CONFIG)
+        assert report.passed
+        assert len(orders) <= 3, orders
+
+    def test_suite_calls_no_public_evaluator(self, monkeypatch):
+        # The bundle and the metric's inertia come from the sample pass, and
+        # cor1 applies the system's jet-taking core to jets it evaluated:
+        # no check calls the public functions that evaluate for themselves.
+        def fail(*args):
+            raise AssertionError("evaluated outside the sample pass")
+
+        for module, name in ((tanno, "bundle_from_f"),
+                             (tanno, "system_residual"),
+                             (signature, "metric_signature")):
+            monkeypatch.setattr(module, name, fail)
+            monkeypatch.setattr(verify, name, fail, raising=False)
+        assert run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG)).passed
 
     def test_poly_star_closure_reads_suite_projector(self, monkeypatch):
         # cor1 takes its polynomial from ctx.projector; no check assembles
@@ -533,9 +567,33 @@ class TestSamplePass:
             assert REGISTRY[name].func(ctx).max_residual < 1e-6
         assert evaluated == [2]
 
+    def test_pass_yields_jets_geometry_and_bundle(self, monkeypatch):
+        # f's jets, the unit geometry and the bundle come from the pass and
+        # evaluate nothing; the geometry is held at the points only.
+        ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)
+        ctx.sample_rows
+
+        def fail(*args):
+            raise AssertionError("evaluated at the samples again")
+
+        monkeypatch.setattr(KahlerChart, "metric_jets", fail)
+        monkeypatch.setattr(jets, "eval_scalar_expr", fail)
+        geo, fj, b = ctx.unit_geometry, ctx.f_jets, ctx.bundle
+        monkeypatch.undo()
+        assert len(geo.g) == 1 and len(geo.gamma()) == 1
+        ref = ctx.unit_problem.chart.at(ctx.P, 1)
+        assert np.array_equal(geo.g0, ref.g0)
+        assert np.array_equal(geo.gamma()[0], ref.gamma(0)[0])
+        assert len(fj) == 3 and all(
+            np.array_equal(a, r) for a, r in zip(fj, ctx.f.jets(ctx.P, 2)))
+        assert np.array_equal(b.mu, -2.0 * fj[0])
+
     def test_zero_c_keeps_the_chart_rows(self):
         ctx = self._context({"name": "fubini_study", "n": 1}, "height:0", 0.0)
         assert sorted(ctx.sample_rows) == sorted(PASS_CHECKS[:3])
+        assert len(ctx.f_jets) == 3
+        with pytest.raises(verify.SkipCheck, match="c = 0"):
+            ctx.unit_geometry
         recs = {r.name: r for r in run_suite(fast_config(
             c=0.0, checks=PASS_CHECKS)).checks}
         for name in PASS_CHECKS[:3]:

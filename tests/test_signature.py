@@ -1,5 +1,7 @@
 """Inertia computation, form restriction and the positivity scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import points_on
 from tannolab.errors import DegenerateBasis, NoExtremalPoint
 from tannolab.fields import ConstField
 from tannolab.manifolds import cpn_height_function
-from tannolab import signature
+from tannolab import signature, verify
 from tannolab.operator import (assemble_L, classify_mu,
                                projector_from_solution)
 from tannolab.signature import (metric_signature, positivity_scan,
@@ -236,3 +238,50 @@ def test_suite_finds_one_extremum_per_critical_set(chart, solution, kind,
     assert (f"newton_iterations={report.newton_iterations}; "
             f"starts_converged={report.starts_converged}/13; "
             "critical_sets=1") in rec.note
+
+
+def _same(a, b) -> bool:
+    """Equal in every field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("chart, solution", [
+    ({"name": "fubini_study", "n": 1}, "height:0"),
+    ({"name": "fubini_study", "n": 2}, "height:1"),
+    ({"name": "fubini_study", "n": 3}, "height:0")],
+    ids=["cli_default", "cp2_height1", "cp3_height0"])
+def test_suite_scan_equals_the_public_scan(monkeypatch, chart, solution):
+    # thm3 reads g, P*(f) and its gradient off the suite's pass and L(P*(f));
+    # its report is the one the public scan evaluates for itself.
+    ctx = CheckContext.from_config(SuiteConfig(
+        chart=chart, solution=solution, c=0.25, seed=7,
+        checks=["thm3.positivity"]))
+    calls, scan = [], verify._positivity_scan
+
+    def keep(*args):
+        calls.append((args, scan(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "_positivity_scan", keep)
+    assert verify.REGISTRY["thm3.positivity"].func(ctx).max_residual == 0.0
+    _, f_proj, _ = ctx.projector
+    unit_chart = ctx.unit_problem.chart
+    ref = positivity_scan(TannoProblem(unit_chart, f_proj, 1.0), ctx.P)
+    ((probP, P, g0, values, gradients), report), = calls
+    assert probP.chart is unit_chart and probP.f is f_proj and P is ctx.P
+    assert np.array_equal(g0, unit_chart.metric_jets(ctx.P, 0)[0])
+    assert all(np.array_equal(a, b) for a, b in
+               zip((values, gradients), f_proj.jets(ctx.P, 1)))
+    assert len(report.per_point) == len(ref.per_point) == len(ctx.P)
+    for got, want in zip(report.per_point, ref.per_point):
+        assert _same(got, want)
+    assert report.extremal_findings
+    assert _same(report, ref)
