@@ -2,11 +2,12 @@
 
 A chart is the metric g_ij on a coordinate ball plus the complex structure
 J^i_j, which in holomorphic coordinates is the constant standard one and is
-held as the one (d, d) matrix ``chart.J``.  The metric and (derived) the
-inverse metric and Christoffel symbols are available as derivative lists of
-any order through the jet engine.  Every accessor takes one point of shape
-(d,) or a batch of shape (N, d); a batch returns arrays with a leading point
-axis, a single point returns them without it.
+held as the one (d, d) matrix ``chart.J``.  A chart evaluates its metric as
+Taylor coefficients (see :mod:`tannolab.jets`); the metric and (derived)
+the inverse metric and Christoffel symbols are available as derivative
+lists of any order, expanded from them.  Every accessor takes one point of
+shape (d,) or a batch of shape (N, d); a batch returns arrays with a
+leading point axis, a single point returns them without it.
 
 Charts are immutable and keep no per-point state.  :meth:`KahlerChart.at`
 evaluates the metric once over a batch and hands out g, g^-1 and Gamma from
@@ -109,22 +110,17 @@ def checked_inverse(g0: np.ndarray, where: str = "") -> np.ndarray:
     return inv
 
 
-def _constant_jets(a: np.ndarray, P: np.ndarray, order: int) -> list[np.ndarray]:
-    n, d = P.shape
-    return [np.repeat(a[None], n, axis=0)] + [
-        np.zeros((n,) + a.shape + (d,) * m) for m in range(1, order + 1)]
-
-
 class KahlerChart:
     """A single coordinate patch: evaluable g and the constant matrix J.
 
-    ``metric_jets_fn(P, order)`` takes an (N, d) point array and returns a
-    derivative list with a leading point axis (see :mod:`tannolab.jets`);
-    ``J[i, j] = J^i_j``.  Use the classmethod constructors rather than
-    calling __init__ directly.
+    ``metric_fn(P, order)`` takes an (N, d) point array and returns the
+    metric's Taylor coefficients through ``order``, shape (N, d, d, M) with
+    the M monomials last (see :mod:`tannolab.jets`), or fewer degrees when
+    the rest vanish; ``J[i, j] = J^i_j``.  Use the classmethod constructors
+    rather than calling __init__ directly.
     """
 
-    def __init__(self, dim, metric_jets_fn, J, domain_radius, name):
+    def __init__(self, dim, metric_fn, J, domain_radius, name):
         if dim % 2 != 0 or dim <= 0:
             raise ValueError("chart dimension must be a positive even integer")
         self.dim = int(dim)
@@ -133,7 +129,7 @@ class KahlerChart:
         if not self.domain_radius > 0:
             raise ValueError("domain_radius must be positive")
         self.name = name
-        self._metric_jets_fn = metric_jets_fn
+        self._metric_fn = metric_fn
         self.J = np.asarray(J, dtype=float)
 
     # -- constructors --------------------------------------------------------
@@ -145,7 +141,7 @@ class KahlerChart:
         dim = g0.shape[0]
 
         def metric_fn(P, order):
-            return _constant_jets(g0, P, order)
+            return np.repeat(g0[None, :, :, None], len(P), axis=0)
 
         return cls(dim, metric_fn, standard_complex_structure(dim),
                    domain_radius, name)
@@ -160,19 +156,23 @@ class KahlerChart:
         # (J0^T H J0)_ab = sign[a] sign[b] H_{perm[a] perm[b]}.
         perm = np.argmax(np.abs(J0), axis=0)
         sign = J0[perm, np.arange(dim)]
-        signs = np.outer(sign, sign)
+        tables = {}
+
+        def gathers(order):
+            """g's coefficients through order as two gathers of the
+            potential's through order + 2, each with its factor."""
+            index, factor = J.partials(dim, 2, order)
+            swap = np.ix_(perm, perm)
+            return (index, 0.5 * factor, index[swap],
+                    0.5 * np.outer(sign, sign)[..., None] * factor[swap])
 
         def metric_fn(P, order):
-            pot = J.eval_scalar_expr(potential_fn, P, order + 2)
-            out = []
-            for m in range(order + 1):
-                H = pot[m + 2]  # axes [z, a, b, ...]: first two read as (a, b)
-                g = np.take(np.take(H, perm, axis=1), perm, axis=2)
-                g *= signs.reshape(signs.shape + (1,) * m)
-                g += H
-                g *= 0.5
-                out.append(g)
-            return out
+            table = tables.get(order)
+            if table is None:
+                table = tables[order] = gathers(order)
+            i1, f1, i2, f2 = table
+            pot = J.eval_coeffs(potential_fn, P, order + 2)
+            return np.take(pot, i2, axis=-1) * f2 + np.take(pot, i1, axis=-1) * f1
 
         return cls(dim, metric_fn, J0, domain_radius, name)
 
@@ -185,14 +185,14 @@ class KahlerChart:
         base = self
 
         def metric_fn(P, order):
-            return [c * t for t in base.metric_jets(P, order)]
+            return c * base._metric_fn(P, order)
 
         return KahlerChart(self.dim, metric_fn, self.J,
                            self.domain_radius, f"{self.name} (metric x {c:g})")
 
     def with_scaled_jstruct(self, s: float) -> "KahlerChart":
         """Deliberately broken chart (J scaled); for residual-detection tests."""
-        return KahlerChart(self.dim, self._metric_jets_fn, s * self.J,
+        return KahlerChart(self.dim, self._metric_fn, s * self.J,
                            self.domain_radius, f"{self.name} (J x {s:g})")
 
     def with_negated_metric(self) -> "KahlerChart":
@@ -223,21 +223,29 @@ class KahlerChart:
     def at(self, p, order: int) -> "ChartJets":
         """Geometry over a batch from one metric evaluation through ``order``."""
         P, _ = as_points(p, self.dim)
-        return ChartJets(self, P, order)
+        return ChartJets(self, self.metric_coeffs(P, order), order)
+
+    def metric_coeffs(self, P: np.ndarray, order: int) -> np.ndarray:
+        """The metric's Taylor coefficients through ``order`` over an (N, d)
+        batch, (N, d, d, M): every evaluation of the metric is this call."""
+        return self._metric_fn(P, order)
 
     def metric_jets(self, p, order: int) -> list[np.ndarray]:
         P, single = as_points(p, self.dim)
-        return unbatch(self._metric_jets_fn(P, order), single)
+        return unbatch(J.expand(self.metric_coeffs(P, order), self.dim, order),
+                       single)
 
     def metric_inv_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of g^ij."""
         P, single = as_points(p, self.dim)
-        return unbatch(ChartJets(self, P, order).ginv(order), single)
+        geo = ChartJets(self, self.metric_coeffs(P, order), order)
+        return unbatch(geo.ginv(order), single)
 
     def christoffel_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of Gamma^k_ij (array axes [k, i, j, ...])."""
         P, single = as_points(p, self.dim)
-        return unbatch(ChartJets(self, P, order + 1).gamma(order), single)
+        geo = ChartJets(self, self.metric_coeffs(P, order + 1), order + 1)
+        return unbatch(geo.gamma(order), single)
 
     # -- plain values -----------------------------------------------------------
 
@@ -257,67 +265,84 @@ class KahlerChart:
         return f"KahlerChart({self.name}, dim={self.dim}, R={self.domain_radius:g})"
 
 
+def _first_kind(A: np.ndarray) -> np.ndarray:
+    """1/2 (g_li,j + g_lj,i - g_ij,l), axes [z, l, i, j, ...], from the
+    metric's gradient A[z, l, i, j, ...] = g_li,j."""
+    out = A + np.swapaxes(A, 2, 3)
+    out -= np.moveaxis(A, (1, 2, 3), (2, 3, 1))
+    out *= 0.5
+    return out
+
+
 class ChartJets:
     """g, g^-1 and Gamma of one chart over one batch of points.
 
-    The metric is evaluated once, through ``order``.  Inverse-metric jets
-    (through the order asked for) and Christoffel jets (through
-    ``order - 1``) are derived from that evaluation on first use and kept
+    ``coeffs`` are the metric's Taylor coefficients through ``order``, from
+    one evaluation (:meth:`KahlerChart.at`).  g's derivative list, g^-1's
+    coefficients (through the order asked for) and Gamma's derivative list
+    (through ``order - 1``) are derived from them on first use and kept
     for the lifetime of this object, which usually belongs to a single
     batched call; one held longer is reduced with :meth:`pointwise`.
     This is the only place the chart's g^-1 and Gamma are derived.
     """
 
-    def __init__(self, chart: KahlerChart, P: np.ndarray, order: int):
-        self.chart = chart
-        self.order = order
-        self.g = chart.metric_jets(P, order)
-        self._ginv: list | None = None
-        self._gamma: list | None = None
+    def __init__(self, chart: KahlerChart, coeffs: np.ndarray, order: int):
+        self.chart, self.coeffs, self.order = chart, coeffs, order
+        self._g = self._g0 = self._ginv = self._gamma = None
 
-    @classmethod
-    def from_metric(cls, chart: KahlerChart, g: list) -> "ChartJets":
-        """Geometry of ``chart`` from its metric jets ``g`` already evaluated
-        over a batch, through order ``len(g) - 1``; g^-1 and Gamma are
-        derived from them as :meth:`KahlerChart.at` would."""
-        geo = cls.__new__(cls)
-        geo.chart, geo.order, geo.g = chart, len(g) - 1, list(g)
-        geo._ginv = geo._gamma = None
-        return geo
+    @property
+    def g(self) -> list[np.ndarray]:
+        if self._g is None:
+            self._g = J.expand(self.coeffs, self.chart.dim, self.order)
+        return self._g
 
     @property
     def g0(self) -> np.ndarray:
-        return self.g[0]
+        if self._g0 is None:
+            self._g0 = np.ascontiguousarray(self.coeffs[..., 0])
+        return self._g0
+
+    def ginv_coeffs(self, order: int = 0) -> np.ndarray:
+        """g^-1's Taylor coefficients through at least ``order``, (N, d, d, M)."""
+        if order > self.order:
+            raise ValueError(f"g^-1 through order {order} needs the metric "
+                             f"through {order}, held through {self.order}")
+        if self._ginv is None or self._ginv[0] < order:
+            inv0 = checked_inverse(self.g0, f"on {self.chart.name}")
+            self._ginv = order, J.cinv(self.coeffs, self.chart.dim, order, inv0)
+        return self._ginv[1]
 
     def ginv(self, order: int = 0) -> list[np.ndarray]:
-        if order >= len(self.g):
-            raise ValueError(f"g^-1 through order {order} needs the metric "
-                             f"through {order}, held through {len(self.g) - 1}")
-        if self._ginv is None or len(self._ginv) <= order:
-            inv0 = checked_inverse(self.g[0], f"on {self.chart.name}")
-            self._ginv = J.tinv(self.g, order, inv0)
-        return self._ginv
+        return J.expand(self.ginv_coeffs(order), self.chart.dim, order)
 
     def gamma(self, order: int = 0) -> list[np.ndarray]:
+        if self._gamma is not None and len(self._gamma) > order:
+            return self._gamma
         if order + 1 > self.order:
             raise ValueError(f"Gamma through order {order} needs the metric "
                              f"through {order + 1}, evaluated through {self.order}")
-        if self._gamma is None:
-            top = self.order - 1
-            dg = []
-            for m in range(top + 1):
-                A = self.g[m + 1]  # axes [z, l, i, j, extra...], j the derivative
-                dg.append(0.5 * (A + np.swapaxes(A, 2, 3)
-                                 - np.moveaxis(A, (1, 2, 3), (2, 3, 1))))
-            self._gamma = J.tconv(self.ginv(top), dg, "kl,lij->kij", top)
+        d, top = self.chart.dim, self.order - 1
+        self._gamma = J.cprod_terms(self.ginv_coeffs(top),
+                                    _first_kind(J.cgrad(self.coeffs, d)),
+                                    "kl,lij->kij", d, top)
         return self._gamma
+
+    def head(self, k: int) -> "ChartJets":
+        """This geometry at its first k points, with the Gamma it holds;
+        batches are bit-exact, so it equals an evaluation there."""
+        geo = ChartJets(self.chart, self.coeffs[:k], self.order)
+        if self._gamma is not None:
+            geo._gamma = [t[:k] for t in self._gamma]
+        return geo
 
     def pointwise(self) -> "ChartJets":
         """Reduce this geometry in place to g and Gamma at the points, for a
-        holder that keeps it across other work (g^-1 then at order 0 only);
-        returns self.  g and Gamma are copied once the rest is let go: left
-        among its freed blocks, they added 3.5 MB to cp3_points peak RSS."""
-        g0, G0 = self.g[0], self.gamma()[0]
-        self.g = self._ginv = self._gamma = None
-        self.g, self._gamma, self.order = [g0.copy()], [G0.copy()], 1
+        holder that keeps it across other work (its order is then 0, with
+        Gamma kept at order 0); returns self.  g and Gamma are copied once
+        the rest is let go: left among its freed blocks, they added 3.5 MB
+        to cp3_points peak RSS."""
+        g0, G0 = self.g0, self.gamma()[0]
+        self.coeffs = self._g = self._g0 = self._ginv = self._gamma = None
+        self._g0, self._gamma, self.order = g0.copy(), [G0.copy()], 0
+        self.coeffs = self._g0[..., None]
         return self

@@ -15,7 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .charts import _constant_jets, as_points, unbatch
+from .charts import as_points, unbatch
+
+
+def _constant_jets(a: np.ndarray, P: np.ndarray, order: int) -> list[np.ndarray]:
+    n, d = P.shape
+    return [np.repeat(a[None], n, axis=0)] + [
+        np.zeros((n,) + a.shape + (d,) * m) for m in range(1, order + 1)]
 
 
 class ScalarField:

@@ -1,13 +1,19 @@
 """Truncated multivariate Taylor (jet) arithmetic over batches of points.
 
-Interface.  Outside this module a jet of order r over N points of R^d is a
-derivative list ``[T0, T1, ..., Tr]``: ``Tm`` is the raw m-th
-partial-derivative tensor, shape ``(N,) + lead_shape + (d,)*m``, symmetric
-in its trailing m axes.  A list may be shorter than its order: missing
-trailing terms are zero.  :func:`eval_scalar_expr`, :func:`tconv` (the
-one product of two lists), :func:`tinv` and :attr:`Jet.terms` take and
-return such lists; they are the only places full tensors appear.  Each
-compresses its inputs on entry and expands its results once on exit.
+Interface.  Outside this module a jet of order r over N points of R^d is
+a derivative list ``[T0, T1, ..., Tr]``, ``Tm`` the raw m-th
+partial-derivative tensor of shape ``(N,) + lead_shape + (d,)*m``,
+symmetric in its trailing m axes, with missing trailing terms zero; or a
+coefficient array of shape ``(N,) + lead_shape + (M,)``, the coefficients
+of Storage below through the degree M reaches.  Fields return lists, and
+:func:`eval_scalar_expr`, :func:`tconv`, :func:`tinv` and
+:attr:`Jet.terms` take and return them.  Coefficient arrays cross into
+:mod:`~tannolab.charts` and :class:`~tannolab.operator.StarField`, whose
+metric, g^-1 and star chain stay in that form: :func:`eval_coeffs`,
+:func:`cprod`, :func:`cinv` and :func:`cgrad` are the cores the list
+functions wrap, and :func:`compress`, :func:`expand` and
+:func:`cprod_terms` convert, so full tensors are built only for the orders
+a caller reads.
 
 Storage.  Inside, a jet holds one Taylor coefficient ``d^a f / a!`` per
 multi-index a, degree after degree (within a degree in the order of
@@ -22,7 +28,7 @@ through pair tables built on first use per dimension and degree range:
 * scalar jets (:class:`Jet`, :func:`reciprocal`, :func:`log`, the ``',->'``
   spec): a product is one gather of the listed pairs, one multiply and one
   segmented sum (``np.add.reduceat``);
-* tensor-valued jets (:func:`tconv`, :func:`tinv`) hold the leading axes as
+* tensor-valued jets (:func:`cprod`, :func:`cinv`) hold the leading axes as
   matrices: output degree m is one stack of matrix products, one per point
   and output monomial, whose inner axis runs over that output's pairs side
   by side.
@@ -32,7 +38,10 @@ truncation, so lower-order jets are a bit-exact prefix of higher-order
 ones, and no sum mixes points, so a batch gives the bits its points give
 one at a time.  A :class:`Jet` stores coefficients only through the
 highest degree that can be nonzero, so a product with a coordinate costs
-that coordinate's degree-1 block only.  Nothing here is chart-aware.
+that coordinate's degree-1 block only.  Expanding multiplies a coefficient
+by a! and compressing divides by it, which is not an exact round trip;
+:func:`as_listed` applies it where a result must have the bits of one that
+went through a derivative list.  Nothing here is chart-aware.
 """
 
 from __future__ import annotations
@@ -208,26 +217,19 @@ def _plan(spec: str):
             len(k), tuple(free.index(c) for c in out))
 
 
-def _stack(terms, top: int, axes: tuple, nk: int) -> np.ndarray:
-    """Coefficients of a derivative list through ``top`` as (N, M + 1, K, F).
+def _stack(c: np.ndarray, d: int, top: int, axes: tuple, nk: int) -> np.ndarray:
+    """Coefficients of ``c`` through ``top`` as (N, M + 1, K, F).
 
     Leading axes are reordered by ``axes`` and flattened into K contracted
-    and F free entries (1 and 1 for a scalar list); slot M is zero, the
-    padding of :func:`_padded_table`.
+    and F free entries (1 and 1 for a scalar); slot M is zero, the padding
+    of :func:`_padded_table`.
     """
-    lead = np.shape(terms[0])[1:]
-    n, k = len(terms[0]), math.prod(lead[i] for i in axes[:nk])
-    f, d = math.prod(lead) // k, _dim_of(terms, terms)
-    out = np.empty((n, _size(d, top) + 1, k, f))
+    lead, size = c.shape[1:-1], _size(d, top)
+    n, k = len(c), math.prod(lead[i] for i in axes[:nk])
+    out = np.empty((n, size + 1, k, math.prod(lead) // k))
     out[:, -1] = 0.0
-    order = (0, len(lead) + 1) + tuple(1 + i for i in axes)
-    for m in range(top + 1):
-        flat = np.reshape(terms[m], (n,) + lead + (d ** m,))
-        if m >= 2:
-            _, pick, factorial = _full_index(d, m)
-            flat = np.take(flat, pick, axis=-1) / factorial
-        block = flat.transpose(order)
-        out[:, _size(d, m - 1):_size(d, m)] = block.reshape(n, block.shape[1], k, f)
+    view = out[:, :-1].reshape((n, size) + tuple(lead[i] for i in axes))
+    view[...] = c[..., :size].transpose((0, len(lead) + 1) + tuple(1 + i for i in axes))
     return out
 
 
@@ -271,6 +273,15 @@ def _expand(c: np.ndarray, d: int, top: int, order: int) -> list[np.ndarray]:
             else np.zeros(c.shape[:-1] + (d,) * m) for m in range(order + 1)]
 
 
+@cache
+def _top_of(d: int, size: int) -> int:
+    """The degree through which ``size`` coefficients in d variables reach."""
+    top = 0
+    while _size(d, top) < size:
+        top += 1
+    return top
+
+
 def _dim_of(A, B) -> int:
     for lst in (A, B):
         for m, t in enumerate(lst):
@@ -280,31 +291,141 @@ def _dim_of(A, B) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Derivative-list operations.
+# Coefficient form: the cores of the derivative-list operations.
 # ---------------------------------------------------------------------------
 
-def _leibniz(A, B, spec: str, d: int, top: int, ta: int, tb: int
-             ) -> list[np.ndarray]:
-    """Terms 0..top of the product of A (through ta) and B (through tb),
-    with top <= ta + tb."""
+def compress(terms, d: int, top: int) -> np.ndarray:
+    """Coefficient array (N, lead..., M) of a derivative list through ``top``."""
+    n, lead = len(terms[0]), np.shape(terms[0])[1:]
+    out = np.empty((n,) + lead + (_size(d, top),))
+    for m in range(top + 1):
+        flat = np.reshape(terms[m], (n,) + lead + (d ** m,))
+        if m >= 2:
+            _, pick, factorial = _full_index(d, m)
+            flat = np.take(flat, pick, axis=-1) / factorial
+        out[..., _size(d, m - 1):_size(d, m)] = flat
+    return out
+
+
+def expand(c: np.ndarray, d: int, order: int) -> list[np.ndarray]:
+    """Derivative list through ``order`` of a coefficient array, whose last
+    axis holds the monomials through some degree; terms past it are zero."""
+    return _expand(c, d, _top_of(d, c.shape[-1]), order)
+
+
+@cache
+def partials(d: int, k: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, factor), each of shape (d,)*k + (M,), M the monomials of
+    degree <= top: the coefficient at gamma of the partial derivative
+    d^beta F along axes (i_1, ..., i_k) is ``factor[i, gamma] *
+    F[..., index[i, gamma]]``, i.e. (gamma + beta)! / gamma! F_{gamma + beta},
+    for F stored through top + k.
+
+    With k = 1 this is the gradient (:func:`cgrad`), with k = 2 the Hessian.
+    """
+    rows = np.concatenate([_exponents(d, m) for m in range(top + 1)])
+    up = _exponents(d, k)[:, None, :] + rows
+    index = np.empty(up.shape[:2], dtype=np.intp)
+    for m in range(top + 1):
+        cols = slice(_size(d, m - 1), _size(d, m))
+        block = up[:, cols].reshape(-1, d)
+        index[:, cols] = (_size(d, m + k - 1) + _lookup(_exponents(d, m + k), block)
+                          ).reshape(len(up), -1)
+    fact = np.array([math.factorial(i) for i in range(top + k + 1)], dtype=float)
+    factor = fact[up].prod(axis=-1) / fact[rows].prod(axis=-1)
+    beta, shape = _full_index(d, k)[0], (d,) * k + (len(rows),)
+    return _frozen(index[beta].reshape(shape), factor[beta].reshape(shape))
+
+
+def as_listed(c: np.ndarray, d: int) -> np.ndarray:
+    """Round coefficients in place as a derivative list holds them: each
+    becomes ``(c a!) / a!``, the bits :func:`compress` of :func:`expand`
+    gives, without building the list.  Returns c."""
+    for m in range(2, _top_of(d, c.shape[-1]) + 1):
+        factorial = _full_index(d, m)[2]
+        block = c[..., _size(d, m - 1):_size(d, m)]
+        block *= factorial
+        block /= factorial
+    return c
+
+
+def cgrad(c: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of the coordinate gradient: the lead shape grows by (d,),
+    the top degree falls by one (a constant's gradient is zero)."""
+    top = _top_of(d, c.shape[-1])
+    if top == 0:
+        return np.zeros(c.shape[:-1] + (d, 1))
+    index, factor = partials(d, 1, top - 1)
+    out = np.take(c, index, axis=-1)
+    out *= factor
+    return out
+
+
+def _products(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int):
+    """The coefficient blocks, (N, out..., n_m) for m = 0..top, of the
+    product of two coefficient arrays through ``order``, one at a time."""
+    ta = min(_top_of(d, a.shape[-1]), order)
+    tb = min(_top_of(d, b.shape[-1]), order)
+    top = min(order, ta + tb)
     plan = _plan(spec)
     if plan is None:
-        a, b = _stack(A, ta, (), 0)[:, :-1, 0, 0], _stack(B, tb, (), 0)[:, :-1, 0, 0]
         c = _product(a, b, _table(d, 0, top, 0, ta, tb))
-        return [_expand_degree(c[..., _size(d, m - 1):_size(d, m)], d, m)
-                for m in range(top + 1)]
+        for m in range(top + 1):
+            yield c[..., _size(d, m - 1):_size(d, m)]
+        return
     axes_a, axes_b, nk, axes_out = plan
-    x, y = _stack(A, ta, axes_a, nk), _stack(B, tb, axes_b, nk)
-    lead_a, lead_b = np.shape(A[0])[1:], np.shape(B[0])[1:]
-    free = [lead_a[i] for i in axes_a[nk:]] + [lead_b[i] for i in axes_b[nk:]]
-    out = []
+    x, y = _stack(a, d, ta, axes_a, nk), _stack(b, d, tb, axes_b, nk)
+    free = ([a.shape[1 + i] for i in axes_a[nk:]]
+            + [b.shape[1 + i] for i in axes_b[nk:]])
     for m in range(top + 1):
         s = _pair_matmul(x, y, _padded_table(d, m, 0, ta, tb))
         s = s.reshape(s.shape[:2] + tuple(free))
-        out.append(_expand_degree(s.transpose((0,) + tuple(2 + i for i in axes_out) + (1,)),
-                                  d, m))
-    return out
+        yield s.transpose((0,) + tuple(2 + i for i in axes_out) + (1,))
 
+
+def cprod(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int
+          ) -> np.ndarray:
+    """Coefficients of the product of two coefficient arrays over the same
+    points, through ``order`` (see :func:`tconv` for ``spec``)."""
+    return np.concatenate(list(_products(a, b, spec, d, order)), axis=-1)
+
+
+def cprod_terms(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int
+                ) -> list[np.ndarray]:
+    """Derivative list through ``order`` of the same product, expanded
+    degree by degree, so its coefficient array is never built whole."""
+    out = [_expand_degree(block, d, m)
+           for m, block in enumerate(_products(a, b, spec, d, order))]
+    return out + [np.zeros(out[0].shape + (d,) * m)
+                  for m in range(len(out), order + 1)]
+
+
+def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
+    """Coefficients through ``order`` of the matrix inverse of a batched
+    matrix-valued coefficient array g, shape (N, n, n, M).
+
+    Solves (g h)_m = 0 degree by degree:  h_m = -h_0 (sum_{j>=1} g_j h_{m-j}).
+    ``inv0`` is g_0^{-1} when the caller already has it.  The result is a
+    contiguous copy, and the stack the loop runs on is freed: returning a
+    view of it measured about 0.3 MB more RSS growth over 160 iterations
+    of the benchmark's cp2_geodesics workload.
+    """
+    H0 = np.linalg.inv(g[..., 0]) if inv0 is None else inv0
+    tg = min(_top_of(d, g.shape[-1]), order)
+    h = np.zeros((len(H0), _size(d, order) + 1) + H0.shape[1:])
+    h[:, 0] = H0
+    if tg:
+        axes, _, nk, _ = _plan("ab,bc->ac")
+        x = _stack(g, d, tg, axes, nk)
+        for m in range(1, order + 1):
+            S = _pair_matmul(x, h, _padded_table(d, m, 1, min(tg, m), m - 1))
+            h[:, _size(d, m - 1):_size(d, m)] = -np.matmul(H0[:, None], S)
+    return np.ascontiguousarray(np.moveaxis(h[:, :-1], 1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Derivative-list operations.
+# ---------------------------------------------------------------------------
 
 def tconv(A, B, spec: str, order: int):
     """Leibniz product of two batched derivative lists through ``order``.
@@ -314,10 +435,9 @@ def tconv(A, B, spec: str, order: int):
     scalars.  Terms beyond the end of either list are zero.
     """
     d = _dim_of(A, B)
-    ta, tb = min(len(A) - 1, order), min(len(B) - 1, order)
-    top = min(order, ta + tb)
-    out = _leibniz(A, B, spec, d, top, ta, tb)
-    return out + [np.zeros(out[0].shape + (d,) * m) for m in range(top + 1, order + 1)]
+    a = compress(A, d, min(len(A) - 1, order))
+    b = compress(B, d, min(len(B) - 1, order))
+    return cprod_terms(a, b, spec, d, order)
 
 
 def tgrad(A):
@@ -330,23 +450,11 @@ def tgrad(A):
 
 
 def tinv(G, order: int, inv0=None):
-    """Derivative list of the matrix inverse of a batched matrix-valued jet.
-
-    Solves (G.H)_m = 0 degree by degree:  H_m = -H_0 (sum_{j>=1} G_j H_{m-j}).
-    ``inv0`` is G_0^{-1} when the caller already has it.
-    """
-    H0 = np.linalg.inv(G[0]) if inv0 is None else inv0
-    d, tg = _dim_of(G, G), min(len(G) - 1, order)
-    if tg == 0:
-        return [H0] + _expand(H0[..., None], d, 0, order)[1:]
-    axes, _, nk, _ = _plan("ab,bc->ac")
-    g = _stack(G, tg, axes, nk)
-    h = np.zeros((len(H0), _size(d, order) + 1) + H0.shape[1:])
-    h[:, 0] = H0
-    for m in range(1, order + 1):
-        S = _pair_matmul(g, h, _padded_table(d, m, 1, min(tg, m), m - 1))
-        h[:, _size(d, m - 1):_size(d, m)] = -np.matmul(H0[:, None], S)
-    return [H0] + _expand(np.moveaxis(h[:, :-1], 1, -1), d, order, order)[1:]
+    """Derivative list of the matrix inverse of a batched matrix-valued jet:
+    :func:`cinv` of its coefficients."""
+    d = _dim_of(G, G)
+    g = compress(G, d, min(len(G) - 1, order))
+    return expand(cinv(g, d, order, inv0), d, order)
 
 
 def _libm(fn, v: np.ndarray) -> np.ndarray:
@@ -507,6 +615,24 @@ def log(u: Jet) -> Jet:
     return Jet(h, top, u.order, d)
 
 
+def eval_coeffs(fn, p, order: int) -> np.ndarray:
+    """Taylor coefficients (N, M) through ``order`` of a Jet-arithmetic
+    callable fn(list[Jet]) -> Jet at points p of shape (d,) or (N, d);
+    degrees past the result's highest stored one are zero."""
+    x = seed_coordinates(p, order)
+    n, d = len(x[0].c), x[0].dim
+    result = fn(x)
+    if not isinstance(result, Jet):
+        # Allow plain floats for constant expressions.
+        result = Jet.constant(float(result), d, order)
+    size, stored = _size(d, order), _size(d, min(result.top, order))
+    if result.c.shape == (n, size):
+        return result.c
+    c = np.zeros((n, size))
+    c[:, :stored] = result.c[..., :stored]
+    return c
+
+
 def eval_scalar_expr(fn, p, order: int) -> list[np.ndarray]:
     """Evaluate a Jet-arithmetic callable fn(list[Jet]) -> Jet at points p.
 
@@ -514,12 +640,5 @@ def eval_scalar_expr(fn, p, order: int) -> list[np.ndarray]:
     does.
     """
     p = np.asarray(p, dtype=float)
-    x = seed_coordinates(p, order)
-    n, d = len(x[0].c), p.shape[-1]
-    result = fn(x)
-    if not isinstance(result, Jet):
-        # Allow plain floats for constant expressions.
-        result = Jet.constant(float(result), d, order)
-    c = result.c if result.c.ndim == 2 else np.tile(result.c, (n, 1))
-    terms = _expand(c, d, min(result.top, order), order)
+    terms = expand(eval_coeffs(fn, p, order), p.shape[-1], order)
     return [t[0] for t in terms] if p.ndim == 1 else terms

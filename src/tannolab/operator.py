@@ -54,8 +54,11 @@ class StarField(ScalarField):
 
     Jets of order r need f and H through r + k - 1 and g^-1 through
     r + k - 2; each is evaluated once, as is the lift g^{ab} f_{,a}, and the
-    k - 1 levels read their bit-exact prefixes.  :meth:`levels` returns
-    every level, so f^{*2}, ..., f^{*k} of :func:`star_power` cost one chain.
+    k - 1 levels read their bit-exact prefixes.  The chain runs on Taylor
+    coefficients (:mod:`tannolab.jets`): f and H are compressed once, and
+    only the levels returned are expanded, through r.  :meth:`levels`
+    returns every level, so f^{*2}, ..., f^{*k} of :func:`star_power` cost
+    one chain.
     """
 
     def __init__(self, chart: KahlerChart, f: ScalarField, coeffs,
@@ -69,21 +72,29 @@ class StarField(ScalarField):
 
     def levels(self, P, order):
         """Jets through ``order`` of the chain's k - 1 star products over an
-        (N, d) batch, innermost first; the last is the field's own jets."""
+        (N, d) batch, innermost first; the last is the field's own jets.
+
+        A level reads the one below rounded as its derivative list holds it
+        (:func:`~tannolab.jets.as_listed`), so it equals, bit for bit, the
+        star product whose H is that level.
+        """
         *outer, c, lead = self.coeffs
-        top = order + len(outer)
-        fj = self.f.jets(P, top)
-        lifted = J.tconv(self.chart.at(P, top - 1).ginv(top - 1), J.tgrad(fj),
-                         "ab,a->b", top - 1)
-        S = [lead * t for t in (fj if self.H is self.f else self.H.jets(P, top))]
-        S[0] = S[0] - 0.5 * c
+        d, top = self.dim, order + len(outer)
+        F = J.compress(self.f.jets(P, top), d, top)
+        H = F if self.H is self.f else J.compress(self.H.jets(P, top), d, top)
+        ginv = self.chart.at(P, top - 1).ginv_coeffs(top - 1)
+        lifted = J.cprod(ginv, J.cgrad(F, d), "ab,a->b", d, top - 1)
+        S = lead * H
+        S[:, 0] = S[:, 0] - 0.5 * c
         out = []
         for r, c in reversed(list(enumerate(outer, order))):
-            prod = J.tconv(fj, S, ",->", r)
-            cross = J.tconv(lifted, J.tgrad(S), "b,b->", r)
-            S = [-2.0 * a - 0.5 * b for a, b in zip(prod, cross)]
-            S[0] = S[0] - 0.5 * c
-            out.append(S[:order + 1])
+            if out:
+                S = J.as_listed(S, d)
+            prod = J.cprod(F, S, ",->", d, r)
+            cross = J.cprod(lifted, J.cgrad(S, d), "b,b->", d, r)
+            S = -2.0 * prod - 0.5 * cross
+            S[:, 0] = S[:, 0] - 0.5 * c
+            out.append(J.expand(S, d, order))
         return out
 
     def _jets(self, P, order):

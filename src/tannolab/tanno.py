@@ -100,12 +100,12 @@ def _bundle(fj, geo: ChartJets) -> SolutionBundle:
 def _a_jets(geo: ChartJets, fj, order: int):
     """Batched jets of a_ij = -f_{,ij} - 2 f g_ij through ``order``, from
     f jets through order + 2 and the chart through metric order + 1."""
-    gj = geo.g[:order + 1]
+    d = geo.chart.dim
     Gj = geo.gamma(order)[:order + 1]
     grad = J.tgrad(fj)                       # lead (d,)
     hess_part = [fj[m + 2] for m in range(order + 1)]  # lead (d,d)
     corr = J.tconv(Gj, grad, "kij,k->ij", order)
-    fg = J.tconv(fj, gj, ",ab->ab", order)
+    fg = J.cprod_terms(J.compress(fj, d, order), geo.coeffs, ",ab->ab", d, order)
     return [-(hp - c) - 2.0 * f for hp, c, f in zip(hess_part, corr, fg)]
 
 

@@ -278,8 +278,8 @@ class CheckContext:
     def _sample_pass(self):
         """(sample_rows, f_jets, unit_geometry) from one :func:`_order3` pass.
 
-        The unit chart's metric jets are c times the chart's, term by term,
-        which is what ``KahlerChart.rescaled`` evaluates.  At c = 0 there is
+        The unit chart's metric coefficients are c times the chart's, which
+        is what ``KahlerChart.rescaled`` evaluates.  At c = 0 there is
         no unit chart: the two sys.* rows are left out, the geometry is None.
         """
         prob = self.problem
@@ -294,12 +294,11 @@ class CheckContext:
             rows["rem2.lightlike_f3"] = np.abs(_cubic_form(third[2], null)).max(1)
         if self.c == 0:
             return rows, fj[:3], None
-        unit = ChartJets.from_metric(self.unit_problem.chart,
-                                     [self.c * t for t in geo.g])
+        unit = ChartJets(self.unit_problem.chart, self.c * geo.coeffs, geo.order)
         # Let the chart's g^-1 and Gamma go before the unit chart's are
         # derived, so the arrays of the two derivations are never alive
-        # together: on CP(3) at 200 samples the pass then peaks at 16 MB
-        # traced, not 22 MB.
+        # together: on CP(3) at 200 samples the pass then peaks at 15.5 MB
+        # traced, not 20.4 MB.
         del geo, third
         jets = _system_from(unit, fj)
         rows["sys.residual"] = np.max(_system_rows(*jets), axis=0)
@@ -473,7 +472,7 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
     chart = prob.chart
     pts = ctx.P[:20]
     L1 = ctx.operator[:20]
-    geo = chart.at(pts, 1)
+    geo = ctx.unit_geometry.head(20)
     worst = 0.0
     for k, fj in enumerate(star_power(chart, prob.f, 4).levels(pts, 2), 2):
         worst = max(worst, float(np.max(

@@ -287,6 +287,24 @@ class TestRunSuite:
         assert report.passed
         assert calls == [(DEFAULT_CONFIG["samples"], 2)]
 
+    def test_star_power_evaluates_the_unit_chart_once(self, monkeypatch):
+        # lem2 reads g and Gamma at P[:20] from the suite's unit geometry:
+        # the chart is evaluated by the sample pass and by the chain, once
+        # each (the chain's g^-1 through order 4 at the 20 points).
+        evaluated, metric_coeffs = [], KahlerChart.metric_coeffs
+
+        def spy(chart, p, order):
+            evaluated.append((chart.name, len(p), order))
+            return metric_coeffs(chart, p, order)
+
+        monkeypatch.setattr(KahlerChart, "metric_coeffs", spy)
+        report = run_suite(SuiteConfig.from_dict(
+            dict(DEFAULT_CONFIG, checks=["lem2.star_power"])))
+        assert report.passed
+        name = build_chart(DEFAULT_CONFIG["chart"]).name
+        assert evaluated == [(name, DEFAULT_CONFIG["samples"], 2),
+                             (f"{name} (metric x 0.25)", 20, 4)]
+
     @staticmethod
     def _sample_evaluations(monkeypatch, data):
         """(report, orders, eig_calls): the suite's report, the order of each
@@ -296,7 +314,7 @@ class TestRunSuite:
         chart = build_chart(config.chart)
         pts = np.array(sample_points(chart, config.samples, config.seed))
         orders, eig_calls = [], []
-        evaluate, eigvals = jets.eval_scalar_expr, np.linalg.eigvals
+        evaluate, eigvals = jets.eval_coeffs, np.linalg.eigvals
 
         def spy_evaluate(fn, p, order):
             if np.shape(p) == pts.shape and np.array_equal(p, pts):
@@ -307,7 +325,7 @@ class TestRunSuite:
             eig_calls.append(np.shape(a))
             return eigvals(a)
 
-        monkeypatch.setattr(jets, "eval_scalar_expr", spy_evaluate)
+        monkeypatch.setattr(jets, "eval_coeffs", spy_evaluate)
         monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
         report = run_suite(config)
         monkeypatch.undo()
@@ -457,7 +475,7 @@ class TestRunSuite:
             raise AssertionError("chart evaluated at the samples")
 
         monkeypatch.setattr(operator, "_operator", spy_operator)
-        monkeypatch.setattr(KahlerChart, "metric_jets", fail)
+        monkeypatch.setattr(KahlerChart, "metric_coeffs", fail)
         _, f_proj, _ = ctx.projector
         monkeypatch.undo()
         assert len(built) == 1
@@ -541,12 +559,11 @@ class TestSamplePass:
     @pytest.mark.parametrize("c", [0.25, 0.3, -0.25])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_unit_jets_equal_the_rescaled_chart(self, n, c):
-        # c times the chart's metric jets, term by term, is what the
-        # rescaled chart evaluates; g^-1 and Gamma follow bit for bit.
+        # c times the chart's metric coefficients is what the rescaled
+        # chart evaluates; g, g^-1 and Gamma follow bit for bit.
         ctx = self._context({"name": "fubini_study", "n": n}, "height:0", c)
         unit_chart = ctx.chart.rescaled(c)
-        geo = ChartJets.from_metric(
-            unit_chart, [c * t for t in ctx.chart.at(ctx.P, 2).g])
+        geo = ChartJets(unit_chart, c * ctx.chart.at(ctx.P, 2).coeffs, 2)
         ref = unit_chart.at(ctx.P, 2)
         assert geo.order == ref.order == 2
         for got, want in ((geo.g, ref.g), (geo.ginv(1), ref.ginv(1)),
@@ -556,13 +573,13 @@ class TestSamplePass:
 
     def test_one_evaluation_for_all_five_checks(self, monkeypatch):
         ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)
-        evaluated, metric_jets = [], KahlerChart.metric_jets
+        evaluated, metric_coeffs = [], KahlerChart.metric_coeffs
 
         def spy(chart, p, order):
             evaluated.append(order)
-            return metric_jets(chart, p, order)
+            return metric_coeffs(chart, p, order)
 
-        monkeypatch.setattr(KahlerChart, "metric_jets", spy)
+        monkeypatch.setattr(KahlerChart, "metric_coeffs", spy)
         for name in PASS_CHECKS:
             assert REGISTRY[name].func(ctx).max_residual < 1e-6
         assert evaluated == [2]
@@ -576,8 +593,8 @@ class TestSamplePass:
         def fail(*args):
             raise AssertionError("evaluated at the samples again")
 
-        monkeypatch.setattr(KahlerChart, "metric_jets", fail)
-        monkeypatch.setattr(jets, "eval_scalar_expr", fail)
+        monkeypatch.setattr(KahlerChart, "metric_coeffs", fail)
+        monkeypatch.setattr(jets, "eval_coeffs", fail)
         geo, fj, b = ctx.unit_geometry, ctx.f_jets, ctx.bundle
         monkeypatch.undo()
         assert len(geo.g) == 1 and len(geo.gamma()) == 1
@@ -587,6 +604,13 @@ class TestSamplePass:
         assert len(fj) == 3 and all(
             np.array_equal(a, r) for a, r in zip(fj, ctx.f.jets(ctx.P, 2)))
         assert np.array_equal(b.mu, -2.0 * fj[0])
+
+    def test_head_equals_an_evaluation_at_the_points(self):
+        ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)
+        head = ctx.unit_geometry.head(4)
+        ref = ctx.unit_problem.chart.at(ctx.P[:4], 1)
+        assert np.array_equal(head.g0, ref.g0)
+        assert np.array_equal(head.gamma(0)[0], ref.gamma(0)[0])
 
     def test_zero_c_keeps_the_chart_rows(self):
         ctx = self._context({"name": "fubini_study", "n": 1}, "height:0", 0.0)

@@ -10,6 +10,7 @@ import pytest
 
 from tannolab import jets as J
 from tannolab.fd import fd_gradient, fd_hessian, fd_third
+from tannolab.manifolds import cpn_height_function, random_polynomial_field
 
 
 def _field(x):
@@ -260,3 +261,24 @@ def test_matrix_inverse_matches_full_tensor_leibniz():
         S = _reference_leibniz_term(G, H, "ab,bc->ac", m, j_min=1)
         H.append(-np.einsum("zab,zbc...->zac...", H[0], S))
     _assert_close(J.tinv(G, ORDER), H)
+
+
+@pytest.mark.parametrize("field", [random_polynomial_field(4, 17),
+                                   cpn_height_function(2, 1)],
+                         ids=["cubic", "cp2_height1"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_partials_match_tgrad_of_expanded_jets(field, k):
+    # The coefficient at gamma of d^beta F, (gamma + beta)!/gamma! F_{gamma+beta},
+    # expanded, against k gradients of the field's derivative list.
+    d, top = field.dim, 3
+    P = np.random.default_rng(14).uniform(-0.5, 0.5, size=(N, d))
+    fj = field.jets(P, top + k)
+    F = J.compress(fj, d, top + k)
+    index, factor = J.partials(d, k, top)
+    want = fj
+    for _ in range(k):
+        want = J.tgrad(want)
+    got = J.expand(np.take(F, index, axis=-1) * factor, d, top)
+    _assert_close(got, want)
+    if k == 1:
+        _assert_close(J.expand(J.cgrad(F, d), d, top), want)

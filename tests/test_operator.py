@@ -1,15 +1,19 @@
 """Extended operator algebra: star products, spectra, projectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import points_on
+from tannolab import jets as J
 from tannolab.calculus import bar_form, frob, nabla_scalar, raise_lower
 from tannolab.charts import KahlerChart
 from tannolab.errors import (DimensionMismatch, IllConditioned, NoRealSplit,
                              NotProjector)
 from tannolab.fields import ConstField
 from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
+                                 sample_points,
                                 random_polynomial_field)
 from tannolab.operator import (PolynomialReal, _eigenstructure, _operator,
                                assemble_L, eigenstructure_at,
@@ -150,15 +154,70 @@ class TestStarPowerOperator:
                 assert frob(Lk - np.linalg.matrix_power(L1, k)) < 1e-7
 
 
+def _reference_star(chart, P, fj, Hj, order):
+    """F*H = -2 FH - 1/2 g^{ab} F_{,a} H_{,b} through ``order`` from the
+    public derivative-list operations, F and H through order + 1."""
+    ginv = J.tinv(chart.metric_jets(P, order), order)
+    lifted = J.tconv(ginv, J.tgrad(fj), "ab,a->b", order)
+    prod = J.tconv(fj, Hj, ",->", order)
+    cross = J.tconv(lifted, J.tgrad(Hj), "b,b->", order)
+    return [-2.0 * a - 0.5 * b for a, b in zip(prod, cross)]
+
+
+def _assert_terms_close(got, want, rtol):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
 class TestStarChain:
+    @pytest.mark.parametrize("chart_name", ["fs1_unit", "fs2_unit", "flat11", "cp11"])
+    def test_matches_public_jet_operations(self, request, chart_name):
+        # The coefficient-form chain against F*H written with tconv, tinv
+        # and tgrad on derivative lists: f^{*k} for k = 2..4 as nested
+        # products, and one product with a second cubic H.
+        chart = request.getfixturevalue(chart_name)
+        d, order, kmax = chart.dim, 2, 4
+        f = random_polynomial_field(d, 51)
+        H = random_polynomial_field(d, 52)
+        P = np.array(points_on(chart, 5, seed=41))
+        top = order + kmax - 1
+        fj = f.jets(P, top)
+        ref = fj
+        for k in range(2, kmax + 1):
+            ref = _reference_star(chart, P, fj, ref, top - k + 1)
+            _assert_terms_close(star_power(chart, f, k).jets(P, order),
+                                ref[:order + 1], 1e-13)
+        _assert_terms_close(star_product(chart, f, H).jets(P, order),
+                            _reference_star(chart, P, f.jets(P, order + 1),
+                                            H.jets(P, order + 1), order), 1e-13)
+
+    def test_chain_memory_is_bounded(self):
+        # lem2's chain on CP(3): g^-1 through order 4 stays in coefficient
+        # form (26.9 MB traced when g and g^-1 were full tensors).
+        chart = fubini_study_chart(3).rescaled(0.25)
+        P = np.array(sample_points(chart, 200, 7))[:20]
+        chain = star_power(chart, cpn_height_function(3, 0), 4)
+        chain.levels(P, 2)                  # builds the cached tables
+        tracemalloc.start()
+        try:
+            chain.levels(P, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_star_power_matches_nested_products_bitwise(self, n):
+        # From order 3 on, the outer product reads coefficients of degree 3
+        # and 4 of the inner one, whose round trip through a! is not exact
+        # (jets.as_listed).
         chart = fubini_study_chart(n).rescaled(0.25)
         f = cpn_height_function(n, 0)
         P = np.array(points_on(chart, 4, seed=38))
         for k in (2, 3, 4):
             nested = star_product(chart, f, star_power(chart, f, k - 1))
-            for order in (0, 2):
+            for order in (0, 2, 3):
                 for a, b in zip(star_power(chart, f, k).jets(P, order),
                                 nested.jets(P, order)):
                     assert np.array_equal(a, b)
@@ -193,18 +252,18 @@ class TestStarChain:
     def test_one_chart_and_one_field_evaluation_per_call(self, fs2, height2,
                                                          monkeypatch, k):
         metric_calls, field_calls = [], []
-        metric_jets, field_jets = KahlerChart.metric_jets, type(height2)._jets
+        metric_coeffs, field_jets = KahlerChart.metric_coeffs, type(height2)._jets
 
         def spy_metric(chart, p, order):
             metric_calls.append(order)
-            return metric_jets(chart, p, order)
+            return metric_coeffs(chart, p, order)
 
         def spy_field(field, p, order):
             if field is height2:
                 field_calls.append(order)
             return field_jets(field, p, order)
 
-        monkeypatch.setattr(KahlerChart, "metric_jets", spy_metric)
+        monkeypatch.setattr(KahlerChart, "metric_coeffs", spy_metric)
         monkeypatch.setattr(type(height2), "_jets", spy_field)
         P = np.array(points_on(fs2, 3, seed=39))
         for chain in (star_power(fs2, height2, k),
