@@ -297,8 +297,8 @@ class CheckContext:
         unit = ChartJets(self.unit_problem.chart, self.c * geo.coeffs, geo.order)
         # Let the chart's g^-1 and Gamma go before the unit chart's are
         # derived, so the arrays of the two derivations are never alive
-        # together: on CP(3) at 200 samples the pass then peaks at 15.5 MB
-        # traced, not 20.4 MB.
+        # together: on CP(3) at 200 samples the pass then peaks at 15.4 MB
+        # traced, not 20.3 MB.
         del geo, third
         jets = _system_from(unit, fj)
         rows["sys.residual"] = np.max(_system_rows(*jets), axis=0)
