@@ -26,14 +26,15 @@ from .errors import OutOfDomain, SingularMetric
 #: The test is relative, so it does not depend on the metric's overall scale.
 RCOND_FLOOR = 1e-12
 
-#: Points per evaluation in :func:`chunked`, and RK4 steps per block of
-#: :func:`~tannolab.tanno.transport_bundle`, which evaluates the chart and
-#: builds its matrices per block.  Unchunked, the order-3 field jets and
+#: Points per evaluation in :func:`chunked`, and the bound on the blocks
+#: of :func:`~tannolab.tanno.transport_bundle`, which evaluates the chart
+#: and builds its matrices per block.  Unchunked, the order-3 field jets and
 #: order-1 Christoffels of lightlike_third_derivative take ~70 KB per point on
 #: CP(3), 9 GB over a 2^17-sample path; at this size the check's traced
-#: heap peaks at 84 MB over such a path.  A transport block evaluates the
-#: chart at no more than 2 * 1024 + 1 stage points and holds as many
-#: matrices of m = d^2 + d + 1 rows, 30 MB on CP(3).
+#: heap peaks at 84 MB over such a path.  A transport block, over one path
+#: or the lockstep steps of a batch, evaluates the chart at no more than
+#: 2 * 1024 + 1 stage points (fewer when the batch's longest path has
+#: fewer) and holds as many matrices of m = d^2 + d + 1 rows, 30 MB on CP(3).
 POINT_CHUNK = 1024
 
 

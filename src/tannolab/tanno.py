@@ -210,7 +210,8 @@ def system_residual(prob: TannoProblem, p):
 
 def _trace_rows(geo: ChartJets, fj, aj) -> np.ndarray:
     """Per-point :func:`trace_identity_residual` from :func:`_system_from`."""
-    tr = J.tconv(geo.ginv(1), aj, "ab,ab->", 1)
+    d = geo.chart.dim
+    tr = J.cprod_terms(geo.ginv_coeffs(1), J.compress(aj, d, 1), "ab,ab->", d, 1)
     return frob_rows(fj[1] - 0.25 * tr[1])
 
 
@@ -312,46 +313,144 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     return A
 
 
+def _stage_matrices(chart: KahlerChart, starts, segs, first, nsub, rows
+                    ) -> np.ndarray:
+    """Dense A at the given stage rows, evaluating the chart there only.
+
+    Row first[i] + t is the point of segment i at tau = t / (2 nsub[i]),
+    with the bits of np.linspace(0, 1, 2 nsub[i] + 1), and the segment is
+    its velocity.
+    """
+    i = np.searchsorted(first, rows, "right") - 1
+    t = rows - first[i]
+    tau = np.where(t == 2 * nsub[i], 1.0, t * (1.0 / (2 * nsub[i])))
+    V = segs[i]
+    geo = chart.at(starts[i] + tau[:, None] * V, 1)
+    return _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], V)
+
+
+def _rk4_steps(A, K, H, y, active):
+    """Classical RK4 steps of dy/dt = A y in lockstep, on y (C, m, 1) in place.
+
+    Step j of path c reads rows K[j, :, c] of A at its start, middle and
+    end, with dt H[j, c]; only the first active[j] paths take it.  While
+    one path steps alone it reads A's rows as views and dt as a float, the
+    same arithmetic without the gather and the broadcasts.
+    """
+    cuts = [0, *(1 + np.flatnonzero(np.diff(active))).tolist(), len(active)]
+    for j0, j1 in zip(cuts[:-1], cuts[1:]):
+        cs = active[j0]
+        if cs == 1:
+            yc, Hr = y[0], H[j0:j1, 0, 0, 0].tolist()
+            stages = ((A[k], A[k + 1], A[k + 2], h, h / 2, h / 6)
+                      for k, h in zip(K[j0:j1, 0, 0].tolist(), Hr))
+        else:
+            yc, Hr = y[:cs], H[j0:j1, :cs]
+            stages = ((*A.take(k, axis=0), h, h2, h6) for k, h, h2, h6
+                      in zip(K[j0:j1, :, :cs], Hr, Hr / 2, Hr / 6))
+        for a0, a1, a2, h, h2, h6 in stages:
+            k1 = a0 @ yc
+            k2 = a1 @ (yc + h2 * k1)
+            k3 = a1 @ (yc + h2 * k2)
+            k4 = a2 @ (yc + h * k3)
+            yc += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def transport_bundle(chart: KahlerChart, path, init: SolutionBundle
                      ) -> SolutionBundle:
-    """Integrate the first-order system along a polyline of chart points.
+    """Integrate the first-order system along polylines of chart points.
 
     The system is linear, dy/dt = A(x, xdot) y, in the state
-    y = (a.ravel(), f, mu) of length d^2 + d + 1.  Each segment is split
-    into equal classical RK4 steps of at most :data:`MAX_STEP`.  Vertices
-    outside the domain are rejected; the domain is a ball, so every segment
-    between two vertices inside it lies inside it too.
+    y = (a.ravel(), f, mu) of length m = d^2 + d + 1.  Each segment is split
+    into equal classical RK4 steps of at most :data:`MAX_STEP`; zero-length
+    segments are skipped.  Vertices outside the domain are rejected; the
+    domain is a ball, so every segment between two vertices inside it lies
+    inside it too.
+
+    ``path`` is one polyline (V, d) or a batch of C polylines (C, V, d), and
+    ``init`` the bundle at their first vertex: one for every path, or one
+    with a leading C axis.  A batch returns a bundle with a leading C axis,
+    one polyline a bundle without it; each path gets bit for bit what it
+    gets alone.
+
+    The paths, sorted by step count so that those still stepping are a
+    prefix, take their steps in lockstep: one iteration of batched products
+    per step of the longest path.  The chart is evaluated and A built per
+    block of steps, on that block's stage rows only.  No block holds more
+    rows than the longest path would alone, min(its rows,
+    2 :data:`~tannolab.charts.POINT_CHUNK` + 1), and each block's A is freed
+    before the next block is evaluated.
     """
-    P, _ = chart.batch(path)
     d = chart.dim
-    segs = P[1:] - P[:-1]
-    lens = np.array([float(np.linalg.norm(seg)) for seg in segs])
-    starts, segs, lens = P[:-1][lens > 0.0], segs[lens > 0.0], lens[lens > 0.0]
-    nsubs = np.maximum(1, np.ceil(lens / MAX_STEP)).astype(int)
-    # X holds each segment's grid of half steps on [0, 1], V its velocity:
-    # step s, on segment i, uses rows 2s + i, 2s + i + 1 and 2s + i + 2.
-    X = np.concatenate([P[:0], *(q0 + np.linspace(0.0, 1.0, 2 * n + 1)[:, None] * seg
-                                 for q0, seg, n in zip(starts, segs, nsubs))])
-    V = np.repeat(segs, 2 * nsubs + 1, axis=0)
-    rows = 2 * np.arange(nsubs.sum()) + np.repeat(np.arange(len(nsubs)), nsubs)
-    dts = np.repeat(1.0 / nsubs, nsubs)
-    y = np.concatenate([np.ravel(init.a), init.grad, [init.mu]])
-    # A block of at most POINT_CHUNK steps, on at most 2 POINT_CHUNK + 1 rows
-    # of one or more segments, evaluates the chart and builds A on its rows.
-    s0 = 0
-    while s0 < len(rows):
-        s1 = np.searchsorted(rows, rows[s0] + 2 * charts.POINT_CHUNK - 2, "right")
-        lo, hi = rows[s0], rows[s1 - 1] + 3
-        geo = chart.at(X[lo:hi], 1)
-        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], V[lo:hi])
-        for k, dt in zip((rows[s0:s1] - lo).tolist(), dts[s0:s1].tolist()):
-            k1 = A[k] @ y
-            k2 = A[k + 1] @ (y + dt / 2 * k1)
-            k3 = A[k + 1] @ (y + dt / 2 * k2)
-            k4 = A[k + 2] @ (y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        s0 = s1
-    return SolutionBundle(y[:d * d].reshape(d, d), y[d * d:-1], float(y[-1]))
+    n2, m = d * d, d * d + d + 1
+    X = np.asarray(path, dtype=float)
+    if X.ndim > 3:
+        raise ValueError(f"path must have shape (V, d) or (C, V, d), got {X.shape}")
+    single = X.ndim < 3
+    P, _ = chart.batch(X if single else X.reshape(-1, X.shape[-1]))
+    paths = P[None] if single else P.reshape(X.shape)
+    C = len(paths)
+    mu = np.asarray(init.mu, dtype=float)
+    if mu.ndim and (single or len(mu) != C):
+        raise ValueError(f"init holds {len(mu)} bundles for "
+                         f"{'one path' if single else f'{C} paths'}")
+    y = np.empty((C, m, 1))
+    y[:, :n2, 0] = np.reshape(init.a, (-1, n2))
+    y[:, n2:-1, 0] = np.reshape(init.grad, (-1, d))
+    y[:, -1, 0] = mu
+    segs = paths[:, 1:] - paths[:, :-1]
+    # |seg| with the bits of np.linalg.norm: the root of one dot product.
+    lens = np.sqrt(segs[..., None, :] @ segs[..., None])[..., 0, 0]
+    nsub = np.where(lens > 0.0, np.maximum(1, np.ceil(lens / MAX_STEP)), 0
+                    ).astype(int)
+    steps = nsub.sum(axis=1)
+    order = np.argsort(-steps, kind="stable")
+    nsub, steps, y = nsub[order], steps[order], y[order]
+    keep = nsub > 0
+    starts, segs, nsub = paths[order, :-1][keep], segs[order][keep], nsub[keep]
+    # Stage rows: each kept segment's 2 nsub + 1 half steps, path after path
+    # in sorted order, from row ``first``; its steps are numbered from
+    # ``sfirst`` on, a path's from ``pfirst`` on.
+    first = np.cumsum(2 * nsub + 1) - (2 * nsub + 1)
+    sfirst, pfirst = np.cumsum(nsub) - nsub, np.cumsum(steps) - steps
+
+    def table(s0, s1, c0, c1):
+        """(R, H): step s of path c starts at stage row R[s - s0, c - c0]
+        and has dt H[s - s0, c - c0]; past a path's last step both repeat
+        its last."""
+        g = pfirst[c0:c1] + np.minimum(np.arange(s0, s1)[:, None], steps[c0:c1] - 1)
+        i = np.searchsorted(sfirst, g, "right") - 1
+        return first[i] + 2 * (g - sfirst[i]), (1.0 / nsub[i])[..., None, None]
+
+    # B bounds a block's rows: the rows the longest path takes alone.  One
+    # step of each path of a group of at most B // 3 fits in a block; act[s]
+    # of the group's paths are still stepping at step s.
+    B = min(int((2 * steps + keep.sum(axis=1)).max(initial=0)),
+            2 * charts.POINT_CHUNK + 1)
+    G = max(1, B // 3)
+    for c0 in range(0, C, G):
+        act = (steps[c0:c0 + G] > np.arange(steps[c0])[:, None]).sum(axis=1)
+        s0 = 0
+        while s0 < len(act):
+            # The longest path of the block takes 2 rows a step and 1 more,
+            # each other at least 3: so a block has at most this many steps.
+            ca = int(act[s0])
+            R = table(s0, min(len(act), s0 + (B - 3 * ca) // 2 + 1), c0, c0 + ca)[0]
+            s1 = s0 + int(np.searchsorted((R - R[0] + 3).sum(axis=1), B, "right"))
+            R, H = table(s0, s1, c0, c0 + ca)
+            lo, n = R[0], R[-1] + 3 - R[0]
+            off = np.cumsum(n) - n
+            rows = np.repeat(lo - off, n) + np.arange(n.sum())
+            _rk4_steps(_stage_matrices(chart, starts, segs, first, nsub, rows),
+                       (R - lo + off)[:, None] + np.arange(3)[:, None], H,
+                       y[c0:], act[s0:s1])
+            s0 = s1
+    out = np.empty_like(y)
+    out[order] = y
+    a, grad, mu = out[:, :n2, 0].reshape(C, d, d), out[:, n2:-1, 0], out[:, -1, 0]
+    if single:
+        return SolutionBundle(a[0], grad[0], float(mu[0]))
+    return SolutionBundle(a, grad, mu)
 
 
 def _cubic_form(T, V) -> np.ndarray:

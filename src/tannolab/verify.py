@@ -408,25 +408,25 @@ def _bundle_distance(x: SolutionBundle, y: SolutionBundle) -> float:
 def check_transport_zero(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     rng = np.random.default_rng(ctx.seed)
-    worst = 0.0
     d = chart.dim
-    for _ in range(10):
-        path = _random_polyline(chart, rng)
-        zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
-        out = transport_bundle(chart, path, zero)
-        worst = max(worst, out.norm())
-    return CheckOutcome(worst, 10)
+    paths = [_random_polyline(chart, rng) for _ in range(10)]
+    zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
+    out = transport_bundle(chart, paths, zero)
+    return CheckOutcome(max(_bundle_at(out, k).norm() for k in range(10)), 10)
 
 def check_transport_match(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
-    worst = 0.0
     trials = min(6, len(ctx.P) - 1)
     if trials == 0:
         raise SkipCheck("needs at least two sample points")
+    b = ctx.bundle
+    out = transport_bundle(chart, np.stack([ctx.P[:trials], ctx.P[1:trials + 1]], 1),
+                           SolutionBundle(b.a[:trials], b.grad[:trials], b.mu[:trials]))
+    worst = 0.0
     for k in range(trials):
-        out = transport_bundle(chart, ctx.P[k:k + 2], _bundle_at(ctx.bundle, k))
-        ref = _bundle_at(ctx.bundle, k + 1)
-        worst = max(worst, _bundle_distance(out, ref) / max(1.0, ref.norm()))
+        ref = _bundle_at(b, k + 1)
+        worst = max(worst, _bundle_distance(_bundle_at(out, k), ref)
+                    / max(1.0, ref.norm()))
     return CheckOutcome(worst, trials)
 
 def check_transport_loop(ctx: CheckContext) -> CheckOutcome:

@@ -1,5 +1,7 @@
 """Residual operators, the bundle construction and Frobenius transport."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from tannolab.tanno import (MAX_STEP, SolutionBundle, TannoProblem,
                             lightlike_third_derivative, mu_hessian_residual,
                             system_residual, tanno_residual,
                             trace_identity_residual, transport_bundle)
-from tannolab.verify import SuiteConfig, run_suite
+from tannolab.verify import REGISTRY, CheckContext, SuiteConfig, run_suite
 
 
 def _einsum_rhs(geometry, xdot, a, f, mu):
@@ -508,6 +510,147 @@ class TestTransport:
             ref = np.concatenate([da.ravel(), df, [dmu]])
             assert np.max(np.abs(A[z] @ _state(b) - ref)) <= \
                 1e-14 * np.max(np.abs(ref))
+
+
+def _path_batch(chart, rng):
+    """Six polylines of four vertices inside the chart's domain, with
+    unequal step counts: one has a zero-length segment, one is a single
+    point (all four vertices equal) and one has a single short step."""
+    r = 0.5 * chart.domain_radius / np.sqrt(chart.dim)
+    paths = rng.uniform(-r, r, size=(6, 4, chart.dim))
+    paths *= np.linspace(1.0, 0.3, 6)[:, None, None]
+    paths[1, 2] = paths[1, 1]
+    paths[2] = paths[2, 0]
+    paths[3, 1:] = paths[3, 0]
+    paths[3, -1, 0] += 0.5 * MAX_STEP
+    return paths
+
+
+def _batched(bundles):
+    return SolutionBundle(np.stack([b.a for b in bundles]),
+                          np.stack([b.grad for b in bundles]),
+                          np.array([b.mu for b in bundles]))
+
+
+def _bundle_rows(b: SolutionBundle) -> np.ndarray:
+    return np.concatenate([b.a.reshape(len(b.mu), -1), b.grad, b.mu[:, None]],
+                          axis=1)
+
+
+class TestTransportBatch:
+    """transport_bundle over a (C, V, d) batch of polylines in lockstep."""
+
+    @pytest.mark.parametrize("chart", [
+        fubini_study_chart(1), fubini_study_chart(2), fubini_study_chart(3),
+        flat_kahler_chart(1, 1), "cp11"], ids=["cp1", "cp2", "cp3", "flat11", "cp11"])
+    def test_batch_equals_single_paths_bitwise(self, chart, request, monkeypatch):
+        if chart == "cp11":
+            chart = request.getfixturevalue("cp11")
+        rng = np.random.default_rng(70)
+        paths = _path_batch(chart, rng)
+        inits = [_random_bundle(rng, chart.dim) for _ in paths]
+        singles = np.array([_state(transport_bundle(chart, p, b))
+                            for p, b in zip(paths, inits)])
+        steps = [int(np.maximum(1, np.ceil(np.linalg.norm(s, axis=1) / MAX_STEP))
+                     [np.linalg.norm(s, axis=1) > 0].sum())
+                 for s in np.diff(paths, axis=1)]
+        assert len(set(steps)) == len(steps) and 0 in steps and 1 in steps
+        assert np.array_equal(singles[2], _state(inits[2]))
+        assert np.array_equal(
+            singles[2], _state(transport_bundle(chart, paths[2, :1], inits[2])))
+        # Blocks of a few steps, and groups of one or two paths, keep the bits.
+        for chunk in (charts.POINT_CHUNK, 3, 1):
+            monkeypatch.setattr(charts, "POINT_CHUNK", chunk)
+            out = transport_bundle(chart, paths, _batched(inits))
+            assert out.a.shape == (len(paths), chart.dim, chart.dim)
+            assert np.array_equal(_bundle_rows(out), singles)
+
+    def test_one_vertex_paths(self, fs1_unit):
+        rng = np.random.default_rng(71)
+        pts = rng.uniform(-0.5, 0.5, size=(3, 1, 2))
+        inits = [_random_bundle(rng, 2) for _ in pts]
+        out = transport_bundle(fs1_unit, pts, _batched(inits))
+        assert np.array_equal(_bundle_rows(out), [_state(b) for b in inits])
+
+    def test_single_path_returns_one_bundle(self, fs1_unit):
+        init = _random_bundle(np.random.default_rng(72), 2)
+        path = np.array([[0.0, 0.0], [0.3, -0.2], [0.1, 0.4]])
+        out = transport_bundle(fs1_unit, path, init)
+        assert out.a.shape == (2, 2) and out.grad.shape == (2,)
+        assert isinstance(out.mu, float)
+        batch = transport_bundle(fs1_unit, path[None], init)
+        assert np.array_equal(_bundle_rows(batch)[0], _state(out))
+
+    def test_zero_batch_stays_exactly_zero(self, fs2_unit):
+        rng = np.random.default_rng(73)
+        d = fs2_unit.dim
+        zero = SolutionBundle(np.zeros((d, d)), np.zeros(d), 0.0)
+        out = transport_bundle(fs2_unit, _path_batch(fs2_unit, rng), zero)
+        assert out.mu.shape == (6,) and not np.any(_bundle_rows(out))
+
+    def test_mismatched_batch_rejected(self, fs1_unit):
+        rng = np.random.default_rng(74)
+        paths = _path_batch(fs1_unit, rng)
+        two = _batched([_random_bundle(rng, 2) for _ in range(2)])
+        with pytest.raises(ValueError):
+            transport_bundle(fs1_unit, paths, two)
+        with pytest.raises(ValueError):
+            transport_bundle(fs1_unit, paths[0], two)
+
+    def test_vertex_outside_domain_rejected(self, fs1_unit):
+        paths = _path_batch(fs1_unit, np.random.default_rng(75))
+        paths[4, 2] = [1.01 * fs1_unit.domain_radius, 0.0]
+        zero = SolutionBundle(np.zeros((2, 2)), np.zeros(2), 0.0)
+        with pytest.raises(OutOfDomain):
+            transport_bundle(fs1_unit, paths, zero)
+
+    @pytest.mark.parametrize("chunk", [None, 40, 4])
+    def test_no_block_outgrows_the_longest_path(self, fs2_unit, monkeypatch,
+                                                chunk):
+        # Every chart evaluation of a batch holds at most the rows that the
+        # batch's longest path evaluates alone, min(its rows, 2 chunk + 1).
+        if chunk is not None:
+            monkeypatch.setattr(charts, "POINT_CHUNK", chunk)
+        rows, at = [], KahlerChart.at
+
+        def spy_at(chart, p, order):
+            rows.append(len(p))
+            return at(chart, p, order)
+
+        monkeypatch.setattr(KahlerChart, "at", spy_at)
+        rng = np.random.default_rng(76)
+        paths = _path_batch(fs2_unit, rng)
+        init = _random_bundle(rng, fs2_unit.dim)
+        alone = []
+        for p in paths:
+            rows.clear()
+            transport_bundle(fs2_unit, p, init)
+            alone.append(max(rows, default=0))
+        rows.clear()
+        transport_bundle(fs2_unit, paths, init)
+        assert 0 < max(rows) <= max(alone) <= 2 * charts.POINT_CHUNK + 1
+        if chunk is None:
+            # The longest path is one block alone; the batch needs more.
+            assert len(rows) > 1 and max(alone) < 2 * charts.POINT_CHUNK + 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_batched_checks_peak_below_the_loop(self, n):
+        # The batched lem1 checks hold no more memory at their peak than
+        # the single-path loop check does (seed 7, the CLI default).
+        ctx = CheckContext.from_config(SuiteConfig.from_dict(
+            {**DEFAULT_CONFIG, "chart": {"name": "fubini_study", "n": n}}))
+        peaks = {}
+        for name in ("lem1.transport_zero", "lem1.transport_match",
+                     "lem1.transport_loop"):
+            REGISTRY[name].func(ctx)        # builds the cached tables
+            tracemalloc.start()
+            try:
+                REGISTRY[name].func(ctx)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        loop = peaks.pop("lem1.transport_loop")
+        assert max(peaks.values()) <= loop, (peaks, loop)
 
 
 class TestSystemApply:
