@@ -2,12 +2,13 @@
 matrix-field interface.
 
 Fields are immutable after construction and keep no per-point state.
-:meth:`ScalarField.jets` and :meth:`MatrixField.jets` take one point of
-shape (d,) or a batch of shape (N, d) and return derivative lists with a
-leading point axis iff the input had one.  Subclasses implement
-``_jets(P, order)`` for an (N, d) batch only.  The package implements no
-matrix field: matrix-valued jets (the metric, a_ij) come straight from
-:meth:`KahlerChart.metric_jets` and the bundle code.
+:meth:`ScalarField.taylor` takes one point of shape (d,) or a batch of
+shape (N, d) and returns Taylor coefficients (:mod:`~tannolab.jets`) with a
+leading point axis iff the input had one; :meth:`ScalarField.jets` is their
+derivative list.  Subclasses implement ``_taylor(P, order)`` for an (N, d)
+batch only.  The package implements no matrix field: matrix-valued jets
+(the metric, a_ij) come straight from :meth:`KahlerChart.metric_coeffs` and
+the bundle code.
 """
 
 from __future__ import annotations
@@ -18,27 +19,26 @@ from . import jets as J
 from .charts import as_points, unbatch
 
 
-def _constant_jets(a: np.ndarray, P: np.ndarray, order: int) -> list[np.ndarray]:
-    n, d = P.shape
-    return [np.repeat(a[None], n, axis=0)] + [
-        np.zeros((n,) + a.shape + (d,) * m) for m in range(1, order + 1)]
-
-
 class ScalarField:
     """Base class: a smooth real function on a chart domain.
 
-    Subclasses implement ``_jets(P, order)`` on an (N, d) batch; consumers
-    call :meth:`jets`, which accepts a single point or a batch.
+    Subclasses implement ``_taylor(P, order)``, the (N, M) Taylor
+    coefficients through ``order`` on an (N, d) batch; consumers call
+    :meth:`taylor` or :meth:`jets`, which accept a single point or a batch
+    of this field's dimension.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
 
-    def jets(self, p, order: int) -> list[np.ndarray]:
-        P, single = as_points(p)
-        return unbatch(self._jets(P, order), single)
+    def taylor(self, p, order: int) -> np.ndarray:
+        P, single = as_points(p, self.dim)
+        return unbatch(self._taylor(P, order), single)
 
-    def _jets(self, P, order):  # pragma: no cover - abstract
+    def jets(self, p, order: int) -> list[np.ndarray]:
+        return J.expand(self.taylor(p, order), self.dim, order)
+
+    def _taylor(self, P, order):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __call__(self, p):
@@ -80,8 +80,8 @@ class ExprField(ScalarField):
         self.fn = fn
         self.name = name
 
-    def _jets(self, P, order):
-        return J.eval_scalar_expr(self.fn, P, order)
+    def _taylor(self, P, order):
+        return J.eval_coeffs(self.fn, P, order)
 
     def __repr__(self):
         return f"ExprField({self.name}, dim={self.dim})"
@@ -92,8 +92,8 @@ class ConstField(ScalarField):
         super().__init__(dim)
         self.const = float(value)
 
-    def _jets(self, P, order):
-        return _constant_jets(np.array(self.const), P, order)
+    def _taylor(self, P, order):
+        return J.compress([np.full(len(P), self.const)], self.dim, order)
 
     def __repr__(self):
         return f"ConstField({self.const})"
@@ -117,26 +117,21 @@ class LinearComboField(ScalarField):
         self.coeffs = flat_coeffs
         self.const = float(const)
 
-    def _jets(self, P, order):
-        out = _constant_jets(np.array(self.const), P, order)
+    def _taylor(self, P, order):
+        out = J.compress([np.full(len(P), self.const)], self.dim, order)
         for f, c in zip(self.fields, self.coeffs):
-            out = [o + c * t for o, t in zip(out, f.jets(P, order))]
+            out += c * f.taylor(P, order)
         return out
 
 
 class MatrixField:
     """Interface of a smooth symmetric-matrix-valued map with exact
-    derivatives; ``perfbench/bench_trace.py`` hooks its :meth:`jets`."""
+    derivatives: :meth:`jets` as for :class:`ScalarField`, with lead shape
+    (d, d).  The package implements none; ``perfbench/bench_trace.py`` looks
+    the class up and hooks its :meth:`jets`."""
 
     def __init__(self, dim: int):
         self.dim = dim
 
-    def jets(self, p, order: int) -> list[np.ndarray]:
-        P, single = as_points(p)
-        return unbatch(self._jets(P, order), single)
-
-    def _jets(self, P, order):  # pragma: no cover - abstract
+    def jets(self, p, order: int) -> list[np.ndarray]:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def __call__(self, p) -> np.ndarray:
-        return np.array(self.jets(p, 0)[0])

@@ -1,19 +1,15 @@
 """Truncated multivariate Taylor (jet) arithmetic over batches of points.
 
-Interface.  Outside this module a jet of order r over N points of R^d is
-a derivative list ``[T0, T1, ..., Tr]``, ``Tm`` the raw m-th
-partial-derivative tensor of shape ``(N,) + lead_shape + (d,)*m``,
-symmetric in its trailing m axes, with missing trailing terms zero; or a
-coefficient array of shape ``(N,) + lead_shape + (M,)``, the coefficients
-of Storage below through the degree M reaches.  Fields return lists, and
-:func:`eval_scalar_expr`, :func:`tconv`, :func:`tinv` and
-:attr:`Jet.terms` take and return them.  Coefficient arrays cross into
-:mod:`~tannolab.charts` and :class:`~tannolab.operator.StarField`, whose
-metric, g^-1 and star chain stay in that form: :func:`eval_coeffs`,
-:func:`cprod`, :func:`cinv` and :func:`cgrad` are the cores the list
-functions wrap, and :func:`compress`, :func:`expand` and
-:func:`cprod_terms` convert, so full tensors are built only for the orders
-a caller reads.
+Interface.  A jet of order r over N points of R^d is a coefficient array
+of shape ``(N,) + lead_shape + (M,)``: the Taylor coefficients of Storage
+below through degree r.  Fields (:meth:`~tannolab.fields.ScalarField.taylor`),
+the chart's metric and g^-1 and the star chain produce and take that form,
+and :func:`eval_coeffs`, :func:`cprod`, :func:`cinv` and :func:`cgrad` work
+on it.  A caller that reads derivatives expands it with :func:`expand`, or
+a product degree by degree with :func:`cprod_terms`, into a derivative list
+``[T0, T1, ..., Tr]``, ``Tm`` the raw m-th partial-derivative tensor of
+shape ``(N,) + lead_shape + (d,)*m``, symmetric in its trailing m axes;
+:func:`compress` turns a list written in closed form into coefficients.
 
 Storage.  Inside, a jet holds one Taylor coefficient ``d^a f / a!`` per
 multi-index a, degree after degree (within a degree in the order of
@@ -39,9 +35,8 @@ ones, and no sum mixes points, so a batch gives the bits its points give
 one at a time.  A :class:`Jet` stores coefficients only through the
 highest degree that can be nonzero, so a product with a coordinate costs
 that coordinate's degree-1 block only.  Expanding multiplies a coefficient
-by a! and compressing divides by it, which is not an exact round trip;
-:func:`as_listed` applies it where a result must have the bits of one that
-went through a derivative list.  Nothing here is chart-aware.
+by a! and compressing divides by it, which is not an exact round trip, so
+coefficients are handed on unexpanded.  Nothing here is chart-aware.
 """
 
 from __future__ import annotations
@@ -282,23 +277,16 @@ def _top_of(d: int, size: int) -> int:
     return top
 
 
-def _dim_of(A, B) -> int:
-    for lst in (A, B):
-        for m, t in enumerate(lst):
-            if m >= 1:
-                return np.shape(t)[-1]
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# Coefficient form: the cores of the derivative-list operations.
+# Coefficient arrays: conversion and products.
 # ---------------------------------------------------------------------------
 
 def compress(terms, d: int, top: int) -> np.ndarray:
-    """Coefficient array (N, lead..., M) of a derivative list through ``top``."""
+    """Coefficient array (N, lead..., M) of a derivative list through ``top``;
+    degrees past the end of the list are zero."""
     n, lead = len(terms[0]), np.shape(terms[0])[1:]
-    out = np.empty((n,) + lead + (_size(d, top),))
-    for m in range(top + 1):
+    out = np.zeros((n,) + lead + (_size(d, top),))
+    for m in range(min(top, len(terms) - 1) + 1):
         flat = np.reshape(terms[m], (n,) + lead + (d ** m,))
         if m >= 2:
             _, pick, factorial = _full_index(d, m)
@@ -335,18 +323,6 @@ def partials(d: int, k: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     factor = fact[up].prod(axis=-1) / fact[rows].prod(axis=-1)
     beta, shape = _full_index(d, k)[0], (d,) * k + (len(rows),)
     return _frozen(index[beta].reshape(shape), factor[beta].reshape(shape))
-
-
-def as_listed(c: np.ndarray, d: int) -> np.ndarray:
-    """Round coefficients in place as a derivative list holds them: each
-    becomes ``(c a!) / a!``, the bits :func:`compress` of :func:`expand`
-    gives, without building the list.  Returns c."""
-    for m in range(2, _top_of(d, c.shape[-1]) + 1):
-        factorial = _full_index(d, m)[2]
-        block = c[..., _size(d, m - 1):_size(d, m)]
-        block *= factorial
-        block /= factorial
-    return c
 
 
 def cgrad(c: np.ndarray, d: int) -> np.ndarray:
@@ -386,7 +362,12 @@ def _products(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int):
 def cprod(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int
           ) -> np.ndarray:
     """Coefficients of the product of two coefficient arrays over the same
-    points, through ``order`` (see :func:`tconv` for ``spec``)."""
+    points, through ``order``.
+
+    ``spec`` is an einsum signature for the leading axes after the point
+    axis, e.g. ``'ab,bc->ac'`` for a matrix product or ``',->'`` for
+    scalars.  Degrees past either factor's last stored one are zero.
+    """
     return np.concatenate(list(_products(a, b, spec, d, order)), axis=-1)
 
 
@@ -421,40 +402,6 @@ def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
             S = _pair_matmul(x, h, _padded_table(d, m, 1, min(tg, m), m - 1))
             h[:, _size(d, m - 1):_size(d, m)] = -np.matmul(H0[:, None], S)
     return np.ascontiguousarray(np.moveaxis(h[:, :-1], 1, -1))
-
-
-# ---------------------------------------------------------------------------
-# Derivative-list operations.
-# ---------------------------------------------------------------------------
-
-def tconv(A, B, spec: str, order: int):
-    """Leibniz product of two batched derivative lists through ``order``.
-
-    ``spec`` is an einsum signature for the leading axes after the point
-    axis, e.g. ``'ab,bc->ac'`` for a matrix product or ``',->'`` for
-    scalars.  Terms beyond the end of either list are zero.
-    """
-    d = _dim_of(A, B)
-    a = compress(A, d, min(len(A) - 1, order))
-    b = compress(B, d, min(len(B) - 1, order))
-    return cprod_terms(a, b, spec, d, order)
-
-
-def tgrad(A):
-    """Derivative list of the coordinate gradient: lead shape grows by (d,).
-
-    ``tgrad(A)[m]`` is ``A[m+1]`` with its first trailing axis read as the
-    gradient component; valid because the trailing axes are symmetric.
-    """
-    return [A[m + 1] for m in range(len(A) - 1)]
-
-
-def tinv(G, order: int, inv0=None):
-    """Derivative list of the matrix inverse of a batched matrix-valued jet:
-    :func:`cinv` of its coefficients."""
-    d = _dim_of(G, G)
-    g = compress(G, d, min(len(G) - 1, order))
-    return expand(cinv(g, d, order, inv0), d, order)
 
 
 def _libm(fn, v: np.ndarray) -> np.ndarray:
@@ -631,14 +578,3 @@ def eval_coeffs(fn, p, order: int) -> np.ndarray:
     c = np.zeros((n, size))
     c[:, :stored] = result.c[..., :stored]
     return c
-
-
-def eval_scalar_expr(fn, p, order: int) -> list[np.ndarray]:
-    """Evaluate a Jet-arithmetic callable fn(list[Jet]) -> Jet at points p.
-
-    p has shape (d,) or (N, d); the result has a leading point axis iff p
-    does.
-    """
-    p = np.asarray(p, dtype=float)
-    terms = expand(eval_coeffs(fn, p, order), p.shape[-1], order)
-    return [t[0] for t in terms] if p.ndim == 1 else terms

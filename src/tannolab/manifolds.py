@@ -109,11 +109,12 @@ def sphere_second_eigenfunction() -> ScalarField:
 class CubicField(ScalarField):
     """c0 + lin_i x^i + quad_ij x^i x^j + cub_ijk x^i x^j x^k.
 
-    quad and cub are symmetrized once, to Q and C.  Then the jets are in
-    closed form: gradient lin + 2Qx + 3C(x, x), Hessian 2Q + 6C(x), third
-    derivative 6C, zero above.  Each contraction is a broadcast product
-    summed over the last coordinate axis, so a point gives the same bits
-    alone as in any batch.
+    quad and cub are symmetrized once, to Q and C.  Then the derivatives
+    are in closed form: gradient lin + 2Qx + 3C(x, x), Hessian 2Q + 6C(x),
+    third derivative 6C, zero above; they are compressed to Taylor
+    coefficients.  Each contraction is a broadcast product summed over the
+    last coordinate axis, so a point gives the same bits alone as in any
+    batch.
     """
 
     def __init__(self, c0: float, lin, quad, cub, name: str = "cubic"):
@@ -127,8 +128,7 @@ class CubicField(ScalarField):
                        for perm in itertools.permutations(range(3))) / 6.0
         self.name = name
 
-    def _jets(self, P, order):
-        n, d = P.shape
+    def _taylor(self, P, order):
         Cx = (self.cub * P[:, None, None, :]).sum(-1)
         Cxx = (Cx * P[:, None, :]).sum(-1)
         Qx = (self.quad * P[:, None, :]).sum(-1)
@@ -136,9 +136,8 @@ class CubicField(ScalarField):
                  + (Cxx * P).sum(-1))
         terms = [value, self.lin + 2.0 * Qx + 3.0 * Cxx,
                  2.0 * self.quad + 6.0 * Cx,
-                 np.repeat(6.0 * self.cub[None], n, axis=0)]
-        return terms[:order + 1] + [np.zeros((n,) + (d,) * m)
-                                    for m in range(4, order + 1)]
+                 np.broadcast_to(6.0 * self.cub, (len(P),) + self.cub.shape)]
+        return J.compress(terms[:order + 1], self.dim, order)
 
     def __repr__(self):
         return f"CubicField({self.name}, dim={self.dim})"

@@ -54,9 +54,9 @@ class StarField(ScalarField):
 
     Jets of order r need f and H through r + k - 1 and g^-1 through
     r + k - 2; each is evaluated once, as is the lift g^{ab} f_{,a}, and the
-    k - 1 levels read their bit-exact prefixes.  The chain runs on Taylor
-    coefficients (:mod:`tannolab.jets`): f and H are compressed once, and
-    only the levels returned are expanded, through r.  :meth:`levels`
+    k - 1 levels read their bit-exact prefixes.  The chain runs on the
+    Taylor coefficients the fields give (:mod:`tannolab.jets`), so a nested
+    H hands over its chain's coefficients unrounded.  :meth:`levels`
     returns every level, so f^{*2}, ..., f^{*k} of :func:`star_power` cost
     one chain.
     """
@@ -70,35 +70,32 @@ class StarField(ScalarField):
         self.chart, self.f, self.H = chart, f, H
         self.coeffs = tuple(float(c) for c in coeffs)
 
-    def levels(self, P, order):
-        """Jets through ``order`` of the chain's k - 1 star products over an
-        (N, d) batch, innermost first; the last is the field's own jets.
-
-        A level reads the one below rounded as its derivative list holds it
-        (:func:`~tannolab.jets.as_listed`), so it equals, bit for bit, the
-        star product whose H is that level.
-        """
+    def _chain(self, P, order):
+        """Taylor coefficients through ``order`` of the chain's k - 1 star
+        products over an (N, d) batch, innermost first, one at a time."""
         *outer, c, lead = self.coeffs
         d, top = self.dim, order + len(outer)
-        F = J.compress(self.f.jets(P, top), d, top)
-        H = F if self.H is self.f else J.compress(self.H.jets(P, top), d, top)
+        F = self.f.taylor(P, top)
+        H = F if self.H is self.f else self.H.taylor(P, top)
         ginv = self.chart.at(P, top - 1).ginv_coeffs(top - 1)
         lifted = J.cprod(ginv, J.cgrad(F, d), "ab,a->b", d, top - 1)
         S = lead * H
         S[:, 0] = S[:, 0] - 0.5 * c
-        out = []
         for r, c in reversed(list(enumerate(outer, order))):
-            if out:
-                S = J.as_listed(S, d)
             prod = J.cprod(F, S, ",->", d, r)
             cross = J.cprod(lifted, J.cgrad(S, d), "b,b->", d, r)
             S = -2.0 * prod - 0.5 * cross
             S[:, 0] = S[:, 0] - 0.5 * c
-            out.append(J.expand(S, d, order))
-        return out
+            yield S
 
-    def _jets(self, P, order):
-        return self.levels(P, order)[-1]
+    def levels(self, P, order):
+        """Jets through ``order`` of the chain's k - 1 star products over an
+        (N, d) batch, innermost first; the last is the field's own jets."""
+        return [J.expand(S, self.dim, order) for S in self._chain(P, order)]
+
+    def _taylor(self, P, order):
+        *_, S = self._chain(P, order)
+        return S
 
 
 def star_product(chart: KahlerChart, F: ScalarField, H: ScalarField) -> ScalarField:
@@ -262,11 +259,24 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
     Lf = _operator(prob.f.jets(P, 2), geo)
     LF = _operator(other.f.jets(P, 2),
                    geo if other.chart is chart else other.chart.at(P, 1))
+    report = _product_block(Lf, LF, geo.g0, chart.J)
+    if single:
+        return ProductBlockReport(
+            float(report.block_residual[0]), float(report.op_eq_linear[0]),
+            float(report.op_eq_orthogonality[0]), bool(report.op_eq_holds[0]),
+            float(report.shape_residual[0]) if report.op_eq_holds[0] else None)
+    return report
+
+
+def _product_block(Lf: np.ndarray, LF: np.ndarray, g0: np.ndarray, Jm: np.ndarray
+                   ) -> ProductBlockReport:
+    """:func:`product_block_check` over a batch, from the extended operators
+    L(f) and L(F) at the points, the metric g0 there and the complex
+    structure Jm."""
     product = Lf @ LF
     mu, f, fb, fu, fbu, a = _blocks(Lf)
     M, F, Fb, Fu, Fbu, A = _blocks(LF)
-    d = chart.dim
-    n = len(P)
+    n, d = f.shape
 
     # Per-point products through matmul with singleton axes, which runs the
     # same BLAS kernels (dot, gemv) as the unbatched products.
@@ -298,16 +308,11 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
     op_eq_orth = np.abs(dot(fu, Fb))
     holds = (op_eq_linear < BLOCK_TOL) & (op_eq_orth < BLOCK_TOL)
 
-    g0 = geo.g0
-    shape = _standard_shape(mu_t, f_t, g0, chart.J, product[:, 2:, 2:])
+    shape = _standard_shape(mu_t, f_t, g0, Jm, product[:, 2:, 2:])
     a_low = g0 @ product[:, 2:, 2:]
     shape_residual = np.where(
         holds, frob_rows(product - shape) + frob_rows(a_low - np.swapaxes(a_low, 1, 2)),
         np.nan)
-    if single:
-        return ProductBlockReport(
-            float(block_residual[0]), float(op_eq_linear[0]), float(op_eq_orth[0]),
-            bool(holds[0]), float(shape_residual[0]) if holds[0] else None)
     return ProductBlockReport(block_residual, op_eq_linear, op_eq_orth, holds,
                               shape_residual)
 

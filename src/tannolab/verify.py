@@ -30,9 +30,9 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
 from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
-                       _minimal_polynomial, _operator,
-                       _projector_with_operator, poly_star,
-                       product_block_check, spectra, star_power)
+                       _minimal_polynomial, _operator, _product_block,
+                       _projector_with_operator, poly_star, spectra,
+                       star_power)
 from .signature import _positivity_scan, is_constant
 from .tanno import (SolutionBundle, TannoProblem, _bundle, _cubic_form,
                     _laplace_rows, _mu_hessian_rows, _order3, _system_from,
@@ -457,13 +457,13 @@ def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     pts = ctx.P[:5]
+    geo = ctx.unit_geometry.head(5)
     worst = 0.0
     for k in range(5):
         fa = random_polynomial_field(chart.dim, ctx.seed + 2 * k)
         fb = random_polynomial_field(chart.dim, ctx.seed + 2 * k + 1)
-        pa = TannoProblem(chart, fa, 1.0)
-        pb = TannoProblem(chart, fb, 1.0)
-        rep = product_block_check(pa, pb, pts)
+        rep = _product_block(_operator(fa.jets(pts, 2), geo),
+                             _operator(fb.jets(pts, 2), geo), geo.g0, chart.J)
         worst = max(worst, float(np.max(rep.block_residual)))
     return CheckOutcome(worst, 5 * len(pts))
 

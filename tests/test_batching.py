@@ -8,6 +8,8 @@ lower-order consumers, so jets through order k must be exactly the first
 k + 1 terms of jets through order k + 1.
 """
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,13 +17,16 @@ from hypothesis import strategies as st
 import pytest
 
 from tannolab import charts
+from tannolab import jets as J
 from tannolab.calculus import kahler_residuals, laplacian
+from tannolab.fields import ConstField
 from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart, geodesic_residual,
                                 integrate_geodesic,
                                 random_polynomial_field,
                                 random_quadratic_field)
-from tannolab.operator import assemble_L, eigenstructure_at, star_power
+from tannolab.operator import (PolynomialReal, assemble_L, eigenstructure_at,
+                               poly_star, star_power)
 from tannolab.tanno import (TannoProblem, laplace_identity_residual,
                             lightlike_third_derivative, mu_hessian_residual,
                             system_residual, tanno_residual,
@@ -81,6 +86,35 @@ def test_field_jets(case):
     _, field, P = case
     for order in (0, 1, 2, 3):
         _assert_stacked(field.jets(P, order), [field.jets(p, order) for p in P])
+
+
+def _field_types():
+    """One field of every built-in type on CP(2) at c = 1."""
+    chart, height = fubini_study_chart(2).rescaled(0.25), cpn_height_function(2, 1)
+    cubic = random_polynomial_field(4, seed=5)
+    return {"expr": height, "const": ConstField(4, -0.5), "cubic": cubic,
+            "linear_combo": 2.0 * height - cubic + 0.3,
+            "star": poly_star(chart, height, PolynomialReal((0.5, -1.0, 0.25, 2.0)))}
+
+
+FIELD_TYPES = _field_types()
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_TYPES))
+def test_field_jets_expand_its_taylor_coefficients(name):
+    # Every field type produces coefficients only; its derivative list is
+    # their expansion, and a batch gives its points' coefficients.
+    field = FIELD_TYPES[name]
+    P = np.random.default_rng(3).uniform(-0.4, 0.4, size=(4, field.dim))
+    for order in (0, 2, 4):
+        c = field.taylor(P, order)
+        assert c.shape == (len(P), math.comb(field.dim + order, order))
+        for a, b in zip(field.jets(P, order), J.expand(c, field.dim, order),
+                        strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(c, np.stack([field.taylor(p, order) for p in P]))
+        # A combination sums its members' coefficients: 1.0 f is f, bit for bit.
+        assert np.array_equal((1.0 * field).taylor(P, order), c)
 
 
 @PROPERTY

@@ -305,6 +305,22 @@ class TestRunSuite:
         assert evaluated == [(name, DEFAULT_CONFIG["samples"], 2),
                              (f"{name} (metric x 0.25)", 20, 4)]
 
+    def test_block_identity_evaluates_no_chart(self, monkeypatch):
+        # block_identity builds L(f) and L(F) on the suite's unit geometry
+        # at P[:5], so the sample pass is the suite's one chart evaluation.
+        evaluated, metric_coeffs = [], KahlerChart.metric_coeffs
+
+        def spy(chart, p, order):
+            evaluated.append((chart.name, len(p), order))
+            return metric_coeffs(chart, p, order)
+
+        monkeypatch.setattr(KahlerChart, "metric_coeffs", spy)
+        report = run_suite(SuiteConfig.from_dict(
+            dict(DEFAULT_CONFIG, checks=["eq_product.block_identity"])))
+        assert report.passed
+        name = build_chart(DEFAULT_CONFIG["chart"]).name
+        assert evaluated == [(name, DEFAULT_CONFIG["samples"], 2)]
+
     @staticmethod
     def _sample_evaluations(monkeypatch, data):
         """(report, orders, eig_calls): the suite's report, the order of each

@@ -7,6 +7,7 @@ from conftest import points_on
 from tannolab.calculus import frob, kahler_residuals
 from tannolab.charts import KahlerChart, as_points
 from tannolab.errors import SingularMetric
+from tannolab.fields import ConstField
 from tannolab.manifolds import (cpn_height_function, flat_kahler_chart,
                                 fubini_study_chart, random_polynomial_field,
                                 sample_points)
@@ -120,6 +121,19 @@ def test_point_validation():
         as_points([1.0, 2.0, 3.0], dim=2)
     with pytest.raises(ValueError):
         as_points([np.nan, 0.0], dim=2)
+
+
+@pytest.mark.parametrize("field", [cpn_height_function(1, 0), ConstField(2, 1.0),
+                                   random_polynomial_field(2, seed=3)],
+                         ids=["expr", "const", "cubic"])
+def test_fields_check_the_point_dimension(field):
+    for p in (np.zeros(4), np.zeros(5), np.zeros((3, 1)), np.zeros((2, 3))):
+        for evaluate in (field.taylor, field.jets):
+            with pytest.raises(ValueError, match="dimension is 2"):
+                evaluate(p, 1)
+    # An empty point is an empty batch of the field's dimension.
+    assert field.taylor(np.empty(0), 2).shape == (0, 6)
+    assert [t.shape for t in field.jets(np.empty(0), 2)] == [(0,), (0, 2), (0, 2, 2)]
 
 
 def test_chart_requires_even_dimension():

@@ -11,7 +11,7 @@ from tannolab.calculus import bar_form, frob, nabla_scalar, raise_lower
 from tannolab.charts import KahlerChart
 from tannolab.errors import (DimensionMismatch, IllConditioned, NoRealSplit,
                              NotProjector)
-from tannolab.fields import ConstField
+from tannolab.fields import ConstField, ScalarField
 from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
                                  sample_points,
                                 random_polynomial_field)
@@ -155,13 +155,19 @@ class TestStarPowerOperator:
 
 
 def _reference_star(chart, P, fj, Hj, order):
-    """F*H = -2 FH - 1/2 g^{ab} F_{,a} H_{,b} through ``order`` from the
-    public derivative-list operations, F and H through order + 1."""
-    ginv = J.tinv(chart.metric_jets(P, order), order)
-    lifted = J.tconv(ginv, J.tgrad(fj), "ab,a->b", order)
-    prod = J.tconv(fj, Hj, ",->", order)
-    cross = J.tconv(lifted, J.tgrad(Hj), "b,b->", order)
-    return [-2.0 * a - 0.5 * b for a, b in zip(prod, cross)]
+    """F*H = -2 FH - 1/2 g^{ab} F_{,a} H_{,b} through ``order`` from
+    derivative lists, F and H through order + 1: each product compresses its
+    factors and expands its result (jets.cprod_terms)."""
+    d = chart.dim
+
+    def product(A, B, spec):
+        return J.cprod_terms(J.compress(A, d, order), J.compress(B, d, order),
+                             spec, d, order)
+
+    ginv = J.expand(J.cinv(chart.metric_coeffs(P, order), d, order), d, order)
+    lifted = product(ginv, fj[1:], "ab,a->b")
+    cross = product(lifted, Hj[1:], "b,b->")
+    return [-2.0 * a - 0.5 * b for a, b in zip(product(fj, Hj, ",->"), cross)]
 
 
 def _assert_terms_close(got, want, rtol):
@@ -173,9 +179,9 @@ def _assert_terms_close(got, want, rtol):
 class TestStarChain:
     @pytest.mark.parametrize("chart_name", ["fs1_unit", "fs2_unit", "flat11", "cp11"])
     def test_matches_public_jet_operations(self, request, chart_name):
-        # The coefficient-form chain against F*H written with tconv, tinv
-        # and tgrad on derivative lists: f^{*k} for k = 2..4 as nested
-        # products, and one product with a second cubic H.
+        # The chain on the fields' coefficients against F*H written on
+        # derivative lists: f^{*k} for k = 2..4 as nested products, and one
+        # product with a second cubic H.
         chart = request.getfixturevalue(chart_name)
         d, order, kmax = chart.dim, 2, 4
         f = random_polynomial_field(d, 51)
@@ -210,8 +216,8 @@ class TestStarChain:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_star_power_matches_nested_products_bitwise(self, n):
         # From order 3 on, the outer product reads coefficients of degree 3
-        # and 4 of the inner one, whose round trip through a! is not exact
-        # (jets.as_listed).
+        # and 4 of the inner one, whose round trip through a! is not exact:
+        # the inner chain must hand them over unexpanded.
         chart = fubini_study_chart(n).rescaled(0.25)
         f = cpn_height_function(n, 0)
         P = np.array(points_on(chart, 4, seed=38))
@@ -251,8 +257,9 @@ class TestStarChain:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_one_chart_and_one_field_evaluation_per_call(self, fs2, height2,
                                                          monkeypatch, k):
-        metric_calls, field_calls = [], []
-        metric_coeffs, field_jets = KahlerChart.metric_coeffs, type(height2)._jets
+        metric_calls, field_calls, list_calls = [], [], []
+        metric_coeffs, field_taylor = KahlerChart.metric_coeffs, type(height2)._taylor
+        field_jets = ScalarField.jets
 
         def spy_metric(chart, p, order):
             metric_calls.append(order)
@@ -261,10 +268,16 @@ class TestStarChain:
         def spy_field(field, p, order):
             if field is height2:
                 field_calls.append(order)
+            return field_taylor(field, p, order)
+
+        def spy_jets(field, p, order):
+            if field is height2:
+                list_calls.append(order)
             return field_jets(field, p, order)
 
         monkeypatch.setattr(KahlerChart, "metric_coeffs", spy_metric)
-        monkeypatch.setattr(type(height2), "_jets", spy_field)
+        monkeypatch.setattr(type(height2), "_taylor", spy_field)
+        monkeypatch.setattr(ScalarField, "jets", spy_jets)
         P = np.array(points_on(fs2, 3, seed=39))
         for chain in (star_power(fs2, height2, k),
                       poly_star(fs2, height2, PolynomialReal((1.0,) * (k + 1)))):
@@ -273,6 +286,8 @@ class TestStarChain:
             chain.jets(P, 2)
             assert field_calls == [2 + k - 1]
             assert len(metric_calls) == 1
+            # The chain reads f's coefficients, never its derivative list.
+            assert list_calls == []
 
 
 class TestPolyStar:
