@@ -323,8 +323,11 @@ class ChartJets:
             raise ValueError(f"Gamma through order {order} needs the metric "
                              f"through {order + 1}, evaluated through {self.order}")
         d, top = self.chart.dim, self.order - 1
-        self._gamma = J.cprod_terms(self.ginv_coeffs(top),
-                                    _first_kind(J.cgrad(self.coeffs, d)),
+        # The product empties the list it is given: the first-kind symbols,
+        # referred to by nothing else, are freed once stacked, so only the
+        # stacked copy is alive while the pair products run.
+        self._gamma = J.cprod_terms([self.ginv_coeffs(top),
+                                     _first_kind(J.cgrad(self.coeffs, d))],
                                     "kl,lij->kij", d, top)
         return self._gamma
 

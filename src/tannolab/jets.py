@@ -29,6 +29,15 @@ through pair tables built on first use per dimension and degree range:
   and output monomial, whose inner axis runs over that output's pairs side
   by side.
 
+A tensor-valued product keeps only bounded transients.  It takes its two
+factors as a list that it empties: once a factor is stacked into the
+matrix layout the product drops it, so from then on the product holds the
+stacked copies, not its factors, and a factor the caller keeps no other
+reference to is freed before the pair products run.  The pairs of a
+degree are gathered in runs of outputs whose gathered factors hold at most
+GATHER_CHUNK numbers each, and each degree's block is written once, in the
+layout the caller reads.
+
 A table lists each output's pairs in the same order whatever the
 truncation, so lower-order jets are a bit-exact prefix of higher-order
 ones, and no sum mixes points, so a batch gives the bits its points give
@@ -49,8 +58,12 @@ from functools import cache
 import numpy as np
 
 #: Most numbers one gathered factor of a tensor-valued product may hold: a
-#: product with more pairs runs in pieces, so its gathers stay small.
-GATHER_CHUNK = 1 << 18
+#: product with more pairs runs in pieces, so its gathers stay small.  At
+#: 2^18 numbers (2 MB) the gathers were most of lem2's traced peak on CP(3)
+#: at 20 points: its one cinv took 9.7 MB to build a 1.2 MB g^-1, and the
+#: check peaked at 11.0 MB.  At 2^16 (0.5 MB) cinv takes 5.0 MB and the
+#: check 6.3 MB, with the same bits and no measurable loss of speed.
+GATHER_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +241,21 @@ def _stack(c: np.ndarray, d: int, top: int, axes: tuple, nk: int) -> np.ndarray:
     return out
 
 
-def _pair_matmul(x: np.ndarray, y: np.ndarray, table) -> np.ndarray:
-    """sum over output g's pairs (a, b) of x_a^T y_b: one matrix product per
-    point and output, with the pairs laid side by side along the inner axis.
+def _pair_matmul(x: np.ndarray, y: np.ndarray, table, out: np.ndarray
+                 ) -> np.ndarray:
+    """Write into ``out``, shape (n, g, f, c), the sum over output g's pairs
+    (a, b) of x_a^T y_b: one matrix product per point and output, with the
+    pairs laid side by side along the inner axis; returns ``out``.
 
     Outputs are taken in runs whose gathered factors hold at most
     GATHER_CHUNK numbers each; every output's product is the same whatever
-    the run it falls in.
+    the run it falls in.  ``out`` may be a transposed view of the caller's
+    final layout: matmul then gives the bits, and keeps the BLAS kernel, of
+    a contiguous ``out``.
     """
     ia, ib = table
     n, (g, L) = len(x), ia.shape
     k, f, c = x.shape[2], x.shape[3], y.shape[3]
-    out = np.empty((n, g, f, c))
     step = max(1, GATHER_CHUNK // max(1, n * L * k * max(f, c)))
     for lo in range(0, g, step):
         rows = slice(lo, lo + step)
@@ -252,20 +268,24 @@ def _pair_matmul(x: np.ndarray, y: np.ndarray, table) -> np.ndarray:
 
 
 def _expand_degree(block: np.ndarray, d: int, m: int) -> np.ndarray:
-    """The (d,)*m derivative tensor of one degree's coefficient block."""
+    """The (d,)*m derivative tensor of one degree's coefficient block; at
+    degrees 0 and 1 it is the block itself, reshaped (a view where the
+    block's layout allows)."""
     if m >= 2:
         expand, _, factorial = _full_index(d, m)
         block = np.take(block * factorial, expand, axis=-1)
-    else:
-        block = np.array(block)
     return block.reshape(block.shape[:-1] + (d,) * m)
 
 
 def _expand(c: np.ndarray, d: int, top: int, order: int) -> list[np.ndarray]:
     """Derivative terms through ``order`` of a coefficient array stored
     through ``top``; terms past ``top`` are zero."""
-    return [_expand_degree(c[..., _size(d, m - 1):_size(d, m)], d, m) if m <= top
-            else np.zeros(c.shape[:-1] + (d,) * m) for m in range(order + 1)]
+    blocks = (c[..., _size(d, m - 1):_size(d, m)] for m in range(min(top, order) + 1))
+    # Degrees 0 and 1 are copied: a view would alias, and keep alive, c.
+    terms = [_expand_degree(b if m >= 2 else b.copy(), d, m)
+             for m, b in enumerate(blocks)]
+    return terms + [np.zeros(c.shape[:-1] + (d,) * m)
+                    for m in range(len(terms), order + 1)]
 
 
 @cache
@@ -337,46 +357,62 @@ def cgrad(c: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _products(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int):
+def _products(factors: list, spec: str, d: int, order: int):
     """The coefficient blocks, (N, out..., n_m) for m = 0..top, of the
-    product of two coefficient arrays through ``order``, one at a time."""
-    ta = min(_top_of(d, a.shape[-1]), order)
-    tb = min(_top_of(d, b.shape[-1]), order)
+    product through ``order`` of the coefficient arrays in ``factors``, the
+    list [a, b], one at a time.
+
+    The product takes the list over and empties it: it removes each factor
+    once that factor is stacked (a scalar product once it is formed), so
+    from then on it holds the stacked copies, not the factors, and a factor
+    that nothing else refers to is freed before the pair products run.
+    Each block is written in its final layout.
+    """
+    shape_a, shape_b = factors[0].shape, factors[1].shape
+    ta = min(_top_of(d, shape_a[-1]), order)
+    tb = min(_top_of(d, shape_b[-1]), order)
     top = min(order, ta + tb)
     plan = _plan(spec)
     if plan is None:
-        c = _product(a, b, _table(d, 0, top, 0, ta, tb))
+        c = _product(factors.pop(0), factors.pop(0), _table(d, 0, top, 0, ta, tb))
         for m in range(top + 1):
             yield c[..., _size(d, m - 1):_size(d, m)]
         return
     axes_a, axes_b, nk, axes_out = plan
-    x, y = _stack(a, d, ta, axes_a, nk), _stack(b, d, tb, axes_b, nk)
-    free = ([a.shape[1 + i] for i in axes_a[nk:]]
-            + [b.shape[1 + i] for i in axes_b[nk:]])
+    free = ([shape_a[1 + i] for i in axes_a[nk:]]
+            + [shape_b[1 + i] for i in axes_b[nk:]])
+    x = _stack(factors.pop(0), d, ta, axes_a, nk)
+    y = _stack(factors.pop(0), d, tb, axes_b, nk)
+    perm = (0,) + tuple(1 + i for i in axes_out) + (len(free) + 1,)
     for m in range(top + 1):
-        s = _pair_matmul(x, y, _padded_table(d, m, 0, ta, tb))
-        s = s.reshape(s.shape[:2] + tuple(free))
-        yield s.transpose((0,) + tuple(2 + i for i in axes_out) + (1,))
+        table = _padded_table(d, m, 0, ta, tb)
+        block = np.empty((len(x), x.shape[3], y.shape[3], len(table[0])))
+        _pair_matmul(x, y, table, block.transpose(0, 3, 1, 2))
+        yield block.reshape(block.shape[:1] + tuple(free) + block.shape[-1:]
+                            ).transpose(perm)
 
 
-def cprod(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int
-          ) -> np.ndarray:
+def cprod(factors: list, spec: str, d: int, order: int) -> np.ndarray:
     """Coefficients of the product of two coefficient arrays over the same
     points, through ``order``.
 
-    ``spec`` is an einsum signature for the leading axes after the point
-    axis, e.g. ``'ab,bc->ac'`` for a matrix product or ``',->'`` for
-    scalars.  Degrees past either factor's last stored one are zero.
+    ``factors`` is the list [a, b] of the two arrays; the product empties
+    it (see :func:`_products`), so a factor the caller keeps no other
+    reference to is freed once it is stacked.  ``spec`` is an einsum
+    signature for the leading axes after the point axis, e.g.
+    ``'ab,bc->ac'`` for a matrix product or ``',->'`` for scalars.  Degrees
+    past either factor's last stored one are zero.
     """
-    return np.concatenate(list(_products(a, b, spec, d, order)), axis=-1)
+    return np.concatenate(list(_products(factors, spec, d, order)), axis=-1)
 
 
-def cprod_terms(a: np.ndarray, b: np.ndarray, spec: str, d: int, order: int
+def cprod_terms(factors: list, spec: str, d: int, order: int
                 ) -> list[np.ndarray]:
     """Derivative list through ``order`` of the same product, expanded
-    degree by degree, so its coefficient array is never built whole."""
+    degree by degree, so its coefficient array is never built whole; the
+    terms of degree 0 and 1 are the product's blocks themselves."""
     out = [_expand_degree(block, d, m)
-           for m, block in enumerate(_products(a, b, spec, d, order))]
+           for m, block in enumerate(_products(factors, spec, d, order))]
     return out + [np.zeros(out[0].shape + (d,) * m)
                   for m in range(len(out), order + 1)]
 
@@ -399,7 +435,9 @@ def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
         axes, _, nk, _ = _plan("ab,bc->ac")
         x = _stack(g, d, tg, axes, nk)
         for m in range(1, order + 1):
-            S = _pair_matmul(x, h, _padded_table(d, m, 1, min(tg, m), m - 1))
+            table = _padded_table(d, m, 1, min(tg, m), m - 1)
+            S = _pair_matmul(x, h, table,
+                             np.empty((len(h), len(table[0])) + H0.shape[1:]))
             h[:, _size(d, m - 1):_size(d, m)] = -np.matmul(H0[:, None], S)
     return np.ascontiguousarray(np.moveaxis(h[:, :-1], 1, -1))
 

@@ -77,13 +77,14 @@ class StarField(ScalarField):
         d, top = self.dim, order + len(outer)
         F = self.f.taylor(P, top)
         H = F if self.H is self.f else self.H.taylor(P, top)
-        ginv = self.chart.at(P, top - 1).ginv_coeffs(top - 1)
-        lifted = J.cprod(ginv, J.cgrad(F, d), "ab,a->b", d, top - 1)
+        # cprod frees g^-1 and F's gradient once it has stacked them.
+        lifted = J.cprod([self.chart.at(P, top - 1).ginv_coeffs(top - 1),
+                          J.cgrad(F, d)], "ab,a->b", d, top - 1)
         S = lead * H
         S[:, 0] = S[:, 0] - 0.5 * c
         for r, c in reversed(list(enumerate(outer, order))):
-            prod = J.cprod(F, S, ",->", d, r)
-            cross = J.cprod(lifted, J.cgrad(S, d), "b,b->", d, r)
+            prod = J.cprod([F, S], ",->", d, r)
+            cross = J.cprod([lifted, J.cgrad(S, d)], "b,b->", d, r)
             S = -2.0 * prod - 0.5 * cross
             S[:, 0] = S[:, 0] - 0.5 * c
             yield S

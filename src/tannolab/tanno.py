@@ -102,9 +102,9 @@ def _a_jets(geo: ChartJets, fj, order: int):
     f jets through order + 2 and the chart through metric order + 1."""
     d = geo.chart.dim
     hess_part = [fj[m + 2] for m in range(order + 1)]  # lead (d,d)
-    corr = J.cprod_terms(J.compress(geo.gamma(order), d, order),
-                         J.compress(fj[1:], d, order), "kij,k->ij", d, order)
-    fg = J.cprod_terms(J.compress(fj, d, order), geo.coeffs, ",ab->ab", d, order)
+    corr = J.cprod_terms([J.compress(geo.gamma(order), d, order),
+                          J.compress(fj[1:], d, order)], "kij,k->ij", d, order)
+    fg = J.cprod_terms([J.compress(fj, d, order), geo.coeffs], ",ab->ab", d, order)
     return [-(hp - c) - 2.0 * f for hp, c, f in zip(hess_part, corr, fg)]
 
 
@@ -210,7 +210,7 @@ def system_residual(prob: TannoProblem, p):
 def _trace_rows(geo: ChartJets, fj, aj) -> np.ndarray:
     """Per-point :func:`trace_identity_residual` from :func:`_system_from`."""
     d = geo.chart.dim
-    tr = J.cprod_terms(geo.ginv_coeffs(1), J.compress(aj, d, 1), "ab,ab->", d, 1)
+    tr = J.cprod_terms([geo.ginv_coeffs(1), J.compress(aj, d, 1)], "ab,ab->", d, 1)
     return frob_rows(fj[1] - 0.25 * tr[1])
 
 

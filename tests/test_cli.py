@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,6 +621,22 @@ class TestSamplePass:
         assert len(fj) == 3 and all(
             np.array_equal(a, r) for a, r in zip(fj, ctx.f.jets(ctx.P, 2)))
         assert np.array_equal(b.mu, -2.0 * fj[0])
+
+    def test_pass_memory_is_bounded(self):
+        # The benchmark's cp3_points pass: CP(3), 200 samples, seed 7.  It
+        # peaked at 15.4 MB traced while a product held its factors beside
+        # their stacked copies and gathered 2 MB pieces; 10.2 MB since.
+        config = {"chart": {"name": "fubini_study", "n": 3},
+                  "solution": "height:0", "c": 0.25, "seed": 7, "samples": 200}
+        CheckContext.from_config(SuiteConfig.from_dict(config)).sample_rows
+        ctx = CheckContext.from_config(SuiteConfig.from_dict(config))
+        tracemalloc.start()                 # the tables are built above
+        try:
+            ctx.sample_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5e6
 
     def test_head_equals_an_evaluation_at_the_points(self):
         ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)

@@ -4,13 +4,15 @@ and the monomial-basis engine against a full-tensor Leibniz reference."""
 import itertools
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from tannolab import jets as J
 from tannolab.fd import fd_gradient, fd_hessian, fd_third
-from tannolab.manifolds import cpn_height_function, random_polynomial_field
+from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
+                                random_polynomial_field, sample_points)
 
 
 def _field(x):
@@ -120,7 +122,7 @@ def test_matrix_inverse_jets(sample_point):
     G = [np.stack([np.stack([e.terms[m] for e in row], axis=1)
                    for row in rows], axis=1) for m in range(4)]
     g = J.compress(G, 3, 3)
-    GH = J.cprod_terms(g, J.cinv(g, 3, 3), "ab,bc->ac", 3, 3)
+    GH = J.cprod_terms([g, J.cinv(g, 3, 3)], "ab,bc->ac", 3, 3)
     assert np.allclose(GH[0], np.eye(2)[None], atol=1e-14)
     for m in (1, 2, 3):
         assert np.max(np.abs(GH[m])) < 1e-13
@@ -224,11 +226,11 @@ def test_products_match_full_tensor_leibniz(spec, lead_a, lead_b):
     B = _random_jet(rng, lead_b, D, ORDER)
     reference = [_reference_leibniz_term(A, B, spec, m) for m in range(ORDER + 1)]
     b = J.compress(B, D, ORDER)
-    _assert_close(J.cprod_terms(J.compress(A, D, ORDER), b, spec, D, ORDER),
+    _assert_close(J.cprod_terms([J.compress(A, D, ORDER), b], spec, D, ORDER),
                   reference)
     # A shorter factor stands for zero higher terms.
     short = [_reference_leibniz_term(A[:3], B, spec, m) for m in range(ORDER + 1)]
-    _assert_close(J.cprod_terms(J.compress(A[:3], D, 2), b, spec, D, ORDER), short)
+    _assert_close(J.cprod_terms([J.compress(A[:3], D, 2), b], spec, D, ORDER), short)
 
 
 def _generic_positive(x):
@@ -291,3 +293,79 @@ def test_partials_match_tgrad_of_expanded_jets(field, k):
     _assert_close(got, want)
     if k == 1:
         _assert_close(J.expand(J.cgrad(F, d), d, top), want)
+
+
+# ---------------------------------------------------------------------------
+# Tensor-valued products: the gather budget, the block layout, ownership.
+# ---------------------------------------------------------------------------
+
+_SPECS = [(",->", (), ()), ("ab,bc->ac", (2, 3), (3, 4)),
+          ("ab,bc->ca", (2, 3), (3, 4)), ("kij,k->ij", (3, 2, 2), (3,)),
+          (",ab->ab", (), (2, 3))]
+
+
+def _random_coeffs(rng, lead, d, top, n=4):
+    return rng.normal(size=(n,) + lead + (J._size(d, top),))
+
+
+def _products_under_budget(budget, monkeypatch):
+    """cprod, cprod_terms and cinv on seeded random coefficient arrays, and
+    Gamma on CP(1)-CP(3), with GATHER_CHUNK set to ``budget``."""
+    monkeypatch.setattr(J, "GATHER_CHUNK", budget)
+    rng = np.random.default_rng(31)
+    d, order = 3, 4
+    out = []
+    for spec, lead_a, lead_b in _SPECS:
+        a = _random_coeffs(rng, lead_a, d, order)
+        b = _random_coeffs(rng, lead_b, d, order - 1)
+        out.append(J.cprod([a, b], spec, d, order))
+        out.extend(J.cprod_terms([a, b], spec, d, order))
+    g = _random_coeffs(rng, (3, 3), d, order)
+    g[..., 0] += 4 * np.eye(3)
+    out.append(J.cinv(g, d, order))
+    for n in (1, 2, 3):
+        chart = fubini_study_chart(n)
+        P = np.array(sample_points(chart, 20, 5))
+        for order in (1, 2):
+            out.extend(chart.at(P, order + 1).gamma(order))
+    return out
+
+
+def test_products_do_not_depend_on_the_gather_budget(monkeypatch):
+    # GATHER_CHUNK = 1 takes every output alone; 1 << 40 takes each degree
+    # in one run; the default splits Gamma's degree-2 block on CP(3).
+    default = J.GATHER_CHUNK
+    reference = _products_under_budget(default, monkeypatch)
+    for budget in (1, 1 << 40):
+        got = _products_under_budget(budget, monkeypatch)
+        assert len(got) == len(reference)
+        for a, b in zip(got, reference):
+            assert a.shape == b.shape and np.array_equal(a, b), budget
+
+
+@pytest.mark.parametrize("spec, lead_a, lead_b", _SPECS)
+def test_product_blocks_equal_the_expanded_product(spec, lead_a, lead_b):
+    # cprod_terms hands its degree-0 and -1 blocks over without a copy;
+    # they, and the higher terms, are expand(cprod(...)) bit for bit.
+    rng = np.random.default_rng(32)
+    d, order = 3, 4
+    a = _random_coeffs(rng, lead_a, d, 2)
+    b = _random_coeffs(rng, lead_b, d, 1)       # the product ends at degree 3
+    want = J.expand(J.cprod([a, b], spec, d, order), d, order)
+    got = J.cprod_terms([a, b], spec, d, order)
+    assert len(got) == len(want) == order + 1 and not got[-1].any()
+    for m, (x, y) in enumerate(zip(got, want)):
+        assert x.shape == y.shape and np.array_equal(x, y), m
+
+
+def test_a_product_frees_its_factors_once_stacked():
+    # The product empties the list it is given, so a factor nothing else
+    # refers to is gone before the first block is made.
+    rng = np.random.default_rng(33)
+    for spec, lead_a, lead_b in _SPECS:
+        factors = [_random_coeffs(rng, lead_a, 3, 2),
+                   _random_coeffs(rng, lead_b, 3, 2)]
+        refs = [weakref.ref(c) for c in factors]
+        blocks = J._products(factors, spec, 3, 2)
+        next(blocks)
+        assert factors == [] and all(r() is None for r in refs), spec
