@@ -12,8 +12,8 @@ Index conventions used throughout the package:
 Every function that takes a chart takes one point of shape (d,) or a batch
 of shape (N, d).  Batches are evaluated in one pass and results carry a
 leading point axis; a single point gives results without it.
-:func:`scalar_covariant_jets` evaluates nothing: it works on jets its
-caller already evaluated over a batch.
+:func:`scalar_covariant_jets` evaluates nothing: it works on Taylor
+coefficients its caller already evaluated over a batch.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets as J
 from .charts import ChartJets, KahlerChart, checked_inverse, unbatch
 from .fields import ScalarField
 
@@ -86,27 +87,27 @@ def christoffel(chart: KahlerChart, p) -> TensorValue:
     return TensorValue(unbatch(G, single), ("u", "l", "l"))
 
 
-def scalar_covariant_jets(fj, gamma, order: int):
-    """(f, f_{,i}, f_{,ij}, f_{,ijk}) through ``order`` (1..3) over a batch.
+def scalar_covariant_jets(fc, gamma, d: int, order: int) -> list[np.ndarray]:
+    """Taylor coefficients of (f, f_{,i}, f_{,ij}, f_{,ijk}) through
+    ``order`` (1..3) over a batch, one covariant step after another:
 
-    ``fj`` are the field's batched jets through at least ``order`` and
-    ``gamma`` the Christoffel jets at the same points through ``order - 2``
-    (unused for order 1).
+        T_{i_1..i_r;k} = d_k T_{i_1..i_r} - sum_s Gamma^l_{k i_s} T_{i_1..l..i_r}.
+
+    ``fc`` are f's coefficients (N, M) in d variables and ``gamma`` Gamma's
+    (N, d, d, d, M') at the same points (unused for order 1).  f_{,i}
+    reaches degree top(fc) - 1, and each later entry one degree less, and
+    no further than Gamma's degree; entry ``[..., 0]`` is the tensor at the
+    points.
     """
-    out = [fj[0], fj[1]]
-    if order >= 2:
-        G0 = gamma[0]
-        H = fj[2] - np.einsum("zkij,zk->zij", G0, fj[1])
-        out.append(H)
-    if order == 3:
-        dG = gamma[1]
-        dH = (fj[3]
-              - np.einsum("zlijk,zl->zijk", dG, fj[1])
-              - np.einsum("zlij,zlk->zijk", G0, fj[2]))
-        T = (dH
-             - np.einsum("zmki,zmj->zijk", G0, H)
-             - np.einsum("zmkj,zim->zijk", G0, H))
-        out.append(T)
+    out = [fc, J.cgrad(fc, d)]
+    for rank in range(1, order):
+        T, grad = out[-1], J.cgrad(out[-1], d)
+        top = min(J.top_of(d, grad.shape[-1]), J.top_of(d, gamma.shape[-1]))
+        step, free = grad[..., :J.size(d, top)], "abc"[:rank]
+        for s, i in enumerate(free):       # Gamma^l_{k i} T with l in slot s
+            step -= J.cprod([gamma, T], f"lk{i},{free[:s]}l{free[s + 1:]}->{free}k",
+                            d, top)
+        out.append(step)
     return out
 
 
@@ -115,17 +116,17 @@ def nabla_scalar(chart: KahlerChart, f: ScalarField, p, order: int) -> TensorVal
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
     P, single = chart.batch(p)
-    gamma = chart.at(P, order - 1).gamma(order - 2) if order >= 2 else None
-    jets = scalar_covariant_jets(f.jets(P, order), gamma, order)
-    return TensorValue(unbatch(jets[order], single), ("l",) * order)
+    gamma = chart.at(P, order - 1).gamma_coeffs(order - 2) if order >= 2 else None
+    cov = scalar_covariant_jets(f.taylor(P, order), gamma, chart.dim, order)
+    return TensorValue(unbatch(cov[order][..., 0], single), ("l",) * order)
 
 
 def laplacian(chart: KahlerChart, f: ScalarField, p):
     """g^{ij} f_{,ij} (trace of the raised covariant Hessian)."""
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
-    H = scalar_covariant_jets(f.jets(P, 2), geo.gamma(0), 2)[2]
-    out = np.einsum("zij,zij->z", geo.ginv(0)[0], H)
+    H = scalar_covariant_jets(f.taylor(P, 2), geo.gamma_coeffs(), chart.dim, 2)[2]
+    out = np.einsum("zij,zij->z", geo.ginv_coeffs()[..., 0], H[..., 0])
     return float(out[0]) if single else out
 
 
@@ -210,5 +211,5 @@ def _kahler_rows(geo: ChartJets):
     Jm = geo.chart.J
     r_sq = frob(Jm @ Jm + np.eye(len(Jm)))
     r_compat = frob_rows(Jm.T @ g0 @ Jm - g0)
-    r_par = frob_rows(_nabla_jstruct(Jm, geo.gamma(0)[0]))
+    r_par = frob_rows(_nabla_jstruct(Jm, geo.gamma0))
     return np.full(len(g0), r_sq), r_compat, r_par

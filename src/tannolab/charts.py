@@ -3,11 +3,11 @@
 A chart is the metric g_ij on a coordinate ball plus the complex structure
 J^i_j, which in holomorphic coordinates is the constant standard one and is
 held as the one (d, d) matrix ``chart.J``.  A chart evaluates its metric as
-Taylor coefficients (see :mod:`tannolab.jets`); the metric and (derived)
-the inverse metric and Christoffel symbols are available as derivative
-lists of any order, expanded from them.  Every accessor takes one point of
-shape (d,) or a batch of shape (N, d); a batch returns arrays with a
-leading point axis, a single point returns them without it.
+Taylor coefficients (see :mod:`tannolab.jets`), and g^-1 and the
+Christoffel symbols are derived from them as coefficients too; the public
+``*_jets`` accessors expand them into derivative lists.  Every accessor
+takes one point of shape (d,) or a batch of shape (N, d); a batch returns
+arrays with a leading point axis, a single point returns them without it.
 
 Charts are immutable and keep no per-point state.  :meth:`KahlerChart.at`
 evaluates the metric once over a batch and hands out g, g^-1 and Gamma from
@@ -240,13 +240,13 @@ class KahlerChart:
         """Derivative list of g^ij."""
         P, single = as_points(p, self.dim)
         geo = ChartJets(self, self.metric_coeffs(P, order), order)
-        return unbatch(geo.ginv(order), single)
+        return unbatch(J.expand(geo.ginv_coeffs(order), self.dim, order), single)
 
     def christoffel_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of Gamma^k_ij (array axes [k, i, j, ...])."""
         P, single = as_points(p, self.dim)
         geo = ChartJets(self, self.metric_coeffs(P, order + 1), order + 1)
-        return unbatch(geo.gamma(order), single)
+        return unbatch(J.expand(geo.gamma_coeffs(order), self.dim, order), single)
 
     # -- plain values -----------------------------------------------------------
 
@@ -279,29 +279,30 @@ class ChartJets:
     """g, g^-1 and Gamma of one chart over one batch of points.
 
     ``coeffs`` are the metric's Taylor coefficients through ``order``, from
-    one evaluation (:meth:`KahlerChart.at`).  g's derivative list, g^-1's
-    coefficients (through the order asked for) and Gamma's derivative list
-    (through ``order - 1``) are derived from them on first use and kept
-    for the lifetime of this object, which usually belongs to a single
-    batched call; one held longer is reduced with :meth:`pointwise`.
-    This is the only place the chart's g^-1 and Gamma are derived.
+    one evaluation (:meth:`KahlerChart.at`).  g^-1's coefficients (through
+    the order asked for), Gamma's (through ``order - 1``) and g and Gamma
+    at the points are derived from them on first use and kept for the
+    lifetime of this object, which usually belongs to a single batched
+    call; one held longer is reduced with :meth:`pointwise`.  This is the
+    only place the chart's g^-1 and Gamma are derived.
     """
 
     def __init__(self, chart: KahlerChart, coeffs: np.ndarray, order: int):
         self.chart, self.coeffs, self.order = chart, coeffs, order
-        self._g = self._g0 = self._ginv = self._gamma = None
-
-    @property
-    def g(self) -> list[np.ndarray]:
-        if self._g is None:
-            self._g = J.expand(self.coeffs, self.chart.dim, self.order)
-        return self._g
+        self._g0 = self._ginv = self._gamma = self._gamma0 = None
 
     @property
     def g0(self) -> np.ndarray:
         if self._g0 is None:
             self._g0 = np.ascontiguousarray(self.coeffs[..., 0])
         return self._g0
+
+    @property
+    def gamma0(self) -> np.ndarray:
+        """Gamma^k_ij at the points, (N, d, d, d) with axes [z, k, i, j]."""
+        if self._gamma0 is None:
+            self._gamma0 = np.ascontiguousarray(self.gamma_coeffs()[..., 0])
+        return self._gamma0
 
     def ginv_coeffs(self, order: int = 0) -> np.ndarray:
         """g^-1's Taylor coefficients through at least ``order``, (N, d, d, M)."""
@@ -313,30 +314,36 @@ class ChartJets:
             self._ginv = order, J.cinv(self.coeffs, self.chart.dim, order, inv0)
         return self._ginv[1]
 
-    def ginv(self, order: int = 0) -> list[np.ndarray]:
-        return J.expand(self.ginv_coeffs(order), self.chart.dim, order)
-
-    def gamma(self, order: int = 0) -> list[np.ndarray]:
-        if self._gamma is not None and len(self._gamma) > order:
-            return self._gamma
-        if order + 1 > self.order:
+    def gamma_coeffs(self, order: int = 0) -> np.ndarray:
+        """Gamma's Taylor coefficients through at least ``order``,
+        (N, d, d, d, M) with axes [z, k, i, j] for Gamma^k_ij."""
+        d, top = self.chart.dim, self.order - 1
+        if self._gamma is None and top >= order:
+            # The product empties the list it is given: the first-kind
+            # symbols, referred to by nothing else, are freed once stacked.
+            self._gamma = J.cprod([self.ginv_coeffs(top),
+                                   _first_kind(J.cgrad(self.coeffs, d))],
+                                  "kl,lij->kij", d, top)
+        if self._gamma is None or J.top_of(d, self._gamma.shape[-1]) < order:
             raise ValueError(f"Gamma through order {order} needs the metric "
                              f"through {order + 1}, evaluated through {self.order}")
-        d, top = self.chart.dim, self.order - 1
-        # The product empties the list it is given: the first-kind symbols,
-        # referred to by nothing else, are freed once stacked, so only the
-        # stacked copy is alive while the pair products run.
-        self._gamma = J.cprod_terms([self.ginv_coeffs(top),
-                                     _first_kind(J.cgrad(self.coeffs, d))],
-                                    "kl,lij->kij", d, top)
         return self._gamma
+
+    def rescaled(self, c: float, chart: KahlerChart) -> "ChartJets":
+        """This geometry for ``chart``, whose metric is c times this one's:
+        c g, g^-1 / c and this geometry's own Gamma, which a constant
+        rescaling leaves unchanged; one derivation serves both."""
+        self.gamma_coeffs(self.order - 1)
+        geo = ChartJets(chart, c * self.coeffs, self.order)
+        geo._ginv = self._ginv[0], self._ginv[1] / c
+        geo._gamma, geo._gamma0 = self._gamma, self._gamma0
+        return geo
 
     def head(self, k: int) -> "ChartJets":
         """This geometry at its first k points, with the Gamma it holds;
         batches are bit-exact, so it equals an evaluation there."""
         geo = ChartJets(self.chart, self.coeffs[:k], self.order)
-        if self._gamma is not None:
-            geo._gamma = [t[:k] for t in self._gamma]
+        geo._gamma = None if self._gamma is None else self._gamma[:k]
         return geo
 
     def pointwise(self) -> "ChartJets":
@@ -345,8 +352,8 @@ class ChartJets:
         Gamma kept at order 0); returns self.  g and Gamma are copied once
         the rest is let go: left among its freed blocks, they added 3.5 MB
         to cp3_points peak RSS."""
-        g0, G0 = self.g0, self.gamma()[0]
-        self.coeffs = self._g = self._g0 = self._ginv = self._gamma = None
-        self._g0, self._gamma, self.order = g0.copy(), [G0.copy()], 0
-        self.coeffs = self._g0[..., None]
+        g0, G0 = self.g0, self.gamma0
+        self.coeffs = self._g0 = self._ginv = self._gamma = self._gamma0 = None
+        self._g0, self._gamma0, self.order = g0.copy(), G0.copy(), 0
+        self.coeffs, self._gamma = self._g0[..., None], self._gamma0[..., None]
         return self

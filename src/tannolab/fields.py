@@ -93,7 +93,9 @@ class ConstField(ScalarField):
         self.const = float(value)
 
     def _taylor(self, P, order):
-        return J.compress([np.full(len(P), self.const)], self.dim, order)
+        c = np.zeros((len(P), J.size(self.dim, order)))
+        c[:, 0] = self.const
+        return c
 
     def __repr__(self):
         return f"ConstField({self.const})"
@@ -118,7 +120,7 @@ class LinearComboField(ScalarField):
         self.const = float(const)
 
     def _taylor(self, P, order):
-        out = J.compress([np.full(len(P), self.const)], self.dim, order)
+        out = ConstField(self.dim, self.const)._taylor(P, order)
         for f, c in zip(self.fields, self.coeffs):
             out += c * f.taylor(P, order)
         return out

@@ -3,10 +3,10 @@
 Interface.  A jet of order r over N points of R^d is a coefficient array
 of shape ``(N,) + lead_shape + (M,)``: the Taylor coefficients of Storage
 below through degree r.  Fields (:meth:`~tannolab.fields.ScalarField.taylor`),
-the chart's metric and g^-1 and the star chain produce and take that form,
-and :func:`eval_coeffs`, :func:`cprod`, :func:`cinv` and :func:`cgrad` work
-on it.  A caller that reads derivatives expands it with :func:`expand`, or
-a product degree by degree with :func:`cprod_terms`, into a derivative list
+the chart's metric, g^-1 and Gamma, the covariant derivatives of a scalar
+and the star chain produce and take that form, and :func:`eval_coeffs`,
+:func:`cprod`, :func:`cinv` and :func:`cgrad` work on it.  A caller that
+reads derivatives expands it with :func:`expand` into a derivative list
 ``[T0, T1, ..., Tr]``, ``Tm`` the raw m-th partial-derivative tensor of
 shape ``(N,) + lead_shape + (d,)*m``, symmetric in its trailing m axes;
 :func:`compress` turns a list written in closed form into coefficients.
@@ -70,8 +70,10 @@ GATHER_CHUNK = 1 << 16
 # Monomial tables, built on first use.
 # ---------------------------------------------------------------------------
 
-def _size(d: int, top: int) -> int:
-    """Number of monomials in d variables of degree at most top."""
+def size(d: int, top: int) -> int:
+    """Number of monomials in d variables of degree at most top: the
+    coefficients of a jet through degree top, a prefix of those through
+    any higher degree."""
     return math.comb(d + top, top) if top >= 0 else 0
 
 
@@ -141,8 +143,8 @@ def _degree_pairs(d: int, m: int) -> tuple[np.ndarray, ...]:
         ea, eb = _exponents(d, j), _exponents(d, m - j)
         na, nb = len(ea), len(eb)
         g = _lookup(out, (ea[:, None, :] + eb[None, :, :]).reshape(na * nb, d))
-        ia.append(_size(d, j - 1) + np.repeat(np.arange(na), nb))
-        ib.append(_size(d, m - j - 1) + np.tile(np.arange(nb), na))
+        ia.append(size(d, j - 1) + np.repeat(np.arange(na), nb))
+        ib.append(size(d, m - j - 1) + np.tile(np.arange(nb), na))
         js.append(np.full(na * nb, j))
         gs.append(g)
     ia, ib, js, gs = (np.concatenate(v) for v in (ia, ib, js, gs))
@@ -193,7 +195,7 @@ def _padded_table(d: int, m: int, jmin: int, ta: int, tb: int):
 def _degrees(d: int, top: int) -> np.ndarray:
     """Degree of each monomial through ``top``, as floats."""
     return _frozen(np.repeat(np.arange(top + 1.0),
-                             [_size(d, m) - _size(d, m - 1) for m in range(top + 1)]))
+                             [size(d, m) - size(d, m - 1) for m in range(top + 1)]))
 
 
 def _product(a: np.ndarray, b: np.ndarray, table) -> np.ndarray:
@@ -232,12 +234,12 @@ def _stack(c: np.ndarray, d: int, top: int, axes: tuple, nk: int) -> np.ndarray:
     and F free entries (1 and 1 for a scalar); slot M is zero, the padding
     of :func:`_padded_table`.
     """
-    lead, size = c.shape[1:-1], _size(d, top)
+    lead, width = c.shape[1:-1], size(d, top)
     n, k = len(c), math.prod(lead[i] for i in axes[:nk])
-    out = np.empty((n, size + 1, k, math.prod(lead) // k))
+    out = np.empty((n, width + 1, k, math.prod(lead) // k))
     out[:, -1] = 0.0
-    view = out[:, :-1].reshape((n, size) + tuple(lead[i] for i in axes))
-    view[...] = c[..., :size].transpose((0, len(lead) + 1) + tuple(1 + i for i in axes))
+    view = out[:, :-1].reshape((n, width) + tuple(lead[i] for i in axes))
+    view[...] = c[..., :width].transpose((0, len(lead) + 1) + tuple(1 + i for i in axes))
     return out
 
 
@@ -277,22 +279,11 @@ def _expand_degree(block: np.ndarray, d: int, m: int) -> np.ndarray:
     return block.reshape(block.shape[:-1] + (d,) * m)
 
 
-def _expand(c: np.ndarray, d: int, top: int, order: int) -> list[np.ndarray]:
-    """Derivative terms through ``order`` of a coefficient array stored
-    through ``top``; terms past ``top`` are zero."""
-    blocks = (c[..., _size(d, m - 1):_size(d, m)] for m in range(min(top, order) + 1))
-    # Degrees 0 and 1 are copied: a view would alias, and keep alive, c.
-    terms = [_expand_degree(b if m >= 2 else b.copy(), d, m)
-             for m, b in enumerate(blocks)]
-    return terms + [np.zeros(c.shape[:-1] + (d,) * m)
-                    for m in range(len(terms), order + 1)]
-
-
 @cache
-def _top_of(d: int, size: int) -> int:
-    """The degree through which ``size`` coefficients in d variables reach."""
+def top_of(d: int, count: int) -> int:
+    """The degree through which ``count`` coefficients in d variables reach."""
     top = 0
-    while _size(d, top) < size:
+    while size(d, top) < count:
         top += 1
     return top
 
@@ -305,20 +296,26 @@ def compress(terms, d: int, top: int) -> np.ndarray:
     """Coefficient array (N, lead..., M) of a derivative list through ``top``;
     degrees past the end of the list are zero."""
     n, lead = len(terms[0]), np.shape(terms[0])[1:]
-    out = np.zeros((n,) + lead + (_size(d, top),))
+    out = np.zeros((n,) + lead + (size(d, top),))
     for m in range(min(top, len(terms) - 1) + 1):
         flat = np.reshape(terms[m], (n,) + lead + (d ** m,))
         if m >= 2:
             _, pick, factorial = _full_index(d, m)
             flat = np.take(flat, pick, axis=-1) / factorial
-        out[..., _size(d, m - 1):_size(d, m)] = flat
+        out[..., size(d, m - 1):size(d, m)] = flat
     return out
 
 
 def expand(c: np.ndarray, d: int, order: int) -> list[np.ndarray]:
     """Derivative list through ``order`` of a coefficient array, whose last
     axis holds the monomials through some degree; terms past it are zero."""
-    return _expand(c, d, _top_of(d, c.shape[-1]), order)
+    top = top_of(d, c.shape[-1])
+    blocks = (c[..., size(d, m - 1):size(d, m)] for m in range(min(top, order) + 1))
+    # Degrees 0 and 1 are copied: a view would alias, and keep alive, c.
+    terms = [_expand_degree(b if m >= 2 else b.copy(), d, m)
+             for m, b in enumerate(blocks)]
+    return terms + [np.zeros(c.shape[:-1] + (d,) * m)
+                    for m in range(len(terms), order + 1)]
 
 
 @cache
@@ -335,9 +332,9 @@ def partials(d: int, k: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     up = _exponents(d, k)[:, None, :] + rows
     index = np.empty(up.shape[:2], dtype=np.intp)
     for m in range(top + 1):
-        cols = slice(_size(d, m - 1), _size(d, m))
+        cols = slice(size(d, m - 1), size(d, m))
         block = up[:, cols].reshape(-1, d)
-        index[:, cols] = (_size(d, m + k - 1) + _lookup(_exponents(d, m + k), block)
+        index[:, cols] = (size(d, m + k - 1) + _lookup(_exponents(d, m + k), block)
                           ).reshape(len(up), -1)
     fact = np.array([math.factorial(i) for i in range(top + k + 1)], dtype=float)
     factor = fact[up].prod(axis=-1) / fact[rows].prod(axis=-1)
@@ -348,7 +345,7 @@ def partials(d: int, k: int, top: int) -> tuple[np.ndarray, np.ndarray]:
 def cgrad(c: np.ndarray, d: int) -> np.ndarray:
     """Coefficients of the coordinate gradient: the lead shape grows by (d,),
     the top degree falls by one (a constant's gradient is zero)."""
-    top = _top_of(d, c.shape[-1])
+    top = top_of(d, c.shape[-1])
     if top == 0:
         return np.zeros(c.shape[:-1] + (d, 1))
     index, factor = partials(d, 1, top - 1)
@@ -369,14 +366,14 @@ def _products(factors: list, spec: str, d: int, order: int):
     Each block is written in its final layout.
     """
     shape_a, shape_b = factors[0].shape, factors[1].shape
-    ta = min(_top_of(d, shape_a[-1]), order)
-    tb = min(_top_of(d, shape_b[-1]), order)
+    ta = min(top_of(d, shape_a[-1]), order)
+    tb = min(top_of(d, shape_b[-1]), order)
     top = min(order, ta + tb)
     plan = _plan(spec)
     if plan is None:
         c = _product(factors.pop(0), factors.pop(0), _table(d, 0, top, 0, ta, tb))
         for m in range(top + 1):
-            yield c[..., _size(d, m - 1):_size(d, m)]
+            yield c[..., size(d, m - 1):size(d, m)]
         return
     axes_a, axes_b, nk, axes_out = plan
     free = ([shape_a[1 + i] for i in axes_a[nk:]]
@@ -403,18 +400,8 @@ def cprod(factors: list, spec: str, d: int, order: int) -> np.ndarray:
     ``'ab,bc->ac'`` for a matrix product or ``',->'`` for scalars.  Degrees
     past either factor's last stored one are zero.
     """
-    return np.concatenate(list(_products(factors, spec, d, order)), axis=-1)
-
-
-def cprod_terms(factors: list, spec: str, d: int, order: int
-                ) -> list[np.ndarray]:
-    """Derivative list through ``order`` of the same product, expanded
-    degree by degree, so its coefficient array is never built whole; the
-    terms of degree 0 and 1 are the product's blocks themselves."""
-    out = [_expand_degree(block, d, m)
-           for m, block in enumerate(_products(factors, spec, d, order))]
-    return out + [np.zeros(out[0].shape + (d,) * m)
-                  for m in range(len(out), order + 1)]
+    blocks = list(_products(factors, spec, d, order))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
 
 def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
@@ -428,8 +415,8 @@ def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
     of the benchmark's cp2_geodesics workload.
     """
     H0 = np.linalg.inv(g[..., 0]) if inv0 is None else inv0
-    tg = min(_top_of(d, g.shape[-1]), order)
-    h = np.zeros((len(H0), _size(d, order) + 1) + H0.shape[1:])
+    tg = min(top_of(d, g.shape[-1]), order)
+    h = np.zeros((len(H0), size(d, order) + 1) + H0.shape[1:])
     h[:, 0] = H0
     if tg:
         axes, _, nk, _ = _plan("ab,bc->ac")
@@ -438,7 +425,7 @@ def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
             table = _padded_table(d, m, 1, min(tg, m), m - 1)
             S = _pair_matmul(x, h, table,
                              np.empty((len(h), len(table[0])) + H0.shape[1:]))
-            h[:, _size(d, m - 1):_size(d, m)] = -np.matmul(H0[:, None], S)
+            h[:, size(d, m - 1):size(d, m)] = -np.matmul(H0[:, None], S)
     return np.ascontiguousarray(np.moveaxis(h[:, :-1], 1, -1))
 
 
@@ -477,7 +464,7 @@ class Jet:
     @property
     def terms(self) -> list[np.ndarray]:
         """All order+1 derivative tensors, zero past the stored degrees."""
-        return _expand(self.c, self.dim, self.top, self.order)
+        return expand(self.c, self.dim, self.order)
 
     @property
     def value(self):
@@ -500,7 +487,7 @@ class Jet:
         order = min(self.order, o.order)
         a, b = (self, o) if self.top >= o.top else (o, self)
         top = min(a.top, order)
-        na, nb = _size(self.dim, top), _size(self.dim, min(b.top, top))
+        na, nb = size(self.dim, top), size(self.dim, min(b.top, top))
         shape = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1]) + (na,)
         c = np.array(np.broadcast_to(a.c[..., :na], shape))
         c[..., :nb] += b.c[..., :nb]
@@ -524,7 +511,7 @@ class Jet:
         top = min(order, self.top + other.top)
         if self.top == 0 or other.top == 0:
             const, rest = (self, other) if self.top == 0 else (other, self)
-            return Jet(const.c[..., :1] * rest.c[..., :_size(self.dim, top)],
+            return Jet(const.c[..., :1] * rest.c[..., :size(self.dim, top)],
                        top, order, self.dim)
         table = _table(self.dim, 0, top, 0, min(self.top, top), min(other.top, top))
         return Jet(_product(self.c, other.c, table), top, order, self.dim)
@@ -564,7 +551,7 @@ def seed_coordinates(p, order: int) -> list[Jet]:
     top = min(order, 1)
     jets = []
     for i in range(d):
-        c = np.zeros((n, _size(d, top)))
+        c = np.zeros((n, size(d, top)))
         c[:, 0] = P[:, i]
         if top:
             c[:, 1 + i] = 1.0
@@ -577,11 +564,11 @@ def reciprocal(u: Jet) -> Jet:
     d = u.dim
     top = u.order if u.top else 0
     h0 = 1.0 / u.c[..., :1]
-    h = np.zeros(h0.shape[:-1] + (_size(d, top),))
+    h = np.zeros(h0.shape[:-1] + (size(d, top),))
     h[..., :1] = h0
     for m in range(1, top + 1):
         s = _product(u.c, h, _table(d, m, m, 1, min(u.top, m), m - 1))
-        h[..., _size(d, m - 1):_size(d, m)] = -h0 * s
+        h[..., size(d, m - 1):size(d, m)] = -h0 * s
     return Jet(h, top, u.order, d)
 
 
@@ -594,7 +581,7 @@ def log(u: Jet) -> Jet:
     h[..., 0] = _libm(math.log, u.c[..., 0])
     if top:
         tu = min(u.top, top)
-        euler = u.c[..., :_size(d, tu)] * _degrees(d, tu)
+        euler = u.c[..., :size(d, tu)] * _degrees(d, tu)
         h[..., 1:] = (_product(euler, v.c, _table(d, 1, top, 1, tu, top))
                       / _degrees(d, top)[1:])
     return Jet(h, top, u.order, d)
@@ -610,9 +597,9 @@ def eval_coeffs(fn, p, order: int) -> np.ndarray:
     if not isinstance(result, Jet):
         # Allow plain floats for constant expressions.
         result = Jet.constant(float(result), d, order)
-    size, stored = _size(d, order), _size(d, min(result.top, order))
-    if result.c.shape == (n, size):
+    width, stored = size(d, order), size(d, min(result.top, order))
+    if result.c.shape == (n, width):
         return result.c
-    c = np.zeros((n, size))
+    c = np.zeros((n, width))
     c[:, :stored] = result.c[..., :stored]
     return c

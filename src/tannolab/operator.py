@@ -90,9 +90,11 @@ class StarField(ScalarField):
             yield S
 
     def levels(self, P, order):
-        """Jets through ``order`` of the chain's k - 1 star products over an
-        (N, d) batch, innermost first; the last is the field's own jets."""
-        return [J.expand(S, self.dim, order) for S in self._chain(P, order)]
+        """Taylor coefficients through ``order`` of the chain's k - 1 star
+        products over an (N, d) batch, innermost first; the last is the
+        field's own."""
+        width = J.size(self.dim, order)
+        return [S[:, :width] for S in self._chain(P, order)]
 
     def _taylor(self, P, order):
         *_, S = self._chain(P, order)
@@ -209,15 +211,16 @@ def _blocks(L: np.ndarray):
         L[:, 2:, 2:]))
 
 
-def _operator(fj, geo: ChartJets) -> np.ndarray:
-    """Batched extended operator from f jets through order 2 and the chart
-    through metric order 1 at the same points.
+def _operator(fc, geo: ChartJets) -> np.ndarray:
+    """Batched extended operator from f's Taylor coefficients through order
+    2 and the chart through metric order 1 at the same points.
 
     a^i_j is formed as g^{ia}(-f_{,aj}) - 2f delta^i_j, which keeps the
     mixed metric contraction g^{ia} g_{aj} = delta exact; in particular the
     constant solution f = -1/2 yields the identity operator bitwise.
     """
-    f0, f1, H = scalar_covariant_jets(fj, geo.gamma(0), 2)
+    f0, f1, H = (t[..., 0] for t in scalar_covariant_jets(
+        fc, geo.gamma_coeffs(), geo.chart.dim, 2))
     g0 = geo.g0
     ahat = (np.linalg.solve(g0, -H)
             - (2.0 * f0)[:, None, None] * np.eye(g0.shape[-1]))
@@ -228,7 +231,7 @@ def assemble_L(prob: TannoProblem, p) -> np.ndarray:
     """Extended operator of the bundle built from prob.f (c = 1 convention):
     one (d+2, d+2) matrix at a point, an (N, d+2, d+2) array over a batch."""
     P, single = prob.chart.batch(p)
-    return unbatch(_operator(prob.f.jets(P, 2), prob.chart.at(P, 1)), single)
+    return unbatch(_operator(prob.f.taylor(P, 2), prob.chart.at(P, 1)), single)
 
 
 @dataclass
@@ -257,8 +260,8 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
     chart = prob.chart
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
-    Lf = _operator(prob.f.jets(P, 2), geo)
-    LF = _operator(other.f.jets(P, 2),
+    Lf = _operator(prob.f.taylor(P, 2), geo)
+    LF = _operator(other.f.taylor(P, 2),
                    geo if other.chart is chart else other.chart.at(P, 1))
     report = _product_block(Lf, LF, geo.g0, chart.J)
     if single:
@@ -492,7 +495,7 @@ def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
     P = PolynomialReal(tuple(c / denom for c in P.coeffs))
     f_proj = poly_star(prob.chart, prob.f, P)
     d = prob.chart.dim
-    Ls = _operator(f_proj.jets(pts, 2), geo)
+    Ls = _operator(f_proj.taylor(pts, 2), geo)
     residuals = frob_rows(Ls @ Ls - Ls)
     bad = np.flatnonzero(~(residuals < PROJECTOR_TOL))
     if bad.size:
@@ -541,7 +544,7 @@ def eigenstructure_at(prob: TannoProblem, p):
     Returns one report for a single point, a list of reports for a batch.
     """
     P, single = prob.chart.batch(p)
-    reports = _eigenstructure(_operator(prob.f.jets(P, 2), prob.chart.at(P, 1)))
+    reports = _eigenstructure(_operator(prob.f.taylor(P, 2), prob.chart.at(P, 1)))
     return reports[0] if single else reports
 
 

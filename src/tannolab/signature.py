@@ -223,9 +223,9 @@ def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
     X, gnorms = X[found], gnorms[found]
 
     geo = chart.at(X, 1)
-    fj = prob.f.jets(X, 2)
-    mus, *_, ahats = _blocks(_operator(fj, geo))
-    mu_hess_all = _mu_hessian(fj, geo)
+    fc = prob.f.taylor(X, 2)
+    mus, *_, ahats = _blocks(_operator(fc, geo))
+    mu_hess_all = _mu_hessian(fc, geo)
     # One finding per critical set: points with the same mu level and the
     # same Hessian inertia; the one with the smallest |grad mu| stands for it.
     sets = {}                       # (inertia, mu level) -> point index

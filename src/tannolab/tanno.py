@@ -85,27 +85,33 @@ def bundle_from_f(prob: TannoProblem, p) -> SolutionBundle:
     For a batch of points each entry carries a leading point axis.
     """
     P, single = prob.chart.batch(p)
-    b = _bundle(prob.f.jets(P, 2), prob.chart.at(P, 1))
+    b = _bundle(prob.f.taylor(P, 2), prob.chart.at(P, 1))
     if single:
         return SolutionBundle(b.a[0], b.grad[0], float(b.mu[0]))
     return b
 
 
-def _bundle(fj, geo: ChartJets) -> SolutionBundle:
-    """Batched bundle from f jets through order 2 and the chart through
-    metric order 1 at the same points."""
-    return SolutionBundle(_a_jets(geo, fj, 0)[0], fj[1], -2.0 * fj[0])
+def _bundle(fc, geo: ChartJets) -> SolutionBundle:
+    """Batched bundle from f's coefficients through order 2 and the chart
+    through metric order 1 at the same points."""
+    cov = _covariant(geo, fc, 2)
+    return SolutionBundle(_a_jets(geo, cov, 0)[..., 0], cov[1][..., 0],
+                          -2.0 * fc[:, 0])
 
 
-def _a_jets(geo: ChartJets, fj, order: int):
-    """Batched jets of a_ij = -f_{,ij} - 2 f g_ij through ``order``, from
-    f jets through order + 2 and the chart through metric order + 1."""
+def _covariant(geo: ChartJets, fc, order: int):
+    """f's covariant chain through ``order`` (:func:`scalar_covariant_jets`)
+    on the chart's Gamma at the same points."""
+    return scalar_covariant_jets(fc, geo.gamma_coeffs(), geo.chart.dim, order)
+
+
+def _a_jets(geo: ChartJets, cov, order: int) -> np.ndarray:
+    """Taylor coefficients through ``order`` of a_ij = -f_{,ij} - 2 f g_ij,
+    from f's covariant chain (f_{,ij} through ``order``) and the chart's
+    metric at the same points."""
     d = geo.chart.dim
-    hess_part = [fj[m + 2] for m in range(order + 1)]  # lead (d,d)
-    corr = J.cprod_terms([J.compress(geo.gamma(order), d, order),
-                          J.compress(fj[1:], d, order)], "kij,k->ij", d, order)
-    fg = J.cprod_terms([J.compress(fj, d, order), geo.coeffs], ",ab->ab", d, order)
-    return [-(hp - c) - 2.0 * f for hp, c, f in zip(hess_part, corr, fg)]
+    fg = J.cprod([cov[0], geo.coeffs], ",ab->ab", d, order)
+    return -cov[2][..., :J.size(d, order)] - 2.0 * fg
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +119,19 @@ def _a_jets(geo: ChartJets, fj, order: int):
 # ---------------------------------------------------------------------------
 
 def _order3(chart: KahlerChart, f: ScalarField, P: np.ndarray):
-    """(geo, f jets) over a batch: the chart through metric order 2 and f
-    through order 3, each evaluated once."""
-    return chart.at(P, 2), f.jets(P, 3)
+    """(geo, cov) over a batch: the chart through metric order 2 and f's
+    covariant chain through f_{,ijk} from f through order 3, each
+    evaluated once; f_{,ij} reaches degree 1."""
+    geo = chart.at(P, 2)
+    return geo, _covariant(geo, f.taylor(P, 3), 3)
 
 
-def _third_from(geo: ChartJets, fj):
-    """(geo, f_{,i}, f_{,ijk}) from :func:`_order3`."""
-    _, f1, _, T3 = scalar_covariant_jets(fj, geo.gamma(1), 3)
-    return geo, f1, T3
-
-
-def _third_order_terms(prob: TannoProblem, geo: ChartJets, f1, T3,
+def _third_order_terms(prob: TannoProblem, geo: ChartJets, cov,
                        jstruct: bool) -> np.ndarray:
-    """Batched residual of the third-order equation from
-    :func:`_third_from`: f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus
-    c times the two complex-structure terms when jstruct is set."""
-    g0 = geo.g0
+    """Batched residual of the third-order equation from :func:`_order3`:
+    f_,ijk + c(2 f_k g_ij + f_i g_jk + f_j g_ik), minus c times the two
+    complex-structure terms when jstruct is set."""
+    g0, f1 = geo.g0, cov[1][..., 0]
     terms = (2.0 * np.einsum("zk,zij->zijk", f1, g0)
              + np.einsum("zi,zjk->zijk", f1, g0)
              + np.einsum("zj,zik->zijk", f1, g0))
@@ -137,13 +139,13 @@ def _third_order_terms(prob: TannoProblem, geo: ChartJets, f1, T3,
         fb, Jf = np.einsum("ai,za->zi", prob.chart.J, f1), g0 @ prob.chart.J
         terms = (terms - np.einsum("zi,zjk->zijk", fb, Jf)
                  - np.einsum("zj,zik->zijk", fb, Jf))
-    return T3 + prob.c * terms
+    return cov[3][..., 0] + prob.c * terms
 
 
 def _third_order_residual(prob: TannoProblem, p, jstruct: bool) -> np.ndarray:
     P, single = prob.chart.batch(p)
-    third = _third_from(*_order3(prob.chart, prob.f, P))
-    return unbatch(_third_order_terms(prob, *third, jstruct), single)
+    res = _third_order_terms(prob, *_order3(prob.chart, prob.f, P), jstruct)
+    return unbatch(res, single)
 
 
 def tanno_residual(prob: TannoProblem, p) -> np.ndarray:
@@ -156,42 +158,43 @@ def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
     return _third_order_residual(prob, p, jstruct=False)
 
 
-def _laplace_rows(prob: TannoProblem, geo: ChartJets, f1, T3) -> np.ndarray:
-    """Per-point :func:`laplace_identity_residual` from :func:`_third_from`."""
-    dlap = np.einsum("zij,zijk->zk", geo.ginv(0)[0], T3)
-    return frob_rows(dlap + 4.0 * prob.c * (prob.chart.n + 1) * f1)
+def _laplace_rows(prob: TannoProblem, geo: ChartJets, cov) -> np.ndarray:
+    """Per-point :func:`laplace_identity_residual` from :func:`_order3`."""
+    dlap = np.einsum("zij,zijk->zk", geo.ginv_coeffs()[..., 0], cov[3][..., 0])
+    return frob_rows(dlap + 4.0 * prob.c * (prob.chart.n + 1) * cov[1][..., 0])
 
 
 def laplace_identity_residual(prob: TannoProblem, p):
     """|(Delta f)_{,k} + 4c(n+1) f_{,k}|; the contracted equation."""
     P, single = prob.chart.batch(p)
-    res = _laplace_rows(prob, *_third_from(*_order3(prob.chart, prob.f, P)))
+    res = _laplace_rows(prob, *_order3(prob.chart, prob.f, P))
     return float(res[0]) if single else res
 
 
-def _system_from(geo: ChartJets, fj):
-    """(geo, f jets, a jets) from :func:`_order3`, with a_ij through order 1
-    built from them."""
-    return geo, fj, _a_jets(geo, fj, 1)
-
-
-def _system_rows(geo: ChartJets, fj, aj):
-    """Per-point :func:`system_residual` from :func:`_system_from`: d_k y
-    less :func:`_system_apply` along e_k, for each direction k."""
-    Z, d = fj[1].shape
+def _system_rows(geo: ChartJets, cov):
+    """Per-point residuals from the chart and f's covariant chain with
+    f_{,ij} through degree 1 (:func:`_order3`): the a rows, f rows and mu
+    row of d_k y less :func:`_system_apply` along e_k, for each direction
+    k (:func:`system_residual`), and :func:`trace_identity_residual`."""
+    ac = _a_jets(geo, cov, 1)
+    f0, f1 = cov[0][:, 0], cov[1][..., 0]
+    Z, d = f1.shape
     n2 = d * d
-    y = (aj[0][..., None], fj[1][..., None], -2.0 * fj[0][:, None])
-    dy = np.concatenate([aj[1].reshape(Z, n2, d), fj[2], -2.0 * fj[1][:, None]],
-                        axis=1)
-    G0 = geo.gamma(0)[0]
+    y = (ac[..., 0][..., None], f1[..., None], -2.0 * f0[:, None])
+    # The degree-1 coefficients are the first partial derivatives.
+    dy = np.concatenate([ac[..., 1:d + 1].reshape(Z, n2, d), cov[1][..., 1:d + 1],
+                         -2.0 * f1[:, None]], axis=1)
+    G0 = geo.gamma0
     for k, e in enumerate(np.eye(d)):
         da, df, dmu = _system_apply(geo.g0, geo.chart.J, G0,
                                     np.tile(e, (Z, 1)), *y)
         dy[:, :n2, k] -= da.reshape(Z, n2)
         dy[:, n2:-1, k] -= df[..., 0]
         dy[:, -1, k] -= dmu[:, 0]
-    return tuple(frob_rows(dy[:, rows]) for rows in
-                 (slice(0, n2), slice(n2, -1), slice(-1, None)))
+    tr = J.cprod([geo.ginv_coeffs(1), ac], "ab,ab->", d, 1)
+    return (*(frob_rows(dy[:, rows]) for rows in
+              (slice(0, n2), slice(n2, -1), slice(-1, None))),
+            frob_rows(f1 - 0.25 * tr[:, 1:d + 1]))
 
 
 def system_residual(prob: TannoProblem, p):
@@ -203,35 +206,28 @@ def system_residual(prob: TannoProblem, p):
     d_k y - A(e_k) y: three floats, or three per-point arrays for a batch.
     """
     P, single = prob.chart.batch(p)
-    r = _system_rows(*_system_from(*_order3(prob.chart, prob.f, P)))
+    r = _system_rows(*_order3(prob.chart, prob.f, P))[:3]
     return tuple(float(x[0]) for x in r) if single else r
-
-
-def _trace_rows(geo: ChartJets, fj, aj) -> np.ndarray:
-    """Per-point :func:`trace_identity_residual` from :func:`_system_from`."""
-    d = geo.chart.dim
-    tr = J.cprod_terms([geo.ginv_coeffs(1), J.compress(aj, d, 1)], "ab,ab->", d, 1)
-    return frob_rows(fj[1] - 0.25 * tr[1])
 
 
 def trace_identity_residual(prob: TannoProblem, p):
     """|f_i - 1/4 (a^al_al)_{,i}| (the contracted first equation)."""
     P, single = prob.chart.batch(p)
-    res = _trace_rows(*_system_from(*_order3(prob.chart, prob.f, P)))
+    res = _system_rows(*_order3(prob.chart, prob.f, P))[3]
     return float(res[0]) if single else res
 
 
-def _mu_hessian(fj, geo: ChartJets) -> np.ndarray:
-    """Per-point mu_{,ij}, mu = -2f, from f jets through order 2 and the
-    chart through metric order 1 (scaling jets by -2 is exact)."""
-    return scalar_covariant_jets([-2.0 * t for t in fj], geo.gamma(0), 2)[2]
+def _mu_hessian(fc, geo: ChartJets) -> np.ndarray:
+    """Per-point mu_{,ij}, mu = -2f, from f's coefficients through order 2
+    and the chart through metric order 1 (scaling by -2 is exact)."""
+    return _covariant(geo, -2.0 * fc, 2)[2][..., 0]
 
 
-def _mu_hessian_rows(fj, geo: ChartJets) -> np.ndarray:
-    """Per-point :func:`mu_hessian_residual` from f jets through order 2 and
-    the chart through metric order 1 at the same points."""
-    b = _bundle(fj, geo)
-    return frob_rows(_mu_hessian(fj, geo) - 2.0 * b.a
+def _mu_hessian_rows(fc, geo: ChartJets) -> np.ndarray:
+    """Per-point :func:`mu_hessian_residual` from f's coefficients through
+    order 2 and the chart through metric order 1 at the same points."""
+    b = _bundle(fc, geo)
+    return frob_rows(_mu_hessian(fc, geo) - 2.0 * b.a
                      + 2.0 * b.mu[:, None, None] * geo.g0)
 
 
@@ -242,7 +238,7 @@ def mu_hessian_residual(prob: TannoProblem, p):
     consistency check between the field-Hessian route and bundle assembly.
     """
     P, single = prob.chart.batch(p)
-    res = _mu_hessian_rows(prob.f.jets(P, 2), prob.chart.at(P, 1))
+    res = _mu_hessian_rows(prob.f.taylor(P, 2), prob.chart.at(P, 1))
     return float(res[0]) if single else res
 
 
@@ -325,7 +321,7 @@ def _stage_matrices(chart: KahlerChart, starts, segs, first, nsub, rows
     tau = np.where(t == 2 * nsub[i], 1.0, t * (1.0 / (2 * nsub[i])))
     V = segs[i]
     geo = chart.at(starts[i] + tau[:, None] * V, 1)
-    return _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0], V)
+    return _transport_matrices(geo.g0, chart.J, geo.gamma0, V)
 
 
 def _rk4_steps(A, K, H, y, active):
@@ -462,13 +458,13 @@ def lightlike_third_derivative(chart: KahlerChart, f: ScalarField,
     """max |d^3/dt^3 f(gamma(t))| over the sample grid.
 
     Along a geodesic that is f_{,ijk} v^i v^j v^k with v = gamma', read from
-    :func:`_third_from` over chunks of :data:`~tannolab.charts.POINT_CHUNK`.
+    :func:`_order3` over chunks of :data:`~tannolab.charts.POINT_CHUNK`.
     """
     if geo.causal_type != "lightlike":
         raise NotLightlike(f"geodesic is {geo.causal_type}, not lightlike")
     _, X, V = geo.grid()
 
     def d3(X, V):
-        return _cubic_form(_third_from(*_order3(chart, f, X))[2], V)
+        return _cubic_form(_order3(chart, f, X)[1][3][..., 0], V)
 
     return float(np.max(np.abs(chunked(d3, X, V))))

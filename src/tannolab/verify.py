@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .calculus import _kahler_rows, christoffel, frob, frob_rows
 from .charts import ChartJets, KahlerChart
+from .jets import size
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
 from .manifolds import (cpn_height_function, flat_kahler_chart,
@@ -34,11 +35,10 @@ from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
                        _projector_with_operator, poly_star, spectra,
                        star_power)
 from .signature import _positivity_scan, is_constant
-from .tanno import (SolutionBundle, TannoProblem, _bundle, _cubic_form,
-                    _laplace_rows, _mu_hessian_rows, _order3, _system_from,
-                    _system_rows, _third_from, _third_order_terms,
-                    _trace_rows, f_from_mu, gallot_tanno_residual,
-                    transport_bundle)
+from .tanno import (SolutionBundle, TannoProblem, _bundle, _covariant,
+                    _cubic_form, _laplace_rows, _mu_hessian_rows, _order3,
+                    _system_rows, _third_order_terms, f_from_mu,
+                    gallot_tanno_residual, transport_bundle)
 from . import fd
 
 
@@ -203,9 +203,10 @@ class CheckContext:
 
     The samples are evaluated in one pass: the chart through metric order 2
     and f through order 3.  From it come the per-point residuals of six
-    checks, f's jets through order 2, and the unit problem's g and Gamma;
-    from those the operator, its spectra and the bundle.  Larger jets are
-    not kept: they would stay alive across the checks that follow.
+    checks, f's Taylor coefficients through order 2, and the unit problem's
+    g and Gamma; from those the operator, its spectra and the bundle.
+    Larger jets are not kept: they would stay alive across the checks that
+    follow.
     """
 
     chart: KahlerChart
@@ -245,15 +246,16 @@ class CheckContext:
         return self._sample_pass[2]
 
     @property
-    def f_jets(self) -> list[np.ndarray]:
-        """f's jets through order 2 at the samples, from the pass."""
+    def f_coeffs(self) -> np.ndarray:
+        """f's Taylor coefficients through order 2 at the samples, from the
+        pass."""
         return self._sample_pass[1]
 
     @cached_property
     def operator(self) -> np.ndarray:
         """The (N, d+2, d+2) entries of L(f) of the unit problem at the
         sample points."""
-        return _operator(self.f_jets, self.unit_geometry)
+        return _operator(self.f_coeffs, self.unit_geometry)
 
     @cached_property
     def spectra(self) -> list[SpectrumResult]:
@@ -263,7 +265,7 @@ class CheckContext:
     @cached_property
     def bundle(self) -> SolutionBundle:
         """The unit problem's (a_ij, f_i, mu) at the samples."""
-        return _bundle(self.f_jets, self.unit_geometry)
+        return _bundle(self.f_coeffs, self.unit_geometry)
 
     @property
     def sample_rows(self) -> dict[str, np.ndarray]:
@@ -276,39 +278,39 @@ class CheckContext:
 
     @cached_property
     def _sample_pass(self):
-        """(sample_rows, f_jets, unit_geometry) from one :func:`_order3` pass.
+        """(sample_rows, f_coeffs, unit_geometry) from one :func:`_order3`
+        pass.
 
-        The unit chart's metric coefficients are c times the chart's, which
-        is what ``KahlerChart.rescaled`` evaluates.  At c = 0 there is
-        no unit chart: the two sys.* rows are left out, the geometry is None.
+        The unit geometry is the pass's own rescaled by c
+        (:meth:`ChartJets.rescaled`), with the same Gamma, so f's covariant
+        chain serves both.  At c = 0 there is no unit chart: the two sys.*
+        rows are left out, the geometry is None.
         """
         prob = self.problem
-        geo, fj = _order3(self.chart, self.f, self.P)
-        third = _third_from(geo, fj)
+        geo, cov = _order3(self.chart, self.f, self.P)
+        fc = cov[0][:, :size(self.chart.dim, 2)].copy()
         rows = {"kahler.residuals": np.max(_kahler_rows(geo), axis=0),
                 "eq1.residual": frob_rows(_third_order_terms(
-                    prob, *third, jstruct=True)),
-                "rem1.laplace_identity": _laplace_rows(prob, *third)}
+                    prob, geo, cov, jstruct=True)),
+                "rem1.laplace_identity": _laplace_rows(prob, geo, cov)}
         null = _null_vectors(geo.g0, NULL_VECTORS, self.seed)
         if null is not None:
-            rows["rem2.lightlike_f3"] = np.abs(_cubic_form(third[2], null)).max(1)
+            rows["rem2.lightlike_f3"] = np.abs(
+                _cubic_form(cov[3][..., 0], null)).max(1)
         if self.c == 0:
-            return rows, fj[:3], None
-        unit = ChartJets(self.unit_problem.chart, self.c * geo.coeffs, geo.order)
-        # Let the chart's g^-1 and Gamma go before the unit chart's are
-        # derived, so the arrays of the two derivations are never alive
-        # together: on CP(3) at 200 samples the pass then peaks at 15.4 MB
-        # traced, not 20.3 MB.
-        del geo, third
-        jets = _system_from(unit, fj)
-        rows["sys.residual"] = np.max(_system_rows(*jets), axis=0)
-        rows["sys.trace_identity"] = _trace_rows(*jets)
-        return rows, fj[:3], unit.pointwise()
+            return rows, fc, None
+        unit = geo.rescaled(self.c, self.unit_problem.chart)
+        del geo
+        *system, trace = _system_rows(unit, cov)
+        rows["sys.residual"] = np.max(system, axis=0)
+        rows["sys.trace_identity"] = trace
+        return rows, fc, unit.pointwise()
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
         the spectrum and projectors of L(f) assume a non-constant solution."""
-        values, gradients = self.f_jets[:2]
+        fc, d = self.f_coeffs, self.chart.dim
+        values, gradients = fc[:, 0], fc[:, 1:d + 1]
         if is_constant(float(values.max() - values.min()),
                        np.linalg.norm(gradients, axis=1)):
             raise SkipCheck("hypothesis not met: the paper's lemmas on L(f) "
@@ -390,7 +392,7 @@ def check_trace_identity(ctx: CheckContext) -> CheckOutcome:
     return _worst(ctx.sample_rows["sys.trace_identity"])
 
 def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
-    return _worst(np.abs(f_from_mu(ctx.bundle.mu) - ctx.f_jets[0]))
+    return _worst(np.abs(f_from_mu(ctx.bundle.mu) - ctx.f_coeffs[:, 0]))
 
 def _random_polyline(chart, rng):
     r = 0.6 * chart.domain_radius
@@ -451,7 +453,7 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
 
 def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
     d = ctx.chart.dim
-    L = _operator(ConstField(d, -0.5).jets(ctx.P, 2), ctx.unit_geometry)
+    L = _operator(ConstField(d, -0.5).taylor(ctx.P, 2), ctx.unit_geometry)
     return _worst(frob_rows(L - np.eye(d + 2)))
 
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
@@ -462,8 +464,8 @@ def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     for k in range(5):
         fa = random_polynomial_field(chart.dim, ctx.seed + 2 * k)
         fb = random_polynomial_field(chart.dim, ctx.seed + 2 * k + 1)
-        rep = _product_block(_operator(fa.jets(pts, 2), geo),
-                             _operator(fb.jets(pts, 2), geo), geo.g0, chart.J)
+        rep = _product_block(_operator(fa.taylor(pts, 2), geo),
+                             _operator(fb.taylor(pts, 2), geo), geo.g0, chart.J)
         worst = max(worst, float(np.max(rep.block_residual)))
     return CheckOutcome(worst, 5 * len(pts))
 
@@ -474,9 +476,9 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
     L1 = ctx.operator[:20]
     geo = ctx.unit_geometry.head(20)
     worst = 0.0
-    for k, fj in enumerate(star_power(chart, prob.f, 4).levels(pts, 2), 2):
+    for k, fc in enumerate(star_power(chart, prob.f, 4).levels(pts, 2), 2):
         worst = max(worst, float(np.max(
-            frob_rows(_operator(fj, geo) - np.linalg.matrix_power(L1, k)))))
+            frob_rows(_operator(fc, geo) - np.linalg.matrix_power(L1, k)))))
     return CheckOutcome(worst, len(pts))
 
 def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
@@ -488,8 +490,8 @@ def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     geo = chart.at(pts, 2)
     worst = 0.0
     for P in polys:
-        fj = poly_star(chart, prob.f, P).jets(pts, 3)
-        worst = max(worst, float(np.max(_system_rows(*_system_from(geo, fj)))))
+        cov = _covariant(geo, poly_star(chart, prob.f, P).taylor(pts, 3), 2)
+        worst = max(worst, float(np.max(_system_rows(geo, cov)[:3])))
     return CheckOutcome(worst, len(pts))
 
 def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
@@ -538,7 +540,7 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
                         note="cases seen: " + ", ".join(sorted(seen)))
 
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
-    return _worst(_mu_hessian_rows(ctx.f_jets, ctx.unit_geometry))
+    return _worst(_mu_hessian_rows(ctx.f_coeffs, ctx.unit_geometry))
 
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
     _, f_proj, Ls = ctx.projector

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import points_on
 from tannolab import fd
+from tannolab import jets as J
 from tannolab.calculus import (TensorValue, bar_form, christoffel,
                                frob, frob_rows,
                                kahler_form, kahler_residuals, laplacian,
@@ -46,8 +47,8 @@ class TestChristoffel:
 
     def test_metric_is_parallel(self, fs1):
         geo = fs1.at(np.array(points_on(fs1, 3)), 1)
-        g0, dg = geo.g
-        G0 = geo.gamma(0)[0]
+        g0, dg = J.expand(geo.coeffs, fs1.dim, 1)
+        G0 = geo.gamma0
         nabla_g = (dg - np.einsum("zlki,zlj->zijk", G0, g0)
                    - np.einsum("zlkj,zil->zijk", G0, g0))
         assert np.all(frob_rows(nabla_g) < 1e-13)
@@ -55,14 +56,16 @@ class TestChristoffel:
     def test_pointwise_keeps_g_and_gamma_bits(self, fs2):
         P = np.array(points_on(fs2, 4))
         full, reduced = fs2.at(P, 2), fs2.at(P, 2).pointwise()
-        assert len(reduced.g) == 1 and np.array_equal(reduced.g0, full.g0)
-        assert len(reduced.gamma()) == 1
-        assert np.array_equal(reduced.gamma(0)[0], full.gamma(1)[0])
-        assert np.array_equal(reduced.ginv(0)[0], full.ginv(0)[0])
+        assert reduced.coeffs.shape[-1] == 1
+        assert np.array_equal(reduced.g0, full.g0)
+        assert reduced.gamma_coeffs().shape[-1] == 1
+        assert np.array_equal(reduced.gamma0, full.gamma_coeffs(1)[..., 0])
+        assert np.array_equal(reduced.gamma0, full.gamma0)
+        assert np.array_equal(reduced.ginv_coeffs(), full.ginv_coeffs()[..., :1])
         with pytest.raises(ValueError, match="held through 0"):
-            reduced.ginv(1)
+            reduced.ginv_coeffs(1)
         with pytest.raises(ValueError, match="Gamma through order 1"):
-            reduced.gamma(1)
+            reduced.gamma_coeffs(1)
 
     def test_out_of_domain(self, fs1):
         with pytest.raises(OutOfDomain):

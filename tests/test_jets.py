@@ -122,7 +122,7 @@ def test_matrix_inverse_jets(sample_point):
     G = [np.stack([np.stack([e.terms[m] for e in row], axis=1)
                    for row in rows], axis=1) for m in range(4)]
     g = J.compress(G, 3, 3)
-    GH = J.cprod_terms([g, J.cinv(g, 3, 3)], "ab,bc->ac", 3, 3)
+    GH = J.expand(J.cprod([g, J.cinv(g, 3, 3)], "ab,bc->ac", 3, 3), 3, 3)
     assert np.allclose(GH[0], np.eye(2)[None], atol=1e-14)
     for m in (1, 2, 3):
         assert np.max(np.abs(GH[m])) < 1e-13
@@ -226,11 +226,12 @@ def test_products_match_full_tensor_leibniz(spec, lead_a, lead_b):
     B = _random_jet(rng, lead_b, D, ORDER)
     reference = [_reference_leibniz_term(A, B, spec, m) for m in range(ORDER + 1)]
     b = J.compress(B, D, ORDER)
-    _assert_close(J.cprod_terms([J.compress(A, D, ORDER), b], spec, D, ORDER),
-                  reference)
+    _assert_close(J.expand(J.cprod([J.compress(A, D, ORDER), b], spec, D, ORDER),
+                           D, ORDER), reference)
     # A shorter factor stands for zero higher terms.
     short = [_reference_leibniz_term(A[:3], B, spec, m) for m in range(ORDER + 1)]
-    _assert_close(J.cprod_terms([J.compress(A[:3], D, 2), b], spec, D, ORDER), short)
+    _assert_close(J.expand(J.cprod([J.compress(A[:3], D, 2), b], spec, D, ORDER),
+                           D, ORDER), short)
 
 
 def _generic_positive(x):
@@ -305,12 +306,12 @@ _SPECS = [(",->", (), ()), ("ab,bc->ac", (2, 3), (3, 4)),
 
 
 def _random_coeffs(rng, lead, d, top, n=4):
-    return rng.normal(size=(n,) + lead + (J._size(d, top),))
+    return rng.normal(size=(n,) + lead + (J.size(d, top),))
 
 
 def _products_under_budget(budget, monkeypatch):
-    """cprod, cprod_terms and cinv on seeded random coefficient arrays, and
-    Gamma on CP(1)-CP(3), with GATHER_CHUNK set to ``budget``."""
+    """cprod (and its expansion) and cinv on seeded random coefficient
+    arrays, and Gamma on CP(1)-CP(3), with GATHER_CHUNK set to ``budget``."""
     monkeypatch.setattr(J, "GATHER_CHUNK", budget)
     rng = np.random.default_rng(31)
     d, order = 3, 4
@@ -319,7 +320,7 @@ def _products_under_budget(budget, monkeypatch):
         a = _random_coeffs(rng, lead_a, d, order)
         b = _random_coeffs(rng, lead_b, d, order - 1)
         out.append(J.cprod([a, b], spec, d, order))
-        out.extend(J.cprod_terms([a, b], spec, d, order))
+        out.extend(J.expand(J.cprod([a, b], spec, d, order), d, order))
     g = _random_coeffs(rng, (3, 3), d, order)
     g[..., 0] += 4 * np.eye(3)
     out.append(J.cinv(g, d, order))
@@ -327,7 +328,8 @@ def _products_under_budget(budget, monkeypatch):
         chart = fubini_study_chart(n)
         P = np.array(sample_points(chart, 20, 5))
         for order in (1, 2):
-            out.extend(chart.at(P, order + 1).gamma(order))
+            out.extend(J.expand(chart.at(P, order + 1).gamma_coeffs(order),
+                                chart.dim, order))
     return out
 
 
@@ -345,17 +347,22 @@ def test_products_do_not_depend_on_the_gather_budget(monkeypatch):
 
 @pytest.mark.parametrize("spec, lead_a, lead_b", _SPECS)
 def test_product_blocks_equal_the_expanded_product(spec, lead_a, lead_b):
-    # cprod_terms hands its degree-0 and -1 blocks over without a copy;
-    # they, and the higher terms, are expand(cprod(...)) bit for bit.
+    # The product's degree blocks are cprod's coefficients; a degree-0 or
+    # -1 block is its own derivative term without a copy, and every block
+    # expands to expand(cprod(...)) bit for bit.
     rng = np.random.default_rng(32)
     d, order = 3, 4
     a = _random_coeffs(rng, lead_a, d, 2)
     b = _random_coeffs(rng, lead_b, d, 1)       # the product ends at degree 3
-    want = J.expand(J.cprod([a, b], spec, d, order), d, order)
-    got = J.cprod_terms([a, b], spec, d, order)
-    assert len(got) == len(want) == order + 1 and not got[-1].any()
-    for m, (x, y) in enumerate(zip(got, want)):
-        assert x.shape == y.shape and np.array_equal(x, y), m
+    product = J.cprod([a, b], spec, d, order)
+    want = J.expand(product, d, order)
+    blocks = list(J._products([a, b], spec, d, order))
+    assert len(blocks) == 4 and len(want) == order + 1 and not want[-1].any()
+    assert np.array_equal(np.concatenate(blocks, axis=-1), product)
+    for m, block in enumerate(blocks):
+        term = J._expand_degree(block, d, m)
+        assert np.shares_memory(term, block) == (m < 2), m
+        assert term.shape == want[m].shape and np.array_equal(term, want[m]), m
 
 
 def test_a_product_frees_its_factors_once_stacked():

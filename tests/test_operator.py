@@ -41,7 +41,7 @@ def cp1_projector(cp1_problem, cp1_points):
 class TestAssembleL:
     def test_returns_the_operator_array(self, cp1_problem, cp1_points):
         P = np.array(cp1_points)
-        ref = _operator(cp1_problem.f.jets(P, 2), cp1_problem.chart.at(P, 1))
+        ref = _operator(cp1_problem.f.taylor(P, 2), cp1_problem.chart.at(P, 1))
         for p, expected in ((P, ref), (P[0], ref[0])):
             L = assemble_L(cp1_problem, p)
             assert type(L) is np.ndarray and np.array_equal(L, expected)
@@ -157,12 +157,12 @@ class TestStarPowerOperator:
 def _reference_star(chart, P, fj, Hj, order):
     """F*H = -2 FH - 1/2 g^{ab} F_{,a} H_{,b} through ``order`` from
     derivative lists, F and H through order + 1: each product compresses its
-    factors and expands its result (jets.cprod_terms)."""
+    factors and expands its result."""
     d = chart.dim
 
     def product(A, B, spec):
-        return J.cprod_terms([J.compress(A, d, order), J.compress(B, d, order)],
-                             spec, d, order)
+        return J.expand(J.cprod([J.compress(A, d, order), J.compress(B, d, order)],
+                                spec, d, order), d, order)
 
     ginv = J.expand(J.cinv(chart.metric_coeffs(P, order), d, order), d, order)
     lifted = product(ginv, fj[1:], "ab,a->b")
@@ -237,10 +237,9 @@ class TestStarChain:
         levels = star_power(chart, f, 4).levels(P, 2)
         assert len(levels) == 3
         for k, level in enumerate(levels, 2):
-            own = star_power(chart, f, k).jets(P, 2)
-            assert len(level) == len(own) == 3
-            for a, b in zip(level, own):
-                assert np.array_equal(a, b)
+            own = star_power(chart, f, k).taylor(P, 2)
+            assert level.shape == own.shape == (len(P), J.size(chart.dim, 2))
+            assert np.array_equal(level, own)
 
     @pytest.mark.parametrize("coeffs", [(0.3, -1.2, 0.7), (0.5, 0.0, -2.0, 1.5)],
                              ids=["degree2", "degree3"])

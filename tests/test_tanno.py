@@ -76,14 +76,14 @@ def _einsum_system_residual(chart, f, P):
     """(a rows, f rows, mu row) norms of d_k y - rhs(e_k) per point, with
     d_k y from einsums over the field's and the chart's jets and rhs from
     :func:`_einsum_rhs`; the reference for system_residual."""
-    geo = chart.at(P, 2)
     fj = f.jets(P, 3)
-    G0, dG = geo.gamma(1)
+    G0, dG = chart.christoffel_jets(P, 1)
+    gj = chart.metric_jets(P, 1)
     d = chart.dim
     out = []
     for z in range(len(P)):
         f0, f1, f2, f3 = (t[z] for t in fj)
-        g0, dg = geo.g[0][z], geo.g[1][z]
+        g0, dg = gj[0][z], gj[1][z]
         a = -(f2 - np.einsum("lij,l->ij", G0[z], f1)) - 2.0 * f0 * g0
         da = (-(f3 - np.einsum("lijk,l->ijk", dG[z], f1)
                 - np.einsum("lij,lk->ijk", G0[z], f2))
@@ -114,7 +114,7 @@ def _reference_transport(chart, path, init, max_step=0.02):
             taus = np.array([k * dt, k * dt + dt / 2, k * dt + dt])
             geo = chart.at(q0 + taus[:, None] * seg, 1)
             t, mid, end = ((g, chart.J, G)
-                           for g, G in zip(geo.g0, geo.gamma(0)[0]))
+                           for g, G in zip(geo.g0, geo.gamma0))
             k1 = _einsum_rhs(t, seg, a, f, mu)
             k2 = _einsum_rhs(mid, seg, a + dt / 2 * k1[0], f + dt / 2 * k1[1],
                              mu + dt / 2 * k1[2])
@@ -144,7 +144,7 @@ def _per_segment_transport(chart, path, init):
         dt = 1.0 / nsub
         taus = np.linspace(0.0, 1.0, 2 * nsub + 1)
         geo = chart.at(q0 + taus[:, None] * seg, 1)
-        A = _transport_matrices(geo.g0, chart.J, geo.gamma(0)[0],
+        A = _transport_matrices(geo.g0, chart.J, geo.gamma0,
                                 np.tile(seg, (len(taus), 1)))
         for k in range(nsub):
             k1 = A[2 * k] @ y
@@ -683,7 +683,7 @@ class TestSystemApply:
         rng = np.random.default_rng(66)
         P = np.array(points_on(flat11, 5, seed=67))
         geo = flat11.at(P, 1)
-        self._tie(geo.g0, flat11.J, geo.gamma(0)[0],
+        self._tie(geo.g0, flat11.J, geo.gamma0,
                   rng.normal(size=P.shape), rng)
 
     def test_empty_batch(self):
