@@ -16,6 +16,7 @@ import numpy as np
 
 from .calculus import frob_rows
 from .errors import ConfigError, TannoLabError
+from .operator import _blocks
 from .verify import (REGISTRY, CheckContext, SkipCheck, SuiteConfig,
                      emit_report, load_report, run_suite)
 
@@ -52,6 +53,9 @@ def _load_config(args) -> SuiteConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {args.config}: its top level "
+                              f"is not a JSON object")
     else:
         data = json.loads(json.dumps(DEFAULT_CONFIG))
     for assignment in args.set or []:
@@ -103,7 +107,7 @@ def _cmd_projector(args) -> int:
     print(f"P(t) = {P!r}")
     worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
     print(f"max |L^2 - L| over {len(ctx.P)} points: {worst:.3e}")
-    mus = Ls[:, 0, 0]
+    mus = _blocks(Ls)[0]
     print(f"mu range over samples: [{min(mus):.6f}, {max(mus):.6f}]")
     return 0
 

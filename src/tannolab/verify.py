@@ -30,10 +30,10 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         fubini_study_chart, random_polynomial_field,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
-from .operator import (PolynomialReal, SpectrumResult, _eigenstructure,
-                       _minimal_polynomial, _operator, _product_block,
-                       _projector_with_operator, poly_star, spectra,
-                       star_power)
+from .operator import (PolynomialReal, SpectrumResult, _blocks,
+                       _eigenstructure, _minimal_polynomial, _operator,
+                       _product_block, _projector_with_operator, poly_star,
+                       spectra, star_power)
 from .signature import _positivity_scan, is_constant
 from .tanno import (SolutionBundle, TannoProblem, _bundle, _covariant,
                     _cubic_form, _laplace_rows, _mu_hessian_rows, _order3,
@@ -44,6 +44,9 @@ from . import fd
 
 #: Seeded null vectors of g per sample at which rem2.lightlike_f3 reads f_{,ijk}.
 NULL_VECTORS = 8
+
+#: Why checks of the c = 1 normalization skip at c = 0.
+_NO_UNIT = "c = 0: the metric cannot be rescaled to the c = 1 normalization"
 
 
 class SkipCheck(Exception):
@@ -115,6 +118,8 @@ class SuiteConfig:
                 raise ConfigError("config field 'radius' must be positive")
         if self.samples < 1:
             raise ConfigError("config field 'samples' must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("config field 'seed' must be >= 0")
         for name in self.checks:
             if name not in REGISTRY:
                 raise ConfigError(f"checks names unknown check {name!r}")
@@ -122,8 +127,8 @@ class SuiteConfig:
             if name not in REGISTRY:
                 raise ConfigError(f"tolerances names unknown check {name!r}")
             tol = _number(f"tolerances.{name}", tol)
-            if not tol > 0:
-                raise ConfigError(f"tolerances.{name} must be positive")
+            if tol < 0:
+                raise ConfigError(f"tolerances.{name} must be >= 0")
             self.tolerances[name] = tol
 
     @classmethod
@@ -155,16 +160,12 @@ def build_chart(spec: dict) -> KahlerChart:
     args = {key: _number(f"chart.{key}", spec.pop(key, default),
                          type(default))
             for key, default in defaults.items()}
-    _reject_extras("chart", spec)
+    if spec:
+        raise ConfigError(f"chart_spec has unknown field(s): {sorted(spec)}")
     try:
         return make(**args)
     except ValueError as exc:
         raise ConfigError(f"chart_spec {name!r}: {exc}") from None
-
-
-def _reject_extras(where: str, leftover: dict):
-    if leftover:
-        raise ConfigError(f"{where}_spec has unknown field(s): {sorted(leftover)}")
 
 
 def build_solution(spec: str, chart: KahlerChart) -> ScalarField:
@@ -203,10 +204,10 @@ class CheckContext:
 
     The samples are evaluated in one pass: the chart through metric order 2
     and f through order 3.  From it come the per-point residuals of six
-    checks, f's Taylor coefficients through order 2, and the unit problem's
-    g and Gamma; from those the operator, its spectra and the bundle.
-    Larger jets are not kept: they would stay alive across the checks that
-    follow.
+    checks (or why a row is absent), f's Taylor coefficients through order
+    2, and the unit problem's g and Gamma; from those the operator, its
+    spectra and the bundle.  Larger jets are not kept: they would stay
+    alive across the checks that follow.
     """
 
     chart: KahlerChart
@@ -219,12 +220,12 @@ class CheckContext:
     def from_config(cls, config: SuiteConfig) -> "CheckContext":
         chart = build_chart(config.chart)
         f = build_solution(config.solution, chart)
-        try:
-            points = sample_points(chart, config.samples, config.seed,
-                                   config.radius)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'radius' ({config.radius:g}): "
-                              f"{exc}") from None
+        if config.radius is not None and config.radius > chart.domain_radius:
+            raise ConfigError(f"config field 'radius' ({config.radius:g}) "
+                              f"exceeds the chart domain radius "
+                              f"{chart.domain_radius:g}")
+        points = sample_points(chart, config.samples, config.seed,
+                               config.radius)
         return cls(chart, f, config.c, np.array(points), config.seed)
 
     @property
@@ -233,23 +234,24 @@ class CheckContext:
 
     @cached_property
     def unit_problem(self) -> TannoProblem:
-        """The c = 1 normalization (metric rescaled by c)."""
+        """The c = 1 normalization (metric rescaled by c); c = 0 skips."""
         if self.c == 0:
-            raise SkipCheck("c = 0: the metric cannot be rescaled to the "
-                            "c = 1 normalization")
+            raise SkipCheck(_NO_UNIT)
         return self.problem.rescaled()
 
     @property
     def unit_geometry(self) -> ChartJets:
-        """The unit problem's g and Gamma at the samples, from the pass."""
-        self.unit_problem                   # c = 0 skips
-        return self._sample_pass[2]
+        """The unit problem's g and Gamma at the samples, from the pass;
+        c = 0 skips."""
+        if self.c == 0:
+            raise SkipCheck(_NO_UNIT)
+        return self._sample_pass[3]
 
     @property
     def f_coeffs(self) -> np.ndarray:
         """f's Taylor coefficients through order 2 at the samples, from the
         pass."""
-        return self._sample_pass[1]
+        return self._sample_pass[2]
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -278,13 +280,14 @@ class CheckContext:
 
     @cached_property
     def _sample_pass(self):
-        """(sample_rows, f_coeffs, unit_geometry) from one :func:`_order3`
-        pass.
+        """(sample_rows, absent, f_coeffs, unit_geometry) from one
+        :func:`_order3` pass; ``absent`` gives, by check name, why a row
+        was left out.
 
         The unit geometry is the pass's own rescaled by c
         (:meth:`ChartJets.rescaled`), with the same Gamma, so f's covariant
         chain serves both.  At c = 0 there is no unit chart: the two sys.*
-        rows are left out, the geometry is None.
+        rows are absent, the geometry is None.
         """
         prob = self.problem
         geo, cov = _order3(self.chart, self.f, self.P)
@@ -293,18 +296,22 @@ class CheckContext:
                 "eq1.residual": frob_rows(_third_order_terms(
                     prob, geo, cov, jstruct=True)),
                 "rem1.laplace_identity": _laplace_rows(prob, geo, cov)}
+        absent = {}
         null = _null_vectors(geo.g0, NULL_VECTORS, self.seed)
-        if null is not None:
+        if null is None:
+            absent["rem2.lightlike_f3"] = "needs a metric of mixed signature"
+        else:
             rows["rem2.lightlike_f3"] = np.abs(
                 _cubic_form(cov[3][..., 0], null)).max(1)
         if self.c == 0:
-            return rows, fc, None
+            absent["sys.residual"] = absent["sys.trace_identity"] = _NO_UNIT
+            return rows, absent, fc, None
         unit = geo.rescaled(self.c, self.unit_problem.chart)
         del geo
         *system, trace = _system_rows(unit, cov)
         rows["sys.residual"] = np.max(system, axis=0)
         rows["sys.trace_identity"] = trace
-        return rows, fc, unit.pointwise()
+        return rows, absent, fc, unit.pointwise()
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
@@ -363,34 +370,63 @@ def _deviation(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The checks
+# The checks, registered in report order
 # ---------------------------------------------------------------------------
 
-def check_kahler_residuals(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.sample_rows["kahler.residuals"])
+@dataclass(frozen=True)
+class CheckSpec:
+    func: object
+    tolerance: float
+    description: str
 
-def check_tanno_residual(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.sample_rows["eq1.residual"])
 
+REGISTRY: dict[str, CheckSpec] = {}
+
+
+def _check(name: str, tolerance: float, description: str):
+    """Register the decorated check as ``name``, after those defined above."""
+    def register(func):
+        REGISTRY[name] = CheckSpec(func, tolerance, description)
+        return func
+    return register
+
+
+def _pass_row(name: str, tolerance: float, description: str):
+    """Register the check of the sample pass's row ``name``: its worst
+    value, or SkipCheck with the reason the pass left the row out."""
+    def check(ctx: CheckContext) -> CheckOutcome:
+        rows, absent = ctx._sample_pass[:2]
+        if name in absent:
+            raise SkipCheck(absent[name])
+        return _worst(rows[name])
+    return _check(name, tolerance, description)(check)
+
+
+check_kahler_residuals = _pass_row(
+    "kahler.residuals", 1e-9,
+    "chart structure: |J^2+Id|, |J^T g J - g|, |nabla J| at samples")
+check_tanno_residual = _pass_row(
+    "eq1.residual", 1e-7,
+    "third-order equation residual f_,ijk + c(2f_k g_ij + ... - Jbar terms)")
+
+@_check("eq2.residual", 1e-8, "J-free third-order equation residual (real form)")
 def check_gallot_tanno(ctx: CheckContext) -> CheckOutcome:
     return _worst(frob_rows(gallot_tanno_residual(ctx.problem, ctx.P)))
 
-def check_laplace_identity(ctx: CheckContext) -> CheckOutcome:
-    return _worst(ctx.sample_rows["rem1.laplace_identity"])
+check_laplace_identity = _pass_row(
+    "rem1.laplace_identity", 1e-6,
+    "contracted identity (Delta f)_,k = -4c(n+1) f_,k")
+check_lightlike_f3 = _pass_row(
+    "rem2.lightlike_f3", 1e-9,
+    "T3(v,v,v) = 0 at null vectors of g (f''' along lightlike geodesics)")
+check_system_residual = _pass_row(
+    "sys.residual", 1e-7,
+    "first-order system residuals for (a_ij, f_i, mu), c=1")
+check_trace_identity = _pass_row(
+    "sys.trace_identity", 1e-6, "trace identity f_i = 1/4 (a^al_al)_,i")
 
-def check_lightlike_f3(ctx: CheckContext) -> CheckOutcome:
-    if "rem2.lightlike_f3" not in ctx.sample_rows:
-        raise SkipCheck("needs a metric of mixed signature")
-    return _worst(ctx.sample_rows["rem2.lightlike_f3"])
-
-def check_system_residual(ctx: CheckContext) -> CheckOutcome:
-    ctx.unit_problem                    # c = 0 skips
-    return _worst(ctx.sample_rows["sys.residual"])
-
-def check_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    ctx.unit_problem                    # c = 0 skips
-    return _worst(ctx.sample_rows["sys.trace_identity"])
-
+@_check("sys.inverse_roundtrip", 0.0,
+        "f_from_mu after bundle_from_f recovers f exactly")
 def check_inverse_roundtrip(ctx: CheckContext) -> CheckOutcome:
     return _worst(np.abs(f_from_mu(ctx.bundle.mu) - ctx.f_coeffs[:, 0]))
 
@@ -407,6 +443,8 @@ def _bundle_distance(x: SolutionBundle, y: SolutionBundle) -> float:
                          + np.linalg.norm(x.grad - y.grad) ** 2
                          + (x.mu - y.mu) ** 2))
 
+@_check("lem1.transport_zero", 1e-10,
+        "zero initial bundle stays zero along random curves")
 def check_transport_zero(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     rng = np.random.default_rng(ctx.seed)
@@ -416,6 +454,8 @@ def check_transport_zero(ctx: CheckContext) -> CheckOutcome:
     out = transport_bundle(chart, paths, zero)
     return CheckOutcome(max(_bundle_at(out, k).norm() for k in range(10)), 10)
 
+@_check("lem1.transport_match", 1e-5,
+        "solution bundle transported p->q matches direct evaluation")
 def check_transport_match(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     trials = min(6, len(ctx.P) - 1)
@@ -431,6 +471,8 @@ def check_transport_match(ctx: CheckContext) -> CheckOutcome:
                     / max(1.0, ref.norm()))
     return CheckOutcome(worst, trials)
 
+@_check("lem1.transport_loop", 1e-5,
+        "solution bundle returns to itself around a closed loop")
 def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     start = ctx.P[0]
@@ -451,11 +493,15 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
     defect = _bundle_distance(out, init)
     return CheckOutcome(defect / max(1.0, init.norm()), len(loop))
 
+@_check("op.identity_at_constant", 0.0,
+        "extended operator of f = -1/2 is the identity")
 def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
     d = ctx.chart.dim
     L = _operator(ConstField(d, -0.5).taylor(ctx.P, 2), ctx.unit_geometry)
     return _worst(frob_rows(L - np.eye(d + 2)))
 
+@_check("eq_product.block_identity", 1e-10,
+        "block product formula for L(f) L(F), arbitrary smooth fields")
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     pts = ctx.P[:5]
@@ -469,6 +515,8 @@ def check_block_identity(ctx: CheckContext) -> CheckOutcome:
         worst = max(worst, float(np.max(rep.block_residual)))
     return CheckOutcome(worst, 5 * len(pts))
 
+@_check("lem2.star_power", 1e-7,
+        "L(f^{*k}) = L(f)^k for k = 2, 3, 4 on solutions")
 def check_star_power(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
@@ -481,6 +529,8 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
             frob_rows(_operator(fc, geo) - np.linalg.matrix_power(L1, k)))))
     return CheckOutcome(worst, len(pts))
 
+@_check("cor1.poly_star_closure", 1e-7,
+        "P*(f) remains a solution for real polynomials P")
 def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     prob = ctx.unit_problem
     chart = prob.chart
@@ -494,6 +544,8 @@ def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
         worst = max(worst, float(np.max(_system_rows(geo, cov)[:3])))
     return CheckOutcome(worst, len(pts))
 
+@_check("cor2.spectrum_constancy", 1e-6,
+        "clustered spectrum of the extended operator is point-independent")
 def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
     base = ctx.spectra[0].clusters
     worst = 0.0
@@ -504,12 +556,16 @@ def check_spectrum_constancy(ctx: CheckContext) -> CheckOutcome:
                     if same else 1.0)
     return CheckOutcome(worst, len(ctx.spectra))
 
+@_check("lem3.minimal_polynomial", 1e-5,
+        "minimal polynomial coefficients agree across points")
 def check_minimal_polynomial(ctx: CheckContext) -> CheckOutcome:
     polys = [_minimal_polynomial(L, spec).coeffs
              for L, spec in zip(ctx.operator[:20], ctx.spectra[:20])]
     worst = max((_deviation(cs, polys[0]) for cs in polys[1:]), default=0.0)
     return CheckOutcome(worst, len(polys))
 
+@_check("lem4.two_real_eigenvalues", 0.5,
+        "at least two distinct real eigenvalue clusters everywhere")
 def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
     ctx.require_nonconstant()
     counts = [len(s.clusters) for s in ctx.spectra]
@@ -517,14 +573,18 @@ def check_two_real_eigenvalues(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(float(bad), len(counts),
                         note="points with fewer than two real clusters")
 
+@_check("lem5.projector", 1e-7,
+        "Lagrange polynomial yields a non-trivial projector; 0 <= mu <= 1")
 def check_projector(ctx: CheckContext) -> CheckOutcome:
     P, _, Ls = ctx.projector
     worst = float(np.max(frob_rows(Ls @ Ls - Ls)))
-    mu = Ls[:, 0, 0]
+    mu = _blocks(Ls)[0]
     mu_violation = float(np.max(np.maximum(0.0, np.maximum(-mu, mu - 1.0))))
     return CheckOutcome(max(worst, mu_violation), len(ctx.P),
                         note=f"P = {P!r}")
 
+@_check("lem6.eigenstructure", 1e-6,
+        "eigenvalue/multiplicity table of a^i_j per interior/max/min case")
 def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
     _, _, Ls = ctx.projector
     n = ctx.chart.n
@@ -539,15 +599,19 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(ctx.P),
                         note="cases seen: " + ", ".join(sorted(seen)))
 
+@_check("eq_mu.hessian", 1e-7, "Hessian identity mu_,ij = 2a_ij - 2 mu g_ij")
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
     return _worst(_mu_hessian_rows(ctx.f_coeffs, ctx.unit_geometry))
 
+@_check("thm3.positivity", 0.5,
+        "metric inertia (2n,0) at samples; eigenspace restrictions at extrema")
 def check_positivity(ctx: CheckContext) -> CheckOutcome:
     _, f_proj, Ls = ctx.projector
     probP = TannoProblem(ctx.unit_problem.chart, f_proj, 1.0)
     # P*(f) = -mu/2 and its gradient, read off the verified L(P*(f)).
+    mu, grad = _blocks(Ls)[:2]
     report = _positivity_scan(probP, ctx.P, ctx.unit_geometry.g0,
-                              -0.5 * Ls[:, 0, 0], Ls[:, 0, 2:])
+                              -0.5 * mu, grad)
     ok = report.verdict == "positive"
     for fnd in report.extremal_findings:
         ok = ok and fnd.kind != "interior"
@@ -563,6 +627,8 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
             f"critical_sets={len(report.extremal_findings)}")
     return CheckOutcome(0.0 if ok else 1.0, len(ctx.P), note=note)
 
+@_check("oracle.derivatives", 1e-6,
+        "jet derivatives (orders 1-3, Christoffel) vs finite differences")
 def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:
     chart, f = ctx.chart, ctx.f
     pts = ctx.P[:3]
@@ -583,85 +649,6 @@ def _rel_err(exact, approx) -> float:
     approx = np.asarray(approx, float)
     return frob(exact - approx) / max(1.0, frob(exact))
 
-
-@dataclass(frozen=True)
-class CheckSpec:
-    func: object
-    tolerance: float
-    description: str
-
-
-REGISTRY: dict[str, CheckSpec] = {
-    "kahler.residuals": CheckSpec(
-        check_kahler_residuals, 1e-9,
-        "chart structure: |J^2+Id|, |J^T g J - g|, |nabla J| at samples"),
-    "eq1.residual": CheckSpec(
-        check_tanno_residual, 1e-7,
-        "third-order equation residual f_,ijk + c(2f_k g_ij + ... - Jbar terms)"),
-    "eq2.residual": CheckSpec(
-        check_gallot_tanno, 1e-8,
-        "J-free third-order equation residual (real form)"),
-    "rem1.laplace_identity": CheckSpec(
-        check_laplace_identity, 1e-6,
-        "contracted identity (Delta f)_,k = -4c(n+1) f_,k"),
-    "rem2.lightlike_f3": CheckSpec(
-        check_lightlike_f3, 1e-9,
-        "T3(v,v,v) = 0 at null vectors of g (f''' along lightlike geodesics)"),
-    "sys.residual": CheckSpec(
-        check_system_residual, 1e-7,
-        "first-order system residuals for (a_ij, f_i, mu), c=1"),
-    "sys.trace_identity": CheckSpec(
-        check_trace_identity, 1e-6,
-        "trace identity f_i = 1/4 (a^al_al)_,i"),
-    "sys.inverse_roundtrip": CheckSpec(
-        check_inverse_roundtrip, 0.0,
-        "f_from_mu after bundle_from_f recovers f exactly"),
-    "lem1.transport_zero": CheckSpec(
-        check_transport_zero, 1e-10,
-        "zero initial bundle stays zero along random curves"),
-    "lem1.transport_match": CheckSpec(
-        check_transport_match, 1e-5,
-        "solution bundle transported p->q matches direct evaluation"),
-    "lem1.transport_loop": CheckSpec(
-        check_transport_loop, 1e-5,
-        "solution bundle returns to itself around a closed loop"),
-    "op.identity_at_constant": CheckSpec(
-        check_operator_identity, 0.0,
-        "extended operator of f = -1/2 is the identity"),
-    "eq_product.block_identity": CheckSpec(
-        check_block_identity, 1e-10,
-        "block product formula for L(f) L(F), arbitrary smooth fields"),
-    "lem2.star_power": CheckSpec(
-        check_star_power, 1e-7,
-        "L(f^{*k}) = L(f)^k for k = 2, 3, 4 on solutions"),
-    "cor1.poly_star_closure": CheckSpec(
-        check_poly_star_closure, 1e-7,
-        "P*(f) remains a solution for real polynomials P"),
-    "cor2.spectrum_constancy": CheckSpec(
-        check_spectrum_constancy, 1e-6,
-        "clustered spectrum of the extended operator is point-independent"),
-    "lem3.minimal_polynomial": CheckSpec(
-        check_minimal_polynomial, 1e-5,
-        "minimal polynomial coefficients agree across points"),
-    "lem4.two_real_eigenvalues": CheckSpec(
-        check_two_real_eigenvalues, 0.5,
-        "at least two distinct real eigenvalue clusters everywhere"),
-    "lem5.projector": CheckSpec(
-        check_projector, 1e-7,
-        "Lagrange polynomial yields a non-trivial projector; 0 <= mu <= 1"),
-    "lem6.eigenstructure": CheckSpec(
-        check_eigenstructure, 1e-6,
-        "eigenvalue/multiplicity table of a^i_j per interior/max/min case"),
-    "eq_mu.hessian": CheckSpec(
-        check_mu_hessian, 1e-7,
-        "Hessian identity mu_,ij = 2a_ij - 2 mu g_ij"),
-    "thm3.positivity": CheckSpec(
-        check_positivity, 0.5,
-        "metric inertia (2n,0) at samples; eigenspace restrictions at extrema"),
-    "oracle.derivatives": CheckSpec(
-        check_oracle_derivatives, 1e-6,
-        "jet derivatives (orders 1-3, Christoffel) vs finite differences"),
-}
 
 # eq2 (the J-free equation) is satisfied by different fields than eq1 on the
 # same chart, so it only runs when a config asks for it explicitly.
@@ -720,21 +707,17 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         tol = config.tolerances.get(name, spec.tolerance)
         t0 = time.perf_counter()
         try:
-            outcome = spec.func(ctx)
-            dt = time.perf_counter() - t0
-            records.append(CheckRecord(
-                name, float(outcome.max_residual), tol,
-                bool(float(outcome.max_residual) <= tol),
-                int(outcome.points), dt, "ok", outcome.note))
+            out = spec.func(ctx)
+            result = float(out.max_residual), int(out.points), "ok", out.note
         except SkipCheck as exc:
-            dt = time.perf_counter() - t0
-            records.append(CheckRecord(
-                name, float("nan"), tol, True, 0, dt, "skipped", str(exc)))
+            result = math.nan, 0, "skipped", str(exc)
         except Exception as exc:   # a broken check never aborts the suite
-            dt = time.perf_counter() - t0
-            records.append(CheckRecord(
-                name, float("inf"), tol, False, 0, dt, "error",
-                f"{type(exc).__name__}: {exc}"))
+            result = math.inf, 0, "error", f"{type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - t0
+        residual, points, status, note = result
+        passed = status == "skipped" or (status == "ok" and residual <= tol)
+        records.append(CheckRecord(name, residual, tol, passed, points,
+                                   seconds, status, note))
     verdict = "pass" if all(r.passed for r in records) else "fail"
     return VerificationReport(records, verdict, __version__, config.to_dict())
 
@@ -767,5 +750,18 @@ def emit_report(report: VerificationReport, fmt: str = "json",
 
 
 def load_report(path) -> VerificationReport:
+    """The report stored at path; ConfigError naming what a file that is
+    not a report lacks."""
     with open(path) as fh:
-        return VerificationReport.from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} is not a report: its top level is not "
+                          f"a JSON object")
+    missing = [key for key in ("checks", "verdict", "version", "config")
+               if key not in data]
+    if missing:
+        raise ConfigError(f"{path} is not a report: no field(s) {missing}")
+    try:
+        return VerificationReport.from_dict(data)
+    except TypeError as exc:
+        raise ConfigError(f"{path} is not a report: {exc}") from None

@@ -29,6 +29,34 @@ from tannolab.verify import (DEFAULT_CHECKS, REGISTRY, CheckContext,
 FAST_CHECKS = ["kahler.residuals", "eq1.residual", "sys.inverse_roundtrip",
                "op.identity_at_constant"]
 
+#: The output of ``tannolab verify --list-checks``: every registered name,
+#: tolerance and description, in report order.
+LIST_CHECKS = """\
+kahler.residuals           tol=1e-09     chart structure: |J^2+Id|, |J^T g J - g|, |nabla J| at samples
+eq1.residual               tol=1e-07     third-order equation residual f_,ijk + c(2f_k g_ij + ... - Jbar terms)
+eq2.residual               tol=1e-08     J-free third-order equation residual (real form)
+rem1.laplace_identity      tol=1e-06     contracted identity (Delta f)_,k = -4c(n+1) f_,k
+rem2.lightlike_f3          tol=1e-09     T3(v,v,v) = 0 at null vectors of g (f''' along lightlike geodesics)
+sys.residual               tol=1e-07     first-order system residuals for (a_ij, f_i, mu), c=1
+sys.trace_identity         tol=1e-06     trace identity f_i = 1/4 (a^al_al)_,i
+sys.inverse_roundtrip      tol=0         f_from_mu after bundle_from_f recovers f exactly
+lem1.transport_zero        tol=1e-10     zero initial bundle stays zero along random curves
+lem1.transport_match       tol=1e-05     solution bundle transported p->q matches direct evaluation
+lem1.transport_loop        tol=1e-05     solution bundle returns to itself around a closed loop
+op.identity_at_constant    tol=0         extended operator of f = -1/2 is the identity
+eq_product.block_identity  tol=1e-10     block product formula for L(f) L(F), arbitrary smooth fields
+lem2.star_power            tol=1e-07     L(f^{*k}) = L(f)^k for k = 2, 3, 4 on solutions
+cor1.poly_star_closure     tol=1e-07     P*(f) remains a solution for real polynomials P
+cor2.spectrum_constancy    tol=1e-06     clustered spectrum of the extended operator is point-independent
+lem3.minimal_polynomial    tol=1e-05     minimal polynomial coefficients agree across points
+lem4.two_real_eigenvalues  tol=0.5       at least two distinct real eigenvalue clusters everywhere
+lem5.projector             tol=1e-07     Lagrange polynomial yields a non-trivial projector; 0 <= mu <= 1
+lem6.eigenstructure        tol=1e-06     eigenvalue/multiplicity table of a^i_j per interior/max/min case
+eq_mu.hessian              tol=1e-07     Hessian identity mu_,ij = 2a_ij - 2 mu g_ij
+thm3.positivity            tol=0.5       metric inertia (2n,0) at samples; eigenspace restrictions at extrema
+oracle.derivatives         tol=1e-06     jet derivatives (orders 1-3, Christoffel) vs finite differences
+"""
+
 
 def fast_config(**over):
     data = {
@@ -124,7 +152,7 @@ class TestConfig:
         ("c", float("nan")), ("c", float("inf")), ("c", float("-inf")),
         ("radius", float("nan")), ("radius", float("inf")),
         ("radius", float("-inf")),
-        ("samples", 2.5), ("seed", 7.9), ("samples", True),
+        ("samples", 2.5), ("seed", 7.9), ("samples", True), ("seed", -1),
     ])
     def test_value_rejected_not_coerced(self, field, value):
         with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
@@ -861,9 +889,21 @@ class TestCli:
 
     def test_list_checks(self, capsys):
         assert main(["verify", "--list-checks"]) == 0
-        out = capsys.readouterr().out
-        for name in REGISTRY:
-            assert name in out
+        assert capsys.readouterr().out == LIST_CHECKS
+
+    def test_default_checks(self):
+        # Every registered check but eq2.residual, in report order.
+        names = [line.split()[0] for line in LIST_CHECKS.splitlines()]
+        assert DEFAULT_CHECKS == [n for n in names if n != "eq2.residual"]
+
+    def test_each_check_function_is_registered_once(self):
+        # Every module-level check_* is the function of one registry entry;
+        # the six sample-pass checks share one body, read by row name.
+        funcs = [getattr(verify, name) for name in dir(verify)
+                 if name.startswith("check_")]
+        assert sorted(map(id, funcs)) == sorted(
+            id(spec.func) for spec in REGISTRY.values())
+        assert REGISTRY["rem2.lightlike_f3"].func is verify.check_lightlike_f3
 
     def test_set_overrides(self, capsys):
         rc = main(["verify", "--set", "samples=4", "--set",
@@ -887,6 +927,50 @@ class TestCli:
 
     def test_report_missing_file(self, capsys):
         assert main(["report", "/nonexistent/report.json"]) == 2
+
+    @pytest.mark.parametrize("content, message", [
+        ({"a": 1}, "no field(s) ['checks', 'verdict', 'version', 'config']"),
+        ([1, 2], "its top level is not a JSON object"),
+        ({"checks": [1], "verdict": "pass", "version": "0", "config": {}},
+         "must be a mapping"),
+    ], ids=["object", "array", "record"])
+    def test_report_on_a_non_report_exits_two(self, tmp_path, capsys,
+                                               content, message):
+        path = tmp_path / "not_a_report.json"
+        path.write_text(json.dumps(content))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a report" in err and message in err
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_report(path)
+
+    @pytest.mark.parametrize("content", [[1, 2], 5, "chart"])
+    def test_config_file_not_an_object_exits_two(self, tmp_path, capsys,
+                                                 content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["verify", "--config", str(cfg), "--set", "samples=3"]) == 2
+        assert "its top level is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "spectrum", "projector"])
+    def test_negative_seed_exits_two(self, verb, capsys):
+        assert main([verb, "--set", "seed=-1"]) == 2
+        assert "config field 'seed' must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_is_not_blamed_on_the_radius(self, capsys):
+        assert main(["verify", "--set", "seed=-1", "--set", "radius=1"]) == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "radius" not in err
+
+    def test_zero_tolerance_override_runs_and_passes(self, capsys):
+        # Two checks are registered at 0.0; a config can ask for it too.
+        rc = main(["verify", "--set", "tolerances.op.identity_at_constant=0",
+                   "--set", 'checks=["op.identity_at_constant"]'])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0].startswith("PASS  op.identity_at_constant ")
+        assert "max_residual=0.000e+00 tol=0.0e+00" in out[0]
+        assert out[-1] == "suite verdict: pass"
 
     def test_spectrum_verb(self, capsys):
         rc = main(["spectrum", "--set", "samples=4", "--points", "2"])
