@@ -283,8 +283,10 @@ class ChartJets:
     the order asked for), Gamma's (through ``order - 1``) and g and Gamma
     at the points are derived from them on first use and kept for the
     lifetime of this object, which usually belongs to a single batched
-    call; one held longer is reduced with :meth:`pointwise`.  This is the
-    only place the chart's g^-1 and Gamma are derived.
+    call; one held longer is reduced with :meth:`pointwise`, and one that
+    reads less of g once Gamma exists with :meth:`trim`.  This is the only
+    place the chart's g^-1 and Gamma are derived, and :meth:`solve_coeffs`
+    the one place a right-hand side is solved with g.
     """
 
     def __init__(self, chart: KahlerChart, coeffs: np.ndarray, order: int):
@@ -310,9 +312,22 @@ class ChartJets:
             raise ValueError(f"g^-1 through order {order} needs the metric "
                              f"through {order}, held through {self.order}")
         if self._ginv is None or self._ginv[0] < order:
-            inv0 = checked_inverse(self.g0, f"on {self.chart.name}")
-            self._ginv = order, J.cinv(self.coeffs, self.chart.dim, order, inv0)
+            self._ginv = order, J.cinv(self.coeffs, self.chart.dim, order,
+                                       self._inv0())
         return self._ginv[1]
+
+    def solve_coeffs(self, b: np.ndarray, order: int) -> np.ndarray:
+        """Taylor coefficients through ``order`` of v with g v = b, for b's
+        coefficients (N, d, ..., M) at the same points: one
+        :func:`~tannolab.jets.csolve`, with no g^-1 jet."""
+        if order > self.order:
+            raise ValueError(f"solving with g through order {order} needs the "
+                             f"metric through {order}, held through {self.order}")
+        return J.csolve(self.coeffs, b, self.chart.dim, order, self._inv0())
+
+    def _inv0(self) -> np.ndarray:
+        """g^-1 at the points, through the one singular-metric test."""
+        return checked_inverse(self.g0, f"on {self.chart.name}")
 
     def gamma_coeffs(self, order: int = 0) -> np.ndarray:
         """Gamma's Taylor coefficients through at least ``order``,
@@ -345,6 +360,15 @@ class ChartJets:
         geo = ChartJets(self.chart, self.coeffs[:k], self.order)
         geo._gamma = None if self._gamma is None else self._gamma[:k]
         return geo
+
+    def trim(self, order: int) -> "ChartJets":
+        """Derive Gamma, then keep the metric's coefficients only through
+        ``order``, for a holder that reads no more of g once Gamma exists;
+        returns self.  The kept block is a copy, so the rest is freed."""
+        self.gamma_coeffs()
+        self.coeffs = self.coeffs[..., :J.size(self.chart.dim, order)].copy()
+        self.order = order
+        return self
 
     def pointwise(self) -> "ChartJets":
         """Reduce this geometry in place to g and Gamma at the points, for a

@@ -5,11 +5,12 @@ of shape ``(N,) + lead_shape + (M,)``: the Taylor coefficients of Storage
 below through degree r.  Fields (:meth:`~tannolab.fields.ScalarField.taylor`),
 the chart's metric, g^-1 and Gamma, the covariant derivatives of a scalar
 and the star chain produce and take that form, and :func:`eval_coeffs`,
-:func:`cprod`, :func:`cinv` and :func:`cgrad` work on it.  A caller that
-reads derivatives expands it with :func:`expand` into a derivative list
-``[T0, T1, ..., Tr]``, ``Tm`` the raw m-th partial-derivative tensor of
-shape ``(N,) + lead_shape + (d,)*m``, symmetric in its trailing m axes;
-:func:`compress` turns a list written in closed form into coefficients.
+:func:`cprod`, :func:`csolve`, :func:`cinv` and :func:`cgrad` work on it.
+A caller that reads derivatives expands it with :func:`expand` into a
+derivative list ``[T0, T1, ..., Tr]``, ``Tm`` the raw m-th
+partial-derivative tensor of shape ``(N,) + lead_shape + (d,)*m``,
+symmetric in its trailing m axes; :func:`compress` turns a list written in
+closed form into coefficients.
 
 Storage.  Inside, a jet holds one Taylor coefficient ``d^a f / a!`` per
 multi-index a, degree after degree (within a degree in the order of
@@ -24,10 +25,14 @@ through pair tables built on first use per dimension and degree range:
 * scalar jets (:class:`Jet`, :func:`reciprocal`, :func:`log`, the ``',->'``
   spec): a product is one gather of the listed pairs, one multiply and one
   segmented sum (``np.add.reduceat``);
-* tensor-valued jets (:func:`cprod`, :func:`cinv`) hold the leading axes as
-  matrices: output degree m is one stack of matrix products, one per point
-  and output monomial, whose inner axis runs over that output's pairs side
-  by side.
+* tensor-valued jets (:func:`cprod`, :func:`csolve`) hold the leading axes
+  as matrices: output degree m is one stack of matrix products, one per
+  point and output monomial, whose inner axis runs over that output's pairs
+  side by side.
+
+:func:`csolve` gives v with g v = b for a matrix-valued g, degree by degree,
+multiplying by g^-1 at the points only; :func:`cinv` is its case b = 1, so
+g^-1 and a solve share one recursion.
 
 A tensor-valued product keeps only bounded transients.  It takes its two
 factors as a list that it empties: once a factor is stacked into the
@@ -60,9 +65,10 @@ import numpy as np
 #: Most numbers one gathered factor of a tensor-valued product may hold: a
 #: product with more pairs runs in pieces, so its gathers stay small.  At
 #: 2^18 numbers (2 MB) the gathers were most of lem2's traced peak on CP(3)
-#: at 20 points: its one cinv took 9.7 MB to build a 1.2 MB g^-1, and the
-#: check peaked at 11.0 MB.  At 2^16 (0.5 MB) cinv takes 5.0 MB and the
-#: check 6.3 MB, with the same bits and no measurable loss of speed.
+#: at 20 points, when the check built g^-1 through order 4: that cinv took
+#: 9.7 MB to build a 1.2 MB g^-1, and the check peaked at 11.0 MB.  At 2^16
+#: (0.5 MB) cinv took 5.0 MB and the check 6.3 MB, with the same bits and
+#: no measurable loss of speed.
 GATHER_CHUNK = 1 << 16
 
 
@@ -404,29 +410,51 @@ def cprod(factors: list, spec: str, d: int, order: int) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
 
-def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
-    """Coefficients through ``order`` of the matrix inverse of a batched
-    matrix-valued coefficient array g, shape (N, n, n, M).
+def csolve(g: np.ndarray, b: np.ndarray, d: int, order: int, inv0=None
+           ) -> np.ndarray:
+    """Coefficients through ``order`` of v with g v = b, for a batched
+    matrix-valued coefficient array g, shape (N, n, n, M), and a right-hand
+    side b of shape (N, n, ..., M'), a vector or a matrix per point; v has
+    b's shape with M monomials through ``order``.
 
-    Solves (g h)_m = 0 degree by degree:  h_m = -h_0 (sum_{j>=1} g_j h_{m-j}).
-    ``inv0`` is g_0^{-1} when the caller already has it.  The result is a
-    contiguous copy, and the stack the loop runs on is freed: returning a
-    view of it measured about 0.3 MB more RSS growth over 160 iterations
+    Solves (g v)_m = b_m degree by degree:
+    v_m = -g_0^{-1} (sum_{j>=1} g_j v_{m-j} - b_m), with g_0^{-1} taken at
+    the points only (``inv0`` when the caller already has it).  The result
+    is a contiguous copy, and the stack the loop runs on is freed: returning
+    a view of it measured about 0.3 MB more RSS growth over 160 iterations
     of the benchmark's cp2_geodesics workload.
     """
     H0 = np.linalg.inv(g[..., 0]) if inv0 is None else inv0
+    n, lead = len(b), b.shape[1:-1]
     tg = min(top_of(d, g.shape[-1]), order)
-    h = np.zeros((len(H0), size(d, order) + 1) + H0.shape[1:])
-    h[:, 0] = H0
+    tb = min(top_of(d, b.shape[-1]), order)
+    # v's stack (N, M + 1, n, C), C the columns of b; it starts as b.
+    v = np.zeros((n, size(d, order) + 1, lead[0], math.prod(lead[1:])))
+    v[:, :size(d, tb)] = b[..., :size(d, tb)].reshape(
+        v.shape[:1] + v.shape[2:] + (size(d, tb),)).transpose(0, 3, 1, 2)
+    v[:, 0] = np.matmul(H0, v[:, 0])
     if tg:
         axes, _, nk, _ = _plan("ab,bc->ac")
         x = _stack(g, d, tg, axes, nk)
-        for m in range(1, order + 1):
+    for m in range(1, order + 1):
+        block = v[:, size(d, m - 1):size(d, m)]
+        if tg:
             table = _padded_table(d, m, 1, min(tg, m), m - 1)
-            S = _pair_matmul(x, h, table,
-                             np.empty((len(h), len(table[0])) + H0.shape[1:]))
-            h[:, size(d, m - 1):size(d, m)] = -np.matmul(H0[:, None], S)
-    return np.ascontiguousarray(np.moveaxis(h[:, :-1], 1, -1))
+            S = _pair_matmul(x, v, table, np.empty(block.shape))
+            S -= block
+        else:
+            S = -block
+        block[...] = -np.matmul(H0[:, None], S)
+    return np.ascontiguousarray(v[:, :-1].transpose(0, 2, 3, 1)
+                                ).reshape(b.shape[:-1] + (size(d, order),))
+
+
+def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
+    """Coefficients through ``order`` of the matrix inverse of a batched
+    matrix-valued coefficient array g, shape (N, n, n, M): :func:`csolve`
+    with the identity on the right."""
+    eye = np.eye(g.shape[1])[None, :, :, None]
+    return csolve(g, eye.repeat(len(g), axis=0), d, order, inv0)
 
 
 def _libm(fn, v: np.ndarray) -> np.ndarray:

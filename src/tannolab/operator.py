@@ -52,13 +52,14 @@ class StarField(ScalarField):
     with F*H = -2 F H - 1/2 g^{ab} F_{,a} H_{,b}: P*(f) in Horner form for
     H = f (the default) and P = c_0 + c_1 t + ... + c_k t^k.
 
-    Jets of order r need f and H through r + k - 1 and g^-1 through
-    r + k - 2; each is evaluated once, as is the lift g^{ab} f_{,a}, and the
-    k - 1 levels read their bit-exact prefixes.  The chain runs on the
-    Taylor coefficients the fields give (:mod:`tannolab.jets`), so a nested
-    H hands over its chain's coefficients unrounded.  :meth:`levels`
-    returns every level, so f^{*2}, ..., f^{*k} of :func:`star_power` cost
-    one chain.
+    Jets of order r need f and H through r + k - 1 and g through r + k - 2;
+    each is evaluated once.  The lift g^{ab} f_{,a} is one solve with g
+    (:meth:`~tannolab.charts.ChartJets.solve_coeffs`), so the chain holds
+    no g^-1 jet, and the k - 1 levels read its bit-exact prefixes.  The
+    chain runs on the Taylor coefficients the fields give
+    (:mod:`tannolab.jets`), so a nested H hands over its chain's
+    coefficients unrounded.  :meth:`levels` returns every level, so f^{*2},
+    ..., f^{*k} of :func:`star_power` cost one chain.
     """
 
     def __init__(self, chart: KahlerChart, f: ScalarField, coeffs,
@@ -77,9 +78,7 @@ class StarField(ScalarField):
         d, top = self.dim, order + len(outer)
         F = self.f.taylor(P, top)
         H = F if self.H is self.f else self.H.taylor(P, top)
-        # cprod frees g^-1 and F's gradient once it has stacked them.
-        lifted = J.cprod([self.chart.at(P, top - 1).ginv_coeffs(top - 1),
-                          J.cgrad(F, d)], "ab,a->b", d, top - 1)
+        lifted = self.chart.at(P, top - 1).solve_coeffs(J.cgrad(F, d), top - 1)
         S = lead * H
         S[:, 0] = S[:, 0] - 0.5 * c
         for r, c in reversed(list(enumerate(outer, order))):

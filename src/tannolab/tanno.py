@@ -119,10 +119,11 @@ def _a_jets(geo: ChartJets, cov, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _order3(chart: KahlerChart, f: ScalarField, P: np.ndarray):
-    """(geo, cov) over a batch: the chart through metric order 2 and f's
-    covariant chain through f_{,ijk} from f through order 3, each
-    evaluated once; f_{,ij} reaches degree 1."""
-    geo = chart.at(P, 2)
+    """(geo, cov) over a batch: the chart, evaluated through metric order 2
+    and kept through order 1 once Gamma is derived, and f's covariant
+    chain through f_{,ijk} from f through order 3, each evaluated once;
+    f_{,ij} reaches degree 1."""
+    geo = chart.at(P, 2).trim(1)
     return geo, _covariant(geo, f.taylor(P, 3), 3)
 
 
@@ -184,13 +185,10 @@ def _system_rows(geo: ChartJets, cov):
     # The degree-1 coefficients are the first partial derivatives.
     dy = np.concatenate([ac[..., 1:d + 1].reshape(Z, n2, d), cov[1][..., 1:d + 1],
                          -2.0 * f1[:, None]], axis=1)
-    G0 = geo.gamma0
-    for k, e in enumerate(np.eye(d)):
-        da, df, dmu = _system_apply(geo.g0, geo.chart.J, G0,
-                                    np.tile(e, (Z, 1)), *y)
-        dy[:, :n2, k] -= da.reshape(Z, n2)
-        dy[:, n2:-1, k] -= df[..., 0]
-        dy[:, -1, k] -= dmu[:, 0]
+    da, df, dmu = _system_apply(geo.g0, geo.chart.J, geo.gamma0, None, *y)
+    dy[:, :n2] -= np.moveaxis(da, 1, -1).reshape(Z, n2, d)
+    dy[:, n2:-1] -= np.moveaxis(df[..., 0], 1, -1)
+    dy[:, -1] -= dmu[..., 0]
     tr = J.cprod([geo.ginv_coeffs(1), ac], "ab,ab->", d, 1)
     return (*(frob_rows(dy[:, rows]) for rows in
               (slice(0, n2), slice(n2, -1), slice(-1, None))),
@@ -263,15 +261,26 @@ def _system_apply(g0, Jm, G0, xdot, a, f, mu):
     The chart and velocity are as there.  y = (a.ravel(), f, mu) comes as
     its blocks with a trailing axis of C columns: ``a`` (Z, d, d, C), ``f``
     (Z, d, C), ``mu`` (Z, C).  Returns the blocks of A y in the same shapes.
+    With ``xdot`` None it returns A(e_k) y for every coordinate direction
+    e_k at once, each block with an axis k after the point axis; the
+    chart's contractions with e_k are then slices of g, gJ and Gamma.
     """
-    gx, Jx, Gk, Gj = _velocity_terms(g0, Jm, G0, xdot)
+    if xdot is None:
+        gx, Jx = g0.swapaxes(1, 2), (g0 @ Jm).swapaxes(1, 2)
+        Gk, Gj = G0.transpose(0, 2, 1, 3), G0.transpose(0, 3, 1, 2)
+        ax, fx = a.swapaxes(1, 2), f
+    else:
+        gx, Jx, Gk, Gj = (t[:, None] for t in _velocity_terms(g0, Jm, G0, xdot))
+        ax = np.einsum("zijc,zj->zic", a, xdot)[:, None]
+        fx = np.einsum("zi,zic->zc", xdot, f)[:, None]
     fb = np.einsum("ai,zac->zic", Jm, f)              # fbar_i = J_ai f_a
-    fg = np.einsum("zic,zj->zijc", f, gx) - np.einsum("zic,zj->zijc", fb, Jx)
-    da = (np.einsum("zli,zljc->zijc", Gk, a) + np.einsum("zilc,zlj->zijc", a, Gk)
-          + fg + fg.transpose(0, 2, 1, 3))
-    df = (np.einsum("zli,zlc->zic", Gj, f) - np.einsum("zijc,zj->zic", a, xdot)
-          + gx[:, :, None] * mu[:, None, :])
-    return da, df, -2.0 * np.einsum("zi,zic->zc", xdot, f)
+    fg = np.einsum("zic,zkj->zkijc", f, gx) - np.einsum("zic,zkj->zkijc", fb, Jx)
+    da = (np.einsum("zkli,zljc->zkijc", Gk, a) + np.einsum("zilc,zklj->zkijc", a, Gk)
+          + fg + fg.swapaxes(2, 3))
+    df = (np.einsum("zkli,zlc->zkic", Gj, f) - ax
+          + gx[..., None] * mu[:, None, None, :])
+    out = da, df, -2.0 * fx
+    return out if xdot is None else tuple(t[:, 0] for t in out)
 
 
 def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:

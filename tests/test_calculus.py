@@ -67,6 +67,17 @@ class TestChristoffel:
         with pytest.raises(ValueError, match="Gamma through order 1"):
             reduced.gamma_coeffs(1)
 
+    def test_trim_keeps_gamma_and_the_metric_prefix(self, fs2):
+        P = np.array(points_on(fs2, 4))
+        full = fs2.at(P, 2)
+        trimmed = fs2.at(P, 2).trim(1)
+        assert trimmed.order == 1 and trimmed.coeffs.base is None
+        assert np.array_equal(trimmed.coeffs, full.coeffs[..., :J.size(4, 1)])
+        assert np.array_equal(trimmed.gamma_coeffs(1), full.gamma_coeffs(1))
+        assert np.array_equal(trimmed.ginv_coeffs(1), full.ginv_coeffs(1))
+        with pytest.raises(ValueError, match="held through 1"):
+            trimmed.ginv_coeffs(2)
+
     def test_out_of_domain(self, fs1):
         with pytest.raises(OutOfDomain):
             christoffel(fs1, [5.0, 0.0])

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from tannolab import jets as J
+from tannolab.charts import KahlerChart
+from tannolab.errors import SingularMetric
 from tannolab.fd import fd_gradient, fd_hessian, fd_third
 from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
                                 random_polynomial_field, sample_points)
@@ -273,6 +275,109 @@ def test_matrix_inverse_matches_full_tensor_leibniz():
         S = _reference_leibniz_term(G, H, "ab,bc->ac", m, j_min=1)
         H.append(-np.einsum("zab,zbc...->zac...", H[0], S))
     _assert_close(J.expand(J.cinv(J.compress(G, D, ORDER), D, ORDER), D, ORDER), H)
+
+
+# ---------------------------------------------------------------------------
+# Solves: v with g v = b, degree by degree, and the inverse as its identity
+# case.
+# ---------------------------------------------------------------------------
+
+_SOLVE_CHARTS = ["cp1", "cp2", "cp3", "cp11"]
+
+
+def _metric_at(request, name, top, count=5):
+    """A chart's metric coefficients through ``top`` at seeded points."""
+    if name == "cp11":
+        chart = request.getfixturevalue("cp11")
+    else:
+        chart = fubini_study_chart(int(name[2])).rescaled(0.25)
+    P = np.array(sample_points(chart, count, 9, 0.7 * chart.domain_radius))
+    return chart, P, chart.metric_coeffs(P, top)
+
+
+def _right_hand_sides(rng, g, d, top):
+    """A vector and a matrix right-hand side for g, through ``top``."""
+    n, k = len(g), g.shape[1]
+    return [rng.normal(size=(n, k, J.size(d, top))),
+            rng.normal(size=(n, k, 3, J.size(d, top)))]
+
+
+def _reference_cinv(g, d, order, inv0):
+    """g^-1 by the inverse's own recursion, h_m = -h_0 sum_{j>=1} g_j h_{m-j},
+    written apart from csolve."""
+    tg = min(J.top_of(d, g.shape[-1]), order)
+    h = np.zeros((len(inv0), J.size(d, order) + 1) + inv0.shape[1:])
+    h[:, 0] = inv0
+    if tg:
+        axes, _, nk, _ = J._plan("ab,bc->ac")
+        x = J._stack(g, d, tg, axes, nk)
+        for m in range(1, order + 1):
+            table = J._padded_table(d, m, 1, min(tg, m), m - 1)
+            S = J._pair_matmul(x, h, table,
+                               np.empty((len(h), len(table[0])) + inv0.shape[1:]))
+            h[:, J.size(d, m - 1):J.size(d, m)] = -np.matmul(inv0[:, None], S)
+    return np.ascontiguousarray(np.moveaxis(h[:, :-1], 1, -1))
+
+
+@pytest.mark.parametrize("name", _SOLVE_CHARTS)
+def test_solve_matches_the_inverse_times_b(request, name):
+    chart, _, g = _metric_at(request, name, 4)
+    d, rng = chart.dim, np.random.default_rng(41)
+    for order in range(5):
+        for b in _right_hand_sides(rng, g, d, order):
+            spec = "ab,b->a" if b.ndim == 3 else "ab,bc->ac"
+            want = J.cprod([J.cinv(g, d, order), b], spec, d, order)
+            got = J.csolve(g, b, d, order)
+            assert got.shape == want.shape == b.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", _SOLVE_CHARTS)
+def test_solve_batch_and_prefix_bits(request, name):
+    # Each point gets the bits it gets alone, and order k is a bit-exact
+    # prefix of order k + 1.
+    chart, _, g = _metric_at(request, name, 4)
+    d, rng = chart.dim, np.random.default_rng(42)
+    for b in _right_hand_sides(rng, g, d, 4):
+        whole = [J.csolve(g, b, d, order) for order in range(5)]
+        for i in range(len(g)):
+            assert np.array_equal(J.csolve(g[i:i + 1], b[i:i + 1], d, 4),
+                                  whole[4][i:i + 1])
+        for order in range(4):
+            assert np.array_equal(whole[order],
+                                  whole[order + 1][..., :J.size(d, order)])
+
+
+@pytest.mark.parametrize("name", _SOLVE_CHARTS)
+def test_inverse_keeps_its_bits(request, name):
+    # cinv is csolve on the identity: it gives the bits of the inverse's own
+    # recursion, and so does the chart's g^-1.
+    chart, P, g = _metric_at(request, name, 4)
+    d = chart.dim
+    inv0 = np.linalg.inv(g[..., 0])
+    for order in range(5):
+        want = _reference_cinv(g, d, order, inv0)
+        assert np.array_equal(J.cinv(g, d, order, inv0), want)
+        assert np.array_equal(chart.at(P, order).ginv_coeffs(order),
+                              _reference_cinv(g[..., :J.size(d, order)], d, order, inv0))
+
+
+def test_solve_on_a_singular_metric_raises():
+    chart = KahlerChart.from_constant(np.diag([1.0, 1e-14]), name="degenerate")
+    geo = chart.at(np.zeros((1, 2)), 1)
+    with pytest.raises(SingularMetric):
+        geo.solve_coeffs(np.ones((1, 2, 3)), 1)
+    with pytest.raises(SingularMetric):
+        geo.ginv_coeffs(1)
+
+
+def test_solve_with_a_constant_metric_scales_b():
+    # A constant g has no degree >= 1 terms: v_m = g_0^-1 b_m at every degree.
+    rng = np.random.default_rng(43)
+    g0 = np.diag([2.0, 4.0, 4.0, 8.0])
+    g = np.repeat(g0[None, :, :, None], 3, axis=0)
+    b = rng.normal(size=(3, 4, J.size(4, 2)))
+    assert np.array_equal(J.csolve(g, b, 4, 2), b / np.diag(g0)[:, None])
 
 
 @pytest.mark.parametrize("field", [random_polynomial_field(4, 17),

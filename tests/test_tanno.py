@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import points_on
-from tannolab.calculus import frob, nabla_scalar
+from tannolab.calculus import frob, frob_rows, nabla_scalar
 from tannolab.charts import KahlerChart
-from tannolab import charts, tanno, verify
+from tannolab import charts, jets, tanno, verify
 from tannolab.cli import DEFAULT_CONFIG
 from tannolab.errors import NotLightlike, OutOfDomain
 from tannolab.fields import ConstField, ExprField
@@ -268,6 +268,28 @@ class TestBundle:
             assert frob(Jm.T @ b.a @ Jm - b.a) < 1e-8
 
 
+def _per_direction_rows(geo, cov):
+    """_system_rows with one _system_apply per coordinate direction e_k:
+    the a, f and mu rows of d_k y - A(e_k) y, and the trace identity."""
+    d = geo.chart.dim
+    ac = tanno._a_jets(geo, cov, 1)
+    f0, f1 = cov[0][:, 0], cov[1][..., 0]
+    Z, n2 = len(f1), d * d
+    y = (ac[..., 0][..., None], f1[..., None], -2.0 * f0[:, None])
+    dy = np.concatenate([ac[..., 1:d + 1].reshape(Z, n2, d), cov[1][..., 1:d + 1],
+                         -2.0 * f1[:, None]], axis=1)
+    for k, e in enumerate(np.eye(d)):
+        da, df, dmu = tanno._system_apply(geo.g0, geo.chart.J, geo.gamma0,
+                                          np.tile(e, (Z, 1)), *y)
+        dy[:, :n2, k] -= da.reshape(Z, n2)
+        dy[:, n2:-1, k] -= df[..., 0]
+        dy[:, -1, k] -= dmu[:, 0]
+    tr = jets.cprod([geo.ginv_coeffs(1), ac], "ab,ab->", d, 1)
+    return (*(frob_rows(dy[:, rows]) for rows in
+              (slice(0, n2), slice(n2, -1), slice(-1, None))),
+            frob_rows(f1 - 0.25 * tr[:, 1:d + 1]))
+
+
 class TestSystemResidual:
     def test_constant_solution(self, flat11):
         prob = TannoProblem(flat11, ConstField(4, -0.5), 1.0)
@@ -305,6 +327,22 @@ class TestSystemResidual:
         got = np.array(system_residual(TannoProblem(chart, f, 1.0), P))
         ref = _einsum_system_residual(chart, f, P)
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["cp1", "cp2", "cp3", "flat11"])
+    def test_rows_equal_one_apply_per_direction(self, case):
+        # All directions in one apply give the bits of one apply per e_k.
+        if case == "flat11":
+            chart, f = flat_kahler_chart(1, 1), random_quadratic_field(4, 3)
+        else:
+            n = int(case[2])
+            chart = fubini_study_chart(n).rescaled(0.25)
+            f = cpn_height_function(n, 0)
+        P = np.array(points_on(chart, 12, seed=28))
+        geo, cov = tanno._order3(chart, f, P)
+        got = tanno._system_rows(geo, cov)
+        want = _per_direction_rows(geo, cov)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
     def test_reads_the_system_apply(self, monkeypatch):
         # A wrong mu row of A y fails the check on the CLI default.
@@ -685,6 +723,21 @@ class TestSystemApply:
         geo = flat11.at(P, 1)
         self._tie(geo.g0, flat11.J, geo.gamma0,
                   rng.normal(size=P.shape), rng)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_all_directions_are_the_applies_along_each_axis(self, d):
+        rng = np.random.default_rng(70 + d)
+        Z, C = 5, 3
+        g0, Jm = rng.normal(size=(Z, d, d)), rng.normal(size=(d, d))
+        G0 = rng.normal(size=(Z, d, d, d))
+        y = (rng.normal(size=(Z, d, d, C)), rng.normal(size=(Z, d, C)),
+             rng.normal(size=(Z, C)))
+        every = tanno._system_apply(g0, Jm, G0, None, *y)
+        assert [t.shape for t in every] == [(Z, d, d, d, C), (Z, d, d, C), (Z, d, C)]
+        for k, e in enumerate(np.eye(d)):
+            one = tanno._system_apply(g0, Jm, G0, np.tile(e, (Z, 1)), *y)
+            for block, want in zip(every, one, strict=True):
+                assert np.array_equal(block[:, k], want)
 
     def test_empty_batch(self):
         d = 4
