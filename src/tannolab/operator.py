@@ -512,18 +512,16 @@ class EigenstructureReport:
 
     mu: float
     clusters: list[tuple[float, int]]
-    classification: str        # "interior" | "mu_max" | "mu_min"
+    classification: str        # classify_mu(mu): labels the point only
     k_param: int
 
     def expected_clusters(self, n: int) -> dict[float, int]:
-        """Multiplicity table implied by the classification and k."""
+        """The eigenvalues of a^i_j and their multiplicities on CP(n): 1 (2k
+        times), 0 (2n - 2k - 2 times) and 1 - mu (twice), equal values
+        merged; at mu = 1 and mu = 0 these are the extremal rows."""
         k = self.k_param
-        if self.classification == "interior":
-            table = {1.0: 2 * k, 0.0: 2 * n - 2 * k - 2, 1.0 - self.mu: 2}
-        elif self.classification == "mu_max":
-            table = {1.0: 2 * k, 0.0: 2 * n - 2 * k}
-        else:
-            table = {1.0: 2 * k + 2, 0.0: 2 * n - 2 * k - 2}
+        table = {1.0: 2 * k, 0.0: 2 * n - 2 * k - 2}
+        table[1.0 - self.mu] = table.get(1.0 - self.mu, 0) + 2
         return {v: m for v, m in table.items() if m > 0}
 
 
@@ -548,16 +546,16 @@ def eigenstructure_at(prob: TannoProblem, p):
 
 
 def _eigenstructure(Ls: np.ndarray) -> list[EigenstructureReport]:
-    """One report per (d+2, d+2) extended operator of a projector solution."""
+    """One report per (d+2, d+2) extended operator of a projector solution.
+
+    k comes from the projector's rank 2k + 2, which is its trace.
+    """
     idem = frob_rows(Ls @ Ls - Ls)
     scale = np.maximum(1.0, frob_rows(Ls))
     if np.any(~(idem < PROJECTOR_TOL * scale)):
         raise NotProjector("extended operator is not idempotent at p")
     mus, *_, ahats = _blocks(Ls)
-    reports = []
-    for mu, a_spec, L_spec in zip(mus.tolist(), spectra(ahats, EIGEN_TOL),
-                                  spectra(Ls, EIGEN_TOL)):
-        m1 = sum(m for v, m in L_spec.clusters if abs(v - 1.0) <= 10 * EIGEN_TOL)
-        reports.append(EigenstructureReport(mu, a_spec.clusters,
-                                            classify_mu(mu), (m1 - 2) // 2))
-    return reports
+    ks = (np.rint(np.trace(Ls, axis1=1, axis2=2)).astype(int) - 2) // 2
+    return [EigenstructureReport(mu, spec.clusters, classify_mu(mu), k)
+            for mu, spec, k in zip(mus.tolist(), spectra(ahats, EIGEN_TOL),
+                                   ks.tolist())]

@@ -32,6 +32,10 @@ NEWTON_RCOND = 1e-10
 #: Value spread and gradient norm below which a solution counts as constant.
 CONSTANT_TOL = 1e-10
 
+#: Eigenvalues of a form below this times max(1, its largest |eigenvalue|)
+#: are rounding, and count as zero.
+INERTIA_TOL = 1e-9
+
 
 def is_constant(spread: float, grad_norms) -> bool:
     """A solution is constant on the samples when its values do not spread
@@ -67,18 +71,19 @@ def restrict_form(form, basis) -> np.ndarray:
     return B.T @ form @ B
 
 
-def _inertia(sym: np.ndarray, tol: float = 1e-9) -> tuple[int, int]:
+def _inertia(sym: np.ndarray) -> tuple[int, int]:
     ev = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    scale = max(1.0, float(np.max(np.abs(ev))) if ev.size else 1.0)
-    return (int(np.sum(ev > tol * scale)), int(np.sum(ev < -tol * scale)))
+    tol = INERTIA_TOL * max(1.0, float(np.max(np.abs(ev))) if ev.size else 1.0)
+    return (int(np.sum(ev > tol)), int(np.sum(ev < -tol)))
 
 
-def _eigenspace(mat: np.ndarray, value: float, tol: float = 1e-6):
-    """Orthonormal basis of the (numerical) eigenspace of a square matrix."""
+def _eigenspace(mat: np.ndarray, value: float):
+    """Orthonormal basis of the (numerical) eigenspace of a square matrix, to
+    :data:`~tannolab.operator.EIGEN_TOL`."""
     d = mat.shape[0]
     u, s, vt = np.linalg.svd(mat - value * np.eye(d))
     scale = max(1.0, s[0]) if s.size else 1.0
-    null_mask = s < tol * scale
+    null_mask = s < EIGEN_TOL * scale
     basis = vt[null_mask].T
     return [basis[:, i] for i in range(basis.shape[1])]
 
@@ -250,7 +255,7 @@ def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
         # reads h = -2 sign g: h = -2g at a maximum, h = 2g at a minimum.
         value, sign = (0.0, 1.0) if kind == "mu_max" else (1.0, -1.0)
         basis = ([] if kind == "interior"
-                 else _eigenspace(ahats[k], value, EIGEN_TOL))
+                 else _eigenspace(ahats[k], value))
         if basis:
             g_rest = restrict_form(geo.g0[k], basis)
             h_rest = restrict_form(mu_hess, basis)

@@ -11,12 +11,11 @@ and, in the c = 1 normalization, the associated triple
     a_ij := -f_{,ij} - 2 f g_ij,   f_i := f_{,i},   mu := -2 f
 
 which satisfies a first-order linear system in Frobenius form, dy/dt =
-A(xdot) y.  :func:`_system_apply` forms A(xdot) y in block form, and
-:func:`system_residual` checks a field against it; :func:`_transport_matrices`
-writes the dense A, and :func:`transport_bundle` integrates it along
-curves, which is how the determined-by-one-point property becomes
-checkable.  Both read the chart's contractions with the velocity from
-:func:`_velocity_terms`.
+A(xdot) y.  :func:`_system_apply` forms A(e_k) y in block form along every
+coordinate direction, and :func:`system_residual` checks a field against
+it; :func:`_transport_matrices` writes the dense A(xdot), and
+:func:`transport_bundle` integrates it along curves, which is how the
+determined-by-one-point property becomes checkable.
 """
 
 from __future__ import annotations
@@ -172,6 +171,28 @@ def laplace_identity_residual(prob: TannoProblem, p):
     return float(res[0]) if single else res
 
 
+def _system_apply(g0, Jm, G0, a, f, mu):
+    """A(e_k) y for the first-order system in block form along every
+    coordinate direction e_k at once, one row per point, without the dense
+    A of :func:`_transport_matrices`.
+
+    The chart is as there; its contractions with e_k are slices of g, gJ
+    and Gamma.  y = (a.ravel(), f, mu) comes as its blocks with a trailing
+    axis of C columns: ``a`` (Z, d, d, C), ``f`` (Z, d, C), ``mu`` (Z, C).
+    Returns the blocks of A(e_k) y in the same shapes, each with an axis k
+    after the point axis.
+    """
+    gx, Jx = g0.swapaxes(1, 2), (g0 @ Jm).swapaxes(1, 2)
+    Gk, Gj = G0.transpose(0, 2, 1, 3), G0.transpose(0, 3, 1, 2)
+    fb = np.einsum("ai,zac->zic", Jm, f)              # fbar_i = J_ai f_a
+    fg = np.einsum("zic,zkj->zkijc", f, gx) - np.einsum("zic,zkj->zkijc", fb, Jx)
+    da = (np.einsum("zkli,zljc->zkijc", Gk, a) + np.einsum("zilc,zklj->zkijc", a, Gk)
+          + fg + fg.swapaxes(2, 3))
+    df = (np.einsum("zkli,zlc->zkic", Gj, f) - a.swapaxes(1, 2)
+          + gx[..., None] * mu[:, None, None, :])
+    return da, df, -2.0 * f
+
+
 def _system_rows(geo: ChartJets, cov):
     """Per-point residuals from the chart and f's covariant chain with
     f_{,ij} through degree 1 (:func:`_order3`): the a rows, f rows and mu
@@ -185,7 +206,7 @@ def _system_rows(geo: ChartJets, cov):
     # The degree-1 coefficients are the first partial derivatives.
     dy = np.concatenate([ac[..., 1:d + 1].reshape(Z, n2, d), cov[1][..., 1:d + 1],
                          -2.0 * f1[:, None]], axis=1)
-    da, df, dmu = _system_apply(geo.g0, geo.chart.J, geo.gamma0, None, *y)
+    da, df, dmu = _system_apply(geo.g0, geo.chart.J, geo.gamma0, *y)
     dy[:, :n2] -= np.moveaxis(da, 1, -1).reshape(Z, n2, d)
     dy[:, n2:-1] -= np.moveaxis(df[..., 0], 1, -1)
     dy[:, -1] -= dmu[..., 0]
@@ -244,45 +265,6 @@ def mu_hessian_residual(prob: TannoProblem, p):
 # Transport along curves (the Frobenius property made computational)
 # ---------------------------------------------------------------------------
 
-def _velocity_terms(g0, Jm, G0, xdot):
-    """The contractions of the chart with the velocity that the first-order
-    system reads, one row per point: g_ik xdot^k, (g J)_ik xdot^k,
-    Gamma^l_ki xdot^k at [l, i] and Gamma^l_ij xdot^j at [l, i]."""
-    return (np.einsum("zik,zk->zi", g0, xdot),
-            np.einsum("zik,zk->zi", g0 @ Jm, xdot),
-            np.einsum("zlki,zk->zli", G0, xdot),
-            np.einsum("zlij,zj->zli", G0, xdot))
-
-
-def _system_apply(g0, Jm, G0, xdot, a, f, mu):
-    """A(xdot) y for the first-order system in block form, one row per point,
-    without the dense A of :func:`_transport_matrices`.
-
-    The chart and velocity are as there.  y = (a.ravel(), f, mu) comes as
-    its blocks with a trailing axis of C columns: ``a`` (Z, d, d, C), ``f``
-    (Z, d, C), ``mu`` (Z, C).  Returns the blocks of A y in the same shapes.
-    With ``xdot`` None it returns A(e_k) y for every coordinate direction
-    e_k at once, each block with an axis k after the point axis; the
-    chart's contractions with e_k are then slices of g, gJ and Gamma.
-    """
-    if xdot is None:
-        gx, Jx = g0.swapaxes(1, 2), (g0 @ Jm).swapaxes(1, 2)
-        Gk, Gj = G0.transpose(0, 2, 1, 3), G0.transpose(0, 3, 1, 2)
-        ax, fx = a.swapaxes(1, 2), f
-    else:
-        gx, Jx, Gk, Gj = (t[:, None] for t in _velocity_terms(g0, Jm, G0, xdot))
-        ax = np.einsum("zijc,zj->zic", a, xdot)[:, None]
-        fx = np.einsum("zi,zic->zc", xdot, f)[:, None]
-    fb = np.einsum("ai,zac->zic", Jm, f)              # fbar_i = J_ai f_a
-    fg = np.einsum("zic,zkj->zkijc", f, gx) - np.einsum("zic,zkj->zkijc", fb, Jx)
-    da = (np.einsum("zkli,zljc->zkijc", Gk, a) + np.einsum("zilc,zklj->zkijc", a, Gk)
-          + fg + fg.swapaxes(2, 3))
-    df = (np.einsum("zkli,zlc->zkic", Gj, f) - ax
-          + gx[..., None] * mu[:, None, None, :])
-    out = da, df, -2.0 * fx
-    return out if xdot is None else tuple(t[:, 0] for t in out)
-
-
 def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     """Matrices A with dy/dt = A y for the first-order system, one per row.
 
@@ -295,7 +277,12 @@ def _transport_matrices(g0, Jm, G0, xdot) -> np.ndarray:
     n2 = d * d
     m = n2 + d + 1
     I = np.eye(d)
-    gx, Jx, Gk, Gj = _velocity_terms(g0, Jm, G0, xdot)
+    # The chart's contractions with the velocity: g_ik xdot^k,
+    # (g J)_ik xdot^k, Gamma^l_ki xdot^k at [l, i], Gamma^l_ij xdot^j at [l, i].
+    gx = np.einsum("zik,zk->zi", g0, xdot)
+    Jx = np.einsum("zik,zk->zi", g0 @ Jm, xdot)
+    Gk = np.einsum("zlki,zk->zli", G0, xdot)
+    Gj = np.einsum("zlij,zj->zli", G0, xdot)
     A = np.zeros((Z, m, m))
     # partial_k a_ij = f_i g_jk + f_j g_ik - fbar_i (gJ)_jk - fbar_j (gJ)_ik
     #                  + Gamma^l_ki a_lj + Gamma^l_kj a_il,  fbar_i = J_ai f_a

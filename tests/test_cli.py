@@ -506,6 +506,21 @@ class TestRunSuite:
                    if r.status == "ok" and r.passed}
         assert passing == any_field | tautologies
 
+    @pytest.mark.parametrize("n, solution, radius, samples", [
+        (1, "height:0", 0.005, 25), (2, "height:1", 0.01, 25),
+        (2, "height:1", 0.003, 25), (2, "height:0", 0.004, 25),
+        (2, "height:2", 0.004, 25), (3, "height:3", 0.004, 10)])
+    def test_eigenstructure_near_an_extremum_passes(self, n, solution, radius,
+                                                    samples):
+        # Samples this close to the centre have mu within 10 EIGEN_TOL of 0
+        # or 1 without being extremal; one formula in mu is right at each.
+        record = run_suite(SuiteConfig(
+            chart={"name": "fubini_study", "n": n}, solution=solution, c=0.25,
+            seed=7, samples=samples, radius=radius,
+            checks=["lem6.eigenstructure"])).checks[0]
+        assert record.status == "ok" and record.passed
+        assert record.max_residual <= 1e-12
+
     def test_projector_reads_suite_spectrum(self, monkeypatch):
         # The projector's polynomial comes from the suite's spectra[0]: the
         # only operator it builds is L(P*(f)), never L(f) again, on the

@@ -15,12 +15,14 @@ from tannolab.fields import ConstField, ScalarField
 from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
                                  sample_points,
                                 random_polynomial_field)
-from tannolab.operator import (PolynomialReal, _eigenstructure, _operator,
+from tannolab.operator import (EIGEN_TOL, EigenstructureReport,
+                               PolynomialReal, _eigenstructure, _operator,
                                assemble_L, eigenstructure_at,
                                minimal_polynomial, poly_star,
                                product_block_check, projector_from_solution,
                                spectra, spectrum, star_power, star_product)
 from tannolab.tanno import TannoProblem, system_residual
+from tannolab.verify import CheckContext, SuiteConfig, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +575,32 @@ class TestProjector:
         assert 2 <= round(trace) <= 2 * fs2_unit.dim
 
 
+def _positive(pairs):
+    """A multiplicity table from (value, multiplicity) entries: equal values
+    merged, those not positive dropped."""
+    table = {}
+    for v, m in pairs:
+        table[v] = table.get(v, 0) + m
+    return {v: m for v, m in table.items() if m > 0}
+
+
+#: Wrong eigenvalue tables of a^i_j, as (value, multiplicity) entries of
+#: (mu, n, k); lem6 must reject each on some CP(n) projector.
+WRONG_TABLES = {
+    "mu_for_1_minus_mu": lambda mu, n, k: [(1.0, 2 * k), (0.0, 2 * n - 2 * k - 2),
+                                           (mu, 2)],
+    "0_and_1_swapped": lambda mu, n, k: [(1.0, 2 * n - 2 * k - 2), (0.0, 2 * k),
+                                         (1.0 - mu, 2)],
+    "k_plus_1": lambda mu, n, k: [(1.0, 2 * k + 2), (0.0, 2 * n - 2 * k - 4),
+                                  (1.0 - mu, 2)],
+    "k_minus_1": lambda mu, n, k: [(1.0, 2 * k - 2), (0.0, 2 * n - 2 * k),
+                                   (1.0 - mu, 2)],
+    "mu_max_row_everywhere": lambda mu, n, k: [(1.0, 2 * k), (0.0, 2 * n - 2 * k)],
+    "mu_min_row_everywhere": lambda mu, n, k: [(1.0, 2 * k + 2),
+                                               (0.0, 2 * n - 2 * k - 2)],
+}
+
+
 class TestEigenstructure:
     def test_interior_cp1(self, fs1_unit, cp1_projector, cp1_points):
         _, f_proj = cp1_projector
@@ -630,6 +658,60 @@ class TestEigenstructure:
     def test_non_projector_rejected(self, cp1_problem, cp1_points):
         with pytest.raises(NotProjector):
             eigenstructure_at(cp1_problem, cp1_points[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_formula_gives_the_extremal_rows(self, n):
+        # The mu-max and mu-min rows of the paper's table are the formula
+        # at mu = 1 and mu = 0, for every k of a non-trivial projector.
+        for k in range(n):
+            mu_max = EigenstructureReport(1.0, [], "mu_max", k)
+            mu_min = EigenstructureReport(0.0, [], "mu_min", k)
+            assert mu_max.expected_clusters(n) == _positive(
+                [(1.0, 2 * k), (0.0, 2 * n - 2 * k)])
+            assert mu_min.expected_clusters(n) == _positive(
+                [(1.0, 2 * k + 2), (0.0, 2 * n - 2 * k - 2)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_k_is_the_count_of_unit_eigenvalues(self, n):
+        # k from the projector's trace equals the former count: the
+        # eigenvalues of L within 10 EIGEN_TOL of 1 are 2k + 2.  Each height
+        # projector, and its complement I - L, which has another k.
+        for axis in range(n + 1):
+            ctx = CheckContext.from_config(SuiteConfig(
+                chart={"name": "fubini_study", "n": n},
+                solution=f"height:{axis}", c=0.25, seed=7))
+            Ls = ctx.projector[2]
+            for L in (Ls, np.eye(2 * n + 2) - Ls):
+                counted = [(sum(m for v, m in s.clusters
+                                if abs(v - 1.0) <= 10 * EIGEN_TOL) - 2) // 2
+                           for s in spectra(L, EIGEN_TOL)]
+                assert [r.k_param for r in _eigenstructure(L)] == counted
+
+    @staticmethod
+    def _verdicts(monkeypatch, table):
+        """lem6's PASS on CP(1) height:0, CP(2) height:1 and CP(3) height:0
+        at seed 7, with ``table`` in place of the formula."""
+        monkeypatch.setattr(
+            EigenstructureReport, "expected_clusters",
+            lambda rep, n: _positive(table(rep.mu, n, rep.k_param)))
+        passed = []
+        for n, solution in ((1, "height:0"), (2, "height:1"), (3, "height:0")):
+            record = run_suite(SuiteConfig(
+                chart={"name": "fubini_study", "n": n}, solution=solution,
+                c=0.25, seed=7, checks=["lem6.eigenstructure"])).checks[0]
+            assert record.status == "ok"
+            passed.append(record.passed)
+        return passed
+
+    def test_formula_as_a_table_passes(self, monkeypatch):
+        # The control of the test below: the formula itself, patched in the
+        # same way, passes all three.
+        assert self._verdicts(monkeypatch, lambda mu, n, k: [
+            (1.0, 2 * k), (0.0, 2 * n - 2 * k - 2), (1.0 - mu, 2)]) == [True] * 3
+
+    @pytest.mark.parametrize("wrong", list(WRONG_TABLES), ids=list(WRONG_TABLES))
+    def test_wrong_table_fails_the_check(self, monkeypatch, wrong):
+        assert not all(self._verdicts(monkeypatch, WRONG_TABLES[wrong]))
 
 
 class TestPolynomialReal:

@@ -269,21 +269,21 @@ class TestBundle:
 
 
 def _per_direction_rows(geo, cov):
-    """_system_rows with one _system_apply per coordinate direction e_k:
-    the a, f and mu rows of d_k y - A(e_k) y, and the trace identity."""
+    """_system_rows with the dense A(e_k) of transport per coordinate
+    direction e_k: the a, f and mu rows of d_k y - A(e_k) y, and the trace
+    identity."""
     d = geo.chart.dim
     ac = tanno._a_jets(geo, cov, 1)
     f0, f1 = cov[0][:, 0], cov[1][..., 0]
     Z, n2 = len(f1), d * d
-    y = (ac[..., 0][..., None], f1[..., None], -2.0 * f0[:, None])
+    y = np.concatenate([ac[..., 0].reshape(Z, n2), f1, -2.0 * f0[:, None]],
+                       axis=1)[..., None]
     dy = np.concatenate([ac[..., 1:d + 1].reshape(Z, n2, d), cov[1][..., 1:d + 1],
                          -2.0 * f1[:, None]], axis=1)
     for k, e in enumerate(np.eye(d)):
-        da, df, dmu = tanno._system_apply(geo.g0, geo.chart.J, geo.gamma0,
-                                          np.tile(e, (Z, 1)), *y)
-        dy[:, :n2, k] -= da.reshape(Z, n2)
-        dy[:, n2:-1, k] -= df[..., 0]
-        dy[:, -1, k] -= dmu[:, 0]
+        A = _transport_matrices(geo.g0, geo.chart.J, geo.gamma0,
+                                np.tile(e, (Z, 1)))
+        dy[..., k] -= (A @ y)[..., 0]
     tr = jets.cprod([geo.ginv_coeffs(1), ac], "ab,ab->", d, 1)
     return (*(frob_rows(dy[:, rows]) for rows in
               (slice(0, n2), slice(n2, -1), slice(-1, None))),
@@ -330,19 +330,21 @@ class TestSystemResidual:
 
     @pytest.mark.parametrize("case", ["cp1", "cp2", "cp3", "flat11"])
     def test_rows_equal_one_apply_per_direction(self, case):
-        # All directions in one apply give the bits of one apply per e_k.
+        # All directions in one block apply give the rows of transport's
+        # dense A(e_k), one per direction.  f is no solution, so the a rows
+        # and the trace identity are far from 0.
         if case == "flat11":
-            chart, f = flat_kahler_chart(1, 1), random_quadratic_field(4, 3)
+            chart = flat_kahler_chart(1, 1)
         else:
-            n = int(case[2])
-            chart = fubini_study_chart(n).rescaled(0.25)
-            f = cpn_height_function(n, 0)
+            chart = fubini_study_chart(int(case[2])).rescaled(0.25)
+        f = random_quadratic_field(chart.dim, 3)
         P = np.array(points_on(chart, 12, seed=28))
         geo, cov = tanno._order3(chart, f, P)
         got = tanno._system_rows(geo, cov)
         want = _per_direction_rows(geo, cov)
+        assert np.max(want[0]) > 1.0
         for a, b in zip(got, want, strict=True):
-            assert np.array_equal(a, b)
+            assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(b))
 
     def test_reads_the_system_apply(self, monkeypatch):
         # A wrong mu row of A y fails the check on the CLI default.
@@ -692,60 +694,71 @@ class TestTransportBatch:
 
 
 class TestSystemApply:
-    """_system_apply is A(xdot) y in block form; _transport_matrices writes
-    the dense A of the same system.  The two must agree."""
+    """_system_apply is A(e_k) y along every coordinate direction in block
+    form; _transport_matrices writes the dense A(xdot) of the same system.
+    The two must agree."""
 
     @staticmethod
-    def _tie(g0, Jm, G0, xdot, rng, columns=3):
-        Z, d = xdot.shape
-        a = rng.normal(size=(Z, d, d, columns))
-        f = rng.normal(size=(Z, d, columns))
-        mu = rng.normal(size=(Z, columns))
-        Y = np.concatenate([a.reshape(Z, d * d, columns), f, mu[:, None]],
-                           axis=1)
-        ref = _transport_matrices(g0, Jm, G0, xdot) @ Y
-        da, df, dmu = tanno._system_apply(g0, Jm, G0, xdot, a, f, mu)
-        assert (da.shape, df.shape, dmu.shape) == (a.shape, f.shape, mu.shape)
-        got = np.concatenate([da.reshape(Z, d * d, columns), df, dmu[:, None]],
-                             axis=1)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    def _state(rng, Z, d, columns=3):
+        """Random blocks (a, f, mu) of C = ``columns`` states, and the same
+        states as the (Z, m, C) columns the dense matrices act on."""
+        a, f, mu = (rng.normal(size=(Z, d, d, columns)),
+                    rng.normal(size=(Z, d, columns)), rng.normal(size=(Z, columns)))
+        return (a, f, mu), np.concatenate(
+            [a.reshape(Z, d * d, columns), f, mu[:, None]], axis=1)
+
+    @staticmethod
+    def _dense_form(blocks, k):
+        """Block k of the apply as (Z, m, C) columns."""
+        da, df, dmu = (t[:, k] for t in blocks)
+        Z, d, _, C = da.shape
+        return np.concatenate([da.reshape(Z, d * d, C), df, dmu[:, None]], axis=1)
+
+    def _tie(self, g0, Jm, G0, rng, columns=3):
+        # Block k of the apply is the dense A(e_k) times the states.
+        Z, d = g0.shape[:2]
+        y, Y = self._state(rng, Z, d, columns)
+        every = tanno._system_apply(g0, Jm, G0, *y)
+        assert [t.shape for t in every] == [(Z, d, d, d, columns),
+                                            (Z, d, d, columns), (Z, d, columns)]
+        for k, e in enumerate(np.eye(d)):
+            ref = _transport_matrices(g0, Jm, G0, np.tile(e, (Z, 1))) @ Y
+            got = self._dense_form(every, k)
+            assert np.max(np.abs(got - ref), initial=0.0) <= \
+                1e-14 * np.max(np.abs(ref), initial=0.0)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_matches_dense_matrices_random(self, d):
+        # A velocity's dense A(xdot) y is sum_k xdot^k A(e_k) y: transport
+        # integrates the same linear system that the residual rows read.
         rng = np.random.default_rng(60 + d)
         Z = 7
-        self._tie(rng.normal(size=(Z, d, d)), rng.normal(size=(d, d)),
-                  rng.normal(size=(Z, d, d, d)), rng.normal(size=(Z, d)), rng)
+        g0, Jm = rng.normal(size=(Z, d, d)), rng.normal(size=(d, d))
+        G0, xdot = rng.normal(size=(Z, d, d, d)), rng.normal(size=(Z, d))
+        y, Y = self._state(rng, Z, d)
+        every = tanno._system_apply(g0, Jm, G0, *y)
+        got = sum(xdot[:, k, None, None] * self._dense_form(every, k)
+                  for k in range(d))
+        ref = _transport_matrices(g0, Jm, G0, xdot) @ Y
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_matches_dense_matrices_flat11(self, flat11):
         rng = np.random.default_rng(66)
         P = np.array(points_on(flat11, 5, seed=67))
         geo = flat11.at(P, 1)
-        self._tie(geo.g0, flat11.J, geo.gamma0,
-                  rng.normal(size=P.shape), rng)
+        self._tie(geo.g0, flat11.J, geo.gamma0, rng)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_all_directions_are_the_applies_along_each_axis(self, d):
         rng = np.random.default_rng(70 + d)
-        Z, C = 5, 3
-        g0, Jm = rng.normal(size=(Z, d, d)), rng.normal(size=(d, d))
-        G0 = rng.normal(size=(Z, d, d, d))
-        y = (rng.normal(size=(Z, d, d, C)), rng.normal(size=(Z, d, C)),
-             rng.normal(size=(Z, C)))
-        every = tanno._system_apply(g0, Jm, G0, None, *y)
-        assert [t.shape for t in every] == [(Z, d, d, d, C), (Z, d, d, C), (Z, d, C)]
-        for k, e in enumerate(np.eye(d)):
-            one = tanno._system_apply(g0, Jm, G0, np.tile(e, (Z, 1)), *y)
-            for block, want in zip(every, one, strict=True):
-                assert np.array_equal(block[:, k], want)
+        Z = 5
+        self._tie(rng.normal(size=(Z, d, d)), rng.normal(size=(d, d)),
+                  rng.normal(size=(Z, d, d, d)), rng)
 
     def test_empty_batch(self):
         d = 4
-        out = tanno._system_apply(np.empty((0, d, d)), np.eye(d),
-                                  np.empty((0, d, d, d)), np.empty((0, d)),
-                                  np.empty((0, d, d, 2)), np.empty((0, d, 2)),
-                                  np.empty((0, 2)))
-        assert [t.shape for t in out] == [(0, d, d, 2), (0, d, 2), (0, 2)]
+        self._tie(np.empty((0, d, d)), np.eye(d), np.empty((0, d, d, d)),
+                  np.random.default_rng(0), columns=2)
 
 
 def _chain_rule_d3(chart, f, geo):
