@@ -37,6 +37,15 @@ RCOND_FLOOR = 1e-12
 #: fewer) and holds as many matrices of m = d^2 + d + 1 rows, 30 MB on CP(3).
 POINT_CHUNK = 1024
 
+#: Points per block of the suite's sample pass
+#: (:attr:`~tannolab.verify.CheckContext.sample_rows`), which holds one
+#: block's jets at a time, about 44 KB per point on CP(3).  Traced on CP(3)
+#: at 200 samples (seed 7), the pass peaks at 8.85 MB in one block and at
+#: 4.94 MB in blocks of 100, and at 1 000 samples at 46.1 and 7.09 MB.  At
+#: 100 it is below lem2.star_power on the same suite (5.12 MB: its chain
+#: plus what the context holds), so a smaller block lowers no suite peak.
+SAMPLE_BLOCK = 100
+
 
 def standard_complex_structure(dim: int) -> np.ndarray:
     """J pairing coordinates (x_1, x_2), (x_3, x_4), ...: J e_{2k} = e_{2k+1}."""
@@ -75,17 +84,30 @@ def unbatch(x, single: bool):
     return x[0]
 
 
-def chunked(fn, *arrays) -> np.ndarray:
-    """Per-point values of fn over consecutive chunks of POINT_CHUNK points.
+def chunked(fn, *arrays, size: int | None = None):
+    """Per-point values of fn over consecutive chunks of ``size`` points,
+    :data:`POINT_CHUNK` unless given.
 
     ``fn`` maps chunks of the arrays (sliced along their leading point axis)
-    to one value per point; the values are concatenated.  Bounds the jet
+    to one value per point, or to a tuple of such arrays.  Each is written
+    into an array over all points, allocated at the first chunk, so only
+    one chunk's intermediates are alive at a time: this bounds the jet
     arrays of one evaluation when the point count is unbounded, as along a
-    geodesic path.
+    geodesic path.  No points give an empty array.
     """
-    n, size = len(arrays[0]), POINT_CHUNK
-    parts = [fn(*(a[lo:lo + size] for a in arrays)) for lo in range(0, n, size)]
-    return np.concatenate(parts) if parts else np.empty(0)
+    n, size, out, single = len(arrays[0]), size or POINT_CHUNK, None, False
+    for lo in range(0, n, size):
+        parts = fn(*(a[lo:lo + size] for a in arrays))
+        single = not isinstance(parts, tuple)
+        parts = (parts,) if single else parts
+        if out is None:
+            out = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
+        for k, whole in enumerate(out):
+            whole[lo:lo + size] = parts[k]
+        del parts      # a chunk's values are not held into the next chunk
+    if out is None:
+        return np.empty(0)
+    return out[0] if single else out
 
 
 def checked_inverse(g0: np.ndarray, where: str = "") -> np.ndarray:
@@ -93,20 +115,25 @@ def checked_inverse(g0: np.ndarray, where: str = "") -> np.ndarray:
 
     Raises SingularMetric when a metric is numerically singular: its
     reciprocal condition number 1 / (|g|_1 |g^-1|_1) is below RCOND_FLOOR.
-    The test is relative, so rescaling the metric does not change it.
+    The test is relative, so rescaling the metric does not change it.  In a
+    batch the error names the first singular point, so it is the same
+    however the points are split into blocks.
     """
     suffix = f" {where}" if where else ""
     try:
         inv = np.linalg.inv(g0)
     except np.linalg.LinAlgError:
+        for g in g0.reshape(-1, *g0.shape[-2:]) if g0.ndim > 2 else ():
+            checked_inverse(g, where)       # raises at the first singular one
         raise SingularMetric(f"metric is singular{suffix}") from None
     norm1 = np.abs(g0).sum(axis=-2).max(axis=-1)
     inv_norm1 = np.abs(inv).sum(axis=-2).max(axis=-1)
-    rcond = 1.0 / (norm1 * inv_norm1)
-    if not np.all(rcond >= RCOND_FLOOR):
-        worst = float(np.nanmin(np.where(np.isnan(rcond), 0.0, rcond)))
+    rcond = np.ravel(1.0 / (norm1 * inv_norm1))
+    singular = np.flatnonzero(~(rcond >= RCOND_FLOOR))    # NaN is singular
+    if singular.size:
+        first = float(np.nan_to_num(rcond[singular[0]], nan=0.0))
         raise SingularMetric(
-            f"reciprocal condition number {worst:.3g} of g is below "
+            f"reciprocal condition number {first:.3g} of g is below "
             f"{RCOND_FLOOR:g}{suffix}")
     return inv
 
@@ -283,15 +310,25 @@ class ChartJets:
     the order asked for), Gamma's (through ``order - 1``) and g and Gamma
     at the points are derived from them on first use and kept for the
     lifetime of this object, which usually belongs to a single batched
-    call; one held longer is reduced with :meth:`pointwise`, and one that
-    reads less of g once Gamma exists with :meth:`trim`.  This is the only
-    place the chart's g^-1 and Gamma are derived, and :meth:`solve_coeffs`
-    the one place a right-hand side is solved with g.
+    call; one that reads less of g once Gamma exists is reduced with
+    :meth:`trim`, and one held across other work holds g and Gamma at the
+    points only (:meth:`from_points`).  This is the only place the chart's
+    g^-1 and Gamma are derived, and :meth:`solve_coeffs` the one place a
+    right-hand side is solved with g.
     """
 
     def __init__(self, chart: KahlerChart, coeffs: np.ndarray, order: int):
         self.chart, self.coeffs, self.order = chart, coeffs, order
         self._g0 = self._ginv = self._gamma = self._gamma0 = None
+
+    @classmethod
+    def from_points(cls, chart: KahlerChart, g0: np.ndarray,
+                    gamma0: np.ndarray) -> "ChartJets":
+        """The geometry of g (N, d, d) and Gamma (N, d, d, d) at the points
+        only: its order is 0, with Gamma kept at order 0."""
+        geo = cls(chart, g0[..., None], 0)
+        geo._gamma = gamma0[..., None]
+        return geo
 
     @property
     def g0(self) -> np.ndarray:
@@ -332,13 +369,9 @@ class ChartJets:
     def gamma_coeffs(self, order: int = 0) -> np.ndarray:
         """Gamma's Taylor coefficients through at least ``order``,
         (N, d, d, d, M) with axes [z, k, i, j] for Gamma^k_ij."""
-        d, top = self.chart.dim, self.order - 1
-        if self._gamma is None and top >= order:
-            # The product empties the list it is given: the first-kind
-            # symbols, referred to by nothing else, are freed once stacked.
-            self._gamma = J.cprod([self.ginv_coeffs(top),
-                                   _first_kind(J.cgrad(self.coeffs, d))],
-                                  "kl,lij->kij", d, top)
+        d = self.chart.dim
+        if self._gamma is None and self.order - 1 >= order:
+            self._derive_gamma(self.order)
         if self._gamma is None or J.top_of(d, self._gamma.shape[-1]) < order:
             raise ValueError(f"Gamma through order {order} needs the metric "
                              f"through {order + 1}, evaluated through {self.order}")
@@ -361,23 +394,23 @@ class ChartJets:
         geo._gamma = None if self._gamma is None else self._gamma[:k]
         return geo
 
-    def trim(self, order: int) -> "ChartJets":
-        """Derive Gamma, then keep the metric's coefficients only through
-        ``order``, for a holder that reads no more of g once Gamma exists;
-        returns self.  The kept block is a copy, so the rest is freed."""
-        self.gamma_coeffs()
-        self.coeffs = self.coeffs[..., :J.size(self.chart.dim, order)].copy()
-        self.order = order
-        return self
+    def _derive_gamma(self, keep: int) -> None:
+        """Derive Gamma through order - 1, keeping the metric's coefficients
+        only through ``keep``: they are cut, as a copy so the rest is freed,
+        once g^-1 and the first-kind symbols exist, before their product,
+        which reads no more of g."""
+        d, top = self.chart.dim, self.order - 1
+        # The product empties the list it is given: the first-kind
+        # symbols, referred to by nothing else, are freed once stacked.
+        factors = [self.ginv_coeffs(top), _first_kind(J.cgrad(self.coeffs, d))]
+        if keep < self.order:
+            self.coeffs = self.coeffs[..., :J.size(d, keep)].copy()
+            self.order = keep
+        self._gamma = J.cprod(factors, "kl,lij->kij", d, top)
 
-    def pointwise(self) -> "ChartJets":
-        """Reduce this geometry in place to g and Gamma at the points, for a
-        holder that keeps it across other work (its order is then 0, with
-        Gamma kept at order 0); returns self.  g and Gamma are copied once
-        the rest is let go: left among its freed blocks, they added 3.5 MB
-        to cp3_points peak RSS."""
-        g0, G0 = self.g0, self.gamma0
-        self.coeffs = self._g0 = self._ginv = self._gamma = self._gamma0 = None
-        self._g0, self._gamma0, self.order = g0.copy(), G0.copy(), 0
-        self.coeffs, self._gamma = self._g0[..., None], self._gamma0[..., None]
+    def trim(self, order: int) -> "ChartJets":
+        """Derive Gamma, keeping the metric's coefficients only through
+        ``order``, for a holder that reads no more of g once Gamma exists;
+        returns self."""
+        self._derive_gamma(order)
         return self

@@ -65,9 +65,9 @@ import numpy as np
 #: Most numbers one gathered factor of a tensor-valued product may hold: a
 #: product with more pairs runs in pieces, so its gathers stay small.  The
 #: bound holds down the two largest product peaks, with the same bits: on
-#: CP(3) at 200 samples (seed 7, traced), the sample pass peaks at 9.25 MB
-#: at 2^16 numbers (0.5 MB) and at 12.2 MB at 2^18 (2 MB), and lem2's star
-#: chain at its 20 points at 4.22 and 7.59 MB.
+#: CP(3) at 200 samples (seed 7, traced), the sample pass, in blocks of 100
+#: points, peaks at 4.94 MB at 2^16 numbers (0.5 MB) and at 6.37 MB at 2^18
+#: (2 MB), and lem2's star chain at its 20 points at 4.22 and 7.59 MB.
 GATHER_CHUNK = 1 << 16
 
 

@@ -39,7 +39,7 @@ from .tanno import (SolutionBundle, TannoProblem, _bundle, _covariant,
                     _cubic_form, _laplace_rows, _mu_hessian_rows, _order3,
                     _system_rows, _third_order_terms, f_from_mu,
                     gallot_tanno_residual, transport_bundle)
-from . import fd
+from . import charts, fd
 
 
 #: Seeded null vectors of g per sample at which rem2.lightlike_f3 reads f_{,ijk}.
@@ -202,12 +202,14 @@ class CheckContext:
     evaluated once, on first use (an error is not cached: every check that
     needs the object records it).
 
-    The samples are evaluated in one pass: the chart through metric order 2
-    and f through order 3.  From it come the per-point residuals of six
-    checks (or why a row is absent), f's Taylor coefficients through order
-    2, and the unit problem's g and Gamma; from those the operator, its
-    spectra and the bundle.  Larger jets are not kept: they would stay
-    alive across the checks that follow.
+    The samples are evaluated in one pass in blocks: the chart through
+    metric order 2 and f through order 3, one block of at most
+    :data:`~tannolab.charts.SAMPLE_BLOCK` points at a time.  From it come
+    the per-point residuals of six checks (or why a row is absent), f's
+    Taylor coefficients through order 2, and the unit problem's g and Gamma
+    at the samples; from those the operator, its spectra and the bundle.
+    Larger jets are not kept: they would stay alive across the checks that
+    follow, and only one block's exist at a time.
     """
 
     chart: KahlerChart
@@ -280,38 +282,59 @@ class CheckContext:
 
     @cached_property
     def _sample_pass(self):
-        """(sample_rows, absent, f_coeffs, unit_geometry) from one
-        :func:`_order3` pass; ``absent`` gives, by check name, why a row
-        was left out.
+        """(sample_rows, absent, f_coeffs, unit_geometry) from one pass in
+        blocks of :data:`~tannolab.charts.SAMPLE_BLOCK` points, one
+        :func:`_order3` each; ``absent`` gives, by check name, why a row was
+        left out.  Each block's per-point results are written into arrays
+        over all samples (:func:`~tannolab.charts.chunked`), so the pass
+        holds one block's jets.  A singular metric stops the pass in the
+        first block that holds one; its error names the first singular
+        sample, as one block of all samples would.
 
-        The unit geometry is the pass's own rescaled by c
+        A block's unit geometry is its own rescaled by c
         (:meth:`ChartJets.rescaled`), with the same Gamma, so f's covariant
-        chain serves both.  At c = 0 there is no unit chart: the two sys.*
-        rows are absent, the geometry is None.
+        chain serves both; the unit geometry kept is g and Gamma at the
+        samples.  rem2's null vectors come from one seeded draw for all
+        samples, and its row is absent unless g is indefinite at every
+        sample.  At c = 0 there is no unit chart: the two sys.* rows are
+        absent, the geometry is None.
         """
-        prob = self.problem
-        geo, cov = _order3(self.chart, self.f, self.P)
-        fc = cov[0][:, :size(self.chart.dim, 2)].copy()
-        rows = {"kahler.residuals": np.max(_kahler_rows(geo), axis=0),
-                "eq1.residual": frob_rows(_third_order_terms(
-                    prob, geo, cov, jstruct=True)),
-                "rem1.laplace_identity": _laplace_rows(prob, geo, cov)}
+        prob, d = self.problem, self.chart.dim
+        unit = None if self.c == 0 else self.unit_problem.chart
+        normals = np.random.default_rng(self.seed).normal(
+            size=(len(self.P), NULL_VECTORS, d))
+
+        def block(P, draw):
+            geo, cov = _order3(self.chart, self.f, P)
+            null = _null_vectors(geo.g0, draw)
+            out = (np.max(_kahler_rows(geo), axis=0),
+                   frob_rows(_third_order_terms(prob, geo, cov, jstruct=True)),
+                   _laplace_rows(prob, geo, cov),
+                   np.full(len(P), null is not None),
+                   np.zeros(len(P)) if null is None else
+                   np.abs(_cubic_form(cov[3][..., 0], null)).max(1),
+                   cov[0][:, :size(d, 2)])
+            if unit is None:
+                return out
+            geo = geo.rescaled(self.c, unit)
+            *system, trace = _system_rows(geo, cov)
+            return out + (np.max(system, axis=0), trace, geo.g0, geo.gamma0)
+
+        kahler, eq1, rem1, mixed, rem2, fc, *unit_rows = charts.chunked(
+            block, self.P, normals, size=charts.SAMPLE_BLOCK)
+        rows = {"kahler.residuals": kahler, "eq1.residual": eq1,
+                "rem1.laplace_identity": rem1}
         absent = {}
-        null = _null_vectors(geo.g0, NULL_VECTORS, self.seed)
-        if null is None:
-            absent["rem2.lightlike_f3"] = "needs a metric of mixed signature"
+        if mixed.all():
+            rows["rem2.lightlike_f3"] = rem2
         else:
-            rows["rem2.lightlike_f3"] = np.abs(
-                _cubic_form(cov[3][..., 0], null)).max(1)
-        if self.c == 0:
+            absent["rem2.lightlike_f3"] = "needs a metric of mixed signature"
+        if unit is None:
             absent["sys.residual"] = absent["sys.trace_identity"] = _NO_UNIT
             return rows, absent, fc, None
-        unit = geo.rescaled(self.c, self.unit_problem.chart)
-        del geo
-        *system, trace = _system_rows(unit, cov)
-        rows["sys.residual"] = np.max(system, axis=0)
-        rows["sys.trace_identity"] = trace
-        return rows, absent, fc, unit.pointwise()
+        system, trace, g0, gamma0 = unit_rows
+        rows["sys.residual"], rows["sys.trace_identity"] = system, trace
+        return rows, absent, fc, ChartJets.from_points(unit, g0, gamma0)
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
@@ -333,18 +356,18 @@ class CheckContext:
                                         self.spectra[0], self.unit_geometry)
 
 
-def _null_vectors(g0: np.ndarray, count: int, seed: int) -> np.ndarray | None:
-    """(Z, count, d) seeded null vectors v = u+ + u- of the metrics g0, with
-    g(u+-, u+-) = +-1 from g's eigenbasis, scaled to unit euclidean length;
-    None unless every metric is indefinite."""
+def _null_vectors(g0: np.ndarray, draw: np.ndarray) -> np.ndarray | None:
+    """(Z, K, d) null vectors v = u+ + u- of the metrics g0 from the
+    (Z, K, d) standard normal ``draw``, with g(u+-, u+-) = +-1 from g's
+    eigenbasis, scaled to unit euclidean length; None unless every metric
+    is indefinite."""
     lam = np.linalg.eigvalsh(g0)
     if not (np.all(lam[:, 0] < 0) and np.all(lam[:, -1] > 0)):
         return None
     lam, Q = np.linalg.eigh(g0)
-    w = np.random.default_rng(seed).normal(size=(len(g0), count, g0.shape[-1]))
     pos = (lam > 0)[:, None, :]
     y = sum(u / np.linalg.norm(u, axis=-1, keepdims=True)
-            for u in (w * pos, w * ~pos))
+            for u in (draw * pos, draw * ~pos))
     v = np.einsum("zij,zkj->zki", Q, y / np.sqrt(np.abs(lam))[:, None, :])
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 

@@ -53,20 +53,6 @@ class TestChristoffel:
                    - np.einsum("zlkj,zil->zijk", G0, g0))
         assert np.all(frob_rows(nabla_g) < 1e-13)
 
-    def test_pointwise_keeps_g_and_gamma_bits(self, fs2):
-        P = np.array(points_on(fs2, 4))
-        full, reduced = fs2.at(P, 2), fs2.at(P, 2).pointwise()
-        assert reduced.coeffs.shape[-1] == 1
-        assert np.array_equal(reduced.g0, full.g0)
-        assert reduced.gamma_coeffs().shape[-1] == 1
-        assert np.array_equal(reduced.gamma0, full.gamma_coeffs(1)[..., 0])
-        assert np.array_equal(reduced.gamma0, full.gamma0)
-        assert np.array_equal(reduced.ginv_coeffs(), full.ginv_coeffs()[..., :1])
-        with pytest.raises(ValueError, match="held through 0"):
-            reduced.ginv_coeffs(1)
-        with pytest.raises(ValueError, match="Gamma through order 1"):
-            reduced.gamma_coeffs(1)
-
     def test_trim_keeps_gamma_and_the_metric_prefix(self, fs2):
         P = np.array(points_on(fs2, 4))
         full = fs2.at(P, 2)

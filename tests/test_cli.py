@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import report_corpus
-from tannolab import dop853, jets, operator, signature, tanno, verify
+from tannolab import (charts, dop853, jets, operator, signature, tanno,
+                      verify)
 from tannolab.cli import DEFAULT_CONFIG, main
-from tannolab.errors import ConfigError
+from tannolab.errors import ConfigError, SingularMetric
 from tannolab.charts import KahlerChart
 from tannolab.manifolds import random_polynomial_field, sample_points
 from tannolab.operator import assemble_L, projector_from_solution, spectrum
@@ -608,8 +609,9 @@ class TestSamplePass:
             "sys.trace_identity": trace_identity_residual(unit, ctx.P),
         }
         if chart["name"] == "flat":
-            null = verify._null_vectors(ctx.chart.at(ctx.P, 0).g0,
-                                        verify.NULL_VECTORS, ctx.seed)
+            normals = np.random.default_rng(ctx.seed).normal(
+                size=(len(ctx.P), verify.NULL_VECTORS, 4))
+            null = verify._null_vectors(ctx.chart.at(ctx.P, 0).g0, normals)
             T3 = nabla_scalar(ctx.chart, ctx.f, ctx.P, 3).components
             expected["rem2.lightlike_f3"] = np.max(
                 np.abs(_cubic_form(T3, null)), axis=1)
@@ -624,6 +626,82 @@ class TestSamplePass:
                                    atol=0.0), name
             else:
                 assert np.array_equal(rows[name], expected[name]), name
+
+    @pytest.mark.parametrize("samples", [1, 99, 100, 101, 257])
+    @pytest.mark.parametrize("chart, solution", PASS_CHARTS)
+    def test_blocks_give_the_bits_of_one_block(self, chart, solution,
+                                               samples, monkeypatch):
+        # The pass in blocks of SAMPLE_BLOCK points against one block of
+        # all samples: every row, f's coefficients, the unit g and Gamma
+        # and the bundle are the same bits.  The unit geometry holds g and
+        # Gamma at the points only, and they are the chart's own.  On
+        # flat(1,1) f is a cubic, whose rem2 row reads the null vectors
+        # (a quadratic's reads 0 at any vector).
+        def context():
+            ctx = self._context(chart, solution, 0.3, samples)
+            if chart["name"] != "flat":
+                return ctx
+            return CheckContext(ctx.chart, random_polynomial_field(4, 5),
+                                ctx.c, ctx.P, ctx.seed)
+
+        ctx = context()
+        rows, absent, fc, geo = ctx._sample_pass
+        monkeypatch.setattr(charts, "SAMPLE_BLOCK", samples + 1)
+        one = context()
+        one_rows, one_absent, one_fc, one_geo = one._sample_pass
+        assert absent == one_absent
+        if chart["name"] == "flat":
+            assert np.min(rows["rem2.lightlike_f3"]) > 0
+        else:
+            assert "rem2.lightlike_f3" in absent
+        assert sorted(rows) == sorted(one_rows)
+        for name in rows:
+            assert rows[name].shape == (samples,)
+            assert np.array_equal(rows[name], one_rows[name]), name
+        assert np.array_equal(fc, one_fc)
+        assert np.array_equal(geo.g0, one_geo.g0)
+        assert np.array_equal(geo.gamma0, one_geo.gamma0)
+        b, one_b = ctx.bundle, one.bundle
+        for got, want in ((b.a, one_b.a), (b.grad, one_b.grad),
+                          (b.mu, one_b.mu)):
+            assert np.array_equal(got, want)
+        full = ctx.chart.at(ctx.P, 2)
+        assert geo.order == 0 and geo.coeffs.shape[-1] == 1
+        assert geo.gamma_coeffs().shape[-1] == 1
+        assert np.array_equal(geo.g0, 0.3 * full.g0)
+        assert np.array_equal(geo.gamma0, full.gamma_coeffs(1)[..., 0])
+        assert np.array_equal(
+            geo.ginv_coeffs(),
+            ctx.unit_problem.chart.at(ctx.P, 0).ginv_coeffs())
+        with pytest.raises(ValueError, match="held through 0"):
+            geo.ginv_coeffs(1)
+        with pytest.raises(ValueError, match="Gamma through order 1"):
+            geo.gamma_coeffs(1)
+
+    def test_a_singular_sample_gives_the_error_of_one_block(self, monkeypatch):
+        # g = diag(1, y) at (x, y), held at degree 0 only: the singular test
+        # reads g at the samples before anything else.  Samples 150 (rcond
+        # 1e-13) and 250 (exactly singular) fail, the worse one last: the
+        # blocks of 100 stop in the second block, one block at the first
+        # singular point, and both name sample 150.
+        def metric_fn(P, order):
+            g = np.zeros((len(P), 2, 2, 1))
+            g[:, 0, 0, 0], g[:, 1, 1, 0] = 1.0, P[:, 1]
+            return g
+
+        chart = KahlerChart(2, metric_fn, charts.standard_complex_structure(2),
+                            10.0, "diag(1, y)")
+        P = np.ones((300, 2))
+        P[150, 1], P[250, 1] = 1e-13, 0.0
+        messages = []
+        for block in (charts.SAMPLE_BLOCK, len(P)):
+            monkeypatch.setattr(charts, "SAMPLE_BLOCK", block)
+            ctx = CheckContext(chart, random_polynomial_field(2, 5), 0.3, P, 5)
+            with pytest.raises(SingularMetric) as exc:
+                ctx.sample_rows
+            messages.append(str(exc.value))
+        assert messages == ["reciprocal condition number 1e-13 of g is below "
+                            "1e-12 on diag(1, y)"] * 2
 
     @pytest.mark.parametrize("c", [0.25, 0.3, -0.25])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -683,10 +761,11 @@ class TestSamplePass:
         assert np.array_equal(b.mu, -2.0 * fc[:, 0])
 
     def test_pass_derives_gamma_once_and_stays_in_coefficients(self, monkeypatch):
-        # A cp3_points suite: its sample pass inverts the metric once (the
-        # unit geometry takes g^-1 / c and the chart's Gamma) and neither
-        # compresses nor expands a jet; across the suite only the cubic
-        # field, which writes its derivatives in closed form, compresses.
+        # A cp3_points suite: its sample pass inverts the metric once per
+        # block (the unit geometry takes g^-1 / c and the chart's Gamma)
+        # and neither compresses nor expands a jet; across the suite only
+        # the cubic field, which writes its derivatives in closed form,
+        # compresses.
         calls = []
 
         def spy(name):
@@ -704,11 +783,29 @@ class TestSamplePass:
         config = SuiteConfig.from_dict(
             dict(report_corpus.CONFIGS["cp3_points"], seed=7))
         CheckContext.from_config(config).sample_rows
-        assert calls == [("cinv", "tannolab.charts", "ginv_coeffs")]
+        blocks = -(-config.samples // charts.SAMPLE_BLOCK)
+        assert blocks == 2
+        assert calls == [("cinv", "tannolab.charts", "ginv_coeffs")] * blocks
         calls.clear()
         assert run_suite(config).passed
         assert {c[1:] for c in calls if c[0] == "compress"} == {
             ("tannolab.manifolds", "_taylor")}
+
+    @staticmethod
+    def _traced_pass(samples):
+        """(peak, held): the traced peak of a CP(3) pass at seed 7, and what
+        the context holds after it."""
+        config = {"chart": {"name": "fubini_study", "n": 3},
+                  "solution": "height:0", "c": 0.25, "seed": 7,
+                  "samples": samples}
+        CheckContext.from_config(SuiteConfig.from_dict(config)).sample_rows
+        ctx = CheckContext.from_config(SuiteConfig.from_dict(config))
+        tracemalloc.start()                 # the tables are built above
+        try:
+            ctx.sample_rows
+            return tracemalloc.get_traced_memory()[::-1]
+        finally:
+            tracemalloc.stop()
 
     def test_pass_memory_is_bounded(self):
         # The benchmark's cp3_points pass: CP(3), 200 samples, seed 7.  It
@@ -718,18 +815,21 @@ class TestSamplePass:
         # through derivative lists, and at 9.98 MB in the covariant chain's
         # Gamma product while the metric's degree-2 block was still held.
         # With that block dropped once Gamma exists, 9.25 MB, in Gamma's
-        # own product.  The bound leaves 0.15 MB.
-        config = {"chart": {"name": "fubini_study", "n": 3},
-                  "solution": "height:0", "c": 0.25, "seed": 7, "samples": 200}
-        CheckContext.from_config(SuiteConfig.from_dict(config)).sample_rows
-        ctx = CheckContext.from_config(SuiteConfig.from_dict(config))
-        tracemalloc.start()                 # the tables are built above
-        try:
-            ctx.sample_rows
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 9.4e6
+        # own product.  In blocks of 100 points, 4.94 MB, in a block's
+        # covariant chain.  The bound leaves 0.16 MB.
+        peak, _ = self._traced_pass(200)
+        assert peak < 5.1e6
+
+    def test_pass_memory_does_not_grow_with_the_samples(self):
+        # At 1 000 samples the pass peaked at 46.1 MB traced in one block;
+        # in blocks, at 7.09 MB.  That is one block's peak, 4.38 MB above
+        # what the pass holds, plus the state the context keeps per sample
+        # (g, Gamma, f's coefficients and the rows: 2.33 KB per point on
+        # CP(3), 2.33 MB here) and the null-vector draw (384 bytes per
+        # point, freed with the pass).  The bound leaves 0.22 MB.
+        peak, held = self._traced_pass(1000)
+        assert held < 2.4e6
+        assert peak < 4.6e6 + held + 384 * 1000
 
     def test_head_equals_an_evaluation_at_the_points(self):
         ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)
@@ -811,20 +911,47 @@ class TestLightlikeRow:
         rec = next(r for r in report.checks if r.name == "rem2.lightlike_f3")
         assert rec.status == "ok"
 
+    def test_every_sample_must_be_indefinite(self):
+        # Potential |z|^2 - |w|^2 + |w|^4: g is indefinite where |w| < 1/2
+        # and definite beyond.  The pass tests every sample, not only its
+        # first block: one definite sample in the last block leaves the
+        # row out.
+        def potential(x):
+            w2 = x[2] * x[2] + x[3] * x[3]
+            return x[0] * x[0] + x[1] * x[1] - w2 + w2 * w2
+
+        chart = KahlerChart.from_potential(4, potential, 2.0, "mixed")
+        f = random_polynomial_field(4, 7)
+        P = 0.2 * np.random.default_rng(7).uniform(
+            -1, 1, (charts.SAMPLE_BLOCK + 1, 4))
+        rows, absent = CheckContext(chart, f, 0.0, P, 7)._sample_pass[:2]
+        assert np.min(rows["rem2.lightlike_f3"]) > 0
+        P[-1] = [0.0, 0.0, 0.8, 0.0]
+        rows, absent = CheckContext(chart, f, 0.0, P, 7)._sample_pass[:2]
+        assert "rem2.lightlike_f3" not in rows
+        assert absent["rem2.lightlike_f3"] == ("needs a metric of mixed "
+                                              "signature")
+
     def test_null_vectors(self, cp11, fs2):
+        def normals(seed, points=9):
+            return np.random.default_rng(seed).normal(size=(points, 8, 4))
+
         P = np.array(sample_points(cp11, 9, 3, 0.8))
         g0 = cp11.at(P, 0).g0
-        V = verify._null_vectors(g0, 8, 3)
+        V = verify._null_vectors(g0, normals(3))
         assert V.shape == (9, 8, 4)
         assert np.allclose(np.linalg.norm(V, axis=-1), 1.0, rtol=0, atol=1e-15)
         gvv = np.einsum("zki,zij,zkj->zk", V, g0, V)
         assert np.max(np.abs(gvv)) < 1e-14 * np.max(np.abs(g0))
-        assert np.array_equal(V, verify._null_vectors(g0, 8, 3))
-        assert not np.array_equal(V, verify._null_vectors(g0, 8, 4))
+        assert np.array_equal(V, verify._null_vectors(g0, normals(3)))
+        assert not np.array_equal(V, verify._null_vectors(g0, normals(4)))
+        # Each point's vectors come from its own rows of the draw.
+        assert np.array_equal(V[4:], verify._null_vectors(g0[4:],
+                                                          normals(3)[4:]))
         definite = fs2.at(np.array(sample_points(fs2, 3, 3)), 0).g0
-        assert verify._null_vectors(definite, 8, 3) is None
+        assert verify._null_vectors(definite, normals(3, 3)) is None
         mixed = np.concatenate([g0[:2], np.eye(4)[None]])
-        assert verify._null_vectors(mixed, 8, 3) is None
+        assert verify._null_vectors(mixed, normals(3, 3)) is None
 
 
 class TestEmission:

@@ -812,7 +812,8 @@ class TestLightlikeThirdDerivative:
         # rule's acceleration and jerk terms contribute.
         cubic = random_polynomial_field(4, seed=24)
         x0 = np.array([0.3, -0.2, 0.1, 0.25])
-        for v in verify._null_vectors(cp11.at(x0[None], 0).g0, 3, 25)[0]:
+        draw = np.random.default_rng(25).normal(size=(1, 3, 4))
+        for v in verify._null_vectors(cp11.at(x0[None], 0).g0, draw)[0]:
             geo = integrate_geodesic(cp11, x0, v, 0.4, steps=16)
             assert geo.converged and geo.causal_type == "lightlike"
             for f in cp11_heights + [cubic]:
@@ -844,7 +845,8 @@ class TestLightlikeThirdDerivative:
         # T3(v,v,v) = 0 at every null v, and a generic field does not.
         P = np.array(points_on(cp11, 9, seed=29, radius=0.6))
         g0 = cp11.at(P, 0).g0
-        V = verify._null_vectors(g0, 8, 30)
+        V = verify._null_vectors(
+            g0, np.random.default_rng(30).normal(size=(9, 8, 4)))
         assert np.max(np.abs(np.einsum("zki,zij,zkj->zk", V, g0, V))) < 1e-13
         cubic = random_polynomial_field(4, seed=31)
         for f in cp11_heights + [cubic]:
