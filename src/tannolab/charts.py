@@ -309,26 +309,16 @@ class ChartJets:
     one evaluation (:meth:`KahlerChart.at`).  g^-1's coefficients (through
     the order asked for), Gamma's (through ``order - 1``) and g and Gamma
     at the points are derived from them on first use and kept for the
-    lifetime of this object, which usually belongs to a single batched
-    call; one that reads less of g once Gamma exists is reduced with
-    :meth:`trim`, and one held across other work holds g and Gamma at the
-    points only (:meth:`from_points`).  This is the only place the chart's
-    g^-1 and Gamma are derived, and :meth:`solve_coeffs` the one place a
-    right-hand side is solved with g.
+    lifetime of this object, which belongs to a single batched call; one
+    that reads less of g once Gamma exists is reduced with :meth:`trim`.
+    Across other work only the arrays ``g0`` and ``gamma0`` are held.  This
+    is the only place the chart's g^-1 and Gamma are derived, and
+    :meth:`solve_coeffs` the one place a right-hand side is solved with g.
     """
 
     def __init__(self, chart: KahlerChart, coeffs: np.ndarray, order: int):
         self.chart, self.coeffs, self.order = chart, coeffs, order
         self._g0 = self._ginv = self._gamma = self._gamma0 = None
-
-    @classmethod
-    def from_points(cls, chart: KahlerChart, g0: np.ndarray,
-                    gamma0: np.ndarray) -> "ChartJets":
-        """The geometry of g (N, d, d) and Gamma (N, d, d, d) at the points
-        only: its order is 0, with Gamma kept at order 0."""
-        geo = cls(chart, g0[..., None], 0)
-        geo._gamma = gamma0[..., None]
-        return geo
 
     @property
     def g0(self) -> np.ndarray:
@@ -385,13 +375,6 @@ class ChartJets:
         geo = ChartJets(chart, c * self.coeffs, self.order)
         geo._ginv = self._ginv[0], self._ginv[1] / c
         geo._gamma, geo._gamma0 = self._gamma, self._gamma0
-        return geo
-
-    def head(self, k: int) -> "ChartJets":
-        """This geometry at its first k points, with the Gamma it holds;
-        batches are bit-exact, so it equals an evaluation there."""
-        geo = ChartJets(self.chart, self.coeffs[:k], self.order)
-        geo._gamma = None if self._gamma is None else self._gamma[:k]
         return geo
 
     def _derive_gamma(self, keep: int) -> None:

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as J
-from .calculus import frob, frob_rows, scalar_covariant_jets
-from .charts import ChartJets, KahlerChart, unbatch
+from .calculus import frob, frob_rows
+from .charts import KahlerChart, unbatch
 from .errors import (DimensionMismatch, IllConditioned, NonConvergence,
                      NoRealSplit, NotProjector)
 from .fields import ConstField, LinearComboField, ScalarField
-from .tanno import TannoProblem
+from .tanno import TannoProblem, _point_chain
 
 #: Idempotency bound of a projector's extended operator, per point.
 PROJECTOR_TOL = 1e-7
@@ -210,27 +210,33 @@ def _blocks(L: np.ndarray):
         L[:, 2:, 2:]))
 
 
-def _operator(fc, geo: ChartJets) -> np.ndarray:
+def _operator(fc, g0, G0, Jm) -> np.ndarray:
     """Batched extended operator from f's Taylor coefficients through order
-    2 and the chart through metric order 1 at the same points.
+    2, and g (N, d, d), Gamma (N, d, d, d) and J at the same points."""
+    return _chain_operator(_point_chain(fc, G0), g0, Jm)
+
+
+def _chain_operator(chain, g0, Jm) -> np.ndarray:
+    """Batched extended operator from (f, f_{,i}, f_{,ij}) at the points
+    (:func:`~tannolab.tanno._point_chain`), g there and J.
 
     a^i_j is formed as g^{ia}(-f_{,aj}) - 2f delta^i_j, which keeps the
     mixed metric contraction g^{ia} g_{aj} = delta exact; in particular the
     constant solution f = -1/2 yields the identity operator bitwise.
     """
-    f0, f1, H = (t[..., 0] for t in scalar_covariant_jets(
-        fc, geo.gamma_coeffs(), geo.chart.dim, 2))
-    g0 = geo.g0
+    f0, f1, H = chain
     ahat = (np.linalg.solve(g0, -H)
             - (2.0 * f0)[:, None, None] * np.eye(g0.shape[-1]))
-    return _standard_shape(-2.0 * f0, f1, g0, geo.chart.J, ahat)
+    return _standard_shape(-2.0 * f0, f1, g0, Jm, ahat)
 
 
 def assemble_L(prob: TannoProblem, p) -> np.ndarray:
     """Extended operator of the bundle built from prob.f (c = 1 convention):
     one (d+2, d+2) matrix at a point, an (N, d+2, d+2) array over a batch."""
     P, single = prob.chart.batch(p)
-    return unbatch(_operator(prob.f.taylor(P, 2), prob.chart.at(P, 1)), single)
+    geo = prob.chart.at(P, 1)
+    L = _operator(prob.f.taylor(P, 2), geo.g0, geo.gamma0, prob.chart.J)
+    return unbatch(L, single)
 
 
 @dataclass
@@ -259,9 +265,9 @@ def product_block_check(prob: TannoProblem, other: TannoProblem, p
     chart = prob.chart
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
-    Lf = _operator(prob.f.taylor(P, 2), geo)
-    LF = _operator(other.f.taylor(P, 2),
-                   geo if other.chart is chart else other.chart.at(P, 1))
+    Lf = _operator(prob.f.taylor(P, 2), geo.g0, geo.gamma0, chart.J)
+    LF = (_operator(other.f.taylor(P, 2), geo.g0, geo.gamma0, chart.J)
+          if other.chart is chart else assemble_L(other, P))
     report = _product_block(Lf, LF, geo.g0, chart.J)
     if single:
         return ProductBlockReport(
@@ -471,16 +477,17 @@ def projector_from_solution(prob: TannoProblem, sample_points
     if not len(pts):
         raise ValueError("need at least one sample point")
     spec = spectrum(assemble_L(prob, pts[0]))
-    P, f_proj, _ = _projector_with_operator(prob, pts, spec,
-                                            prob.chart.at(pts, 1))
+    geo = prob.chart.at(pts, 1)
+    P, f_proj, _ = _projector_with_operator(prob, pts, spec, geo.g0,
+                                            geo.gamma0)
     return P, f_proj
 
 
 def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
-                             spec: SpectrumResult, geo: ChartJets):
+                             spec: SpectrumResult, g0, G0):
     """(P, P*(f), L) of :func:`projector_from_solution` over the (N, d)
-    batch ``pts``, given ``spec``, the spectrum of L(f) at pts[0], and
-    ``geo``, g and Gamma of prob's chart at pts; L holds the (N, d+2, d+2)
+    batch ``pts``, given ``spec``, the spectrum of L(f) at pts[0], and g0
+    and G0, g and Gamma of prob's chart at pts; L holds the (N, d+2, d+2)
     entries of L(P*(f)) it verified at the points."""
     reps = spec.real_values
     if len(reps) < 2:
@@ -494,7 +501,7 @@ def _projector_with_operator(prob: TannoProblem, pts: np.ndarray,
     P = PolynomialReal(tuple(c / denom for c in P.coeffs))
     f_proj = poly_star(prob.chart, prob.f, P)
     d = prob.chart.dim
-    Ls = _operator(f_proj.taylor(pts, 2), geo)
+    Ls = _operator(f_proj.taylor(pts, 2), g0, G0, prob.chart.J)
     residuals = frob_rows(Ls @ Ls - Ls)
     bad = np.flatnonzero(~(residuals < PROJECTOR_TOL))
     if bad.size:
@@ -541,7 +548,7 @@ def eigenstructure_at(prob: TannoProblem, p):
     Returns one report for a single point, a list of reports for a batch.
     """
     P, single = prob.chart.batch(p)
-    reports = _eigenstructure(_operator(prob.f.taylor(P, 2), prob.chart.at(P, 1)))
+    reports = _eigenstructure(assemble_L(prob, P))
     return reports[0] if single else reports
 
 

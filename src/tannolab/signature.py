@@ -14,8 +14,8 @@ import numpy as np
 from .calculus import frob
 from .charts import KahlerChart, checked_inverse
 from .errors import DegenerateBasis, NoExtremalPoint
-from .operator import EIGEN_TOL, _blocks, _operator, classify_mu
-from .tanno import TannoProblem, _mu_hessian
+from .operator import EIGEN_TOL, _blocks, _chain_operator, classify_mu
+from .tanno import TannoProblem, _point_chain
 
 #: |grad mu| below which a refined point counts as a critical point of mu.
 GRAD_THRESHOLD = 1e-6
@@ -228,9 +228,10 @@ def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
     X, gnorms = X[found], gnorms[found]
 
     geo = chart.at(X, 1)
-    fc = prob.f.taylor(X, 2)
-    mus, *_, ahats = _blocks(_operator(fc, geo))
-    mu_hess_all = _mu_hessian(fc, geo)
+    # One chain serves L and mu_{,ij} = -2 f_{,ij} (scaling by -2 is exact).
+    chain = _point_chain(prob.f.taylor(X, 2), geo.gamma0)
+    mus, *_, ahats = _blocks(_chain_operator(chain, geo.g0, chart.J))
+    mu_hess_all = -2.0 * chain[2]
     # One finding per critical set: points with the same mu level and the
     # same Hessian inertia; the one with the smallest |grad mu| stands for it.
     sets = {}                       # (inertia, mu level) -> point index

@@ -16,6 +16,8 @@ coordinate direction, and :func:`system_residual` checks a field against
 it; :func:`_transport_matrices` writes the dense A(xdot), and
 :func:`transport_bundle` integrates it along curves, which is how the
 determined-by-one-point property becomes checkable.
+The chart at a batch of points is two arrays, g and Gamma; f, f_{,i} and
+f_{,ij} there are one covariant chain (:func:`_point_chain`).
 """
 
 from __future__ import annotations
@@ -84,33 +86,34 @@ def bundle_from_f(prob: TannoProblem, p) -> SolutionBundle:
     For a batch of points each entry carries a leading point axis.
     """
     P, single = prob.chart.batch(p)
-    b = _bundle(prob.f.taylor(P, 2), prob.chart.at(P, 1))
+    geo = prob.chart.at(P, 1)
+    b = _bundle(_point_chain(prob.f.taylor(P, 2), geo.gamma0), geo.g0)
     if single:
         return SolutionBundle(b.a[0], b.grad[0], float(b.mu[0]))
     return b
 
 
-def _bundle(fc, geo: ChartJets) -> SolutionBundle:
-    """Batched bundle from f's coefficients through order 2 and the chart
-    through metric order 1 at the same points."""
-    cov = _covariant(geo, fc, 2)
-    return SolutionBundle(_a_jets(geo, cov, 0)[..., 0], cov[1][..., 0],
-                          -2.0 * fc[:, 0])
+def _point_chain(fc, G0):
+    """(f, f_{,i}, f_{,ij}) at the points from f's Taylor coefficients
+    through order 2 and Gamma there, G0 (N, d, d, d), axes [z, k, i, j]."""
+    return tuple(t[..., 0] for t in scalar_covariant_jets(
+        fc, G0[..., None], G0.shape[-1], 2))
 
 
-def _covariant(geo: ChartJets, fc, order: int):
-    """f's covariant chain through ``order`` (:func:`scalar_covariant_jets`)
-    on the chart's Gamma at the same points."""
-    return scalar_covariant_jets(fc, geo.gamma_coeffs(), geo.chart.dim, order)
+def _bundle(chain, g0) -> SolutionBundle:
+    """Batched bundle from f's :func:`_point_chain` and g0 (N, d, d) at the
+    same points."""
+    f0, f1, H = chain
+    return SolutionBundle(-H - 2.0 * (f0[:, None, None] * g0), f1, -2.0 * f0)
 
 
-def _a_jets(geo: ChartJets, cov, order: int) -> np.ndarray:
-    """Taylor coefficients through ``order`` of a_ij = -f_{,ij} - 2 f g_ij,
-    from f's covariant chain (f_{,ij} through ``order``) and the chart's
+def _a_jets(geo: ChartJets, cov) -> np.ndarray:
+    """Taylor coefficients through order 1 of a_ij = -f_{,ij} - 2 f g_ij,
+    from f's covariant chain (f_{,ij} through degree 1) and the chart's
     metric at the same points."""
     d = geo.chart.dim
-    fg = J.cprod([cov[0], geo.coeffs], ",ab->ab", d, order)
-    return -cov[2][..., :J.size(d, order)] - 2.0 * fg
+    fg = J.cprod([cov[0], geo.coeffs], ",ab->ab", d, 1)
+    return -cov[2][..., :J.size(d, 1)] - 2.0 * fg
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,8 @@ def _order3(chart: KahlerChart, f: ScalarField, P: np.ndarray):
     chain through f_{,ijk} from f through order 3, each evaluated once;
     f_{,ij} reaches degree 1."""
     geo = chart.at(P, 2).trim(1)
-    return geo, _covariant(geo, f.taylor(P, 3), 3)
+    return geo, scalar_covariant_jets(f.taylor(P, 3), geo.gamma_coeffs(),
+                                      chart.dim, 3)
 
 
 def _third_order_terms(prob: TannoProblem, geo: ChartJets, cov,
@@ -198,7 +202,7 @@ def _system_rows(geo: ChartJets, cov):
     f_{,ij} through degree 1 (:func:`_order3`): the a rows, f rows and mu
     row of d_k y less :func:`_system_apply` along e_k, for each direction
     k (:func:`system_residual`), and :func:`trace_identity_residual`."""
-    ac = _a_jets(geo, cov, 1)
+    ac = _a_jets(geo, cov)
     f0, f1 = cov[0][:, 0], cov[1][..., 0]
     Z, d = f1.shape
     n2 = d * d
@@ -236,28 +240,25 @@ def trace_identity_residual(prob: TannoProblem, p):
     return float(res[0]) if single else res
 
 
-def _mu_hessian(fc, geo: ChartJets) -> np.ndarray:
-    """Per-point mu_{,ij}, mu = -2f, from f's coefficients through order 2
-    and the chart through metric order 1 (scaling by -2 is exact)."""
-    return _covariant(geo, -2.0 * fc, 2)[2][..., 0]
-
-
-def _mu_hessian_rows(fc, geo: ChartJets) -> np.ndarray:
+def _mu_hessian_rows(fc, g0, G0) -> np.ndarray:
     """Per-point :func:`mu_hessian_residual` from f's coefficients through
-    order 2 and the chart through metric order 1 at the same points."""
-    b = _bundle(fc, geo)
-    return frob_rows(_mu_hessian(fc, geo) - 2.0 * b.a
-                     + 2.0 * b.mu[:, None, None] * geo.g0)
+    order 2, and g and Gamma at the same points: mu_{,ij} is -2 f_{,ij}
+    from the chain the bundle is built from (scaling by -2 is exact)."""
+    chain = _point_chain(fc, G0)
+    b = _bundle(chain, g0)
+    return frob_rows(-2.0 * chain[2] - 2.0 * b.a
+                     + 2.0 * b.mu[:, None, None] * g0)
 
 
 def mu_hessian_residual(prob: TannoProblem, p):
     """|mu_{,ij} - 2 a_ij + 2 mu g_ij| with mu = -2f.
 
-    An algebraic identity of the bundle construction; kept as a cross-path
-    consistency check between the field-Hessian route and bundle assembly.
+    An internal consistency check, not a claim: for any f it is
+    -2H - 2(-H - 2fg) + 2(-2f)g = 0, and reads only rounding.
     """
     P, single = prob.chart.batch(p)
-    res = _mu_hessian_rows(prob.f.taylor(P, 2), prob.chart.at(P, 1))
+    geo = prob.chart.at(P, 1)
+    res = _mu_hessian_rows(prob.f.taylor(P, 2), geo.g0, geo.gamma0)
     return float(res[0]) if single else res
 
 

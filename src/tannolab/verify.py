@@ -21,8 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .calculus import _kahler_rows, christoffel, frob, frob_rows
-from .charts import ChartJets, KahlerChart
+from .calculus import (_kahler_rows, christoffel, frob, frob_rows,
+                       scalar_covariant_jets)
+from .charts import KahlerChart
 from .jets import size
 from .errors import ConfigError
 from .fields import ConstField, ScalarField
@@ -35,8 +36,8 @@ from .operator import (PolynomialReal, SpectrumResult, _blocks,
                        _product_block, _projector_with_operator, poly_star,
                        spectra, star_power)
 from .signature import _positivity_scan, is_constant
-from .tanno import (SolutionBundle, TannoProblem, _bundle, _covariant,
-                    _cubic_form, _laplace_rows, _mu_hessian_rows, _order3,
+from .tanno import (SolutionBundle, TannoProblem, _bundle, _cubic_form,
+                    _laplace_rows, _mu_hessian_rows, _order3, _point_chain,
                     _system_rows, _third_order_terms, f_from_mu,
                     gallot_tanno_residual, transport_bundle)
 from . import charts, fd
@@ -150,7 +151,7 @@ def build_chart(spec: dict) -> KahlerChart:
     range is a ConfigError too."""
     spec = dict(spec)
     name = spec.pop("name", None)
-    if name in ("fubini_study", "fs"):
+    if name == "fubini_study":
         make, defaults = fubini_study_chart, {"n": 1, "domain_radius": 2.0}
     elif name == "flat":
         make, defaults = flat_kahler_chart, {"p": 1, "q": 0,
@@ -207,9 +208,9 @@ class CheckContext:
     :data:`~tannolab.charts.SAMPLE_BLOCK` points at a time.  From it come
     the per-point residuals of six checks (or why a row is absent), f's
     Taylor coefficients through order 2, and the unit problem's g and Gamma
-    at the samples; from those the operator, its spectra and the bundle.
-    Larger jets are not kept: they would stay alive across the checks that
-    follow, and only one block's exist at a time.
+    at the samples as two arrays; from those the operator, its spectra and
+    the bundle.  Larger jets are not kept: they would stay alive across the
+    checks that follow, and only one block's exist at a time.
     """
 
     chart: KahlerChart
@@ -242,9 +243,9 @@ class CheckContext:
         return self.problem.rescaled()
 
     @property
-    def unit_geometry(self) -> ChartJets:
-        """The unit problem's g and Gamma at the samples, from the pass;
-        c = 0 skips."""
+    def unit_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g0, G0): the unit problem's g (N, d, d) and Gamma (N, d, d, d)
+        at the samples, from the pass; c = 0 skips."""
         if self.c == 0:
             raise SkipCheck(_NO_UNIT)
         return self._sample_pass[3]
@@ -259,7 +260,7 @@ class CheckContext:
     def operator(self) -> np.ndarray:
         """The (N, d+2, d+2) entries of L(f) of the unit problem at the
         sample points."""
-        return _operator(self.f_coeffs, self.unit_geometry)
+        return _operator(self.f_coeffs, *self.unit_geometry, self.chart.J)
 
     @cached_property
     def spectra(self) -> list[SpectrumResult]:
@@ -269,7 +270,8 @@ class CheckContext:
     @cached_property
     def bundle(self) -> SolutionBundle:
         """The unit problem's (a_ij, f_i, mu) at the samples."""
-        return _bundle(self.f_coeffs, self.unit_geometry)
+        g0, G0 = self.unit_geometry
+        return _bundle(_point_chain(self.f_coeffs, G0), g0)
 
     @property
     def sample_rows(self) -> dict[str, np.ndarray]:
@@ -293,11 +295,11 @@ class CheckContext:
 
         A block's unit geometry is its own rescaled by c
         (:meth:`ChartJets.rescaled`), with the same Gamma, so f's covariant
-        chain serves both; the unit geometry kept is g and Gamma at the
-        samples.  rem2's null vectors come from one seeded draw for all
-        samples, and its row is absent unless g is indefinite at every
-        sample.  At c = 0 there is no unit chart: the two sys.* rows are
-        absent, the geometry is None.
+        chain serves both; the unit geometry kept is the arrays of g and
+        Gamma at the samples.  rem2's null vectors come from one seeded
+        draw for all samples, and its row is absent unless g is indefinite
+        at every sample.  At c = 0 there is no unit chart: the two sys.*
+        rows are absent, the geometry is None.
         """
         prob, d = self.problem, self.chart.dim
         unit = None if self.c == 0 else self.unit_problem.chart
@@ -332,9 +334,9 @@ class CheckContext:
         if unit is None:
             absent["sys.residual"] = absent["sys.trace_identity"] = _NO_UNIT
             return rows, absent, fc, None
-        system, trace, g0, gamma0 = unit_rows
+        system, trace, *geometry = unit_rows
         rows["sys.residual"], rows["sys.trace_identity"] = system, trace
-        return rows, absent, fc, ChartJets.from_points(unit, g0, gamma0)
+        return rows, absent, fc, tuple(geometry)
 
     def require_nonconstant(self) -> None:
         """SkipCheck when f is constant on the samples: the paper's lemmas on
@@ -353,7 +355,7 @@ class CheckContext:
         L(P*(f)) at the points.  A constant f raises SkipCheck."""
         self.require_nonconstant()
         return _projector_with_operator(self.unit_problem, self.P,
-                                        self.spectra[0], self.unit_geometry)
+                                        self.spectra[0], *self.unit_geometry)
 
 
 def _null_vectors(g0: np.ndarray, draw: np.ndarray) -> np.ndarray | None:
@@ -520,7 +522,8 @@ def check_transport_loop(ctx: CheckContext) -> CheckOutcome:
         "extended operator of f = -1/2 is the identity")
 def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
     d = ctx.chart.dim
-    L = _operator(ConstField(d, -0.5).taylor(ctx.P, 2), ctx.unit_geometry)
+    L = _operator(ConstField(d, -0.5).taylor(ctx.P, 2), *ctx.unit_geometry,
+                  ctx.chart.J)
     return _worst(frob_rows(L - np.eye(d + 2)))
 
 @_check("eq_product.block_identity", 1e-10,
@@ -528,13 +531,14 @@ def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     pts = ctx.P[:5]
-    geo = ctx.unit_geometry.head(5)
+    g0, G0 = (x[:5] for x in ctx.unit_geometry)
     worst = 0.0
     for k in range(5):
         fa = random_polynomial_field(chart.dim, ctx.seed + 2 * k)
         fb = random_polynomial_field(chart.dim, ctx.seed + 2 * k + 1)
-        rep = _product_block(_operator(fa.taylor(pts, 2), geo),
-                             _operator(fb.taylor(pts, 2), geo), geo.g0, chart.J)
+        rep = _product_block(_operator(fa.taylor(pts, 2), g0, G0, chart.J),
+                             _operator(fb.taylor(pts, 2), g0, G0, chart.J),
+                             g0, chart.J)
         worst = max(worst, float(np.max(rep.block_residual)))
     return CheckOutcome(worst, 5 * len(pts))
 
@@ -545,11 +549,11 @@ def check_star_power(ctx: CheckContext) -> CheckOutcome:
     chart = prob.chart
     pts = ctx.P[:20]
     L1 = ctx.operator[:20]
-    geo = ctx.unit_geometry.head(20)
+    g0, G0 = (x[:20] for x in ctx.unit_geometry)
     worst = 0.0
     for k, fc in enumerate(star_power(chart, prob.f, 4).levels(pts, 2), 2):
-        worst = max(worst, float(np.max(
-            frob_rows(_operator(fc, geo) - np.linalg.matrix_power(L1, k)))))
+        worst = max(worst, float(np.max(frob_rows(
+            _operator(fc, g0, G0, chart.J) - np.linalg.matrix_power(L1, k)))))
     return CheckOutcome(worst, len(pts))
 
 @_check("cor1.poly_star_closure", 1e-7,
@@ -563,7 +567,8 @@ def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     geo = chart.at(pts, 2)
     worst = 0.0
     for P in polys:
-        cov = _covariant(geo, poly_star(chart, prob.f, P).taylor(pts, 3), 2)
+        fc = poly_star(chart, prob.f, P).taylor(pts, 3)
+        cov = scalar_covariant_jets(fc, geo.gamma_coeffs(), chart.dim, 2)
         worst = max(worst, float(np.max(_system_rows(geo, cov)[:3])))
     return CheckOutcome(worst, len(pts))
 
@@ -622,9 +627,10 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
     return CheckOutcome(worst, len(ctx.P),
                         note="cases seen: " + ", ".join(sorted(seen)))
 
-@_check("eq_mu.hessian", 1e-7, "Hessian identity mu_,ij = 2a_ij - 2 mu g_ij")
+@_check("eq_mu.hessian", 1e-7,
+        "internal consistency check, not a claim: mu_,ij = 2a_ij - 2 mu g_ij")
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
-    return _worst(_mu_hessian_rows(ctx.f_coeffs, ctx.unit_geometry))
+    return _worst(_mu_hessian_rows(ctx.f_coeffs, *ctx.unit_geometry))
 
 @_check("thm3.positivity", 0.5,
         "metric inertia (2n,0) at samples; eigenspace restrictions at extrema")
@@ -633,7 +639,7 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
     probP = TannoProblem(ctx.unit_problem.chart, f_proj, 1.0)
     # P*(f) = -mu/2 and its gradient, read off the verified L(P*(f)).
     mu, grad = _blocks(Ls)[:2]
-    report = _positivity_scan(probP, ctx.P, ctx.unit_geometry.g0,
+    report = _positivity_scan(probP, ctx.P, ctx.unit_geometry[0],
                               -0.5 * mu, grad)
     ok = report.verdict == "positive"
     for fnd in report.extremal_findings:

@@ -1,5 +1,6 @@
 """Suite configuration, report emission, determinism and CLI exit codes."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import report_corpus
-from tannolab import (charts, dop853, jets, operator, signature, tanno,
-                      verify)
+from tannolab import (calculus, charts, dop853, jets, operator, signature,
+                      tanno, verify)
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError, SingularMetric
 from tannolab.charts import KahlerChart
@@ -53,7 +54,7 @@ lem3.minimal_polynomial    tol=1e-05     minimal polynomial coefficients agree a
 lem4.two_real_eigenvalues  tol=0.5       at least two distinct real eigenvalue clusters everywhere
 lem5.projector             tol=1e-07     Lagrange polynomial yields a non-trivial projector; 0 <= mu <= 1
 lem6.eigenstructure        tol=1e-06     eigenvalue/multiplicity table of a^i_j per interior/max/min case
-eq_mu.hessian              tol=1e-07     Hessian identity mu_,ij = 2a_ij - 2 mu g_ij
+eq_mu.hessian              tol=1e-07     internal consistency check, not a claim: mu_,ij = 2a_ij - 2 mu g_ij
 thm3.positivity            tol=0.5       metric inertia (2n,0) at samples; eigenspace restrictions at extrema
 oracle.derivatives         tol=1e-06     jet derivatives (orders 1-3, Christoffel) vs finite differences
 """
@@ -308,16 +309,48 @@ class TestRunSuite:
         f_values = build_solution(cfg.solution, chart)(pts)
         calls, operator_of = [], operator._operator
 
-        def spy_operator(fc, geo):
+        def spy_operator(fc, g0, G0, Jm):
             if len(fc) == len(pts) and np.array_equal(fc[:, 0], f_values):
                 calls.append(fc.shape)
-            return operator_of(fc, geo)
+            return operator_of(fc, g0, G0, Jm)
 
         monkeypatch.setattr(operator, "_operator", spy_operator)
         monkeypatch.setattr(verify, "_operator", spy_operator)
         report = run_suite(cfg)
         assert report.passed
         assert calls == [(DEFAULT_CONFIG["samples"], jets.size(2, 2))]
+
+    @staticmethod
+    def _chains(monkeypatch):
+        """The suite's context with the pass and the projector evaluated,
+        and the point counts of the covariant chains formed after that."""
+        ctx = CheckContext.from_config(SuiteConfig.from_dict(DEFAULT_CONFIG))
+        ctx.projector
+        calls, chain = [], calculus.scalar_covariant_jets
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return chain(*args)
+
+        for module in (calculus, tanno, operator):
+            monkeypatch.setattr(module, "scalar_covariant_jets", spy,
+                                raising=False)
+        return ctx, calls
+
+    def test_mu_hessian_forms_one_chain(self, monkeypatch):
+        # The bundle's a_ij and mu_{,ij} = -2 f_{,ij} share f's chain.
+        ctx, calls = self._chains(monkeypatch)
+        assert REGISTRY["eq_mu.hessian"].func(ctx).max_residual < 1e-7
+        assert calls == [len(ctx.P)]
+
+    def test_positivity_forms_one_chain_at_the_critical_points(self,
+                                                               monkeypatch):
+        # L and mu_{,ij} = -2 f_{,ij} at the critical points share P*(f)'s
+        # chain.
+        ctx, calls = self._chains(monkeypatch)
+        out = REGISTRY["thm3.positivity"].func(ctx)
+        assert out.max_residual == 0.0 and "critical_sets=1" in out.note
+        assert len(calls) == 1
 
     def test_star_power_evaluates_the_unit_chart_once(self, monkeypatch):
         # lem2 reads g and Gamma at P[:20] from the suite's unit geometry:
@@ -427,9 +460,9 @@ class TestRunSuite:
             shapes.append(np.shape(p))
             return assemble(prob, p)
 
-        def spy_operator(fc, geo):
+        def spy_operator(fc, g0, G0, Jm):
             shapes.append(np.shape(fc))
-            return operator_of(fc, geo)
+            return operator_of(fc, g0, G0, Jm)
 
         monkeypatch.setattr(operator, "assemble_L", spy_assemble)
         monkeypatch.setattr(verify, "_operator", spy_operator)
@@ -530,9 +563,9 @@ class TestRunSuite:
         ctx.spectra
         built, operator_of = [], operator._operator
 
-        def spy_operator(fc, geo):
-            built.append((fc, geo))
-            return operator_of(fc, geo)
+        def spy_operator(fc, g0, G0, Jm):
+            built.append((fc, g0, G0))
+            return operator_of(fc, g0, G0, Jm)
 
         def fail(*args):
             raise AssertionError("chart evaluated at the samples")
@@ -542,8 +575,8 @@ class TestRunSuite:
         _, f_proj, _ = ctx.projector
         monkeypatch.undo()
         assert len(built) == 1
-        fc, geo = built[0]
-        assert geo is ctx.unit_geometry
+        fc, g0, G0 = built[0]
+        assert g0 is ctx.unit_geometry[0] and G0 is ctx.unit_geometry[1]
         assert np.array_equal(fc, f_proj.taylor(ctx.P, 2))
 
     def test_projector_check_reuses_operator_entries(self, monkeypatch):
@@ -633,8 +666,8 @@ class TestSamplePass:
                                                samples, monkeypatch):
         # The pass in blocks of SAMPLE_BLOCK points against one block of
         # all samples: every row, f's coefficients, the unit g and Gamma
-        # and the bundle are the same bits.  The unit geometry holds g and
-        # Gamma at the points only, and they are the chart's own.  On
+        # and the bundle are the same bits.  The unit geometry is two
+        # arrays, g and Gamma at the points, and they are the chart's.  On
         # flat(1,1) f is a cubic, whose rem2 row reads the null vectors
         # (a quadratic's reads 0 at any vector).
         def context():
@@ -645,10 +678,10 @@ class TestSamplePass:
                                 ctx.c, ctx.P, ctx.seed)
 
         ctx = context()
-        rows, absent, fc, geo = ctx._sample_pass
+        rows, absent, fc, (g0, G0) = ctx._sample_pass
         monkeypatch.setattr(charts, "SAMPLE_BLOCK", samples + 1)
         one = context()
-        one_rows, one_absent, one_fc, one_geo = one._sample_pass
+        one_rows, one_absent, one_fc, (one_g0, one_G0) = one._sample_pass
         assert absent == one_absent
         if chart["name"] == "flat":
             assert np.min(rows["rem2.lightlike_f3"]) > 0
@@ -659,24 +692,21 @@ class TestSamplePass:
             assert rows[name].shape == (samples,)
             assert np.array_equal(rows[name], one_rows[name]), name
         assert np.array_equal(fc, one_fc)
-        assert np.array_equal(geo.g0, one_geo.g0)
-        assert np.array_equal(geo.gamma0, one_geo.gamma0)
+        assert np.array_equal(g0, one_g0)
+        assert np.array_equal(G0, one_G0)
         b, one_b = ctx.bundle, one.bundle
         for got, want in ((b.a, one_b.a), (b.grad, one_b.grad),
                           (b.mu, one_b.mu)):
             assert np.array_equal(got, want)
+        # g and Gamma at the points, with no axis of derivatives.
+        d = ctx.chart.dim
+        assert g0.shape == (samples, d, d) and G0.shape == (samples, d, d, d)
         full = ctx.chart.at(ctx.P, 2)
-        assert geo.order == 0 and geo.coeffs.shape[-1] == 1
-        assert geo.gamma_coeffs().shape[-1] == 1
-        assert np.array_equal(geo.g0, 0.3 * full.g0)
-        assert np.array_equal(geo.gamma0, full.gamma_coeffs(1)[..., 0])
+        assert np.array_equal(g0, 0.3 * full.g0)
+        assert np.array_equal(G0, full.gamma_coeffs(1)[..., 0])
         assert np.array_equal(
-            geo.ginv_coeffs(),
-            ctx.unit_problem.chart.at(ctx.P, 0).ginv_coeffs())
-        with pytest.raises(ValueError, match="held through 0"):
-            geo.ginv_coeffs(1)
-        with pytest.raises(ValueError, match="Gamma through order 1"):
-            geo.gamma_coeffs(1)
+            charts.checked_inverse(g0),
+            ctx.unit_problem.chart.at(ctx.P, 0).ginv_coeffs()[..., 0])
 
     def test_a_singular_sample_gives_the_error_of_one_block(self, monkeypatch):
         # g = diag(1, y) at (x, y), held at degree 0 only: the singular test
@@ -750,13 +780,14 @@ class TestSamplePass:
 
         monkeypatch.setattr(KahlerChart, "metric_coeffs", fail)
         monkeypatch.setattr(jets, "eval_coeffs", fail)
-        geo, fc, b = ctx.unit_geometry, ctx.f_coeffs, ctx.bundle
+        (g0, G0), fc, b = ctx.unit_geometry, ctx.f_coeffs, ctx.bundle
         monkeypatch.undo()
-        assert geo.coeffs.shape[-1] == geo.gamma_coeffs().shape[-1] == 1
+        N = len(ctx.P)
+        assert g0.shape == (N, 4, 4) and G0.shape == (N, 4, 4, 4)
         ref = ctx.unit_problem.chart.at(ctx.P, 1)
-        assert np.array_equal(geo.g0, ref.g0)
-        assert np.array_equal(geo.gamma0, ref.gamma0)
-        assert np.array_equal(geo.gamma0, ctx.chart.at(ctx.P, 1).gamma0)
+        assert np.array_equal(g0, ref.g0)
+        assert np.array_equal(G0, ref.gamma0)
+        assert np.array_equal(G0, ctx.chart.at(ctx.P, 1).gamma0)
         assert np.array_equal(fc, ctx.f.taylor(ctx.P, 2))
         assert np.array_equal(b.mu, -2.0 * fc[:, 0])
 
@@ -832,11 +863,14 @@ class TestSamplePass:
         assert peak < 4.6e6 + held + 384 * 1000
 
     def test_head_equals_an_evaluation_at_the_points(self):
+        # lem2 and the block identity slice the unit geometry to their
+        # first k samples: the slices are an evaluation there, bit for bit.
         ctx = self._context({"name": "fubini_study", "n": 2}, "height:0", 0.25)
-        head = ctx.unit_geometry.head(4)
-        ref = ctx.unit_problem.chart.at(ctx.P[:4], 1)
-        assert np.array_equal(head.g0, ref.g0)
-        assert np.array_equal(head.gamma0, ref.gamma0)
+        for k in (1, 4, len(ctx.P)):
+            g0, G0 = (x[:k] for x in ctx.unit_geometry)
+            ref = ctx.unit_problem.chart.at(ctx.P[:k], 1)
+            assert np.array_equal(g0, ref.g0)
+            assert np.array_equal(G0, ref.gamma0)
 
     def test_zero_c_keeps_the_chart_rows(self):
         ctx = self._context({"name": "fubini_study", "n": 1}, "height:0", 0.0)
@@ -1149,6 +1183,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "--points" in captured.err
 
+    def test_verify_writes_a_csv_report(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        assert main(["verify", "--csv", str(path)]) == 0
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert rows[0] == ["check", "max_residual", "tolerance", "pass",
+                           "points", "seconds"]
+        assert [row[0] for row in rows[1:]] == DEFAULT_CHECKS
+        assert len(rows) == 1 + 22
+
+    def test_sphere_quadratic_solves_the_j_free_equation(self, capsys):
+        # The sphere's second eigenfunction solves eq2 at c = 1 on CP(1),
+        # and exists on CP(1) only.
+        sphere = ["--set", "solution=sphere_quadratic", "--set", "c=1"]
+        assert main(["verify", *sphere,
+                     "--set", 'checks=["eq2.residual"]']) == 0
+        assert "PASS  eq2.residual" in capsys.readouterr().out
+        assert main(["verify", *sphere, "--set",
+                     'chart={"name":"fubini_study","n":2}']) == 2
+        assert "requires CP(1)" in capsys.readouterr().err
+
+    def test_projector_at_the_wrong_c_exits_one(self, capsys):
+        assert main(["projector", "--set", "c=0.3"]) == 1
+        assert "NotProjector" in capsys.readouterr().err
+
+    def test_transport_match_skips_at_one_sample(self, capsys):
+        assert main(["verify", "--set", "samples=1", "--set",
+                     'checks=["lem1.transport_match"]']) == 0
+        assert "SKIP  lem1.transport_match" in capsys.readouterr().out
+
     def test_projector_verb(self, capsys):
         rc = main(["projector", "--set", "samples=5"])
         out = capsys.readouterr().out
@@ -1175,8 +1238,11 @@ class TestCli:
         (["chart.domain_radius=-1"], "domain_radius must be positive"),
         (["chart.domain_radius=0", "samples=4"],
          "domain_radius must be positive"),
+        (["foo"], "--set expects key=value"),
+        (["c.x=1"], "crosses a non-object field"),
     ], ids=["n_text", "quadratic_text", "n_zero", "height_axis", "n_fraction",
-            "radius_negative", "radius_zero"])
+            "radius_negative", "radius_zero", "set_no_value",
+            "set_through_a_number"])
     def test_bad_chart_or_solution_spec_exits_two(self, overrides, message,
                                                   capsys):
         argv = ["verify"]

@@ -43,7 +43,9 @@ def cp1_projector(cp1_problem, cp1_points):
 class TestAssembleL:
     def test_returns_the_operator_array(self, cp1_problem, cp1_points):
         P = np.array(cp1_points)
-        ref = _operator(cp1_problem.f.taylor(P, 2), cp1_problem.chart.at(P, 1))
+        geo = cp1_problem.chart.at(P, 1)
+        ref = _operator(cp1_problem.f.taylor(P, 2), geo.g0, geo.gamma0,
+                        cp1_problem.chart.J)
         for p, expected in ((P, ref), (P[0], ref[0])):
             L = assemble_L(cp1_problem, p)
             assert type(L) is np.ndarray and np.array_equal(L, expected)
@@ -509,6 +511,15 @@ class TestMinimalPolynomial:
         base = np.array(polys[0])
         for cs in polys[1:]:
             assert np.max(np.abs(np.array(cs) - base)) < 1e-5
+
+    def test_complex_pair_factor(self):
+        # A rotation block has eigenvalues +-i: its factor is t^2 + 1, so
+        # with [2] the polynomial is (t^2 + 1)(t - 2) = t^3 - 2t^2 + t - 2.
+        M = np.zeros((3, 3))
+        M[0, 1], M[1, 0], M[2, 2] = -1.0, 1.0, 2.0
+        P = minimal_polynomial(M)
+        assert np.allclose(P.coeffs, (-2.0, 1.0, -2.0, 1.0), rtol=0,
+                           atol=1e-12)
 
     def test_near_multiple_eigenvalues_merge_cleanly(self):
         # A gap far below the cluster tolerance is one cluster, not an error.

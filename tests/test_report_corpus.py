@@ -10,6 +10,7 @@ import json
 import pytest
 
 import report_corpus as corpus
+from tannolab.verify import CheckContext, SuiteConfig, run_suite
 
 FAST = [(name, seed) for name, seed in corpus.entries()
         if name.startswith(("cp1_", "cp2_"))]
@@ -50,3 +51,27 @@ def test_a_moved_residual_or_note_is_a_difference():
     _record(new, "lem1.transport_match")["points"] += 1
     new["verdict"] = "fail"
     assert len(corpus.differences(old, new)) == 3
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CONFIGS))
+def test_negating_the_metric_and_c_keeps_every_record(name, monkeypatch):
+    # (g, c) -> (-g, -c) leaves the third-order equation and the c = 1
+    # normalization as they are, so at the same samples every record is
+    # the same: status, residual bits, points and note.
+    config = SuiteConfig.from_dict({**corpus.CONFIGS[name], "seed": 7})
+    build, seen = CheckContext.from_config.__func__, []
+
+    def negated(cls, cfg):
+        ctx = build(cls, cfg)
+        seen.append(ctx.P)
+        return cls(ctx.chart.with_negated_metric(), ctx.f, -ctx.c, ctx.P,
+                   ctx.seed)
+
+    def key(record):
+        return (record.name, record.status, repr(record.max_residual),
+                record.points, record.note)
+
+    own = [key(r) for r in run_suite(config).checks]
+    monkeypatch.setattr(CheckContext, "from_config", classmethod(negated))
+    assert [key(r) for r in run_suite(config).checks] == own
+    assert len(seen) == 1

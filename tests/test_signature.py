@@ -12,8 +12,8 @@ from tannolab.manifolds import cpn_height_function
 from tannolab import signature, verify
 from tannolab.operator import (assemble_L, classify_mu,
                                projector_from_solution)
-from tannolab.signature import (metric_signature, positivity_scan,
-                                restrict_form)
+from tannolab.signature import (_verdict_from_inertias, metric_signature,
+                                positivity_scan, restrict_form)
 from tannolab.tanno import TannoProblem
 from tannolab.verify import CheckContext, SuiteConfig, run_suite
 
@@ -33,6 +33,14 @@ class TestMetricSignature:
     def test_constant_across_chart(self, fs2):
         sigs = {metric_signature(fs2, p) for p in points_on(fs2, 15, seed=52)}
         assert sigs == {(4, 0)}
+
+
+def test_verdict_from_inertias():
+    assert _verdict_from_inertias([(0, 2), (0, 2)], 2) == (0, 2, "negative")
+    assert _verdict_from_inertias([(2, 0), (2, 0)], 2) == (2, 0, "positive")
+    assert _verdict_from_inertias([(1, 1)], 2) == (1, 1, "indefinite")
+    assert _verdict_from_inertias([(2, 0), (0, 2)], 2) == (
+        0, 2, "mixed-across-points")
 
 
 class TestRestrictForm:

@@ -260,6 +260,16 @@ class TestBundle:
             b = bundle_from_f(prob, p)
             assert f_from_mu(b.mu) == height1(p)
 
+    def test_batch_equals_single_points_bitwise(self, fs2_unit, height2):
+        prob = TannoProblem(fs2_unit, height2, 1.0)
+        P = np.array(points_on(fs2_unit, 5, seed=17))
+        batch = bundle_from_f(prob, P)
+        for k, p in enumerate(P):
+            one = bundle_from_f(prob, p)
+            assert np.array_equal(batch.a[k], one.a)
+            assert np.array_equal(batch.grad[k], one.grad)
+            assert batch.mu[k] == one.mu and type(one.mu) is float
+
     def test_solution_a_is_hermitian(self, fs1_unit, height1):
         prob = TannoProblem(fs1_unit, height1, 1.0)
         for p in points_on(fs1_unit, 10, seed=11):
@@ -273,7 +283,7 @@ def _per_direction_rows(geo, cov):
     direction e_k: the a, f and mu rows of d_k y - A(e_k) y, and the trace
     identity."""
     d = geo.chart.dim
-    ac = tanno._a_jets(geo, cov, 1)
+    ac = tanno._a_jets(geo, cov)
     f0, f1 = cov[0][:, 0], cov[1][..., 0]
     Z, n2 = len(f1), d * d
     y = np.concatenate([ac[..., 0].reshape(Z, n2), f1, -2.0 * f0[:, None]],
