@@ -126,7 +126,7 @@ def laplacian(chart: KahlerChart, f: ScalarField, p):
     P, single = chart.batch(p)
     geo = chart.at(P, 1)
     H = scalar_covariant_jets(f.taylor(P, 2), geo.gamma_coeffs(), chart.dim, 2)[2]
-    out = np.einsum("zij,zij->z", geo.ginv_coeffs()[..., 0], H[..., 0])
+    out = np.einsum("zij,zij->z", geo.ginv0, H[..., 0])
     return float(out[0]) if single else out
 
 

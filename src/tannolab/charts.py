@@ -3,16 +3,16 @@
 A chart is the metric g_ij on a coordinate ball plus the complex structure
 J^i_j, which in holomorphic coordinates is the constant standard one and is
 held as the one (d, d) matrix ``chart.J``.  A chart evaluates its metric as
-Taylor coefficients (see :mod:`tannolab.jets`), and g^-1 and the
-Christoffel symbols are derived from them as coefficients too; the public
-``*_jets`` accessors expand them into derivative lists.  Every accessor
-takes one point of shape (d,) or a batch of shape (N, d); a batch returns
-arrays with a leading point axis, a single point returns them without it.
+Taylor coefficients (see :mod:`tannolab.jets`), and the Christoffel
+symbols are solved for as coefficients too; the public ``*_jets``
+accessors expand them into derivative lists.  Every accessor takes one
+point of shape (d,) or a batch of shape (N, d); a batch returns arrays with
+a leading point axis, a single point returns them without it.
 
 Charts are immutable and keep no per-point state.  :meth:`KahlerChart.at`
-evaluates the metric once over a batch and hands out g, g^-1 and Gamma from
-that one evaluation, so a consumer needing several of them pays for a single
-potential evaluation.
+evaluates the metric once over a batch and hands out g, Gamma and solves
+with g from that one evaluation, so a consumer needing several of them pays
+for a single potential evaluation.
 """
 
 from __future__ import annotations
@@ -266,8 +266,9 @@ class KahlerChart:
     def metric_inv_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of g^ij."""
         P, single = as_points(p, self.dim)
-        geo = ChartJets(self, self.metric_coeffs(P, order), order)
-        return unbatch(J.expand(geo.ginv_coeffs(order), self.dim, order), single)
+        geo = self.at(P, order)
+        return unbatch(J.expand(J.cinv(geo.coeffs, self.dim, order, geo.ginv0),
+                                self.dim, order), single)
 
     def christoffel_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of Gamma^k_ij (array axes [k, i, j, ...])."""
@@ -303,22 +304,22 @@ def _first_kind(A: np.ndarray) -> np.ndarray:
 
 
 class ChartJets:
-    """g, g^-1 and Gamma of one chart over one batch of points.
+    """g and Gamma of one chart over one batch of points.
 
     ``coeffs`` are the metric's Taylor coefficients through ``order``, from
-    one evaluation (:meth:`KahlerChart.at`).  g^-1's coefficients (through
-    the order asked for), Gamma's (through ``order - 1``) and g and Gamma
-    at the points are derived from them on first use and kept for the
-    lifetime of this object, which belongs to a single batched call; one
-    that reads less of g once Gamma exists is reduced with :meth:`trim`.
-    Across other work only the arrays ``g0`` and ``gamma0`` are held.  This
-    is the only place the chart's g^-1 and Gamma are derived, and
-    :meth:`solve_coeffs` the one place a right-hand side is solved with g.
+    one evaluation (:meth:`KahlerChart.at`).  Gamma's coefficients (through
+    ``order - 1``), and g, g^-1 and Gamma at the points, are derived from
+    them on first use and kept for the lifetime of this object, which
+    belongs to a single batched call; one that reads less of g once Gamma
+    exists is reduced with :meth:`trim`.  Across other work only the arrays
+    ``g0`` and ``gamma0`` are held.  g^-1 meets a jet only in
+    :meth:`solve_coeffs`, one :func:`~tannolab.jets.csolve`, and Gamma is
+    one such solve; each reads ``ginv0``, from :func:`checked_inverse`.
     """
 
     def __init__(self, chart: KahlerChart, coeffs: np.ndarray, order: int):
         self.chart, self.coeffs, self.order = chart, coeffs, order
-        self._g0 = self._ginv = self._gamma = self._gamma0 = None
+        self._g0 = self._ginv0 = self._gamma = self._gamma0 = None
 
     @property
     def g0(self) -> np.ndarray:
@@ -327,34 +328,27 @@ class ChartJets:
         return self._g0
 
     @property
+    def ginv0(self) -> np.ndarray:
+        """g^-1 at the points, (N, d, d), through :func:`checked_inverse`."""
+        if self._ginv0 is None:
+            self._ginv0 = checked_inverse(self.g0, f"on {self.chart.name}")
+        return self._ginv0
+
+    @property
     def gamma0(self) -> np.ndarray:
         """Gamma^k_ij at the points, (N, d, d, d) with axes [z, k, i, j]."""
         if self._gamma0 is None:
             self._gamma0 = np.ascontiguousarray(self.gamma_coeffs()[..., 0])
         return self._gamma0
 
-    def ginv_coeffs(self, order: int = 0) -> np.ndarray:
-        """g^-1's Taylor coefficients through at least ``order``, (N, d, d, M)."""
-        if order > self.order:
-            raise ValueError(f"g^-1 through order {order} needs the metric "
-                             f"through {order}, held through {self.order}")
-        if self._ginv is None or self._ginv[0] < order:
-            self._ginv = order, J.cinv(self.coeffs, self.chart.dim, order,
-                                       self._inv0())
-        return self._ginv[1]
-
-    def solve_coeffs(self, b: np.ndarray, order: int) -> np.ndarray:
-        """Taylor coefficients through ``order`` of v with g v = b, for b's
-        coefficients (N, d, ..., M) at the same points: one
-        :func:`~tannolab.jets.csolve`, with no g^-1 jet."""
+    def solve_coeffs(self, rhs: list, order: int) -> np.ndarray:
+        """Taylor coefficients through ``order`` of v with g v = b, for the
+        list [b] of b's coefficients (N, d, ..., M) at the same points,
+        which the solve empties: one :func:`~tannolab.jets.csolve`."""
         if order > self.order:
             raise ValueError(f"solving with g through order {order} needs the "
                              f"metric through {order}, held through {self.order}")
-        return J.csolve(self.coeffs, b, self.chart.dim, order, self._inv0())
-
-    def _inv0(self) -> np.ndarray:
-        """g^-1 at the points, through the one singular-metric test."""
-        return checked_inverse(self.g0, f"on {self.chart.name}")
+        return J.csolve(self.coeffs, rhs, self.chart.dim, order, self.ginv0)
 
     def gamma_coeffs(self, order: int = 0) -> np.ndarray:
         """Gamma's Taylor coefficients through at least ``order``,
@@ -367,33 +361,26 @@ class ChartJets:
                              f"through {order + 1}, evaluated through {self.order}")
         return self._gamma
 
-    def rescaled(self, c: float, chart: KahlerChart) -> "ChartJets":
-        """This geometry for ``chart``, whose metric is c times this one's:
-        c g, g^-1 / c and this geometry's own Gamma, which a constant
-        rescaling leaves unchanged; one derivation serves both."""
-        self.gamma_coeffs(self.order - 1)
-        geo = ChartJets(chart, c * self.coeffs, self.order)
-        geo._ginv = self._ginv[0], self._ginv[1] / c
-        geo._gamma, geo._gamma0 = self._gamma, self._gamma0
-        return geo
-
     def _derive_gamma(self, keep: int) -> None:
-        """Derive Gamma through order - 1, keeping the metric's coefficients
-        only through ``keep``: they are cut, as a copy so the rest is freed,
-        once g^-1 and the first-kind symbols exist, before their product,
-        which reads no more of g."""
+        """Derive Gamma through order - 1 by one solve, g Gamma = the
+        first-kind symbols, keeping the metric's coefficients only through
+        ``keep`` (at least order - 1, all the solve reads): they are cut,
+        as a copy so the rest is freed, once the symbols exist."""
         d, top = self.chart.dim, self.order - 1
-        # The product empties the list it is given: the first-kind
-        # symbols, referred to by nothing else, are freed once stacked.
-        factors = [self.ginv_coeffs(top), _first_kind(J.cgrad(self.coeffs, d))]
+        if keep < top:
+            raise ValueError(f"Gamma through order {top} solves with the "
+                             f"metric through {top}, not {keep}")
+        # The solve empties the list it is given: the first-kind symbols,
+        # referred to by nothing else, are freed once stacked.
+        rhs = [_first_kind(J.cgrad(self.coeffs, d))]
         if keep < self.order:
             self.coeffs = self.coeffs[..., :J.size(d, keep)].copy()
             self.order = keep
-        self._gamma = J.cprod(factors, "kl,lij->kij", d, top)
+        self._gamma = self.solve_coeffs(rhs, top)
 
     def trim(self, order: int) -> "ChartJets":
         """Derive Gamma, keeping the metric's coefficients only through
-        ``order``, for a holder that reads no more of g once Gamma exists;
-        returns self."""
+        ``order``, no lower than the metric's order - 1, for a holder that
+        reads no more of g once Gamma exists; returns self."""
         self._derive_gamma(order)
         return self

@@ -3,7 +3,7 @@
 Interface.  A jet of order r over N points of R^d is a coefficient array
 of shape ``(N,) + lead_shape + (M,)``: the Taylor coefficients of Storage
 below through degree r.  Fields (:meth:`~tannolab.fields.ScalarField.taylor`),
-the chart's metric, g^-1 and Gamma, the covariant derivatives of a scalar
+the chart's metric and Gamma, the covariant derivatives of a scalar
 and the star chain produce and take that form, and :func:`eval_coeffs`,
 :func:`cprod`, :func:`csolve`, :func:`cinv` and :func:`cgrad` work on it.
 A caller that reads derivatives expands it with :func:`expand` into a
@@ -31,13 +31,14 @@ through pair tables built on first use per dimension and degree range:
   side by side.
 
 :func:`csolve` gives v with g v = b for a matrix-valued g, degree by degree,
-multiplying by g^-1 at the points only; :func:`cinv` is its case b = 1, so
-g^-1 and a solve share one recursion.
+multiplying by g^-1 at the points only, so no g^-1 jet is formed: Gamma,
+the trace of g^-1 a and the star chain's lift are each one solve.
+:func:`cinv` is its case b = 1, for a caller that wants g^-1 itself.
 
-A tensor-valued product keeps only bounded transients.  It takes its two
-factors as a list that it empties: once a factor is stacked into the
-matrix layout the product drops it, so from then on the product holds the
-stacked copies, not its factors, and a factor the caller keeps no other
+A tensor-valued product or solve keeps only bounded transients.  It takes
+its two factors, or its right-hand side, as a list that it empties: once an
+array is stacked into the matrix layout it is dropped, so from then on the
+stacked copies are held, not the arrays, and one the caller keeps no other
 reference to is freed before the pair products run.  The pairs of a
 degree are gathered in runs of outputs whose gathered factors hold at most
 GATHER_CHUNK numbers each, and each degree's block is written once, in the
@@ -409,14 +410,16 @@ def cprod(factors: list, spec: str, d: int, order: int) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
 
-def csolve(g: np.ndarray, b: np.ndarray, d: int, order: int, inv0=None
+def csolve(g: np.ndarray, rhs: list, d: int, order: int, inv0=None
            ) -> np.ndarray:
     """Coefficients through ``order`` of v with g v = b, for a batched
     matrix-valued coefficient array g, shape (N, n, n, M), and a right-hand
     side b of shape (N, n, ..., M'), a vector or a matrix per point; v has
     b's shape with M monomials through ``order``.
 
-    Solves (g v)_m = b_m degree by degree:
+    ``rhs`` is the list [b]; the solve empties it, as :func:`cprod` does
+    its factors, so a b the caller keeps no other reference to is freed
+    once it is stacked.  Solves (g v)_m = b_m degree by degree:
     v_m = -g_0^{-1} (sum_{j>=1} g_j v_{m-j} - b_m), with g_0^{-1} taken at
     the points only (``inv0`` when the caller already has it).  The result
     is a contiguous copy, and the stack the loop runs on is freed: returning
@@ -424,6 +427,7 @@ def csolve(g: np.ndarray, b: np.ndarray, d: int, order: int, inv0=None
     of the benchmark's cp2_geodesics workload.
     """
     H0 = np.linalg.inv(g[..., 0]) if inv0 is None else inv0
+    b = rhs.pop()
     n, lead = len(b), b.shape[1:-1]
     tg = min(top_of(d, g.shape[-1]), order)
     tb = min(top_of(d, b.shape[-1]), order)
@@ -431,6 +435,7 @@ def csolve(g: np.ndarray, b: np.ndarray, d: int, order: int, inv0=None
     v = np.zeros((n, size(d, order) + 1, lead[0], math.prod(lead[1:])))
     v[:, :size(d, tb)] = b[..., :size(d, tb)].reshape(
         v.shape[:1] + v.shape[2:] + (size(d, tb),)).transpose(0, 3, 1, 2)
+    del b
     v[:, 0] = np.matmul(H0, v[:, 0])
     if tg:
         axes, _, nk, _ = _plan("ab,bc->ac")
@@ -445,7 +450,7 @@ def csolve(g: np.ndarray, b: np.ndarray, d: int, order: int, inv0=None
             S = -block
         block[...] = -np.matmul(H0[:, None], S)
     return np.ascontiguousarray(v[:, :-1].transpose(0, 2, 3, 1)
-                                ).reshape(b.shape[:-1] + (size(d, order),))
+                                ).reshape((n,) + lead + (size(d, order),))
 
 
 def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
@@ -453,7 +458,7 @@ def cinv(g: np.ndarray, d: int, order: int, inv0=None) -> np.ndarray:
     matrix-valued coefficient array g, shape (N, n, n, M): :func:`csolve`
     with the identity on the right."""
     eye = np.eye(g.shape[1])[None, :, :, None]
-    return csolve(g, eye.repeat(len(g), axis=0), d, order, inv0)
+    return csolve(g, [eye.repeat(len(g), axis=0)], d, order, inv0)
 
 
 def _libm(fn, v: np.ndarray) -> np.ndarray:

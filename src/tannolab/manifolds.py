@@ -236,6 +236,10 @@ def integrate_geodesic(chart: KahlerChart, x0, v0, T: float,
     P, _ = chart.batch(x0)          # validated and inside the domain
     x0 = P[0]
     v0 = np.asarray(v0, dtype=float)
+    if v0.shape != x0.shape:
+        raise ValueError(f"v0 must have shape {x0.shape}, got {v0.shape}")
+    if not np.isfinite(v0).all():
+        raise ValueError("v0 has non-finite components")
     q0 = chart.inner(x0, v0, v0)
     if abs(q0) < LIGHTLIKE_TOL:
         causal = "lightlike"

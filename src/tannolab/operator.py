@@ -54,9 +54,9 @@ class StarField(ScalarField):
 
     Jets of order r need f and H through r + k - 1 and g through r + k - 2;
     each is evaluated once.  The lift g^{ab} f_{,a} is one solve with g
-    (:meth:`~tannolab.charts.ChartJets.solve_coeffs`), so the chain holds
-    no g^-1 jet, and the k - 1 levels read its bit-exact prefixes.  The
-    chain runs on the Taylor coefficients the fields give
+    (:meth:`~tannolab.charts.ChartJets.solve_coeffs`, handed f's gradient),
+    so the chain holds no g^-1 jet, and the k - 1 levels read its bit-exact
+    prefixes.  The chain runs on the Taylor coefficients the fields give
     (:mod:`tannolab.jets`), so a nested H hands over its chain's
     coefficients unrounded.  :meth:`levels` returns every level, so f^{*2},
     ..., f^{*k} of :func:`star_power` cost one chain.
@@ -78,7 +78,7 @@ class StarField(ScalarField):
         d, top = self.dim, order + len(outer)
         F = self.f.taylor(P, top)
         H = F if self.H is self.f else self.H.taylor(P, top)
-        lifted = self.chart.at(P, top - 1).solve_coeffs(J.cgrad(F, d), top - 1)
+        lifted = self.chart.at(P, top - 1).solve_coeffs([J.cgrad(F, d)], top - 1)
         S = lead * H
         S[:, 0] = S[:, 0] - 0.5 * c
         for r, c in reversed(list(enumerate(outer, order))):

@@ -107,12 +107,12 @@ def _bundle(chain, g0) -> SolutionBundle:
     return SolutionBundle(-H - 2.0 * (f0[:, None, None] * g0), f1, -2.0 * f0)
 
 
-def _a_jets(geo: ChartJets, cov) -> np.ndarray:
-    """Taylor coefficients through order 1 of a_ij = -f_{,ij} - 2 f g_ij,
-    from f's covariant chain (f_{,ij} through degree 1) and the chart's
-    metric at the same points."""
+def _a_jets(geo: ChartJets, cov, c: float) -> np.ndarray:
+    """Taylor coefficients through order 1 of a_ij = -f_{,ij} - 2 f c g_ij,
+    the c = 1 normalization's, from f's covariant chain (f_{,ij} through
+    degree 1) and the chart's metric at the same points."""
     d = geo.chart.dim
-    fg = J.cprod([cov[0], geo.coeffs], ",ab->ab", d, 1)
+    fg = J.cprod([cov[0], c * geo.coeffs], ",ab->ab", d, 1)
     return -cov[2][..., :J.size(d, 1)] - 2.0 * fg
 
 
@@ -164,7 +164,7 @@ def gallot_tanno_residual(prob: TannoProblem, p) -> np.ndarray:
 
 def _laplace_rows(prob: TannoProblem, geo: ChartJets, cov) -> np.ndarray:
     """Per-point :func:`laplace_identity_residual` from :func:`_order3`."""
-    dlap = np.einsum("zij,zijk->zk", geo.ginv_coeffs()[..., 0], cov[3][..., 0])
+    dlap = np.einsum("zij,zijk->zk", geo.ginv0, cov[3][..., 0])
     return frob_rows(dlap + 4.0 * prob.c * (prob.chart.n + 1) * cov[1][..., 0])
 
 
@@ -197,12 +197,13 @@ def _system_apply(g0, Jm, G0, a, f, mu):
     return da, df, -2.0 * f
 
 
-def _system_rows(geo: ChartJets, cov):
-    """Per-point residuals from the chart and f's covariant chain with
-    f_{,ij} through degree 1 (:func:`_order3`): the a rows, f rows and mu
-    row of d_k y less :func:`_system_apply` along e_k, for each direction
-    k (:func:`system_residual`), and :func:`trace_identity_residual`."""
-    ac = _a_jets(geo, cov)
+def _system_rows(geo: ChartJets, cov, c: float):
+    """Per-point residuals of the c = 1 normalization (metric c g, the
+    chart's Gamma) from the chart and f's covariant chain with f_{,ij}
+    through degree 1 (:func:`_order3`): the a rows, f rows and mu row of
+    d_k y less :func:`_system_apply` along e_k, for each direction k
+    (:func:`system_residual`), and :func:`trace_identity_residual`."""
+    ac = _a_jets(geo, cov, c)
     f0, f1 = cov[0][:, 0], cov[1][..., 0]
     Z, d = f1.shape
     n2 = d * d
@@ -210,11 +211,11 @@ def _system_rows(geo: ChartJets, cov):
     # The degree-1 coefficients are the first partial derivatives.
     dy = np.concatenate([ac[..., 1:d + 1].reshape(Z, n2, d), cov[1][..., 1:d + 1],
                          -2.0 * f1[:, None]], axis=1)
-    da, df, dmu = _system_apply(geo.g0, geo.chart.J, geo.gamma0, *y)
+    da, df, dmu = _system_apply(c * geo.g0, geo.chart.J, geo.gamma0, *y)
     dy[:, :n2] -= np.moveaxis(da, 1, -1).reshape(Z, n2, d)
     dy[:, n2:-1] -= np.moveaxis(df[..., 0], 1, -1)
     dy[:, -1] -= dmu[..., 0]
-    tr = J.cprod([geo.ginv_coeffs(1), ac], "ab,ab->", d, 1)
+    tr = np.trace(geo.solve_coeffs([ac], 1), axis1=1, axis2=2) / c
     return (*(frob_rows(dy[:, rows]) for rows in
               (slice(0, n2), slice(n2, -1), slice(-1, None))),
             frob_rows(f1 - 0.25 * tr[:, 1:d + 1]))
@@ -229,22 +230,21 @@ def system_residual(prob: TannoProblem, p):
     d_k y - A(e_k) y: three floats, or three per-point arrays for a batch.
     """
     P, single = prob.chart.batch(p)
-    r = _system_rows(*_order3(prob.chart, prob.f, P))[:3]
+    r = _system_rows(*_order3(prob.chart, prob.f, P), 1.0)[:3]
     return tuple(float(x[0]) for x in r) if single else r
 
 
 def trace_identity_residual(prob: TannoProblem, p):
     """|f_i - 1/4 (a^al_al)_{,i}| (the contracted first equation)."""
     P, single = prob.chart.batch(p)
-    res = _system_rows(*_order3(prob.chart, prob.f, P))[3]
+    res = _system_rows(*_order3(prob.chart, prob.f, P), 1.0)[3]
     return float(res[0]) if single else res
 
 
-def _mu_hessian_rows(fc, g0, G0) -> np.ndarray:
-    """Per-point :func:`mu_hessian_residual` from f's coefficients through
-    order 2, and g and Gamma at the same points: mu_{,ij} is -2 f_{,ij}
-    from the chain the bundle is built from (scaling by -2 is exact)."""
-    chain = _point_chain(fc, G0)
+def _mu_hessian_rows(chain, g0) -> np.ndarray:
+    """Per-point :func:`mu_hessian_residual` from f's :func:`_point_chain`
+    and g at the same points: mu_{,ij} is -2 f_{,ij} from the chain the
+    bundle is built from (scaling by -2 is exact)."""
     b = _bundle(chain, g0)
     return frob_rows(-2.0 * chain[2] - 2.0 * b.a
                      + 2.0 * b.mu[:, None, None] * g0)
@@ -258,7 +258,8 @@ def mu_hessian_residual(prob: TannoProblem, p):
     """
     P, single = prob.chart.batch(p)
     geo = prob.chart.at(P, 1)
-    res = _mu_hessian_rows(prob.f.taylor(P, 2), geo.g0, geo.gamma0)
+    res = _mu_hessian_rows(_point_chain(prob.f.taylor(P, 2), geo.gamma0),
+                           geo.g0)
     return float(res[0]) if single else res
 
 

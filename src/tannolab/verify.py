@@ -32,9 +32,9 @@ from .manifolds import (cpn_height_function, flat_kahler_chart,
                         random_quadratic_field, sample_points,
                         sphere_second_eigenfunction)
 from .operator import (PolynomialReal, SpectrumResult, _blocks,
-                       _eigenstructure, _minimal_polynomial, _operator,
-                       _product_block, _projector_with_operator, poly_star,
-                       spectra, star_power)
+                       _chain_operator, _eigenstructure, _minimal_polynomial,
+                       _operator, _product_block, _projector_with_operator,
+                       poly_star, spectra, star_power)
 from .signature import _positivity_scan, is_constant
 from .tanno import (SolutionBundle, TannoProblem, _bundle, _cubic_form,
                     _laplace_rows, _mu_hessian_rows, _order3, _point_chain,
@@ -208,9 +208,10 @@ class CheckContext:
     :data:`~tannolab.charts.SAMPLE_BLOCK` points at a time.  From it come
     the per-point residuals of six checks (or why a row is absent), f's
     Taylor coefficients through order 2, and the unit problem's g and Gamma
-    at the samples as two arrays; from those the operator, its spectra and
-    the bundle.  Larger jets are not kept: they would stay alive across the
-    checks that follow, and only one block's exist at a time.
+    at the samples as two arrays; from those f's covariant chain there,
+    formed once, and from it the operator, its spectra and the bundle.
+    Larger jets are not kept: they would stay alive across the checks that
+    follow, and only one block's exist at a time.
     """
 
     chart: KahlerChart
@@ -245,7 +246,8 @@ class CheckContext:
     @property
     def unit_geometry(self) -> tuple[np.ndarray, np.ndarray]:
         """(g0, G0): the unit problem's g (N, d, d) and Gamma (N, d, d, d)
-        at the samples, from the pass; c = 0 skips."""
+        at the samples, from the pass (c g and the chart's Gamma); c = 0
+        skips."""
         if self.c == 0:
             raise SkipCheck(_NO_UNIT)
         return self._sample_pass[3]
@@ -257,10 +259,16 @@ class CheckContext:
         return self._sample_pass[2]
 
     @cached_property
+    def chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f, f_{,i}, f_{,ij}) of the unit problem at the samples
+        (:func:`~tannolab.tanno._point_chain`), formed once, after the pass."""
+        return _point_chain(self.f_coeffs, self.unit_geometry[1])
+
+    @cached_property
     def operator(self) -> np.ndarray:
         """The (N, d+2, d+2) entries of L(f) of the unit problem at the
         sample points."""
-        return _operator(self.f_coeffs, *self.unit_geometry, self.chart.J)
+        return _chain_operator(self.chain, self.unit_geometry[0], self.chart.J)
 
     @cached_property
     def spectra(self) -> list[SpectrumResult]:
@@ -270,8 +278,7 @@ class CheckContext:
     @cached_property
     def bundle(self) -> SolutionBundle:
         """The unit problem's (a_ij, f_i, mu) at the samples."""
-        g0, G0 = self.unit_geometry
-        return _bundle(_point_chain(self.f_coeffs, G0), g0)
+        return _bundle(self.chain, self.unit_geometry[0])
 
     @property
     def sample_rows(self) -> dict[str, np.ndarray]:
@@ -293,16 +300,15 @@ class CheckContext:
         first block that holds one; its error names the first singular
         sample, as one block of all samples would.
 
-        A block's unit geometry is its own rescaled by c
-        (:meth:`ChartJets.rescaled`), with the same Gamma, so f's covariant
-        chain serves both; the unit geometry kept is the arrays of g and
-        Gamma at the samples.  rem2's null vectors come from one seeded
+        A block's unit geometry is c g and its own Gamma, which a constant
+        rescaling leaves unchanged, so f's covariant chain serves both; the
+        unit geometry kept is the arrays of c g and Gamma at the samples.
+        rem2's null vectors come from one seeded
         draw for all samples, and its row is absent unless g is indefinite
         at every sample.  At c = 0 there is no unit chart: the two sys.*
         rows are absent, the geometry is None.
         """
-        prob, d = self.problem, self.chart.dim
-        unit = None if self.c == 0 else self.unit_problem.chart
+        prob, d, c = self.problem, self.chart.dim, self.c
         normals = np.random.default_rng(self.seed).normal(
             size=(len(self.P), NULL_VECTORS, d))
 
@@ -316,11 +322,10 @@ class CheckContext:
                    np.zeros(len(P)) if null is None else
                    np.abs(_cubic_form(cov[3][..., 0], null)).max(1),
                    cov[0][:, :size(d, 2)])
-            if unit is None:
+            if c == 0:
                 return out
-            geo = geo.rescaled(self.c, unit)
-            *system, trace = _system_rows(geo, cov)
-            return out + (np.max(system, axis=0), trace, geo.g0, geo.gamma0)
+            *system, trace = _system_rows(geo, cov, c)
+            return out + (np.max(system, axis=0), trace, c * geo.g0, geo.gamma0)
 
         kahler, eq1, rem1, mixed, rem2, fc, *unit_rows = charts.chunked(
             block, self.P, normals, size=charts.SAMPLE_BLOCK)
@@ -331,7 +336,7 @@ class CheckContext:
             rows["rem2.lightlike_f3"] = rem2
         else:
             absent["rem2.lightlike_f3"] = "needs a metric of mixed signature"
-        if unit is None:
+        if c == 0:
             absent["sys.residual"] = absent["sys.trace_identity"] = _NO_UNIT
             return rows, absent, fc, None
         system, trace, *geometry = unit_rows
@@ -569,7 +574,7 @@ def check_poly_star_closure(ctx: CheckContext) -> CheckOutcome:
     for P in polys:
         fc = poly_star(chart, prob.f, P).taylor(pts, 3)
         cov = scalar_covariant_jets(fc, geo.gamma_coeffs(), chart.dim, 2)
-        worst = max(worst, float(np.max(_system_rows(geo, cov)[:3])))
+        worst = max(worst, float(np.max(_system_rows(geo, cov, 1.0)[:3])))
     return CheckOutcome(worst, len(pts))
 
 @_check("cor2.spectrum_constancy", 1e-6,
@@ -630,7 +635,7 @@ def check_eigenstructure(ctx: CheckContext) -> CheckOutcome:
 @_check("eq_mu.hessian", 1e-7,
         "internal consistency check, not a claim: mu_,ij = 2a_ij - 2 mu g_ij")
 def check_mu_hessian(ctx: CheckContext) -> CheckOutcome:
-    return _worst(_mu_hessian_rows(ctx.f_coeffs, *ctx.unit_geometry))
+    return _worst(_mu_hessian_rows(ctx.chain, ctx.unit_geometry[0]))
 
 @_check("thm3.positivity", 0.5,
         "metric inertia (2n,0) at samples; eigenspace restrictions at extrema")

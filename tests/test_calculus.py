@@ -60,9 +60,15 @@ class TestChristoffel:
         assert trimmed.order == 1 and trimmed.coeffs.base is None
         assert np.array_equal(trimmed.coeffs, full.coeffs[..., :J.size(4, 1)])
         assert np.array_equal(trimmed.gamma_coeffs(1), full.gamma_coeffs(1))
-        assert np.array_equal(trimmed.ginv_coeffs(1), full.ginv_coeffs(1))
+        assert np.array_equal(trimmed.ginv0, full.ginv0)
+        rhs = np.ones((len(P), 4, J.size(4, 2)))
+        assert np.array_equal(trimmed.solve_coeffs([rhs], 1),
+                              full.solve_coeffs([rhs], 1))
         with pytest.raises(ValueError, match="held through 1"):
-            trimmed.ginv_coeffs(2)
+            trimmed.solve_coeffs([rhs], 2)
+        # Gamma through order 1 solves with g through order 1: no lower.
+        with pytest.raises(ValueError, match="not 0"):
+            fs2.at(P, 2).trim(0)
 
     def test_out_of_domain(self, fs1):
         with pytest.raises(OutOfDomain):

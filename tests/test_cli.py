@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import sys
 import tracemalloc
@@ -11,12 +14,14 @@ import numpy as np
 import pytest
 
 import report_corpus
+import tannolab
 from tannolab import (calculus, charts, dop853, jets, operator, signature,
                       tanno, verify)
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError, SingularMetric
 from tannolab.charts import KahlerChart
-from tannolab.manifolds import random_polynomial_field, sample_points
+from tannolab.manifolds import (fubini_study_chart, integrate_geodesic,
+                                random_polynomial_field, sample_points)
 from tannolab.operator import assemble_L, projector_from_solution, spectrum
 from tannolab.calculus import frob_rows, kahler_residuals, nabla_scalar
 from tannolab.tanno import (TannoProblem, _cubic_form,
@@ -302,46 +307,65 @@ class TestRunSuite:
     def test_suite_assembles_solution_operator_once(self, monkeypatch):
         # cor2, lem3, lem4 and lem2 all read the suite's one L(f) at the
         # samples, built from the context's shared jets.  Every operator
-        # the package assembles goes through operator._operator.
+        # the package assembles goes through operator._chain_operator.
         cfg = SuiteConfig.from_dict(DEFAULT_CONFIG)
         chart = build_chart(cfg.chart)
         pts = np.array(sample_points(chart, cfg.samples, cfg.seed))
         f_values = build_solution(cfg.solution, chart)(pts)
-        calls, operator_of = [], operator._operator
+        calls, operator_of = [], operator._chain_operator
 
-        def spy_operator(fc, g0, G0, Jm):
-            if len(fc) == len(pts) and np.array_equal(fc[:, 0], f_values):
-                calls.append(fc.shape)
-            return operator_of(fc, g0, G0, Jm)
+        def spy_operator(chain, g0, Jm):
+            if len(g0) == len(pts) and np.array_equal(chain[0], f_values):
+                calls.append(chain[2].shape)
+            return operator_of(chain, g0, Jm)
 
-        monkeypatch.setattr(operator, "_operator", spy_operator)
-        monkeypatch.setattr(verify, "_operator", spy_operator)
+        for module in (operator, verify, signature):
+            monkeypatch.setattr(module, "_chain_operator", spy_operator,
+                                raising=False)
         report = run_suite(cfg)
         assert report.passed
-        assert calls == [(DEFAULT_CONFIG["samples"], jets.size(2, 2))]
+        assert calls == [(DEFAULT_CONFIG["samples"], 2, 2)]
 
     @staticmethod
-    def _chains(monkeypatch):
-        """The suite's context with the pass and the projector evaluated,
-        and the point counts of the covariant chains formed after that."""
-        ctx = CheckContext.from_config(SuiteConfig.from_dict(DEFAULT_CONFIG))
-        ctx.projector
+    def _spy_chains(monkeypatch):
+        """The (coefficients, order) of each covariant chain formed from
+        now on."""
         calls, chain = [], calculus.scalar_covariant_jets
 
         def spy(*args):
-            calls.append(len(args[0]))
+            calls.append((args[0], args[3]))
             return chain(*args)
 
         for module in (calculus, tanno, operator):
             monkeypatch.setattr(module, "scalar_covariant_jets", spy,
                                 raising=False)
-        return ctx, calls
+        return calls
+
+    @classmethod
+    def _chains(cls, monkeypatch):
+        """The suite's context with the pass and the projector evaluated,
+        and the point counts of the covariant chains formed after that."""
+        ctx = CheckContext.from_config(SuiteConfig.from_dict(DEFAULT_CONFIG))
+        ctx.projector
+        return ctx, cls._spy_chains(monkeypatch)
 
     def test_mu_hessian_forms_one_chain(self, monkeypatch):
-        # The bundle's a_ij and mu_{,ij} = -2 f_{,ij} share f's chain.
-        ctx, calls = self._chains(monkeypatch)
+        # The bundle's a_ij, mu_{,ij} = -2 f_{,ij} and L(f) share f's chain
+        # at the samples, which the context forms once, after the pass.
+        ctx = CheckContext.from_config(SuiteConfig.from_dict(DEFAULT_CONFIG))
+        ctx.sample_rows
+        calls = self._spy_chains(monkeypatch)
         assert REGISTRY["eq_mu.hessian"].func(ctx).max_residual < 1e-7
-        assert calls == [len(ctx.P)]
+        assert [len(fc) for fc, _ in calls] == [len(ctx.P)]
+        ctx.bundle, ctx.operator
+        assert len(calls) == 1
+        # A whole suite forms f's chain at the samples once, where it
+        # formed one each for the bundle, L(f) and the mu-Hessian rows.
+        calls.clear()
+        assert run_suite(SuiteConfig.from_dict(DEFAULT_CONFIG)).passed
+        f0 = ctx.f_coeffs[:, 0]
+        assert sum(order == 2 and len(fc) == len(f0)
+                   and np.array_equal(fc[:, 0], f0) for fc, order in calls) == 1
 
     def test_positivity_forms_one_chain_at_the_critical_points(self,
                                                                monkeypatch):
@@ -605,6 +629,30 @@ class TestRunSuite:
             assert spec.func(ctx).max_residual <= spec.tolerance
 
 
+@pytest.mark.parametrize("name", ["cp1_default", "cp2_height1", "cp3_height0",
+                                  "flat11_quadratic3", "cp3_points",
+                                  "cp2_geodesic"])
+def test_no_runtime_path_forms_a_metric_inverse_jet(name, monkeypatch):
+    # g^-1 meets a jet only through a solve with g: no suite, and no
+    # geodesic, calls jets.cinv.
+    calls, cinv = [], jets.cinv
+
+    def spy(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return cinv(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "cinv", spy)
+    if name == "cp2_geodesic":
+        chart = fubini_study_chart(2)
+        path = integrate_geodesic(chart, [0.3, 0.0, -0.2, 0.1],
+                                  [0.0, 1.0, 0.5, 0.0], 0.5)
+        assert path.converged
+    else:
+        config = dict(report_corpus.CONFIGS[name], seed=7)
+        run_suite(SuiteConfig.from_dict(config))
+    assert calls == []
+
+
 PASS_CHECKS = ["kahler.residuals", "eq1.residual", "rem1.laplace_identity",
                "sys.residual", "sys.trace_identity"]
 
@@ -704,9 +752,8 @@ class TestSamplePass:
         full = ctx.chart.at(ctx.P, 2)
         assert np.array_equal(g0, 0.3 * full.g0)
         assert np.array_equal(G0, full.gamma_coeffs(1)[..., 0])
-        assert np.array_equal(
-            charts.checked_inverse(g0),
-            ctx.unit_problem.chart.at(ctx.P, 0).ginv_coeffs()[..., 0])
+        assert np.array_equal(charts.checked_inverse(g0),
+                              ctx.unit_problem.chart.at(ctx.P, 0).ginv0)
 
     def test_a_singular_sample_gives_the_error_of_one_block(self, monkeypatch):
         # g = diag(1, y) at (x, y), held at degree 0 only: the singular test
@@ -736,20 +783,19 @@ class TestSamplePass:
     @pytest.mark.parametrize("c", [0.25, 0.3, -0.25])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_unit_jets_equal_the_rescaled_chart(self, n, c):
-        # The unit geometry is the chart's rescaled by c: the chart's own
-        # Gamma, c g and g^-1 / c.  A fresh evaluation of the rescaled chart
-        # gives the same bits at c = +-1/4, and within 1e-15 otherwise.
+        # The unit geometry is the chart's rescaled by c: c g and the
+        # chart's own Gamma, with g^-1 / c.  A fresh evaluation of the
+        # rescaled chart gives the same bits at c = +-1/4, and within 1e-15
+        # otherwise.
         ctx = self._context({"name": "fubini_study", "n": n}, "height:0", c)
+        g0, G0 = ctx.unit_geometry
         base = ctx.chart.at(ctx.P, 2)
-        unit = base.rescaled(c, ctx.unit_problem.chart)
-        assert unit.chart is ctx.unit_problem.chart and unit.order == 2
-        assert unit.gamma_coeffs(1) is base.gamma_coeffs(1)
-        assert np.array_equal(unit.coeffs, c * base.coeffs)
-        assert np.array_equal(unit.ginv_coeffs(1), base.ginv_coeffs(1) / c)
+        assert np.array_equal(g0, c * base.g0)
+        assert np.array_equal(G0, base.gamma0)
         ref = ctx.unit_problem.chart.at(ctx.P, 2)
-        assert np.array_equal(unit.coeffs, ref.coeffs)
-        for got, want in ((unit.ginv_coeffs(1), ref.ginv_coeffs(1)),
-                          (unit.gamma_coeffs(1), ref.gamma_coeffs(1))):
+        assert np.array_equal(g0, ref.g0)
+        for got, want in ((base.ginv0 / c, ref.ginv0),
+                          (base.gamma_coeffs(1), ref.gamma_coeffs(1))):
             assert got.shape == want.shape
             if abs(c) == 0.25:
                 assert np.array_equal(got, want)
@@ -792,11 +838,11 @@ class TestSamplePass:
         assert np.array_equal(b.mu, -2.0 * fc[:, 0])
 
     def test_pass_derives_gamma_once_and_stays_in_coefficients(self, monkeypatch):
-        # A cp3_points suite: its sample pass inverts the metric once per
-        # block (the unit geometry takes g^-1 / c and the chart's Gamma)
-        # and neither compresses nor expands a jet; across the suite only
-        # the cubic field, which writes its derivatives in closed form,
-        # compresses.
+        # A cp3_points suite: its sample pass solves with the metric twice
+        # per block, for Gamma and for the trace row (the unit geometry
+        # takes c g and the chart's Gamma), forms no g^-1 jet and neither
+        # compresses nor expands a jet; across the suite only the cubic
+        # field, which writes its derivatives in closed form, compresses.
         calls = []
 
         def spy(name):
@@ -805,21 +851,25 @@ class TestSamplePass:
             def wrapped(*args, **kwargs):
                 frame = sys._getframe(1)
                 calls.append((name, frame.f_globals["__name__"],
-                              frame.f_code.co_name))
+                              frame.f_code.co_name, frame.f_back.f_code.co_name))
                 return fn(*args, **kwargs)
             monkeypatch.setattr(jets, name, wrapped)
 
-        for name in ("cinv", "compress", "expand"):
+        for name in ("cinv", "csolve", "cprod", "compress", "expand"):
             spy(name)
         config = SuiteConfig.from_dict(
             dict(report_corpus.CONFIGS["cp3_points"], seed=7))
         CheckContext.from_config(config).sample_rows
         blocks = -(-config.samples // charts.SAMPLE_BLOCK)
         assert blocks == 2
-        assert calls == [("cinv", "tannolab.charts", "ginv_coeffs")] * blocks
+        assert [c for c in calls if c[0] != "cprod"] == [
+            ("csolve", "tannolab.charts", "solve_coeffs", "_derive_gamma"),
+            ("csolve", "tannolab.charts", "solve_coeffs", "_system_rows"),
+        ] * blocks
+        assert not any(c[2] == "_derive_gamma" for c in calls if c[0] == "cprod")
         calls.clear()
         assert run_suite(config).passed
-        assert {c[1:] for c in calls if c[0] == "compress"} == {
+        assert {c[1:3] for c in calls if c[0] == "compress"} == {
             ("tannolab.manifolds", "_taylor")}
 
     @staticmethod
@@ -847,17 +897,19 @@ class TestSamplePass:
         # Gamma product while the metric's degree-2 block was still held.
         # With that block dropped once Gamma exists, 9.25 MB, in Gamma's
         # own product.  In blocks of 100 points, 4.94 MB, in a block's
-        # covariant chain.  The bound leaves 0.16 MB.
+        # covariant chain, and 4.76 MB once Gamma was one solve with g and
+        # no g^-1 jet was formed.  The bound leaves 0.33 MB.
         peak, _ = self._traced_pass(200)
         assert peak < 5.1e6
 
     def test_pass_memory_does_not_grow_with_the_samples(self):
         # At 1 000 samples the pass peaked at 46.1 MB traced in one block;
-        # in blocks, at 7.09 MB.  That is one block's peak, 4.38 MB above
-        # what the pass holds, plus the state the context keeps per sample
-        # (g, Gamma, f's coefficients and the rows: 2.33 KB per point on
-        # CP(3), 2.33 MB here) and the null-vector draw (384 bytes per
-        # point, freed with the pass).  The bound leaves 0.22 MB.
+        # in blocks, at 7.09 MB, and at 6.92 MB once Gamma was one solve
+        # with g.  That is one block's peak, 4.21 MB above what the pass
+        # holds, plus the state the context keeps per sample (g, Gamma, f's
+        # coefficients and the rows: 2.33 KB per point on CP(3), 2.33 MB
+        # here) and the null-vector draw (384 bytes per point, freed with
+        # the pass).  The bound leaves 0.39 MB.
         peak, held = self._traced_pass(1000)
         assert held < 2.4e6
         assert peak < 4.6e6 + held + 384 * 1000
@@ -1256,3 +1308,50 @@ class TestCli:
         # CP(1)'s chart domain radius is 2.
         assert main([verb, "--set", "radius=5"]) == 2
         assert "exceeds the chart domain radius" in capsys.readouterr().err
+
+
+README = report_corpus.CORPUS.parent.parent / "README.md"
+
+
+class TestReadme:
+    """README's library example runs, and the names it cites exist."""
+
+    def test_library_example_runs(self, capsys):
+        text = README.read_text()
+        block = re.search(r"## Library example\n\n```python\n(.*?)```", text,
+                          re.S).group(1)
+        exec(compile(block, "README library example", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and float(lines[0]) < 1e-12
+
+    def test_cited_names_resolve(self):
+        # A backticked `module.name` or `Class.name` of the package, as
+        # `tanno._order3` or `ChartJets.trim`, names something that exists;
+        # check names such as `eq1.residual` and file names are not code.
+        modules = {m.name for m in pkgutil.iter_modules(tannolab.__path__)}
+        classes = {}
+        for name in modules:
+            module = importlib.import_module(f"tannolab.{name}")
+            classes.update((k, v) for k, v in vars(module).items()
+                           if inspect.isclass(v)
+                           and v.__module__.startswith("tannolab"))
+        cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                               README.read_text()))
+        missing, resolved = [], 0
+        for name in sorted(cited):
+            head, *rest = name.split(".")
+            if rest == ["py"]:
+                continue
+            if head in modules:
+                obj = importlib.import_module(f"tannolab.{head}")
+            elif head in classes:
+                obj = classes[head]
+            else:
+                continue
+            resolved += 1
+            for part in rest:
+                if not hasattr(obj, part):
+                    missing.append(name)
+                    break
+                obj = getattr(obj, part)
+        assert resolved > 30 and missing == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tannolab import jets as J
-from tannolab.charts import KahlerChart
+from tannolab.charts import KahlerChart, _first_kind
 from tannolab.errors import SingularMetric
 from tannolab.fd import fd_gradient, fd_hessian, fd_third
 from tannolab.manifolds import (cpn_height_function, fubini_study_chart,
@@ -287,8 +287,8 @@ _SOLVE_CHARTS = ["cp1", "cp2", "cp3", "cp11"]
 
 def _metric_at(request, name, top, count=5):
     """A chart's metric coefficients through ``top`` at seeded points."""
-    if name == "cp11":
-        chart = request.getfixturevalue("cp11")
+    if name in ("cp11", "flat11"):
+        chart = request.getfixturevalue(name)
     else:
         chart = fubini_study_chart(int(name[2])).rescaled(0.25)
     P = np.array(sample_points(chart, count, 9, 0.7 * chart.domain_radius))
@@ -327,7 +327,7 @@ def test_solve_matches_the_inverse_times_b(request, name):
         for b in _right_hand_sides(rng, g, d, order):
             spec = "ab,b->a" if b.ndim == 3 else "ab,bc->ac"
             want = J.cprod([J.cinv(g, d, order), b], spec, d, order)
-            got = J.csolve(g, b, d, order)
+            got = J.csolve(g, [b], d, order)
             assert got.shape == want.shape == b.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -339,9 +339,9 @@ def test_solve_batch_and_prefix_bits(request, name):
     chart, _, g = _metric_at(request, name, 4)
     d, rng = chart.dim, np.random.default_rng(42)
     for b in _right_hand_sides(rng, g, d, 4):
-        whole = [J.csolve(g, b, d, order) for order in range(5)]
+        whole = [J.csolve(g, [b], d, order) for order in range(5)]
         for i in range(len(g)):
-            assert np.array_equal(J.csolve(g[i:i + 1], b[i:i + 1], d, 4),
+            assert np.array_equal(J.csolve(g[i:i + 1], [b[i:i + 1]], d, 4),
                                   whole[4][i:i + 1])
         for order in range(4):
             assert np.array_equal(whole[order],
@@ -351,24 +351,62 @@ def test_solve_batch_and_prefix_bits(request, name):
 @pytest.mark.parametrize("name", _SOLVE_CHARTS)
 def test_inverse_keeps_its_bits(request, name):
     # cinv is csolve on the identity: it gives the bits of the inverse's own
-    # recursion, and so does the chart's g^-1.
+    # recursion, and so does the chart's g^-1 (metric_inv_jets).
     chart, P, g = _metric_at(request, name, 4)
     d = chart.dim
     inv0 = np.linalg.inv(g[..., 0])
     for order in range(5):
         want = _reference_cinv(g, d, order, inv0)
         assert np.array_equal(J.cinv(g, d, order, inv0), want)
-        assert np.array_equal(chart.at(P, order).ginv_coeffs(order),
-                              _reference_cinv(g[..., :J.size(d, order)], d, order, inv0))
+        ref = J.expand(_reference_cinv(g[..., :J.size(d, order)], d, order, inv0),
+                       d, order)
+        for got, term in zip(chart.metric_inv_jets(P, order), ref, strict=True):
+            assert np.array_equal(got, term)
+
+
+@pytest.mark.parametrize("name", _SOLVE_CHARTS + ["flat11"])
+def test_gamma_solve_equals_the_inverse_times_the_first_kind_symbols(request,
+                                                                     name):
+    # Gamma is one solve with g of the first-kind symbols: at the points
+    # it has the bits of cinv's g^-1 times them, and through order 2 it is
+    # within 1e-13 of that product.
+    chart, P, g = _metric_at(request, name, 3)
+    d = chart.dim
+    want = J.cprod([J.cinv(g, d, 2), _first_kind(J.cgrad(g, d))],
+                   "kl,lij->kij", d, 2)
+    assert np.array_equal(chart.at(P, 1).gamma0, want[..., 0])
+    got = chart.at(P, 3).gamma_coeffs(2)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_solve_on_a_singular_metric_raises():
     chart = KahlerChart.from_constant(np.diag([1.0, 1e-14]), name="degenerate")
     geo = chart.at(np.zeros((1, 2)), 1)
     with pytest.raises(SingularMetric):
-        geo.solve_coeffs(np.ones((1, 2, 3)), 1)
+        geo.solve_coeffs([np.ones((1, 2, 3))], 1)
     with pytest.raises(SingularMetric):
-        geo.ginv_coeffs(1)
+        geo.ginv0
+    with pytest.raises(SingularMetric):
+        geo.gamma_coeffs()
+
+
+def test_a_solve_frees_its_right_hand_side_once_stacked(monkeypatch):
+    # The solve empties the list it is given, so a right-hand side nothing
+    # else refers to is gone before the degree loop runs.
+    rng = np.random.default_rng(44)
+    g = _random_coeffs(rng, (3, 3), 3, 2)
+    g[..., 0] += 4 * np.eye(3)
+    rhs = [_random_coeffs(rng, (3, 2), 3, 2)]
+    ref, seen, stack = weakref.ref(rhs[0]), [], J._stack
+
+    def spy(*args):
+        seen.append(ref())
+        return stack(*args)
+
+    monkeypatch.setattr(J, "_stack", spy)
+    J.csolve(g, rhs, 3, 2)
+    assert rhs == [] and seen == [None]
 
 
 def test_solve_with_a_constant_metric_scales_b():
@@ -377,7 +415,7 @@ def test_solve_with_a_constant_metric_scales_b():
     g0 = np.diag([2.0, 4.0, 4.0, 8.0])
     g = np.repeat(g0[None, :, :, None], 3, axis=0)
     b = rng.normal(size=(3, 4, J.size(4, 2)))
-    assert np.array_equal(J.csolve(g, b, 4, 2), b / np.diag(g0)[:, None])
+    assert np.array_equal(J.csolve(g, [b], 4, 2), b / np.diag(g0)[:, None])
 
 
 @pytest.mark.parametrize("field", [random_polynomial_field(4, 17),

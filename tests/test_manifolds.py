@@ -254,6 +254,19 @@ class TestGeodesics:
         with pytest.raises(ValueError):
             integrate_geodesic(flat11, np.zeros(4), np.ones(4), 1.0, steps=8)
 
+    @pytest.mark.parametrize("v0", [[0.0, np.nan, 1.0, 0.0],
+                                    [0.0, 1.0, np.inf, 0.0]])
+    def test_non_finite_velocity_rejected(self, flat11, v0):
+        # A NaN component once gave causal_type "timelike", energy nan and
+        # t_end 0 with no error.
+        with pytest.raises(ValueError, match="v0 has non-finite"):
+            integrate_geodesic(flat11, np.zeros(4), v0, 1.0)
+
+    @pytest.mark.parametrize("v0", [[1.0, 0.0, 0.0], np.zeros((1, 4))])
+    def test_velocity_shape_validated(self, flat11, v0):
+        with pytest.raises(ValueError, match=r"v0 must have shape \(4,\)"):
+            integrate_geodesic(flat11, np.zeros(4), v0, 1.0)
+
 
 def test_import_loads_no_scipy():
     # The runtime needs numpy only: neither the package nor its command line

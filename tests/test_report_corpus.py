@@ -5,6 +5,7 @@ runs all 24.  Verdicts, statuses, ``passed`` flags, point counts and notes
 must match exactly, and each residual within the corpus bound.
 """
 
+import ast
 import json
 
 import pytest
@@ -75,3 +76,16 @@ def test_negating_the_metric_and_c_keeps_every_record(name, monkeypatch):
     monkeypatch.setattr(CheckContext, "from_config", classmethod(negated))
     assert [key(r) for r in run_suite(config).checks] == own
     assert len(seen) == 1
+
+
+def test_cp3_points_checks_are_the_benchmarks():
+    # The corpus' cp3_points config runs the benchmark workload's checks.
+    # The workload file is parsed, not imported, so nothing is written
+    # beside it.
+    source = corpus.CORPUS.parent.parent / "perfbench" / "bench_workloads.py"
+    tree = ast.parse(source.read_text())
+    value = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["CP3_POINTS"])
+    assert ast.literal_eval(value)["checks"] == corpus._CP3_POINTS_CHECKS

@@ -283,7 +283,7 @@ def _per_direction_rows(geo, cov):
     direction e_k: the a, f and mu rows of d_k y - A(e_k) y, and the trace
     identity."""
     d = geo.chart.dim
-    ac = tanno._a_jets(geo, cov)
+    ac = tanno._a_jets(geo, cov, 1.0)
     f0, f1 = cov[0][:, 0], cov[1][..., 0]
     Z, n2 = len(f1), d * d
     y = np.concatenate([ac[..., 0].reshape(Z, n2), f1, -2.0 * f0[:, None]],
@@ -294,7 +294,8 @@ def _per_direction_rows(geo, cov):
         A = _transport_matrices(geo.g0, geo.chart.J, geo.gamma0,
                                 np.tile(e, (Z, 1)))
         dy[..., k] -= (A @ y)[..., 0]
-    tr = jets.cprod([geo.ginv_coeffs(1), ac], "ab,ab->", d, 1)
+    ginv = jets.cinv(geo.coeffs, d, 1, geo.ginv0)
+    tr = jets.cprod([ginv, ac], "ab,ab->", d, 1)
     return (*(frob_rows(dy[:, rows]) for rows in
               (slice(0, n2), slice(n2, -1), slice(-1, None))),
             frob_rows(f1 - 0.25 * tr[:, 1:d + 1]))
@@ -350,7 +351,7 @@ class TestSystemResidual:
         f = random_quadratic_field(chart.dim, 3)
         P = np.array(points_on(chart, 12, seed=28))
         geo, cov = tanno._order3(chart, f, P)
-        got = tanno._system_rows(geo, cov)
+        got = tanno._system_rows(geo, cov, 1.0)
         want = _per_direction_rows(geo, cov)
         assert np.max(want[0]) > 1.0
         for a, b in zip(got, want, strict=True):
