@@ -83,8 +83,7 @@ def frob_rows(a) -> np.ndarray:
 def christoffel(chart: KahlerChart, p) -> TensorValue:
     """Levi-Civita connection coefficients Gamma^k_ij at p."""
     P, single = chart.batch(p)
-    G = chart.christoffel_jets(P, 0)[0]
-    return TensorValue(unbatch(G, single), ("u", "l", "l"))
+    return TensorValue(unbatch(chart.at(P, 1).gamma0, single), ("u", "l", "l"))
 
 
 def scalar_covariant_jets(fc, gamma, d: int, order: int) -> list[np.ndarray]:
@@ -149,7 +148,7 @@ def raise_lower(chart: KahlerChart, t: TensorValue, p, slot: int,
     if t.valence[slot] != want_from:
         raise ValueError(
             f"slot {slot} has valence '{t.valence[slot]}', cannot move {direction}")
-    g0 = chart.metric_jets(P, 0)[0]
+    g0 = chart.at(P, 0).g0
     comp = t.components if t.batched else t.components[None]
     moved = np.moveaxis(comp, slot + 1, 1)
     if direction == "up":
@@ -180,8 +179,7 @@ def bar_form(chart: KahlerChart, omega, p) -> TensorValue:
 def kahler_form(chart: KahlerChart, p) -> TensorValue:
     """J_ij = g_ia J^a_j, the Kahlerian 2-form."""
     P, single = chart.batch(p)
-    return TensorValue(unbatch(chart.metric_jets(P, 0)[0] @ chart.J, single),
-                       ("l", "l"))
+    return TensorValue(unbatch(chart.at(P, 0).g0 @ chart.J, single), ("l", "l"))
 
 
 def _nabla_jstruct(Jm: np.ndarray, G0: np.ndarray) -> np.ndarray:

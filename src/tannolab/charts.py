@@ -5,9 +5,10 @@ J^i_j, which in holomorphic coordinates is the constant standard one and is
 held as the one (d, d) matrix ``chart.J``.  A chart evaluates its metric as
 Taylor coefficients (see :mod:`tannolab.jets`), and the Christoffel
 symbols are solved for as coefficients too; the public ``*_jets``
-accessors expand them into derivative lists.  Every accessor takes one
-point of shape (d,) or a batch of shape (N, d); a batch returns arrays with
-a leading point axis, a single point returns them without it.
+accessors expand them into derivative lists, and nothing in the package
+calls them: g and Gamma at points come from :meth:`KahlerChart.at`.  Every
+accessor takes one point of shape (d,) or a batch of shape (N, d); a batch
+returns arrays with a leading point axis, a single point without it.
 
 Charts are immutable and keep no per-point state.  :meth:`KahlerChart.at`
 evaluates the metric once over a batch and hands out g, Gamma and solves
@@ -273,21 +274,22 @@ class KahlerChart:
     def christoffel_jets(self, p, order: int) -> list[np.ndarray]:
         """Derivative list of Gamma^k_ij (array axes [k, i, j, ...])."""
         P, single = as_points(p, self.dim)
-        geo = ChartJets(self, self.metric_coeffs(P, order + 1), order + 1)
-        return unbatch(J.expand(geo.gamma_coeffs(order), self.dim, order), single)
+        gamma = self.at(P, order + 1).gamma_coeffs(order)
+        return unbatch(J.expand(gamma, self.dim, order), single)
 
     # -- plain values -----------------------------------------------------------
 
     def metric(self, p) -> np.ndarray:
-        return np.array(self.metric_jets(p, 0)[0])
+        """g at p: (d, d), or (N, d, d) for a batch."""
+        P, single = as_points(p, self.dim)
+        return unbatch(self.at(P, 0).g0, single)
 
     def inner(self, p, u, v):
         """g(u, v) at p: a float, or one value per point for a batch."""
         P, single = as_points(p, self.dim)
-        g0 = self.metric_jets(P, 0)[0]
         u = np.broadcast_to(np.asarray(u, dtype=float), P.shape)
         v = np.broadcast_to(np.asarray(v, dtype=float), P.shape)
-        out = np.array([float(a @ g @ b) for a, g, b in zip(u, g0, v)])
+        out = ((u[:, None] @ self.at(P, 0).g0) @ v[..., None])[:, 0, 0]
         return float(out[0]) if single else out
 
     def __repr__(self):

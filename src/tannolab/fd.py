@@ -7,10 +7,12 @@ one Richardson extrapolation (leading error h^4).  Steps are balanced per
 derivative order against float64 roundoff; 1e-4 at order 3 would drown the
 comparison in cancellation noise.
 
-``fn`` takes an (M, d) batch of points and returns one value per point,
-shape (M, ...); a scalar or a matrix per point both work.  Each oracle call
-builds all its stencil points in one batch and evaluates ``fn`` once.
-Derivative axes come last: ``fd_gradient`` of a matrix map is d1[a, b, k].
+Each oracle takes one point (d,) or a batch (N, d), and a batch's
+derivatives carry a leading point axis.  ``fn`` takes an (M, d) batch of
+points and returns one value per point, shape (M, ...); a scalar or a
+matrix per point both work.  Each oracle call builds every stencil of every
+point in one batch and evaluates ``fn`` once.  Derivative axes come last:
+``fd_gradient`` of a matrix map is d1[a, b, k] at a point.
 """
 
 from __future__ import annotations
@@ -19,52 +21,53 @@ import itertools
 
 import numpy as np
 
-from .charts import KahlerChart
+from .charts import KahlerChart, as_points, unbatch
 
 STEP_ORDER1 = 1e-4
 STEP_ORDER2 = 2e-3
 STEP_ORDER3 = 6e-3
 
 
-def _partials(fn, p, dirs, h) -> np.ndarray:
-    """Mixed partials of fn at p, one per index tuple in ``dirs``.
+def _partials(fn, P, dirs, h) -> np.ndarray:
+    """Mixed partials of fn at each point of the (N, d) batch P, one per
+    index tuple in ``dirs``, shape (N, T, ...).
 
-    Every stencil point of every tuple, all sign patterns and both step
-    sizes (h and h/2) form one (M, d) batch for a single ``fn`` call.  Each
-    coordinate is built by the in-place adds ``q[i] += s*h`` in direction
-    order, and each composite sums its signed terms in ``itertools.product``
-    order before the Richardson step, so the result is what per-point
-    evaluation of the same stencils gives, bit for bit.
+    Every stencil point of every point and tuple, all sign patterns and
+    both step sizes (h and h/2) form one (M, d) batch for a single ``fn``
+    call.  Each coordinate is built by the in-place adds ``q[i] += s*h`` in
+    direction order, and each composite sums its signed terms in
+    ``itertools.product`` order before the Richardson step, so the result
+    is what per-point evaluation of the same stencils gives, bit for bit.
     """
     dirs = np.array(dirs, dtype=int)                     # (T, k)
     n, k = dirs.shape
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
     steps = np.array([h, h / 2.0])
-    Q = np.tile(p, (n, 2, len(signs), 1))                # (T, step, sign, d)
-    at = np.ix_(range(n), range(2), range(len(signs)))
+    Q = np.tile(P[:, None, None, None], (1, n, 2, len(signs), 1))
+    at = np.ix_(*map(range, Q.shape[:4]))               # (z, T, step, sign)
     for m in range(k):
         Q[at + (dirs[:, m, None, None],)] += signs[:, m] * steps[:, None]
-    V = np.asarray(fn(Q.reshape(-1, p.size)), dtype=float)
-    V = V.reshape(Q.shape[:3] + V.shape[1:])
+    V = np.asarray(fn(Q.reshape(-1, P.shape[1])), dtype=float)
+    V = V.reshape(Q.shape[:4] + V.shape[1:])
     total = 0.0
     for j, s in enumerate(signs):
-        total = total + float(np.prod(s)) * V[:, :, j]
+        total = total + float(np.prod(s)) * V[:, :, :, j]
     scale = np.array([(2.0 * step) ** k for step in (h, h / 2.0)])
-    total = total / scale.reshape((2,) + (1,) * (total.ndim - 2))
-    return (4.0 * total[:, 1] - total[:, 0]) / 3.0
+    total = total / scale.reshape((2,) + (1,) * (total.ndim - 3))
+    return (4.0 * total[:, :, 1] - total[:, :, 0]) / 3.0
 
 
 def _derivative(fn, p, k: int, h) -> np.ndarray:
     """All order-k partials of fn at p, symmetric in the k trailing axes."""
-    p = np.asarray(p, dtype=float)
-    d = p.size
+    P, single = as_points(p)
+    d = P.shape[1]
     dirs = list(itertools.combinations_with_replacement(range(d), k))
-    parts = _partials(fn, p, dirs, h)
-    out = np.zeros(parts.shape[1:] + (d,) * k)
-    for idx, v in zip(dirs, parts):
+    parts = _partials(fn, P, dirs, h)
+    out = np.zeros((len(P),) + parts.shape[2:] + (d,) * k)
+    for t, idx in enumerate(dirs):
         for perm in set(itertools.permutations(idx)):
-            out[(Ellipsis,) + perm] = v
-    return out
+            out[(slice(None), Ellipsis) + perm] = parts[:, t]
+    return unbatch(out, single)
 
 
 def fd_gradient(fn, p, h=STEP_ORDER1) -> np.ndarray:
@@ -85,11 +88,11 @@ def fd_third(fn, p, h=STEP_ORDER3) -> np.ndarray:
 
 def christoffel_fd(chart: KahlerChart, p) -> np.ndarray:
     """Gamma^k_ij from finite differences of metric values only."""
-    g0 = chart.metric(p)
-    dg = _derivative(chart.metric, p, 1, STEP_ORDER1)
-    ginv = np.linalg.inv(g0)
-    T = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, (0, 1, 2), (1, 2, 0))
-    return 0.5 * np.einsum("kl,lij->kij", ginv, T)
+    P, single = as_points(p, chart.dim)
+    ginv = np.linalg.inv(chart.metric(P))
+    dg = _derivative(chart.metric, P, 1, STEP_ORDER1)
+    T = dg + np.swapaxes(dg, 2, 3) - np.moveaxis(dg, (1, 2, 3), (2, 3, 1))
+    return unbatch(0.5 * np.einsum("zkl,zlij->zkij", ginv, T), single)
 
 
 def riemann_fd(chart: KahlerChart, p) -> np.ndarray:

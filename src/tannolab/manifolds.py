@@ -11,6 +11,7 @@ import numpy as np
 
 from . import dop853
 from . import jets as J
+from .calculus import frob_rows
 from .charts import KahlerChart, chunked
 from .errors import NotLightlike
 from .fields import ExprField, ScalarField
@@ -214,7 +215,7 @@ class GeodesicPath:
 
 
 def _geodesic_rhs(chart: KahlerChart, x, v):
-    G0 = chart.christoffel_jets(x, 0)[0]
+    G0 = chart.at(x, 1).gamma0[0]
     acc = -np.einsum("kij,i,j->k", G0, v, v)
     return v, acc
 
@@ -233,11 +234,11 @@ def integrate_geodesic(chart: KahlerChart, x0, v0, T: float,
     """
     if steps < 16:
         raise ValueError("steps must be >= 16")
-    P, _ = chart.batch(x0)          # validated and inside the domain
-    x0 = P[0]
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != x0.shape:
-        raise ValueError(f"v0 must have shape {x0.shape}, got {v0.shape}")
+    x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+    for name, a in (("x0", x0), ("v0", v0)):
+        if a.shape != (chart.dim,):
+            raise ValueError(f"{name} must have shape {(chart.dim,)}, got {a.shape}")
+    chart.batch(x0)                 # finite and inside the domain
     if not np.isfinite(v0).all():
         raise ValueError("v0 has non-finite components")
     q0 = chart.inner(x0, v0, v0)
@@ -286,9 +287,8 @@ def geodesic_residual(chart: KahlerChart, path: GeodesicPath) -> float:
     vm = (-vm1 + 9 * v0_ + 9 * v1 - v2) / 16.0
 
     def norms(x, v, a):
-        G0 = chart.christoffel_jets(x, 0)[0]
-        res = a + np.einsum("zkij,zi,zj->zk", G0, v, v)
-        return np.array([np.linalg.norm(r) for r in res])
+        G0 = chart.at(x, 1).gamma0
+        return frob_rows(a + np.einsum("zkij,zi,zj->zk", G0, v, v))
 
     return float(np.max(chunked(norms, xm, vm, acc)))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import frob
+from .calculus import frob, frob_rows
 from .charts import KahlerChart, checked_inverse
 from .errors import DegenerateBasis, NoExtremalPoint
 from .operator import EIGEN_TOL, _blocks, _chain_operator, classify_mu
@@ -49,7 +49,7 @@ def metric_signature(chart: KahlerChart, p):
     Returns one pair for a single point, a list of pairs for a batch.
     """
     P, single = chart.batch(p)
-    pairs = _metric_inertias(chart, chart.metric_jets(P, 0)[0])
+    pairs = _metric_inertias(chart, chart.at(P, 0).g0)
     return pairs[0] if single else pairs
 
 
@@ -187,8 +187,9 @@ def positivity_scan(prob: TannoProblem, samples) -> SignatureReport:
     P, _ = chart.batch(samples)
     if not len(P):
         raise ValueError("need at least one sample point")
-    return _positivity_scan(prob, P, chart.metric_jets(P, 0)[0],
-                            *prob.f.jets(P, 1))
+    fc = prob.f.taylor(P, 1)
+    return _positivity_scan(prob, P, chart.at(P, 0).g0, fc[:, 0],
+                            fc[:, 1:chart.dim + 1])
 
 
 def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
@@ -198,7 +199,7 @@ def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
     per_point = list(zip(P, inertias))
     n_pos, n_neg, verdict = _verdict_from_inertias(inertias, chart.dim)
 
-    grads = [float(np.linalg.norm(g)) for g in gradients]
+    grads = frob_rows(gradients)
     spread = float(values.max() - values.min())
     if is_constant(spread, grads):
         return SignatureReport(
@@ -212,7 +213,7 @@ def _positivity_scan(prob, P, g0, values, gradients) -> SignatureReport:
     # radial shrinks towards the chart center (|grad mu| can also decay
     # towards the chart boundary, stranding a single descent run there).
     starts = []
-    order = np.argsort([g for g in grads])
+    order = np.argsort(grads)
     for idx in order[:4]:
         for t in (1.0, 0.5, 0.25, 0.0):
             x0 = t * P[idx]

@@ -368,10 +368,9 @@ def _null_vectors(g0: np.ndarray, draw: np.ndarray) -> np.ndarray | None:
     (Z, K, d) standard normal ``draw``, with g(u+-, u+-) = +-1 from g's
     eigenbasis, scaled to unit euclidean length; None unless every metric
     is indefinite."""
-    lam = np.linalg.eigvalsh(g0)
+    lam, Q = np.linalg.eigh(g0)
     if not (np.all(lam[:, 0] < 0) and np.all(lam[:, -1] > 0)):
         return None
-    lam, Q = np.linalg.eigh(g0)
     pos = (lam > 0)[:, None, :]
     y = sum(u / np.linalg.norm(u, axis=-1, keepdims=True)
             for u in (draw * pos, draw * ~pos))
@@ -536,16 +535,14 @@ def check_operator_identity(ctx: CheckContext) -> CheckOutcome:
 def check_block_identity(ctx: CheckContext) -> CheckOutcome:
     chart = ctx.unit_problem.chart
     pts = ctx.P[:5]
-    g0, G0 = (x[:5] for x in ctx.unit_geometry)
-    worst = 0.0
-    for k in range(5):
-        fa = random_polynomial_field(chart.dim, ctx.seed + 2 * k)
-        fb = random_polynomial_field(chart.dim, ctx.seed + 2 * k + 1)
-        rep = _product_block(_operator(fa.taylor(pts, 2), g0, G0, chart.J),
-                             _operator(fb.taylor(pts, 2), g0, G0, chart.J),
-                             g0, chart.J)
-        worst = max(worst, float(np.max(rep.block_residual)))
-    return CheckOutcome(worst, 5 * len(pts))
+    # Five pairs (f, F) of seeded polynomials at the points, stacked pair
+    # after pair into one batch of 5 * len(pts) operators per side.
+    g0, G0 = (np.tile(x[:5], (5,) + (1,) * (x.ndim - 1))
+              for x in ctx.unit_geometry)
+    Lf, LF = (_operator(np.concatenate([
+        random_polynomial_field(chart.dim, ctx.seed + 2 * k + side).taylor(pts, 2)
+        for k in range(5)]), g0, G0, chart.J) for side in (0, 1))
+    return _worst(_product_block(Lf, LF, g0, chart.J).block_residual)
 
 @_check("lem2.star_power", 1e-7,
         "L(f^{*k}) = L(f)^k for k = 2, 3, 4 on solutions")
@@ -666,22 +663,16 @@ def check_positivity(ctx: CheckContext) -> CheckOutcome:
 def check_oracle_derivatives(ctx: CheckContext) -> CheckOutcome:
     chart, f = ctx.chart, ctx.f
     pts = ctx.P[:3]
-    # Exact derivatives for all points in one batch; each oracle call
-    # evaluates its whole stencil around one point in one batch.
-    fj = f.jets(pts, 3)
-    exactG = christoffel(chart, pts).components
-    worst = 0.0
-    for k, q in enumerate(pts):
-        worst = max(worst, _rel_err(fj[1][k], fd.fd_gradient(f, q)))
-        worst = max(worst, _rel_err(fj[2][k], fd.fd_hessian(f, q)))
-        worst = max(worst, _rel_err(fj[3][k], fd.fd_third(f, q)))
-        worst = max(worst, _rel_err(exactG[k], fd.christoffel_fd(chart, q)))
-    return CheckOutcome(worst, len(pts))
-
-def _rel_err(exact, approx) -> float:
-    exact = np.asarray(exact, float)
-    approx = np.asarray(approx, float)
-    return frob(exact - approx) / max(1.0, frob(exact))
+    # Exact derivatives and each oracle over all points in one batch: an
+    # oracle call evaluates every stencil of every point at once.
+    _, *fj = f.jets(pts, 3)
+    pairs = zip(fj + [christoffel(chart, pts).components],
+                [fd.fd_gradient(f, pts), fd.fd_hessian(f, pts),
+                 fd.fd_third(f, pts), fd.christoffel_fd(chart, pts)])
+    worst = max(np.max(frob_rows(exact - approx)
+                       / np.maximum(1.0, frob_rows(exact)))
+                for exact, approx in pairs)
+    return CheckOutcome(float(worst), len(pts))
 
 
 # eq2 (the J-free equation) is satisfied by different fields than eq1 on the

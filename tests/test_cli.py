@@ -15,8 +15,8 @@ import pytest
 
 import report_corpus
 import tannolab
-from tannolab import (calculus, charts, dop853, jets, operator, signature,
-                      tanno, verify)
+from tannolab import (calculus, charts, dop853, fd, jets, operator,
+                      signature, tanno, verify)
 from tannolab.cli import DEFAULT_CONFIG, main
 from tannolab.errors import ConfigError, SingularMetric
 from tannolab.charts import KahlerChart
@@ -410,6 +410,36 @@ class TestRunSuite:
         name = build_chart(DEFAULT_CONFIG["chart"]).name
         assert evaluated == [(name, DEFAULT_CONFIG["samples"], 2)]
 
+    @pytest.mark.parametrize("name", ["cp1_default", "cp2_height1",
+                                      "flat11_quadratic3"])
+    def test_block_identity_is_one_batch(self, name, monkeypatch):
+        # The five pairs of fields form one batch: one _product_block call,
+        # whose worst residual is a per-pair loop's, bit for bit.
+        config = SuiteConfig.from_dict(
+            dict(report_corpus.CONFIGS[name], seed=7,
+                 checks=["eq_product.block_identity"]))
+        ctx = CheckContext.from_config(config)
+        chart, pts = ctx.unit_problem.chart, ctx.P[:5]
+        g0, G0 = (x[:5] for x in ctx.unit_geometry)
+        worst = 0.0
+        for k in range(5):
+            Lf, LF = (operator._operator(
+                random_polynomial_field(chart.dim, ctx.seed + 2 * k + side)
+                .taylor(pts, 2), g0, G0, chart.J) for side in (0, 1))
+            worst = max(worst, float(np.max(
+                operator._product_block(Lf, LF, g0, chart.J).block_residual)))
+        calls, product_block = [], verify._product_block
+
+        def spy(Lf, *args):
+            calls.append(len(Lf))
+            return product_block(Lf, *args)
+
+        monkeypatch.setattr(verify, "_product_block", spy)
+        rec = run_suite(config).checks[0]
+        assert calls == [5 * len(pts)]
+        assert rec.passed and rec.points == 5 * len(pts)
+        assert rec.max_residual == worst
+
     @staticmethod
     def _sample_evaluations(monkeypatch, data):
         """(report, orders, eig_calls): the suite's report, the order of each
@@ -629,9 +659,25 @@ class TestRunSuite:
             assert spec.func(ctx).max_residual <= spec.tolerance
 
 
-@pytest.mark.parametrize("name", ["cp1_default", "cp2_height1", "cp3_height0",
-                                  "flat11_quadratic3", "cp3_points",
-                                  "cp2_geodesic"])
+RUNTIME_PATHS = ["cp1_default", "cp2_height1", "cp3_height0",
+                 "flat11_quadratic3", "cp3_points", "cp2_geodesic"]
+
+
+def _run_path(name):
+    """Run a corpus suite at seed 7, a CLI command or one CP(2) geodesic."""
+    if name == "cp2_geodesic":
+        chart = fubini_study_chart(2)
+        path = integrate_geodesic(chart, [0.3, 0.0, -0.2, 0.1],
+                                  [0.0, 1.0, 0.5, 0.0], 0.5)
+        assert path.converged
+    elif name in ("spectrum", "projector"):
+        assert main([name]) == 0
+    else:
+        config = dict(report_corpus.CONFIGS[name], seed=7)
+        run_suite(SuiteConfig.from_dict(config))
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
 def test_no_runtime_path_forms_a_metric_inverse_jet(name, monkeypatch):
     # g^-1 meets a jet only through a solve with g: no suite, and no
     # geodesic, calls jets.cinv.
@@ -642,15 +688,43 @@ def test_no_runtime_path_forms_a_metric_inverse_jet(name, monkeypatch):
         return cinv(*args, **kwargs)
 
     monkeypatch.setattr(jets, "cinv", spy)
-    if name == "cp2_geodesic":
-        chart = fubini_study_chart(2)
-        path = integrate_geodesic(chart, [0.3, 0.0, -0.2, 0.1],
-                                  [0.0, 1.0, 0.5, 0.0], 0.5)
-        assert path.converged
-    else:
-        config = dict(report_corpus.CONFIGS[name], seed=7)
-        run_suite(SuiteConfig.from_dict(config))
+    _run_path(name)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS + ["spectrum", "projector"])
+def test_no_runtime_path_reads_a_derivative_list(name, monkeypatch, capsys):
+    # g and Gamma at points come from KahlerChart.at: the derivative-list
+    # accessors are public only, and nothing in the package calls them.
+    calls = []
+    for accessor in ("metric_jets", "christoffel_jets", "metric_inv_jets"):
+        def spy(chart, p, order, accessor=accessor,
+                own=getattr(KahlerChart, accessor)):
+            calls.append(accessor)
+            return own(chart, p, order)
+
+        monkeypatch.setattr(KahlerChart, accessor, spy)
+    _run_path(name)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["cp1_default", "cp3_points",
+                                  "flat11_quadratic3"])
+def test_oracle_check_calls_each_oracle_once(name, monkeypatch):
+    # oracle.derivatives hands each oracle all its points in one batch.
+    calls = []
+    for oracle in ("fd_gradient", "fd_hessian", "fd_third", "christoffel_fd"):
+        def spy(*args, oracle=oracle, own=getattr(fd, oracle)):
+            calls.append(oracle)
+            return own(*args)
+
+        monkeypatch.setattr(fd, oracle, spy)
+    config = dict(report_corpus.CONFIGS[name], seed=7)
+    rec = run_suite(SuiteConfig.from_dict(config)).checks[-1]
+    assert rec.name == "oracle.derivatives" and rec.passed
+    assert rec.points == 3
+    assert sorted(calls) == ["christoffel_fd", "fd_gradient", "fd_hessian",
+                             "fd_third"]
 
 
 PASS_CHECKS = ["kahler.residuals", "eq1.residual", "rem1.laplace_identity",

@@ -70,14 +70,21 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_batched_oracle_matches_per_point_reference(name):
+    # Each point alone, and the three as one (3, d) batch, which gives each
+    # point the bits it gets alone.
     chart, f = CASES[name]
-    for p in sample_points(chart, 2, 13, 0.5 * chart.domain_radius):
-        for oracle, k, h in ((fd.fd_gradient, 1, fd.STEP_ORDER1),
-                             (fd.fd_hessian, 2, fd.STEP_ORDER2),
-                             (fd.fd_third, 3, fd.STEP_ORDER3)):
-            assert np.array_equal(oracle(f, p), _reference(f, p, k, h))
-        assert np.array_equal(fd.christoffel_fd(chart, p),
-                              _christoffel_reference(chart, p))
+    P = np.array(sample_points(chart, 3, 13, 0.5 * chart.domain_radius))
+    for oracle, k, h in ((fd.fd_gradient, 1, fd.STEP_ORDER1),
+                         (fd.fd_hessian, 2, fd.STEP_ORDER2),
+                         (fd.fd_third, 3, fd.STEP_ORDER3)):
+        ref = np.array([_reference(f, p, k, h) for p in P])
+        assert all(np.array_equal(oracle(f, p), r) for p, r in zip(P, ref))
+        assert ref.shape == (3,) + (chart.dim,) * k
+        assert np.array_equal(oracle(f, P), ref)
+    ref = np.array([_christoffel_reference(chart, p) for p in P])
+    assert all(np.array_equal(fd.christoffel_fd(chart, p), r)
+               for p, r in zip(P, ref))
+    assert np.array_equal(fd.christoffel_fd(chart, P), ref)
 
 
 def test_oracle_evaluates_one_batch_per_call():
@@ -88,9 +95,11 @@ def test_oracle_evaluates_one_batch_per_call():
         calls.append(np.shape(P))
         return f(P)
 
-    fd.fd_third(counted, np.full(chart.dim, 0.1))
-    # 20 index tuples i <= j <= k, 8 sign patterns, 2 step sizes.
-    assert calls == [(20 * 8 * 2, chart.dim)]
+    p = np.full(chart.dim, 0.1)
+    fd.fd_third(counted, p)
+    fd.fd_third(counted, np.stack([p, -p, 0.5 * p]))
+    # 20 index tuples i <= j <= k, 8 sign patterns, 2 step sizes, per point.
+    assert calls == [(20 * 8 * 2, chart.dim), (3 * 20 * 8 * 2, chart.dim)]
 
 
 # -- negative control for oracle.derivatives ---------------------------------

@@ -267,6 +267,13 @@ class TestGeodesics:
         with pytest.raises(ValueError, match=r"v0 must have shape \(4,\)"):
             integrate_geodesic(flat11, np.zeros(4), v0, 1.0)
 
+    @pytest.mark.parametrize("x0", [[[0.1, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]],
+                                    np.zeros((1, 4)), [0.1, 0.0, 0.0]])
+    def test_start_shape_validated(self, flat11, x0):
+        # Two start points once integrated silently from the first.
+        with pytest.raises(ValueError, match=r"x0 must have shape \(4,\)"):
+            integrate_geodesic(flat11, x0, [0.0, 1.0, 0.0, 0.0], 1.0)
+
 
 def test_import_loads_no_scipy():
     # The runtime needs numpy only: neither the package nor its command line

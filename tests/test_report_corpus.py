@@ -54,6 +54,29 @@ def test_a_moved_residual_or_note_is_a_difference():
     assert len(corpus.differences(old, new)) == 3
 
 
+@pytest.mark.parametrize("shift, label, status", [
+    (0.0, "same ", 0), (corpus.RESIDUAL_ATOL / 2, "close", 0),
+    (3 * corpus.RESIDUAL_ATOL, "DIFF ", 1)])
+def test_check_tells_exact_from_close(shift, label, status, monkeypatch,
+                                      capsys):
+    # --check against the committed texts, one of them rewritten with eq1's
+    # residual moved: not at all (the rewrite is byte-identical), within
+    # the bound, past it.
+    def committed(name, seed):
+        text = corpus.path(name, seed).read_text()
+        if (name, seed) != ("cp1_default", 7):
+            return text
+        report = json.loads(text)
+        _record(report, "eq1.residual")["max_residual"] += shift
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    monkeypatch.setattr(corpus, "report", committed)
+    assert corpus.main(["--check"]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{label} cp1_default seed 7" in lines
+    assert sum(line.startswith("same  ") for line in lines) == 23 + (not shift)
+
+
 @pytest.mark.parametrize("name", sorted(corpus.CONFIGS))
 def test_negating_the_metric_and_c_keeps_every_record(name, monkeypatch):
     # (g, c) -> (-g, -c) leaves the third-order equation and the c = 1
